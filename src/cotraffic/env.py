@@ -213,8 +213,9 @@ class AgentStep:
 class TrafficEnv:
     """Owns one SimState and the per-step agent bookkeeping.
 
-    `step` builds observations for all signal agents and the selected vehicle
-    agents, asks the policies for actions, advances the simulator, scores the
+    `step` stacks the observations of all signal agents into one matrix and
+    those of the selected vehicle agents into another, asks each type's policy
+    for all its actions in one forward, advances the simulator, scores the
     post-transition state, and returns one AgentStep per acting agent. A
     vehicle agent leaving the selected set (crossed the line, displaced,
     removed, or arrived) has done=True on its final record; signal agents are
@@ -240,18 +241,30 @@ class TrafficEnv:
 
     def step(self, tl_policy=None, cav_policy=None, rng=None, sample=True,
              tl_override=None, trace=None):
+        """Advance one second; returns the acting agents' AgentSteps.
+
+        Each agent type makes at most one `act` call per step, on the matrix
+        of its agents' observations; row i of that matrix is the `obs` of the
+        type's i-th record. A step with no selected vehicle makes no vehicle
+        call and draws nothing from `rng`. Without a signal policy the lights
+        follow `tl_override(sim)`, if given, and otherwise get no switch.
+        """
         sim = self.sim
         cfg = self.cfg
         records = []
 
         tl_actions = {}
         if cfg.tl_agents and tl_policy is not None:
-            for lid in sim.lights:
-                obs = tl_observation(sim, sim.lights[lid], cfg.mode, self.c,
-                                     self._prev_cmd_by_road)
-                action, logp, value = tl_policy.act(obs, rng, sample)
-                tl_actions[lid] = int(action)
-                records.append(AgentStep(lid, "TL", obs, float(action),
+            lids = list(sim.lights)
+            obs = np.array([tl_observation(sim, sim.lights[lid], cfg.mode,
+                                           self.c, self._prev_cmd_by_road)
+                            for lid in lids])
+            actions, logps, values = tl_policy.act(obs, rng, sample)
+            for lid, row, action, logp, value in zip(
+                    lids, obs, actions.tolist(), logps.tolist(),
+                    values.tolist()):
+                tl_actions[lid] = action
+                records.append(AgentStep(lid, "TL", row, float(action),
                                          logp, value, t=sim.clock))
         elif tl_override is not None:
             tl_actions = tl_override(sim)
@@ -259,16 +272,21 @@ class TrafficEnv:
         cav_actions = {}
         cav_records = {}
         cmd_road = {}
-        if cfg.cav_agents and cav_policy is not None:
-            for vid in select_cav_agents(sim, cfg.mode):
-                road = sim.vehicles[vid].road
-                inter = sim.network.roads[road].approach_intersection
-                obs = cav_observation(sim, vid, cfg.mode,
-                                      self._prev_tl_action.get(inter, 0))
-                action, logp, value = cav_policy.act(obs, rng, sample)
-                cav_actions[vid] = float(action)
+        vids = (select_cav_agents(sim, cfg.mode)
+                if cfg.cav_agents and cav_policy is not None else [])
+        if vids:
+            roads = [sim.vehicles[vid].road for vid in vids]
+            obs = np.array([
+                cav_observation(sim, vid, cfg.mode, self._prev_tl_action.get(
+                    sim.network.roads[road].approach_intersection, 0))
+                for vid, road in zip(vids, roads)])
+            actions, logps, values = cav_policy.act(obs, rng, sample)
+            for vid, road, row, action, logp, value in zip(
+                    vids, roads, obs, actions.tolist(), logps.tolist(),
+                    values.tolist()):
+                cav_actions[vid] = action
                 cmd_road[vid] = road
-                rec = AgentStep(vid, "CAV", obs, float(action), logp, value,
+                rec = AgentStep(vid, "CAV", row, action, logp, value,
                                 t=sim.clock)
                 records.append(rec)
                 cav_records[vid] = rec
@@ -296,8 +314,3 @@ class TrafficEnv:
                                   for vid, cmd in cav_actions.items()}
         return records
 
-
-def env_step(env, tl_policy, cav_policy, rng=None, sample=True):
-    """One environment transition; returns (sim, agent records)."""
-    records = env.step(tl_policy, cav_policy, rng=rng, sample=sample)
-    return env.sim, records

@@ -103,67 +103,95 @@ def _softplus(z):
 
 @dataclass(frozen=True)
 class BernoulliAction:
+    """Keep/switch distribution; `logit` is a float or one per agent."""
     logit: float
 
     @property
     def p_switch(self):
-        return float(_sigmoid(np.asarray(self.logit)))
+        return _sigmoid(np.asarray(self.logit, dtype=np.float64))
 
     def sample(self, rng):
-        return int(rng.random() < self.p_switch)
+        draws = rng.random(np.shape(self.logit))
+        return (draws < self.p_switch).astype(np.int64)
 
     def greedy(self):
-        return int(self.logit > 0.0)
+        return (np.asarray(self.logit) > 0.0).astype(np.int64)
 
     def log_prob(self, action):
         z = np.asarray(self.logit, dtype=np.float64)
-        return float(np.where(action, -_softplus(-z), -_softplus(z)))
+        return np.where(action, -_softplus(-z), -_softplus(z))
 
     def entropy(self):
         z = np.asarray(self.logit, dtype=np.float64)
         s = _sigmoid(z)
-        return float(s * _softplus(-z) + (1.0 - s) * _softplus(z))
+        return s * _softplus(-z) + (1.0 - s) * _softplus(z)
 
 
 @dataclass(frozen=True)
 class GaussianAction:
+    """Acceleration distribution; `mean` is a float or one per agent."""
     mean: float
     log_std: float
 
     def sample(self, rng):
-        raw = self.mean + np.exp(self.log_std) * rng.standard_normal()
-        return float(np.clip(raw, -ACTION_SCALE, ACTION_SCALE))
+        noise = rng.standard_normal(np.shape(self.mean))
+        raw = self.mean + np.exp(self.log_std) * noise
+        return np.clip(raw, -ACTION_SCALE, ACTION_SCALE)
 
     def greedy(self):
-        return float(self.mean)
+        return self.mean
 
     def log_prob(self, action):
         z = (action - self.mean) / np.exp(self.log_std)
-        return float(-0.5 * z * z - self.log_std - 0.5 * LOG_2PI)
+        return -0.5 * z * z - self.log_std - 0.5 * LOG_2PI
 
     def entropy(self):
-        return float(0.5 + 0.5 * LOG_2PI + self.log_std)
+        return 0.5 + 0.5 * LOG_2PI + self.log_std
+
+
+def _distribution(params, head_pre):
+    """Action distribution over one head output or an array of them."""
+    if params.kind == "tl":
+        return BernoulliAction(head_pre)
+    return GaussianAction(ACTION_SCALE * np.tanh(head_pre),
+                          float(params.log_std[0]))
 
 
 def policy_forward(params, obs):
     """Distribution and value estimate for one observation."""
     head_pre, values, _ = forward(params, np.asarray(obs)[None, :])
-    if params.kind == "tl":
-        return BernoulliAction(float(head_pre[0])), float(values[0])
-    mean = ACTION_SCALE * np.tanh(head_pre[0])
-    return GaussianAction(float(mean), float(params.log_std[0])), float(values[0])
+    return _distribution(params, float(head_pre[0])), float(values[0])
 
 
 class Policy:
-    """Callable wrapper binding params to the sample/greedy action API."""
+    """Binds one agent type's shared params to the sample/greedy action API.
+
+    Every agent of the type acts through the same network, so a step stacks
+    their observations into one matrix and serves them with one forward.
+    """
 
     def __init__(self, params):
         self.params = params
 
     def act(self, obs, rng=None, sample=True):
-        dist, value = policy_forward(self.params, obs)
-        action = dist.sample(rng) if sample else dist.greedy()
-        return action, dist.log_prob(action), value
+        """Actions, log-probs and values for an (n, obs_dim) matrix.
+
+        One forward serves all n rows. Sampling draws n numbers from `rng` in
+        row order: `rng.random(n)` for signals, `rng.standard_normal(n)` for
+        vehicles, which are the numbers n scalar draws would give. A 1-D
+        `obs` is one row and returns an (action, log_prob, value) of scalars.
+        """
+        if sample and rng is None:
+            raise ValueError("sampling actions needs an rng; pass one, "
+                             "or sample=False for greedy actions")
+        obs = np.asarray(obs, dtype=np.float64)
+        head_pre, values, _ = forward(self.params, obs)
+        dist = _distribution(self.params, head_pre)
+        actions = dist.sample(rng) if sample else dist.greedy()
+        log_probs = dist.log_prob(actions)
+        if obs.ndim == 1:
+            return actions.item(), log_probs.item(), values.item()
+        return actions, log_probs, values
 
 
 def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cotraffic import policy
 from cotraffic.env import (CooperationMode, EnvConfig, TrafficEnv,
                            cav_obs_dim, cav_observation, max_road_capacity,
                            select_cav_agents, tl_obs_dim, tl_observation,
@@ -179,8 +180,6 @@ def test_observation_length_constant_during_run():
         for rec in env.step(tl_p, cav_p, rng=rng):
             (lengths_tl if rec.agent_type == "TL" else lengths_cav).add(
                 rec.obs.shape)
-        for rec_obs in ():
-            pass
     assert lengths_tl == {(tl_obs_dim(scen.network, COTV),)}
     assert lengths_cav <= {(cav_obs_dim(COTV),)}
 
@@ -345,7 +344,8 @@ def test_retirement_closes_segment_with_done():
 
     class KeepPolicy:
         def act(self, obs, rng, sample):
-            return 0, 0.0, 0.0
+            n = len(obs)
+            return np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n)
 
     records = env.step(KeepPolicy(), cav_p, rng=np.random.default_rng(0))
     cav_recs = [r for r in records if r.agent_type == "CAV"]
@@ -353,3 +353,49 @@ def test_retirement_closes_segment_with_done():
     assert cav_recs[0].done  # crossed the stop line, left the control set
     assert veh.road == "J0-0:S0"
     assert np.isfinite(cav_recs[0].reward)
+
+
+def counting_forward(monkeypatch):
+    """Patch policy.forward to record the row count of every call."""
+    rows = []
+    real = policy.forward
+
+    def counted(params, obs):
+        out = real(params, obs)
+        rows.append((params.kind, len(out[0])))
+        return out
+
+    monkeypatch.setattr(policy, "forward", counted)
+    return rows
+
+
+def test_env_step_one_forward_per_agent_type(monkeypatch):
+    scen = grid_scenario("1x6", penetration=1.0, seed=3)
+    env = TrafficEnv(scen, EnvConfig(COTV))
+    env.reset()
+    tl_p, cav_p = make_policies(scen.network, COTV)
+    rows = counting_forward(monkeypatch)
+    rng = np.random.default_rng(0)
+    most_cav_rows = 0
+    for _ in range(60):
+        del rows[:]
+        records = env.step(tl_p, cav_p, rng=rng)
+        assert [kind for kind, _ in rows] in (["tl"], ["tl", "cav"])
+        assert rows[0] == ("tl", 6)
+        assert sum(n for _, n in rows) == len(records)
+        most_cav_rows = max([most_cav_rows] + [n for _, n in rows[1:]])
+    assert most_cav_rows > 1
+
+
+def test_env_step_without_cav_draws_nothing(monkeypatch):
+    scen = grid_scenario("1x1", penetration=0.0, seed=2)
+    env = TrafficEnv(scen, EnvConfig(COTV))
+    env.reset()
+    _, cav_p = make_policies(scen.network, COTV)
+    rows = counting_forward(monkeypatch)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for _ in range(30):
+        assert env.step(None, cav_p, rng=rng) == []
+    assert rows == []
+    assert rng.bit_generator.state == state

@@ -72,6 +72,42 @@ def test_action_distributions():
     assert g.entropy() == pytest.approx(0.5 + 0.5 * np.log(2 * np.pi) + np.log(0.5))
 
 
+@pytest.mark.parametrize("kind, dim", [("tl", 9), ("cav", 7)])
+@pytest.mark.parametrize("sample", [True, False])
+def test_batched_act_matches_row_by_row(kind, dim, sample):
+    policy = Policy(init_params(kind, dim, seed=4))
+    obs = np.random.default_rng(5).normal(size=(23, dim))
+    rng_rows, rng_batch = np.random.default_rng(6), np.random.default_rng(6)
+    rows = [policy.act(o, rng_rows, sample) for o in obs]
+    actions, logps, values = policy.act(obs, rng_batch, sample)
+    assert actions.shape == logps.shape == values.shape == (23,)
+    row_actions, row_logps, row_values = (np.array(col) for col in zip(*rows))
+    if kind == "tl":
+        np.testing.assert_array_equal(actions, row_actions)
+    else:  # a batched matmul rounds differently from a 1-row one
+        np.testing.assert_allclose(actions, row_actions, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logps, row_logps, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(values, row_values, rtol=0, atol=1e-12)
+    assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+
+
+def test_act_returns_scalars_for_one_row():
+    for kind, dim, action_type in (("tl", 9, int), ("cav", 7, float)):
+        policy = Policy(init_params(kind, dim, seed=4))
+        action, logp, value = policy.act(np.zeros(dim),
+                                         np.random.default_rng(0))
+        assert type(action) is action_type
+        assert type(logp) is float and type(value) is float
+
+
+def test_sampling_without_rng_is_rejected():
+    policy = Policy(init_params("cav", 7, seed=4))
+    with pytest.raises(ValueError, match="rng"):
+        policy.act(np.zeros((3, 7)))
+    actions, _, _ = policy.act(np.zeros((3, 7)), sample=False)
+    assert actions.shape == (3,)
+
+
 # --- generalized advantage estimation ----------------------------------------
 
 def test_gae_undiscounted_terminal():
