@@ -78,10 +78,6 @@ class ActuatedController:
         return int(self._empty_run[lid] >= self.cfg.gap_threshold)
 
 
-def actuated_tick(light, sim, controller):
-    return controller.tick(light, sim)
-
-
 def phase_pressure(sim, light, phase):
     """Vehicles queued on the phase's served approaches minus the vehicles
     already on their straight continuations."""
@@ -215,8 +211,9 @@ class GlosaController:
         return out
 
 
-def make_light_controller(plan, network):
-    """Per-step action map for non-learned lights ('static' or 'actuated')."""
+def make_light_controller(plan):
+    """Per-step action map for non-learned lights ('static', 'actuated' or
+    'max-pressure')."""
     if plan == "static":
         static = StaticPlan()
         return lambda sim: {lid: static_tick(light, static)
@@ -231,26 +228,21 @@ def make_light_controller(plan, network):
     raise ValueError(f"unknown light plan {plan!r}")
 
 
+# baseline method -> light plan; glosa advises on top of the actuated plan
+_BASELINE_PLANS = {"baseline-static": "static", "actuated": "actuated",
+                   "max-pressure": "max-pressure", "glosa": "actuated"}
+
+
 class BaselineController:
     """Bundles a light plan and optional speed advisory into one stepper."""
 
-    def __init__(self, method, network, lights_plan=None):
-        self.method = method
-        if method == "baseline-static":
-            self.lights = make_light_controller("static", network)
-            self.glosa = None
-        elif method == "actuated":
-            self.lights = make_light_controller("actuated", network)
-            self.glosa = None
-        elif method == "max-pressure":
-            self.lights = make_light_controller("max-pressure", network)
-            self.glosa = None
-        elif method == "glosa":
-            plan = lights_plan or "actuated"
-            self.lights = make_light_controller(plan, network)
-            self.glosa = GlosaController(plan)
-        else:
+    def __init__(self, method):
+        if method not in _BASELINE_PLANS:
             raise ValueError(f"unknown baseline method {method!r}")
+        self.method = method
+        plan = _BASELINE_PLANS[method]
+        self.lights = make_light_controller(plan)
+        self.glosa = GlosaController(plan) if method == "glosa" else None
 
     def new_sim(self, scenario):
         return build_sim(scenario)
@@ -258,7 +250,3 @@ class BaselineController:
     def step(self, sim, trace=None):
         commands = self.glosa.commands(sim) if self.glosa else {}
         return step(sim, self.lights(sim), commands, trace=trace)
-
-
-def make_controller(method, network, lights_plan=None):
-    return BaselineController(method, network, lights_plan)

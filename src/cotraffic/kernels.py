@@ -1,13 +1,10 @@
 """Numeric kernels for the per-step vehicle update.
 
 Every simulation second touches every active vehicle (car-following
-acceleration, kinematics, safety scans, energy rates), and a training run
-replays millions of such seconds, so these inner loops are the hot path.
-Each kernel exists twice: a numba ``@njit`` build (default) and a pure-numpy
-build. Set ``COTRAFFIC_DISABLE_NUMBA=1`` before import to force the numpy
-path; ``active_backend()`` reports which one is live. Both backends are kept
-importable so the benchmark and the equivalence tests can run them side by
-side.
+acceleration, kinematics, safety scans, energy rates). Each kernel is one
+vectorized numpy function over all vehicles of the step. Leaderless rows
+carry a zero gap and non-closing pairs a zero closing speed, so those
+divisors are replaced with ``np.where`` before dividing.
 
 Array convention: vehicles are flattened road by road, sorted by position
 ascending within a road, so index ``i + 1`` is the immediate leader of ``i``
@@ -15,7 +12,7 @@ unless ``i`` is the front vehicle of its road. Callers pass leader data
 explicitly (``lead_speed``, ``gap``, ``has_lead``) so that signal stop lines
 can be folded in as virtual leaders before the kernel call.
 """
-import os
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,105 +33,17 @@ EMERGENCY_DECEL = 4.5
 # Commanded-acceleration box for controlled vehicles.
 CMD_ACCEL_MAX = 3.0
 
+_BACKEND = SimpleNamespace(name="numpy")
 
-def _vehicle_accels(speed, lead_speed, gap, has_lead, v_limit,
-                    is_cmd, cmd, a_max, b_comfort, delta, headway, s0):
+
+def active_backend():
+    """Record of the kernel implementation; its `name` is always 'numpy'."""
+    return _BACKEND
+
+
+def vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
+                   a_max, b_comfort, delta, headway, s0):
     """Acceleration for every vehicle: commanded if flagged, else IDM."""
-    n = speed.shape[0]
-    out = np.empty(n)
-    two_sqrt_ab = 2.0 * np.sqrt(a_max * b_comfort)
-    for i in range(n):
-        if is_cmd[i]:
-            a = cmd[i]
-            if a > CMD_ACCEL_MAX:
-                a = CMD_ACCEL_MAX
-            elif a < -CMD_ACCEL_MAX:
-                a = -CMD_ACCEL_MAX
-            out[i] = a
-            continue
-        v = speed[i]
-        free = (v / v_limit[i]) ** delta
-        a = a_max * (1.0 - free)
-        if has_lead[i]:
-            s_star = s0 + v * headway + v * (v - lead_speed[i]) / two_sqrt_ab
-            ratio = s_star / gap[i]
-            a -= a_max * (ratio * ratio)
-        if a > a_max:
-            a = a_max
-        elif a < -EMERGENCY_DECEL:
-            a = -EMERGENCY_DECEL
-        out[i] = a
-    return out
-
-
-def _kinematics(speed, accel, v_limit, dt):
-    """Semi-implicit Euler: clamp speed to [0, limit], move with new speed.
-
-    Returns (new_speed, dx, effective_accel); the effective acceleration is
-    what the clamp actually realized, (v' - v) / dt.
-    """
-    n = speed.shape[0]
-    new_speed = np.empty(n)
-    dx = np.empty(n)
-    eff = np.empty(n)
-    for i in range(n):
-        v = speed[i] + accel[i] * dt
-        if v < 0.0:
-            v = 0.0
-        elif v > v_limit[i]:
-            v = v_limit[i]
-        new_speed[i] = v
-        dx[i] = v * dt
-        eff[i] = (v - speed[i]) / dt
-    return new_speed, dx, eff
-
-
-def _ttc_events(gap, speed, lead_speed, has_lead, threshold):
-    """Count follower-leader pairs closing with time-to-collision < threshold."""
-    n = speed.shape[0]
-    count = 0
-    for i in range(n):
-        if not has_lead[i]:
-            continue
-        closing = speed[i] - lead_speed[i]
-        if closing <= 0.0 or gap[i] <= 0.0:
-            continue
-        if gap[i] / closing < threshold:
-            count += 1
-    return count
-
-
-def _collision_followers(gap, has_lead):
-    """Mark followers whose bumper gap to the immediate leader is <= 0."""
-    n = gap.shape[0]
-    out = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        if has_lead[i] and gap[i] <= 0.0:
-            out[i] = True
-    return out
-
-
-def _fuel_co2(speed, accel):
-    """Tractive-power fuel and CO2 rates (l/s, g/s) per vehicle."""
-    n = speed.shape[0]
-    fuel = np.empty(n)
-    co2 = np.empty(n)
-    drag = 0.5 * AIR_DENSITY * DRAG_COEF * FRONTAL_AREA_M2
-    roll = VEHICLE_MASS_KG * GRAVITY * ROLLING_COEF
-    denom = ENGINE_EFFICIENCY * FUEL_ENERGY_J_L
-    for i in range(n):
-        v = speed[i]
-        power = VEHICLE_MASS_KG * accel[i] * v + roll * v + drag * (v * v * v)
-        if power < 0.0:
-            power = 0.0
-        f = IDLE_FUEL_L_S + power / denom
-        fuel[i] = f
-        co2[i] = f * CO2_G_PER_L
-    return fuel, co2
-
-
-def _numpy_vehicle_accels(speed, lead_speed, gap, has_lead, v_limit,
-                          is_cmd, cmd, a_max, b_comfort, delta, headway, s0):
     two_sqrt_ab = 2.0 * np.sqrt(a_max * b_comfort)
     free = (speed / v_limit) ** delta
     a = a_max * (1.0 - free)
@@ -146,100 +55,34 @@ def _numpy_vehicle_accels(speed, lead_speed, gap, has_lead, v_limit,
     return np.where(is_cmd, np.clip(cmd, -CMD_ACCEL_MAX, CMD_ACCEL_MAX), a)
 
 
-def _numpy_kinematics(speed, accel, v_limit, dt):
+def kinematics(speed, accel, v_limit, dt=1.0):
+    """Semi-implicit Euler: clamp speed to [0, limit], move with new speed.
+
+    Returns (new_speed, dx, effective_accel); the effective acceleration is
+    what the clamp actually realized, (v' - v) / dt.
+    """
     new_speed = np.clip(speed + accel * dt, 0.0, v_limit)
     return new_speed, new_speed * dt, (new_speed - speed) / dt
 
 
-def _numpy_ttc_events(gap, speed, lead_speed, has_lead, threshold):
+def ttc_events(gap, speed, lead_speed, has_lead, threshold):
+    """Count follower-leader pairs closing with time-to-collision < threshold."""
     closing = speed - lead_speed
     ok = has_lead & (closing > 0.0) & (gap > 0.0)
     safe = np.where(closing > 0.0, closing, 1.0)
     return int(np.count_nonzero(ok & (gap / safe < threshold)))
 
 
-def _numpy_collision_followers(gap, has_lead):
+def collision_followers(gap, has_lead):
+    """Mark followers whose bumper gap to the immediate leader is <= 0."""
     return has_lead & (gap <= 0.0)
 
 
-def _numpy_fuel_co2(speed, accel):
+def fuel_co2(speed, accel):
+    """Tractive-power fuel and CO2 rates (l/s, g/s) per vehicle."""
     drag = 0.5 * AIR_DENSITY * DRAG_COEF * FRONTAL_AREA_M2
     roll = VEHICLE_MASS_KG * GRAVITY * ROLLING_COEF
     power = (VEHICLE_MASS_KG * accel * speed + roll * speed
              + drag * (speed * speed * speed))
     fuel = IDLE_FUEL_L_S + np.maximum(power, 0.0) / (ENGINE_EFFICIENCY * FUEL_ENERGY_J_L)
     return fuel, fuel * CO2_G_PER_L
-
-
-class Backend:
-    """One callable set; `name` is 'numba' or 'numpy'."""
-
-    def __init__(self, name, vehicle_accels, kinematics, ttc_events,
-                 collision_followers, fuel_co2):
-        self.name = name
-        self.vehicle_accels = vehicle_accels
-        self.kinematics = kinematics
-        self.ttc_events = ttc_events
-        self.collision_followers = collision_followers
-        self.fuel_co2 = fuel_co2
-
-
-NUMPY_BACKEND = Backend(
-    "numpy", _numpy_vehicle_accels, _numpy_kinematics, _numpy_ttc_events,
-    _numpy_collision_followers, _numpy_fuel_co2)
-
-NUMBA_BACKEND = None
-try:  # numba is a hard dependency but stays optional at runtime
-    from numba import njit
-
-    # no fastmath: within a backend results are exactly reproducible, and the
-    # two backends agree bit for bit except where libm pow may differ by 1 ulp
-    _jit = njit(cache=True)
-    NUMBA_BACKEND = Backend(
-        "numba", _jit(_vehicle_accels), _jit(_kinematics), _jit(_ttc_events),
-        _jit(_collision_followers), _jit(_fuel_co2))
-except ImportError:  # pragma: no cover
-    pass
-
-
-def _select_backend():
-    flag = os.environ.get("COTRAFFIC_DISABLE_NUMBA", "")
-    if flag not in ("", "0", "false", "False") or NUMBA_BACKEND is None:
-        return NUMPY_BACKEND
-    return NUMBA_BACKEND
-
-
-_ACTIVE = _select_backend()
-
-
-def active_backend():
-    return _ACTIVE
-
-
-def set_backend(backend):
-    """Swap the live backend (tests and benchmark only)."""
-    global _ACTIVE
-    _ACTIVE = backend
-
-
-def vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
-                   a_max, b_comfort, delta, headway, s0):
-    return _ACTIVE.vehicle_accels(speed, lead_speed, gap, has_lead, v_limit,
-                                  is_cmd, cmd, a_max, b_comfort, delta,
-                                  headway, s0)
-
-
-def kinematics(speed, accel, v_limit, dt=1.0):
-    return _ACTIVE.kinematics(speed, accel, v_limit, dt)
-
-
-def ttc_events(gap, speed, lead_speed, has_lead, threshold):
-    return _ACTIVE.ttc_events(gap, speed, lead_speed, has_lead, threshold)
-
-
-def collision_followers(gap, has_lead):
-    return _ACTIVE.collision_followers(gap, has_lead)
-
-
-def fuel_co2(speed, accel):
-    return _ACTIVE.fuel_co2(speed, accel)

@@ -24,7 +24,7 @@ METHODS = {
                                default_penetration=0.0),
     "glosa": MethodSpec("glosa", rl=False, forced_penetration=1.0,
                         notes="speed advisory controls every vehicle; paired "
-                              "with an actuated or static light plan"),
+                              "with the actuated light plan"),
     "cotv": MethodSpec("cotv", rl=True,
                        env_cfg=EnvConfig(CooperationMode.COTV)),
     "cotv-star": MethodSpec("cotv-star", rl=True,

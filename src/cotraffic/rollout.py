@@ -26,12 +26,6 @@ class EpisodeResult:
     ttc_events: int
 
 
-def _tl_override(plan, network):
-    if plan is None:
-        return None
-    return baselines.make_light_controller(plan, network)
-
-
 def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
                 sample=True, tl_plan=None, collect=True, trace=None):
     """Run one episode; returns (EpisodeResult, final sim state).
@@ -53,7 +47,8 @@ def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
 
     tl_policy = Policy(tl_params) if (env_cfg.tl_agents and tl_params) else None
     cav_policy = Policy(cav_params) if (env_cfg.cav_agents and cav_params) else None
-    override = _tl_override(tl_plan, scenario.network) if tl_policy is None else None
+    override = (baselines.make_light_controller(tl_plan)
+                if tl_plan is not None and tl_policy is None else None)
 
     open_segments = {}
     closed = {"TL": [], "CAV": []}
@@ -120,7 +115,7 @@ def run_baseline_episode(scenario, method, seed, horizon=None, trace_fh=None):
     seed_seq = np.random.SeedSequence((int(seed),))
     scen_seed = int(seed_seq.generate_state(1)[0]) % (2 ** 31)
     episode_scenario = scenario.with_overrides(seed=scen_seed)
-    controller = baselines.make_controller(method, scenario.network)
+    controller = baselines.BaselineController(method)
     sim = controller.new_sim(episode_scenario)
     trace = TraceWriter(trace_fh) if trace_fh is not None else None
     for _ in range(horizon):

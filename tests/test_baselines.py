@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from cotraffic.baselines import (ActuatedConfig, ActuatedController,
-                                 GlosaController, StaticPlan, glosa_advice,
-                                 make_controller, max_pressure_tick,
+                                 BaselineController, GlosaController,
+                                 StaticPlan, glosa_advice, max_pressure_tick,
                                  static_tick)
 from cotraffic.network import build_grid, grid_scenario
 from cotraffic.simulation import IdmParams, Vehicle, idm_accel, make_light, step
@@ -182,7 +182,7 @@ def test_glosa_bounds_property():
 
 def test_glosa_controller_commands_all_cavs_on_approaches():
     scen = grid_scenario("1x1", penetration=1.0, seed=3)
-    sim = make_controller("glosa", scen.network).new_sim(scen)
+    sim = BaselineController("glosa").new_sim(scen)
     put_vehicle(sim, "a", "N0:J0-0", 100.0, 5.0, kind="CAV")
     put_vehicle(sim, "b", "W0:J0-0", 200.0, 5.0, kind="CAV")
     put_vehicle(sim, "c", "J0-0:E0", 50.0, 5.0, kind="CAV")  # exit road
@@ -193,7 +193,7 @@ def test_glosa_controller_commands_all_cavs_on_approaches():
 
 def test_glosa_episode_runs_safely():
     scen = grid_scenario("1x1", penetration=1.0, seed=5)
-    ctrl = make_controller("glosa", scen.network)
+    ctrl = BaselineController("glosa")
     sim = ctrl.new_sim(scen)
     for _ in range(720):
         ctrl.step(sim)
@@ -203,7 +203,7 @@ def test_glosa_episode_runs_safely():
 
 def test_static_baseline_completes_all_trips():
     scen = grid_scenario("1x1", penetration=0.0, seed=9)
-    ctrl = make_controller("baseline-static", scen.network)
+    ctrl = BaselineController("baseline-static")
     sim = ctrl.new_sim(scen)
     for _ in range(720):
         ctrl.step(sim)
@@ -213,7 +213,7 @@ def test_static_baseline_completes_all_trips():
 
 def test_max_pressure_respects_min_green_in_sim():
     scen = grid_scenario("1x1", penetration=0.0, seed=9)
-    ctrl = make_controller("max-pressure", scen.network)
+    ctrl = BaselineController("max-pressure")
     sim = ctrl.new_sim(scen)
     green_entry = sim.clock
     last_index = sim.lights["J0-0"].phase_index
