@@ -7,6 +7,9 @@ car-following safety.
 """
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import kernels
 from .simulation import (IdmParams, MIN_GREEN, YELLOW_DURATION, build_sim,
                          idm_accel, step)
 
@@ -142,6 +145,18 @@ def _earliest_arrival(v, dist, v_max, a=GLOSA_ACCEL_LIMIT):
     return (v_max - v) / a + (dist - d_acc) / v_max
 
 
+def _advise(v, dist_to_stop, v_star, windows, follow):
+    """The advisory rule for one vehicle, given its next two green windows
+    and its car-following acceleration `follow`."""
+    now_window, next_window = windows
+    if now_window[0] == 0.0 and _earliest_arrival(v, dist_to_stop, v_star) <= now_window[1]:
+        return max(min(follow, GLOSA_ACCEL_LIMIT), -GLOSA_ACCEL_LIMIT)
+    start = now_window[0] if now_window[0] > 0.0 else next_window[0]
+    v_target = min(max(dist_to_stop / start, 0.0), v_star)
+    advice = max(min(v_target - v, GLOSA_ACCEL_LIMIT), -GLOSA_ACCEL_LIMIT)
+    return max(min(advice, follow), -GLOSA_ACCEL_LIMIT)
+
+
 def glosa_advice(vehicle, light, dist_to_stop, road, durations,
                  leader=None, idm=None):
     """Target acceleration from the predicted signal schedule.
@@ -154,27 +169,24 @@ def glosa_advice(vehicle, light, dist_to_stop, road, durations,
     idm = idm or IdmParams()
     v = vehicle.speed
     v_star = road.speed_limit
-    now_window, next_window = _green_windows(light, durations, road.approach)
-
     if leader is not None:
         follow = idm_accel(v, leader[0], leader[1], v_star, idm)
     else:
         follow = idm_accel(v, None, None, v_star, idm)
-
-    if now_window[0] == 0.0 and _earliest_arrival(v, dist_to_stop, v_star) <= now_window[1]:
-        return max(min(follow, GLOSA_ACCEL_LIMIT), -GLOSA_ACCEL_LIMIT)
-    start = now_window[0] if now_window[0] > 0.0 else next_window[0]
-    v_target = min(max(dist_to_stop / start, 0.0), v_star)
-    advice = max(min(v_target - v, GLOSA_ACCEL_LIMIT), -GLOSA_ACCEL_LIMIT)
-    return max(min(advice, follow), -GLOSA_ACCEL_LIMIT)
+    return _advise(v, dist_to_stop, v_star,
+                   _green_windows(light, durations, road.approach), follow)
 
 
 class GlosaController:
-    """Speed advice for every signal-approaching vehicle.
+    """Speed advice for every CAV on a signal approach road.
 
     Runs on top of a predictable light plan: exact projection for the static
     plan, a max-green projection for the actuated plan (its gap-outs are not
-    knowable ahead of time).
+    knowable ahead of time). Each step gathers every advised CAV, computes
+    their car-following accelerations in one `kernels.vehicle_accels` call
+    and applies `glosa_advice`'s rule per vehicle, with the green windows
+    projected once per road. The result equals `glosa_advice` called per
+    vehicle, bit for bit.
     """
 
     def __init__(self, lights_plan, static_plan=None, actuated_cfg=None):
@@ -188,27 +200,49 @@ class GlosaController:
             raise ValueError("speed advisory requires a static or actuated plan")
 
     def commands(self, sim):
-        out = {}
+        ids, speed, lead_speed, gap, has_lead, v_limit = [], [], [], [], [], []
+        dist, windows = [], []   # to the stop line; the road's green windows
         for road_id, road in sim.network.roads.items():
             if road.approach_intersection is None:
+                continue
+            order = sim.road_order[road_id]
+            if not order:
                 continue
             light = sim.lights[road.approach_intersection]
             durations = [self._green if p.kind == "green" else YELLOW_DURATION
                          for p in light.phases]
-            order = sim.road_order.get(road_id, [])
+            road_windows = _green_windows(light, durations, road.approach)
             for i, vid in enumerate(order):
                 veh = sim.vehicles[vid]
                 if veh.kind != "CAV":
                     continue
+                ids.append(vid)
+                speed.append(veh.speed)
+                v_limit.append(road.speed_limit)
+                dist.append(road.length - veh.position)
+                windows.append(road_windows)
                 if i + 1 < len(order):
                     lead = sim.vehicles[order[i + 1]]
-                    leader = (lead.speed, max(lead.position - lead.length
-                                              - veh.position, 1e-6))
+                    lead_speed.append(lead.speed)
+                    gap.append(max(lead.position - lead.length - veh.position,
+                                   1e-6))
+                    has_lead.append(True)
                 else:
-                    leader = None
-                out[vid] = glosa_advice(veh, light, road.length - veh.position,
-                                        road, durations, leader, sim.idm)
-        return out
+                    lead_speed.append(0.0)
+                    gap.append(1.0)
+                    has_lead.append(False)
+        if not ids:
+            return {}
+        p = sim.idm
+        n = len(ids)
+        follow = kernels.vehicle_accels(
+            np.array(speed), np.array(lead_speed), np.array(gap),
+            np.array(has_lead, dtype=bool), np.array(v_limit),
+            np.zeros(n, dtype=bool), np.zeros(n),
+            p.a_max, p.b_comfort, p.delta, p.headway, p.s0).tolist()
+        return {vid: _advise(speed[i], dist[i], v_limit[i], windows[i],
+                             follow[i])
+                for i, vid in enumerate(ids)}
 
 
 def make_light_controller(plan):

@@ -50,6 +50,10 @@ def _profile_config(args):
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
+# manifest fields that describe one run rather than its configuration
+_UNHASHED = ("created_unix", "command", "wall_time_s", "halted_early")
+
+
 def _manifest(args, scenario, method, extra):
     payload = {
         "version": __version__,
@@ -62,7 +66,7 @@ def _manifest(args, scenario, method, extra):
     }
     payload.update(extra)
     digest_src = json.dumps(
-        {k: v for k, v in payload.items() if k not in ("created_unix", "command")},
+        {k: v for k, v in payload.items() if k not in _UNHASHED},
         sort_keys=True)
     payload["config_sha256"] = hashlib.sha256(digest_src.encode()).hexdigest()
     return payload

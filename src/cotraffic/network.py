@@ -5,7 +5,6 @@ opposed single-lane roads; perimeter arms end at boundary nodes. All demand
 is go-straight, so each vehicle's route is the chain of same-heading roads
 from a perimeter entry to the opposite perimeter exit.
 """
-import hashlib
 import math
 import re
 from dataclasses import dataclass, replace
@@ -248,10 +247,6 @@ class ScenarioSpec:
                     f"{route[-1]}, not {flow.destination}")
             del origin
 
-    @property
-    def total_vehicles(self):
-        return sum(f.count for f in self.flows)
-
     def with_overrides(self, horizon=None, penetration=None, seed=None):
         return replace(
             self,
@@ -440,8 +435,3 @@ def scenario_to_text(scenario):
         f"penetration: {scenario.penetration_rate:g}, seed: {scenario.seed} }}")
     return "\n".join(lines) + "\n"
 
-
-def scenario_fingerprint(scenario):
-    """Stable hash of the resolved scenario, for run manifests."""
-    payload = scenario_to_text(scenario).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]

@@ -14,6 +14,7 @@ states can run in parallel processes without shared mutable data.
 """
 import bisect
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,15 +144,9 @@ class SimState:
     collided_count: int = 0
     ttc_event_count: int = 0
 
-    def active_count(self):
-        return len(self.vehicles)
-
     def conservation_ok(self):
         return self.inserted_count == (len(self.vehicles) + len(self.completed)
                                        + self.collided_count)
-
-    def vehicles_on(self, road_id):
-        return self.road_order.get(road_id, [])
 
     def leader_of(self, vehicle_id):
         """(leader vehicle, bumper gap), or None when nothing is ahead.
@@ -297,54 +292,61 @@ def _attempt_insertions(sim, now):
     sim.pending = still_pending
 
 
-def _gap_arrays(sim):
-    """Flatten actives road by road; leaders are the next index in-road."""
-    ids, pos, speed, length = [], [], [], []
-    lead_speed, gap, has_lead = [], [], []
+class ScanView(NamedTuple):
+    """Active vehicles flattened road by road, each road rear to front in
+    its `road_order`, with each vehicle's in-road leader: row i + 1 leads
+    row i unless row i is the front vehicle of its road (`has_lead` False,
+    zero gap and leader speed)."""
+    ids: list
+    speed: np.ndarray
+    lead_speed: np.ndarray
+    gap: np.ndarray
+    has_lead: np.ndarray
+
+
+def scan_view(sim):
+    """Build the ScanView of the current state."""
+    ids, fronts = [], []
     for road_id in sim.network.roads:
         order = sim.road_order[road_id]
-        if not order:
-            continue
-        n0 = len(ids)
-        for vid in order:
-            v = sim.vehicles[vid]
-            ids.append(vid)
-            pos.append(v.position)
-            speed.append(v.speed)
-            length.append(v.length)
-        for i in range(len(order)):
-            if i + 1 < len(order):
-                lead = sim.vehicles[order[i + 1]]
-                lead_speed.append(lead.speed)
-                gap.append(lead.position - lead.length - pos[n0 + i])
-                has_lead.append(True)
-            else:
-                lead_speed.append(0.0)
-                gap.append(0.0)
-                has_lead.append(False)
-    return (ids, np.array(pos), np.array(speed), np.array(length),
-            np.array(lead_speed), np.array(gap),
-            np.array(has_lead, dtype=bool))
+        if order:
+            ids.extend(order)
+            fronts.append(len(ids) - 1)
+    vehs = [sim.vehicles[vid] for vid in ids]
+    pos = np.array([v.position for v in vehs])
+    speed = np.array([v.speed for v in vehs])
+    rear = pos - np.array([v.length for v in vehs])
+    n = len(ids)
+    has_lead = np.ones(n, dtype=bool)
+    lead_speed = np.zeros(n)
+    gap = np.zeros(n)
+    lead_speed[:-1] = speed[1:]
+    gap[:-1] = rear[1:] - pos[:-1]
+    fronts = np.array(fronts, dtype=np.intp)
+    has_lead[fronts] = False
+    lead_speed[fronts] = 0.0
+    gap[fronts] = 0.0
+    return ScanView(ids, speed, lead_speed, gap, has_lead)
 
 
-def detect_collisions(sim):
+def detect_collisions(sim, view=None):
     """Remove every same-road adjacent pair with bumper gap <= 0.
 
-    A shared vehicle in a pile-up appears in two events but is removed once;
+    `view` is the current state's ScanView, built here when not given. A
+    shared vehicle in a pile-up appears in two events but is removed once;
     the removal count keeps the conservation identity exact.
     """
-    ids, _pos, _speed, _length, _ls, gap, has_lead = _gap_arrays(sim)
-    if not ids:
+    if view is None:
+        view = scan_view(sim)
+    if not view.ids:
         return []
-    hit = kernels.collision_followers(gap, has_lead)
+    hit = kernels.collision_followers(view.gap, view.has_lead)
     events = []
     to_remove = set()
     for i in np.nonzero(hit)[0]:
-        follower = ids[int(i)]
-        veh = sim.vehicles[follower]
-        order = sim.road_order[veh.road]
-        leader = order[order.index(follower) + 1]
-        events.append(CollisionEvent(sim.clock, veh.road, follower, leader))
+        follower, leader = view.ids[i], view.ids[i + 1]
+        events.append(CollisionEvent(sim.clock, sim.vehicles[follower].road,
+                                     follower, leader))
         to_remove.update((follower, leader))
     for vid in to_remove:
         veh = sim.vehicles.pop(vid)
@@ -354,16 +356,18 @@ def detect_collisions(sim):
     return events
 
 
-def count_ttc_events(sim, threshold=TTC_THRESHOLD):
+def count_ttc_events(sim, threshold=TTC_THRESHOLD, view=None):
     """Count closing adjacent pairs with time-to-collision under threshold
-    this instant, and add them to the cumulative counter."""
+    this instant, and add them to the cumulative counter. `view` is the
+    current state's ScanView, built here when not given."""
     if threshold <= 0:
         raise ValueError("TTC threshold must be positive")
-    ids, _pos, speed, _length, lead_speed, gap, has_lead = _gap_arrays(sim)
-    if not ids:
+    if view is None:
+        view = scan_view(sim)
+    if not view.ids:
         return 0
-    events = int(kernels.ttc_events(gap, speed, lead_speed, has_lead,
-                                    float(threshold)))
+    events = int(kernels.ttc_events(view.gap, view.speed, view.lead_speed,
+                                    view.has_lead, float(threshold)))
     sim.ttc_event_count += events
     return events
 
@@ -399,8 +403,9 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
 
     Order: signal transitions, accelerations (commanded or car-following
     with stop-line virtual leaders), kinematics, road transfers and stop-line
-    holds, arrivals, insertions, collision and conflict scans, energy
-    accounting, clock and phase timers.
+    holds, energy accounting, arrivals, insertions, clock, collision and
+    conflict scans, phase timers. The two scans share one ScanView of the
+    settled state; it is built again only when a collision removed vehicles.
     """
     tl_actions = tl_actions or {}
     cav_accels = cav_accels or {}
@@ -539,8 +544,12 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
 
     _attempt_insertions(sim, now)
     sim.clock = now
-    detect_collisions(sim)
-    count_ttc_events(sim)
+    # both safety scans read one view of the settled state; a removal
+    # changes the leaders, so the TTC scan then gets a fresh one
+    view = scan_view(sim)
+    if detect_collisions(sim, view):
+        view = scan_view(sim)
+    count_ttc_events(sim, view=view)
 
     for light in sim.lights.values():
         light.time_in_phase += 1

@@ -7,7 +7,8 @@ from cotraffic.baselines import (ActuatedConfig, ActuatedController,
                                  StaticPlan, glosa_advice, max_pressure_tick,
                                  static_tick)
 from cotraffic.network import build_grid, grid_scenario
-from cotraffic.simulation import IdmParams, Vehicle, idm_accel, make_light, step
+from cotraffic.simulation import (YELLOW_DURATION, IdmParams, Vehicle,
+                                  idm_accel, make_light, step)
 
 from test_simulation import empty_sim, put_vehicle
 
@@ -189,6 +190,45 @@ def test_glosa_controller_commands_all_cavs_on_approaches():
     ctrl = GlosaController("static")
     commands = ctrl.commands(sim)
     assert set(commands) == {"a", "b"}
+
+
+def test_glosa_commands_match_scalar_rule_bitwise():
+    # the batched controller against glosa_advice called per vehicle, on a
+    # mixed fleet: HDV leaders, empty roads and road-front CAVs all occur
+    scen = grid_scenario("1x6", penetration=0.5, seed=4)
+    ctrl = BaselineController("glosa")
+    sim = ctrl.new_sim(scen)
+    max_green = ActuatedConfig().max_green
+    seen = {"hdv_leader": 0, "empty_road": 0, "front_cav": 0}
+    for _ in range(200):
+        want = {}
+        for road_id, road in sim.network.roads.items():
+            if road.approach_intersection is None:
+                continue
+            light = sim.lights[road.approach_intersection]
+            durations = [max_green if p.kind == "green" else YELLOW_DURATION
+                         for p in light.phases]
+            order = sim.road_order[road_id]
+            seen["empty_road"] += not order
+            for i, vid in enumerate(order):
+                veh = sim.vehicles[vid]
+                if veh.kind != "CAV":
+                    continue
+                leader = None
+                if i + 1 < len(order):
+                    lead = sim.vehicles[order[i + 1]]
+                    seen["hdv_leader"] += lead.kind == "HDV"
+                    leader = (lead.speed, max(lead.position - lead.length
+                                              - veh.position, 1e-6))
+                else:
+                    seen["front_cav"] += 1
+                want[vid] = glosa_advice(veh, light, road.length - veh.position,
+                                         road, durations, leader, sim.idm)
+        got = ctrl.glosa.commands(sim)
+        assert got.keys() == want.keys()
+        assert all(got[vid] == want[vid] for vid in want)
+        step(sim, ctrl.lights(sim), got)
+    assert all(seen.values()), seen
 
 
 def test_glosa_episode_runs_safely():

@@ -22,6 +22,20 @@ def train_dir(tmp_path_factory):
     return out
 
 
+def test_identical_trainings_share_config_hash(train_dir, tmp_path):
+    # the run's wall time and halt flag stay in the manifest but out of the
+    # configuration hash
+    code = run_cli("train", "--method", "cotv", "--grid", "1x1",
+                   "--profile", "ci", "--seed", "3", "--out", str(tmp_path),
+                   "--horizon", "40", "--iterations", "2",
+                   "--train-episodes", "1")
+    assert code == 0
+    first = json.loads((train_dir / "manifest.json").read_text())
+    second = json.loads((tmp_path / "manifest.json").read_text())
+    assert "wall_time_s" in second and "halted_early" in second
+    assert second["config_sha256"] == first["config_sha256"]
+
+
 def test_train_outputs_and_manifest(train_dir):
     assert (train_dir / "checkpoint_tl.npz").exists()
     assert (train_dir / "checkpoint_cav.npz").exists()

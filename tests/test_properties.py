@@ -1,0 +1,132 @@
+"""Simulator invariants on generated states: random vehicle placements on
+the 1x1 and 1x6 grids, driven by random light actions and commanded
+accelerations. After every step the fleet is conserved, each road's order
+is sorted by position, speeds lie in [0, limit] and positions on the road;
+during it, the collision scan and the TTC counter agree with brute-force
+rescans of the state they read, and the view `step` hands each scan equals
+the per-vehicle loop it replaced. The example count is set by the profile
+in conftest.py."""
+from unittest import mock
+
+from hypothesis import given, strategies as st
+
+from cotraffic import simulation
+from cotraffic.network import grid_scenario
+from cotraffic.simulation import build_sim, step
+
+from test_simulation import (brute_force_collision_pairs, brute_force_ttc,
+                             empty_sim, put_vehicle)
+
+
+@st.composite
+def worlds(draw):
+    """A 1x1 or 1x6 grid with vehicles placed anywhere on its roads, and
+    optionally its scheduled demand still to be inserted."""
+    grid = draw(st.sampled_from(["1x1", "1x6"]))
+    if draw(st.booleans()):
+        sim = build_sim(grid_scenario(grid, penetration=0.5,
+                                      seed=draw(st.integers(0, 99))))
+    else:
+        sim = empty_sim(grid)
+    roads = list(sim.network.roads.values())
+    for k in range(draw(st.integers(0, 24))):
+        road = draw(st.sampled_from(roads))
+        put_vehicle(sim, f"v{k}", road.id,
+                    draw(st.floats(0.0, road.length)),
+                    draw(st.floats(0.0, road.speed_limit)),
+                    route=sim.network.straight_route(road.id),
+                    kind=draw(st.sampled_from(["HDV", "CAV"])))
+    return sim
+
+
+def loop_view(sim):
+    """Reference for `simulation.scan_view`: the per-vehicle loop it
+    replaced, as (ids, speed, lead_speed, gap, has_lead) lists."""
+    ids, speed, lead_speed, gap, has_lead = [], [], [], [], []
+    for road_id in sim.network.roads:
+        order = sim.road_order[road_id]
+        for i, vid in enumerate(order):
+            veh = sim.vehicles[vid]
+            ids.append(vid)
+            speed.append(veh.speed)
+            if i + 1 < len(order):
+                lead = sim.vehicles[order[i + 1]]
+                lead_speed.append(lead.speed)
+                gap.append(lead.position - lead.length - veh.position)
+                has_lead.append(True)
+            else:
+                lead_speed.append(0.0)
+                gap.append(0.0)
+                has_lead.append(False)
+    return ids, speed, lead_speed, gap, has_lead
+
+
+def assert_view_is_current(sim, view):
+    """The view a scan was handed equals the reference built from the state
+    the scan reads, bit for bit."""
+    assert (view.ids, view.speed.tolist(), view.lead_speed.tolist(),
+            view.gap.tolist(), view.has_lead.tolist()) == loop_view(sim)
+
+
+class OracleScans:
+    """Wraps the two scans that `step` calls and checks each against its
+    brute-force oracle on the state the scan reads."""
+
+    def __init__(self):
+        self.detect = simulation.detect_collisions
+        self.ttc = simulation.count_ttc_events
+
+    def checked_detect(self, sim, view=None):
+        # adjacent pairs whose follower drove past its leader this second
+        passed = [(f, l) for order in sim.road_order.values()
+                  for f, l in zip(order, order[1:])
+                  if sim.vehicles[f].position > sim.vehicles[l].position]
+        want = brute_force_collision_pairs(sim)
+        assert_view_is_current(sim, view)
+        events = self.detect(sim, view)
+        got = [(e.follower, e.leader) for e in events]
+        if passed:
+            # re-sorting by position hides a pass-through from the oracle;
+            # the scan must charge every one as a crash
+            assert set(passed) <= set(got)
+        else:
+            assert got == want
+        return events
+
+    def checked_ttc(self, sim, threshold=simulation.TTC_THRESHOLD, view=None):
+        want = brute_force_ttc(sim, threshold)
+        assert_view_is_current(sim, view)
+        got = self.ttc(sim, threshold, view)
+        assert got == want
+        return got
+
+    def patch(self):
+        return mock.patch.multiple(simulation,
+                                   detect_collisions=self.checked_detect,
+                                   count_ttc_events=self.checked_ttc)
+
+
+def assert_invariants(sim):
+    assert sim.conservation_ok()
+    for road_id, order in sim.road_order.items():
+        road = sim.network.roads[road_id]
+        positions = [sim.vehicles[vid].position for vid in order]
+        assert positions == sorted(positions)
+        for vid in order:
+            veh = sim.vehicles[vid]
+            assert veh.road == road_id
+            assert 0.0 <= veh.speed <= road.speed_limit
+            assert 0.0 <= veh.position <= road.length
+
+
+@given(worlds(), st.integers(1, 30), st.data())
+def test_step_invariants_on_random_placements(sim, steps, data):
+    accel = st.floats(-5.0, 5.0)
+    with OracleScans().patch():
+        for _ in range(steps):
+            lights = {lid: data.draw(st.integers(0, 1)) for lid in sim.lights}
+            cavs = [vid for vid, v in sim.vehicles.items() if v.kind == "CAV"]
+            commanded = data.draw(st.lists(st.sampled_from(cavs), unique=True)
+                                  if cavs else st.just([]))
+            step(sim, lights, {vid: data.draw(accel) for vid in commanded})
+            assert_invariants(sim)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cotraffic import simulation
 from cotraffic.network import build_grid, grid_scenario
 from cotraffic.simulation import (IdmParams, TraceWriter, Vehicle,
                                   apply_tl_action, build_sim, co2_rate,
@@ -323,6 +324,39 @@ def test_ttc_counter_matches_bruteforce_over_random_run():
         oracle_total += brute_force_ttc(sim)
         assert sim.ttc_event_count - before == brute_force_ttc(sim)
     assert sim.ttc_event_count == oracle_total
+
+
+def test_collision_and_ttc_in_one_step_rebuild_the_view(monkeypatch):
+    # c accelerates into the braking d inside a five-vehicle queue; once the
+    # pair is gone, b closes on e, which only a rebuilt view can see
+    sim = empty_sim()
+    road = "W0:J0-0"
+    for vid, pos, speed in (("a", 20.0, 5.0), ("b", 60.0, 14.0),
+                            ("c", 80.0, 10.0), ("d", 96.0, 2.0),
+                            ("e", 106.0, 0.0)):
+        put_vehicle(sim, vid, road, pos, speed, kind="CAV")
+    seen = {}
+    real_detect = simulation.detect_collisions
+    real_ttc = simulation.count_ttc_events
+
+    def detect(s, view=None):
+        seen["pairs"] = brute_force_collision_pairs(s)
+        seen["stale_ttc"] = brute_force_ttc(s)
+        return real_detect(s, view)
+
+    def ttc(s, threshold=3.0, view=None):
+        seen["ttc"] = brute_force_ttc(s, threshold)
+        return real_ttc(s, threshold, view)
+
+    monkeypatch.setattr(simulation, "detect_collisions", detect)
+    monkeypatch.setattr(simulation, "count_ttc_events", ttc)
+    step(sim, {}, {"b": 0.0, "c": 3.0, "d": -3.0, "e": 0.0})
+    events = [(e.follower, e.leader) for e in sim.collisions]
+    assert events == seen["pairs"] == [("c", "d")]
+    assert sim.ttc_event_count == seen["ttc"] == 1
+    assert seen["stale_ttc"] == 0
+    assert sim.road_order[road] == ["a", "b", "e"]
+    assert sim.conservation_ok()
 
 
 # --- energy surrogate --------------------------------------------------------
