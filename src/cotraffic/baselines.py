@@ -96,16 +96,15 @@ def phase_pressure(sim, light, phase):
     return total
 
 
-def max_pressure_tick(light, sim, min_green=None):
+def max_pressure_tick(light, sim):
     """Greedy pressure comparison between the two green phases.
 
     Switches (after the minimum green) only when the alternative green's
     pressure strictly exceeds the current one's; ties keep the phase.
     """
-    min_green = light.min_green if min_green is None else min_green
     if light.phase.kind != "green":
         return 0
-    if light.time_in_phase < min_green:
+    if light.time_in_phase < light.min_green:
         return 0
     greens = [p for p in light.phases if p.kind == "green"]
     current = light.phase
@@ -180,24 +179,16 @@ def glosa_advice(vehicle, light, dist_to_stop, road, durations,
 class GlosaController:
     """Speed advice for every CAV on a signal approach road.
 
-    Runs on top of a predictable light plan: exact projection for the static
-    plan, a max-green projection for the actuated plan (its gap-outs are not
-    knowable ahead of time). Each step gathers every advised CAV, computes
-    their car-following accelerations in one `kernels.vehicle_accels` call
-    and applies `glosa_advice`'s rule per vehicle, with the green windows
-    projected once per road. The result equals `glosa_advice` called per
-    vehicle, bit for bit.
+    Runs on top of the actuated plan and projects its greens at max-green
+    length, since its gap-outs are not knowable ahead of time. Each step
+    gathers every advised CAV, computes their car-following accelerations in
+    one `kernels.vehicle_accels` call and applies `glosa_advice`'s rule per
+    vehicle, with the green windows projected once per road. The result
+    equals `glosa_advice` called per vehicle, bit for bit.
     """
 
-    def __init__(self, lights_plan, static_plan=None, actuated_cfg=None):
-        self.static_plan = static_plan or StaticPlan()
-        self.actuated_cfg = actuated_cfg or ActuatedConfig()
-        if lights_plan == "static":
-            self._green = self.static_plan.green_s
-        elif lights_plan == "actuated":
-            self._green = self.actuated_cfg.max_green
-        else:
-            raise ValueError("speed advisory requires a static or actuated plan")
+    def __init__(self):
+        self._green = ActuatedConfig().max_green
 
     def commands(self, sim):
         ids, speed, lead_speed, gap, has_lead, v_limit = [], [], [], [], [], []
@@ -276,7 +267,7 @@ class BaselineController:
         self.method = method
         plan = _BASELINE_PLANS[method]
         self.lights = make_light_controller(plan)
-        self.glosa = GlosaController(plan) if method == "glosa" else None
+        self.glosa = GlosaController() if method == "glosa" else None
 
     def new_sim(self, scenario):
         return build_sim(scenario)

@@ -184,7 +184,10 @@ def _load_run(checkpoint_dir):
     for kind in ("tl", "cav"):
         path = ckpt_dir / f"checkpoint_{kind}.npz"
         if path.exists():
-            params[kind], _ = load_checkpoint(path)
+            try:
+                params[kind], _ = load_checkpoint(path)
+            except Exception as exc:  # any unreadable file is bad input
+                raise ConfigError(f"cannot load {path}: {exc}") from exc
     return manifest, params
 
 

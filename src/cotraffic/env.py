@@ -238,9 +238,6 @@ class TrafficEnv:
         self._prev_cmd_by_road = {}
         return self.sim
 
-    def tl_ids(self):
-        return list(self.sim.lights)
-
     def step(self, tl_policy=None, cav_policy=None, rng=None, sample=True,
              tl_override=None, trace=None):
         """Advance one second; returns the acting agents' AgentSteps.

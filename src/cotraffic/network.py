@@ -179,16 +179,12 @@ class FlowSpec:
     count: int
     start: float
     period: float
-    speed_mode: str = "uniform"  # "uniform" in [0, v*] or "fixed"
-    fixed_speed: float = 0.0
 
     def __post_init__(self):
         if self.count < 0:
             raise ConfigError(f"flow {self.name}: count must be >= 0")
         if self.period <= 0:
             raise ConfigError(f"flow {self.name}: period must be positive")
-        if self.speed_mode not in ("uniform", "fixed"):
-            raise ConfigError(f"flow {self.name}: bad speed_mode {self.speed_mode}")
 
 
 def standard_flows_1x1():
@@ -316,11 +312,7 @@ def build_insertion_schedule(scenario):
     rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 1)))
     schedule = []
     for (time, fi, k, flow, route), kind in zip(entries, kinds):
-        v_star = net.road(flow.origin).speed_limit
-        if flow.speed_mode == "uniform":
-            speed = float(rng.uniform(0.0, v_star))
-        else:
-            speed = min(float(flow.fixed_speed), v_star)
+        speed = float(rng.uniform(0.0, net.road(flow.origin).speed_limit))
         schedule.append(Insertion(time, f"{flow.name}.{k}", kind, route, speed))
     return schedule
 

@@ -3,13 +3,17 @@
 One parameter set per agent type: a tanh MLP trunk (64x64 by default) with a
 policy head and a value head. The signal head is a Bernoulli logit over
 {keep, switch}; the vehicle head is a Gaussian whose mean is tanh-squashed to
-[-3, 3] m/s^2 with a learned state-independent log-std. Forward and backward
-passes are written out by hand in numpy so the training step can be checked
-against central finite differences parameter by parameter.
+[-3, 3] m/s^2 with a learned state-independent log-std. Each network keeps
+all its parameters in one flat vector, and its gradient and Adam moments are
+vectors in the same layout, so an update is a few whole-vector operations.
+Forward and backward passes are written out by hand in numpy so the training
+step can be checked against central finite differences parameter by
+parameter.
 """
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,30 +22,50 @@ LOG_STD_INIT = float(np.log(0.5 * ACTION_SCALE))
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass
 class MlpParams:
-    kind: str                  # "tl" | "cav"
-    obs_dim: int
-    hidden: tuple = (64, 64)
-    weights: list = field(default_factory=list)   # trunk layer matrices
-    biases: list = field(default_factory=list)
-    w_policy: np.ndarray = None
-    b_policy: np.ndarray = None
-    w_value: np.ndarray = None
-    b_value: np.ndarray = None
-    log_std: np.ndarray = None  # cav only, shape (1,)
+    """One agent type's network, held in one float64 vector `flat`.
+
+    The named arrays (`log_std` is None for "tl") are reshaped views into
+    `flat` in `arrays()` order; gradients and Adam moments share the layout.
+    """
+
+    def __init__(self, kind, obs_dim, hidden=(64, 64)):
+        if kind not in ("tl", "cav"):
+            raise ValueError(f"unknown agent kind {kind!r}")
+        self.kind, self.obs_dim, self.hidden = kind, int(obs_dim), tuple(hidden)
+        widths = (self.obs_dim,) + self.hidden
+        shapes = []
+        for i, (fan_in, width) in enumerate(zip(widths, widths[1:])):
+            shapes += [(f"w{i}", (fan_in, width)), (f"b{i}", (width,))]
+        shapes += [("w_policy", (widths[-1], 1)), ("b_policy", (1,)),
+                   ("w_value", (widths[-1], 1)), ("b_value", (1,))]
+        if kind == "cav":
+            shapes.append(("log_std", (1,)))
+        sizes = [math.prod(shape) for _, shape in shapes]
+        self.flat = np.zeros(sum(sizes))
+        self._arrays, offset = [], 0
+        for (name, shape), size in zip(shapes, sizes):
+            self._arrays.append(
+                (name, self.flat[offset:offset + size].reshape(shape)))
+            offset += size
+        views = dict(self._arrays)
+        self.weights = [views[f"w{i}"] for i in range(len(self.hidden))]
+        self.biases = [views[f"b{i}"] for i in range(len(self.hidden))]
+        self.w_policy, self.b_policy = views["w_policy"], views["b_policy"]
+        self.w_value, self.b_value = views["w_value"], views["b_value"]
+        self.log_std = views.get("log_std")
 
     def arrays(self):
-        """Named parameter arrays in a fixed flattening order."""
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"w{i}", w))
-            out.append((f"b{i}", b))
-        out += [("w_policy", self.w_policy), ("b_policy", self.b_policy),
-                ("w_value", self.w_value), ("b_value", self.b_value)]
-        if self.log_std is not None:
-            out.append(("log_std", self.log_std))
-        return out
+        """Named parameter views in `flat` order."""
+        return list(self._arrays)
+
+    def __reduce__(self):
+        # pickle would copy each view on its own, unbound from `flat`; send
+        # `flat` alone and fill a fresh network's vector with it
+        return MlpParams, (self.kind, self.obs_dim, self.hidden), self.flat
+
+    def __setstate__(self, flat):
+        self.flat[...] = flat
 
     def fingerprint(self):
         h = hashlib.sha256()
@@ -52,25 +76,18 @@ class MlpParams:
 
 
 def init_params(kind, obs_dim, hidden=(64, 64), seed=0):
-    if kind not in ("tl", "cav"):
-        raise ValueError(f"unknown agent kind {kind!r}")
+    params = MlpParams(kind, obs_dim, hidden)
     rng = np.random.default_rng(
         np.random.SeedSequence((seed, 0 if kind == "tl" else 1)))
-    params = MlpParams(kind, int(obs_dim), tuple(hidden))
-    fan_in = obs_dim
-    for width in hidden:
-        scale = np.sqrt(1.0 / fan_in)
-        params.weights.append(rng.normal(0.0, scale, size=(fan_in, width)))
-        params.biases.append(np.zeros(width))
-        fan_in = width
-    scale = np.sqrt(1.0 / fan_in)
+    for w in params.weights:
+        w[...] = rng.normal(0.0, np.sqrt(1.0 / w.shape[0]), size=w.shape)
+    scale = np.sqrt(1.0 / params.w_policy.shape[0])
     # small policy head keeps the initial policy near uniform/zero-mean
-    params.w_policy = rng.normal(0.0, scale, size=(fan_in, 1)) * 0.01
-    params.b_policy = np.zeros(1)
-    params.w_value = rng.normal(0.0, scale, size=(fan_in, 1))
-    params.b_value = np.zeros(1)
+    params.w_policy[...] = rng.normal(0.0, scale,
+                                      size=params.w_policy.shape) * 0.01
+    params.w_value[...] = rng.normal(0.0, scale, size=params.w_value.shape)
     if kind == "cav":
-        params.log_std = np.array([LOG_STD_INIT])
+        params.log_std[...] = LOG_STD_INIT
     return params
 
 
@@ -201,7 +218,8 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     Loss per sample: -min(rho*A, clip(rho, 1-eps, 1+eps)*A)
                      + value_coef * (v - R)^2 - entropy_coef * H,
     averaged over the batch; rho = exp(logp_new - logp_old).
-    Returns (loss, grads keyed like params.arrays(), stats).
+    Returns (loss, gradient laid out like params.flat, stats); the gradient
+    is None when the loss is not finite.
     """
     x = np.asarray(obs, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -211,7 +229,7 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     n = x.shape[0]
 
     head_pre, values, hs = forward(params, x)
-    grads = {}
+    grads = MlpParams(params.kind, params.obs_dim, params.hidden)
 
     if params.kind == "tl":
         z = head_pre
@@ -249,21 +267,20 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
         g_pre = g_logp * dlogp_dpre + (-entropy_coef / n) * dent_dpre
     else:
         g_pre = g_logp * dlogp_dpre
-        grads["log_std"] = np.array([
-            float(np.sum(g_logp * dlogp_dlogstd) - entropy_coef)])
+        grads.log_std[0] = np.sum(g_logp * dlogp_dlogstd) - entropy_coef
 
     h = hs[-1]
     gp = g_pre[:, None]
     gv = g_value[:, None]
-    grads["w_policy"] = h.T @ gp
-    grads["b_policy"] = gp.sum(axis=0)
-    grads["w_value"] = h.T @ gv
-    grads["b_value"] = gv.sum(axis=0)
+    grads.w_policy[...] = h.T @ gp
+    grads.b_policy[...] = gp.sum(axis=0)
+    grads.w_value[...] = h.T @ gv
+    grads.b_value[...] = gv.sum(axis=0)
     g_h = gp @ params.w_policy.T + gv @ params.w_value.T
     for i in range(len(params.weights) - 1, -1, -1):
         g_z = g_h * (1.0 - hs[i + 1] ** 2)
-        grads[f"w{i}"] = hs[i].T @ g_z
-        grads[f"b{i}"] = g_z.sum(axis=0)
+        grads.weights[i][...] = hs[i].T @ g_z
+        grads.biases[i][...] = g_z.sum(axis=0)
         if i > 0:
             g_h = g_z @ params.weights[i].T
 
@@ -275,11 +292,11 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
         "mean_ratio": float(np.mean(ratio)),
         "clip_fraction": float(np.mean(~use_unclipped)),
     }
-    return loss, grads, stats
+    return loss, grads.flat, stats
 
 
 class Adam:
-    """Adaptive-moment optimizer over a named-array parameter set."""
+    """Adaptive-moment optimizer over a network's flat parameter vector."""
 
     def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -287,44 +304,25 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(a) for name, a in params.arrays()}
-        self.v = {name: np.zeros_like(a) for name, a in params.arrays()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
-    def step(self, params, grads, max_grad_norm=None):
+    def step(self, params, grad, max_grad_norm=None):
+        """Update `params.flat`, first clipping `grad` to one global norm."""
         if max_grad_norm is not None:
-            total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
+            total = np.sqrt(np.sum(grad ** 2))
             if total > max_grad_norm:
-                scale = max_grad_norm / (total + 1e-12)
-                grads = {k: g * scale for k, g in grads.items()}
+                grad = grad * (max_grad_norm / (total + 1e-12))
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, arr in params.arrays():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g ** 2
-            arr -= self.lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c)
-                                                     + self.eps)
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad ** 2
+        params.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c)
+                                                   + self.eps)
         return params
-
-
-def flatten_params(params):
-    return np.concatenate([a.ravel() for _, a in params.arrays()])
-
-
-def set_flat_params(params, flat):
-    offset = 0
-    for _, arr in params.arrays():
-        n = arr.size
-        arr[...] = np.asarray(flat[offset:offset + n]).reshape(arr.shape)
-        offset += n
-    if offset != flat.size:
-        raise ValueError("flat vector length does not match parameter count")
-    return params
-
-
-def flatten_grads(params, grads):
-    return np.concatenate([grads[name].ravel() for name, _ in params.arrays()])
 
 
 def save_checkpoint(path, params, meta=None):
@@ -343,21 +341,21 @@ def save_checkpoint(path, params, meta=None):
 
 
 def load_checkpoint(path):
+    """Rebuild a saved network; raises ValueError naming a bad array."""
     with np.load(path) as data:
         header = json.loads(bytes(data["header_json"].tobytes()).decode())
         if header.get("format_version") != 1:
-            raise ValueError(f"unsupported checkpoint version in {path}")
+            raise ValueError("unsupported checkpoint format_version "
+                             f"{header.get('format_version')!r}")
         params = MlpParams(header["kind"], int(header["obs_dim"]),
                            tuple(header["hidden"]))
-        i = 0
-        while f"param_w{i}" in data:
-            params.weights.append(data[f"param_w{i}"].copy())
-            params.biases.append(data[f"param_b{i}"].copy())
-            i += 1
-        params.w_policy = data["param_w_policy"].copy()
-        params.b_policy = data["param_b_policy"].copy()
-        params.w_value = data["param_w_value"].copy()
-        params.b_value = data["param_b_value"].copy()
-        if "param_log_std" in data:
-            params.log_std = data["param_log_std"].copy()
+        for name, arr in params.arrays():
+            key = f"param_{name}"
+            if key not in data:
+                raise ValueError(f"array {key} is missing")
+            stored = data[key]
+            if stored.shape != arr.shape:
+                raise ValueError(f"array {key} has shape {stored.shape}, but "
+                                 f"the header's network needs {arr.shape}")
+            arr[...] = stored
     return params, header["meta"]

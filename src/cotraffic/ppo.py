@@ -141,15 +141,15 @@ def ppo_update(params, optimizer, batch, cfg, rng):
         order = rng.permutation(n)
         for start in range(0, n, cfg.minibatch_size):
             idx = order[start:start + cfg.minibatch_size]
-            loss, grads, stats = ppo_loss_and_grads(
+            loss, grad, stats = ppo_loss_and_grads(
                 params, batch["obs"][idx], batch["actions"][idx],
                 batch["old_logp"][idx], adv[idx], batch["returns"][idx],
                 cfg.clip_eps, cfg.value_coef, cfg.entropy_coef)
-            if grads is None:
+            if grad is None:
                 raise NonFiniteLossError(
                     f"non-finite loss {loss!r} on a {params.kind} minibatch "
                     f"of {len(idx)} samples")
-            optimizer.step(params, grads, cfg.max_grad_norm)
+            optimizer.step(params, grad, cfg.max_grad_norm)
             stats_acc.append(stats)
     keys = stats_acc[0].keys()
     out = {k: float(np.mean([s[k] for s in stats_acc])) for k in keys}

@@ -57,9 +57,7 @@ class Vehicle:
     route: tuple
     route_index: int = 0
     accel: float = 0.0         # last realized acceleration
-    controlled: bool = False
     length: float = VEHICLE_LENGTH
-    min_gap: float = MIN_GAP
     depart_time: int = 0
     fuel_l: float = 0.0
     co2_g: float = 0.0
@@ -94,14 +92,14 @@ class TrafficLight:
         return 1.0 if self.phase.kind == "green" else 0.5
 
 
-def make_light(intersection_id, min_green=MIN_GREEN):
+def make_light(intersection_id):
     """Standard two-green cycle: Green-NS, Yellow-NS, Green-WE, Yellow-WE."""
     ns = frozenset(("N", "S"))
     we = frozenset(("E", "W"))
     return TrafficLight(intersection_id, [
         Phase("green", ns), Phase("yellow", ns),
         Phase("green", we), Phase("yellow", we),
-    ], min_green=min_green)
+    ])
 
 
 @dataclass(frozen=True)
@@ -165,12 +163,12 @@ class SimState:
         return lead, lead.position - lead.length - veh.position
 
 
-def build_sim(scenario, idm=None, min_green=MIN_GREEN):
-    sim = SimState(network=scenario.network, idm=idm or IdmParams())
+def build_sim(scenario):
+    sim = SimState(network=scenario.network, idm=IdmParams())
     for road_id in scenario.network.roads:
         sim.road_order[road_id] = []
     for inter_id in scenario.network.intersections:
-        sim.lights[inter_id] = make_light(inter_id, min_green=min_green)
+        sim.lights[inter_id] = make_light(inter_id)
     sim.pending = list(build_insertion_schedule(scenario))
     return sim
 
@@ -437,7 +435,6 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
         for i, vid in enumerate(order):
             veh = sim.vehicles[vid]
             commanded = vid in cav_accels
-            veh.controlled = commanded
             ids.append(vid)
             roads_of.append(road)
             speed.append(veh.speed)

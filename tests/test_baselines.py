@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from cotraffic.baselines import (ActuatedConfig, ActuatedController,
-                                 BaselineController, GlosaController,
-                                 StaticPlan, glosa_advice, max_pressure_tick,
+                                 BaselineController, StaticPlan, glosa_advice, max_pressure_tick,
                                  static_tick)
 from cotraffic.network import build_grid, grid_scenario
 from cotraffic.simulation import (YELLOW_DURATION, IdmParams, Vehicle,
@@ -183,12 +182,12 @@ def test_glosa_bounds_property():
 
 def test_glosa_controller_commands_all_cavs_on_approaches():
     scen = grid_scenario("1x1", penetration=1.0, seed=3)
-    sim = BaselineController("glosa").new_sim(scen)
+    ctrl = BaselineController("glosa")
+    sim = ctrl.new_sim(scen)
     put_vehicle(sim, "a", "N0:J0-0", 100.0, 5.0, kind="CAV")
     put_vehicle(sim, "b", "W0:J0-0", 200.0, 5.0, kind="CAV")
     put_vehicle(sim, "c", "J0-0:E0", 50.0, 5.0, kind="CAV")  # exit road
-    ctrl = GlosaController("static")
-    commands = ctrl.commands(sim)
+    commands = ctrl.glosa.commands(sim)
     assert set(commands) == {"a", "b"}
 
 

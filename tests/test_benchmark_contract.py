@@ -1,9 +1,11 @@
-"""The names the benchmark's tracer wraps and records must exist."""
+"""The names the benchmark's tracer wraps and records must exist, and the
+checkpoint it evaluates must load to the fingerprints it pins."""
 from pathlib import Path
 
 import numpy as np
 
 from cotraffic import kernels
+from cotraffic.policy import load_checkpoint
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -22,3 +24,13 @@ def test_tracer_wraps_every_layer_and_restores(monkeypatch):
 
 def test_kernel_backend_record():
     assert kernels.active_backend().name == "numpy"
+
+
+def test_benchmark_checkpoint_fingerprints(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for kind, want in workloads.CHECKPOINT_FINGERPRINTS.items():
+        params, _ = load_checkpoint(
+            workloads.CHECKPOINT_DIR / f"checkpoint_{kind}.npz")
+        assert params.fingerprint() == want

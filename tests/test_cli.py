@@ -2,6 +2,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cotraffic.cli import main
@@ -116,6 +117,38 @@ def test_evaluate_checkpoint_mismatch(train_dir, tmp_path, capsys):
     (bad_dir / "manifest.json").write_text(json.dumps(broken))
     assert run_cli("evaluate", "--checkpoint-dir", str(bad_dir),
                    "--episodes", "1", "--out", str(tmp_path / "o")) == 2
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def _edit_arrays(path, edit):
+    with np.load(path) as data:
+        arrays = dict(data)
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("damage,named", [
+    (_truncate, "checkpoint_tl.npz"),
+    (lambda p: _edit_arrays(p, lambda a: a.pop("param_b_value")),
+     "param_b_value"),
+    (lambda p: _edit_arrays(
+        p, lambda a: a.update(param_w1=a["param_w1"][:, 1:])), "param_w1"),
+], ids=["truncated", "missing-array", "misshaped-array"])
+def test_evaluate_rejects_damaged_checkpoint(train_dir, tmp_path, capsys,
+                                             damage, named):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("manifest.json", "checkpoint_tl.npz", "checkpoint_cav.npz"):
+        (run / name).write_bytes((train_dir / name).read_bytes())
+    damage(run / "checkpoint_tl.npz")
+    assert run_cli("evaluate", "--checkpoint-dir", str(run), "--episodes",
+                   "1", "--horizon", "20", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: cannot load ")
+    assert str(run / "checkpoint_tl.npz") in err and named in err
 
 
 def test_sweep_and_report(train_dir, tmp_path):

@@ -1,14 +1,16 @@
 """Networks, GAE, the clipped update, and training-loop bookkeeping."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from cotraffic.env import CooperationMode, EnvConfig
 from cotraffic.network import grid_scenario
-from cotraffic.policy import (Adam, BernoulliAction, GaussianAction, Policy,
-                              flatten_grads, flatten_params, init_params,
-                              load_checkpoint, policy_forward,
-                              ppo_loss_and_grads, save_checkpoint,
-                              set_flat_params)
+from cotraffic.policy import (Adam, BernoulliAction, GaussianAction,
+                              MlpParams, Policy, init_params, load_checkpoint,
+                              policy_forward, ppo_loss_and_grads,
+                              save_checkpoint)
 from cotraffic.ppo import (NonFiniteLossError, PpoConfig, RolloutBuffer,
                            ci_profile, compute_gae, ppo_update, train)
 
@@ -211,17 +213,16 @@ def test_gradients_match_finite_differences(kind, obs_dim):
     old = batch["old_logp"] + np.random.default_rng(4).normal(0, 0.1, 10)
 
     def loss_at(flat):
-        set_flat_params(params, flat)
+        params.flat[...] = flat
         loss, _, _ = ppo_loss_and_grads(
             params, batch["obs"], batch["actions"], old,
             batch["advantages"], batch["returns"], 0.2, 0.5, 0.01)
         return loss
 
-    flat0 = flatten_params(params).copy()
-    _, grads, _ = ppo_loss_and_grads(
+    flat0 = params.flat.copy()
+    _, analytic, _ = ppo_loss_and_grads(
         params, batch["obs"], batch["actions"], old,
         batch["advantages"], batch["returns"], 0.2, 0.5, 0.01)
-    analytic = flatten_grads(params, grads)
 
     h = 1e-5
     fd = np.empty_like(flat0)
@@ -230,7 +231,7 @@ def test_gradients_match_finite_differences(kind, obs_dim):
         up[i] += h
         down[i] -= h
         fd[i] = (loss_at(up) - loss_at(down)) / (2 * h)
-    set_flat_params(params, flat0)
+    params.flat[...] = flat0
 
     denom = np.maximum(np.abs(fd) + np.abs(analytic), 1e-8)
     rel = np.abs(fd - analytic) / denom
@@ -245,6 +246,59 @@ def test_nonfinite_loss_aborts_update():
                     epochs=1, minibatch_size=8)
     with pytest.raises(NonFiniteLossError):
         ppo_update(params, Adam(params), batch, cfg, np.random.default_rng(0))
+
+
+class PerArrayAdam:
+    """Reference: Adam with one moment pair per named array and the clip norm
+    summed array by array, as the optimizer was before the flat layout."""
+
+    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(a) for name, a in params.arrays()}
+        self.v = {name: np.zeros_like(a) for name, a in params.arrays()}
+
+    def step(self, params, grads, max_grad_norm=None):
+        if max_grad_norm is not None:
+            total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
+            if total > max_grad_norm:
+                scale = max_grad_norm / (total + 1e-12)
+                grads = {k: g * scale for k, g in grads.items()}
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for name, arr in params.arrays():
+            g = grads[name]
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g ** 2
+            arr -= self.lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c)
+                                                     + self.eps)
+
+
+@pytest.mark.parametrize("kind,obs_dim", [("tl", 5), ("cav", 7)])
+@pytest.mark.parametrize("max_grad_norm,clips", [(None, False), (1e6, False),
+                                                 (0.5, True)])
+def test_adam_matches_per_array_reference(kind, obs_dim, max_grad_norm, clips):
+    params = init_params(kind, obs_dim, (6, 5), seed=3)
+    ref_params = copy.deepcopy(params)
+    opt, ref = Adam(params, lr=1e-2), PerArrayAdam(ref_params, lr=1e-2)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        grad = rng.normal(0.0, rng.uniform(0.1, 10.0), params.flat.size)
+        layout = MlpParams(kind, obs_dim, (6, 5))
+        layout.flat[...] = grad
+        named = layout.arrays()
+        opt.step(params, grad, max_grad_norm)
+        ref.step(ref_params, dict(named), max_grad_norm)
+    ref_m = np.concatenate([ref.m[name].ravel() for name, _ in named])
+    ref_v = np.concatenate([ref.v[name].ravel() for name, _ in named])
+    if clips:
+        for got, want in ((params.flat, ref_params.flat), (opt.m, ref_m),
+                          (opt.v, ref_v)):
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+    else:
+        assert np.array_equal(params.flat, ref_params.flat)
+        assert np.array_equal(opt.m, ref_m) and np.array_equal(opt.v, ref_v)
 
 
 # --- buffers and training loop -----------------------------------------------
@@ -322,6 +376,22 @@ def test_checkpoint_round_trip(tmp_path):
     obs = np.random.default_rng(1).normal(size=7)
     assert policy_forward(loaded, obs) == policy_forward(params, obs)
     assert loaded.fingerprint() == params.fingerprint()
+
+
+@pytest.mark.parametrize("kind,obs_dim", [("tl", 5), ("cav", 7)])
+def test_parameter_arrays_are_views_of_flat(kind, obs_dim, tmp_path):
+    params = init_params(kind, obs_dim, (6, 5), seed=9)
+    save_checkpoint(tmp_path / "c.npz", params)
+    loaded, _ = load_checkpoint(tmp_path / "c.npz")
+    unpickled = pickle.loads(pickle.dumps(params))
+    for p in (params, loaded, unpickled):
+        assert all(np.shares_memory(a, p.flat) for _, a in p.arrays())
+        # the views tile `flat` in arrays() order with no gap or overlap
+        assert np.array_equal(
+            np.concatenate([a.ravel() for _, a in p.arrays()]), p.flat)
+        assert p.fingerprint() == params.fingerprint()
+    unpickled.flat[:] = 0.5
+    assert unpickled.weights[0][0, 0] == unpickled.b_value[0] == 0.5
 
 
 def test_ci_profile_values():
