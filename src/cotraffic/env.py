@@ -1,9 +1,10 @@
 """Multi-agent layer over the micro-simulator.
 
-Builds the per-agent observation vectors that stand in for the V2X state
-exchange, routes sampled actions into the simulator, and scores both agent
-types: signal agents by normalized intersection pressure, vehicle agents by
-the speed deficit and positive-acceleration norm of their road's traffic.
+Builds the observation matrices (one row per agent) that stand in for the
+V2X state exchange, routes sampled actions into the simulator, and scores
+both agent types: signal agents by normalized intersection pressure,
+vehicle agents by the speed deficit and positive-acceleration norm of their
+road's traffic.
 
 Cooperation modes:
   COTV       state exchange, closest connected vehicle per incoming road
@@ -12,12 +13,14 @@ Cooperation modes:
   M_COTV     COTV plus the other agent type's previous action as state
 """
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simulation import MIN_GAP, VEHICLE_LENGTH, build_sim, step
+from .simulation import (MIN_GAP, VEHICLE_LENGTH, _cross_boundary_leader,
+                         build_sim, step)
 
 ACCEL_NORM = 3.0       # commanded-acceleration scale used for normalization
 DEFAULT_A_STAR = 9.0   # acceleration normalizer in the vehicle reward
@@ -47,29 +50,26 @@ def max_road_capacity(network, vehicle_length=VEHICLE_LENGTH, min_gap=MIN_GAP):
     return c
 
 
-def _closest_per_road(sim, road_id):
-    """Active CAVs on the road ordered closest-to-intersection first."""
-    order = sim.road_order.get(road_id, [])
-    return [vid for vid in reversed(order) if sim.vehicles[vid].kind == "CAV"]
-
-
 def select_cav_agents(sim, mode):
-    """Vehicle agents for this step, in deterministic road-scan order.
+    """Vehicle agents for this step as (vehicle id, index in its road's
+    `road_order`) pairs, in deterministic road-scan order.
 
-    Per signalized intersection and incoming road: the closest CAV, or every
-    CAV in the COTV_STAR mode. A road feeds one intersection, so no vehicle
-    repeats.
+    Per signalized intersection and incoming road, walking from the stop
+    line back: the closest CAV, or every CAV in the COTV_STAR mode. A road
+    feeds one intersection, so no vehicle repeats.
     """
+    vehicles = sim.vehicles
+    star = mode is CooperationMode.COTV_STAR
     selected = []
     for inter in sim.network.intersections.values():
         for road_id in inter.incoming:
-            cavs = _closest_per_road(sim, road_id)
-            if not cavs:
-                continue
-            if mode is CooperationMode.COTV_STAR:
-                selected.extend(cavs)
-            else:
-                selected.append(cavs[0])
+            order = sim.road_order[road_id]
+            for j in range(len(order) - 1, -1, -1):
+                vid = order[j]
+                if vehicles[vid].kind == "CAV":
+                    selected.append((vid, j))
+                    if not star:
+                        break
     return selected
 
 
@@ -90,85 +90,110 @@ def cav_obs_dim(mode):
     return 8 if mode is CooperationMode.M_COTV else 7
 
 
-def tl_observation(sim, light, mode, c=None, prev_commands=None):
-    """Signal-agent state vector.
+@functools.lru_cache(maxsize=None)
+def _slot_one_hots(n_in):
+    """The road-slot one-hot of each of n_in incoming-road slots."""
+    return tuple(tuple(1.0 if k == slot else 0.0 for k in range(n_in))
+                 for slot in range(n_in))
 
-    Layout: [phase/nphases] then one vehicle-count slot per incoming and per
-    outgoing road (normalized by the road capacity c), then one block per
+
+def tl_observation(sim, mode, c=None, prev_commands=None):
+    """Signal-agent state matrix, one row per light in `sim.lights` order.
+
+    Row layout: [phase/nphases] then one vehicle-count slot per incoming and
+    per outgoing road (normalized by the road capacity c), then one block per
     incoming road for its closest vehicle: [speed/v*, accel/3, distance/len,
-    road-slot one-hot]. Empty road sentinel: [0, 0, 1, one-hot]. I_COTV zeroes
-    the vehicle blocks; M_COTV appends the previous commanded acceleration
-    (over 3) of the acting vehicle on each incoming road, sentinel 0.
+    road-slot one-hot]. Empty road sentinel: [0, 0, 1, one-hot]. I_COTV
+    zeroes the vehicle blocks; M_COTV appends the previous commanded
+    acceleration (over 3) of the acting vehicle on each incoming road
+    (`prev_commands`, road id -> command), sentinel 0.
     """
     c = c if c is not None else max_road_capacity(sim.network)
-    inter = sim.network.intersections[light.intersection]
-    n_in = len(inter.incoming)
-    obs = [light.phase_index / len(light.phases)]
-    for rid in inter.incoming:
-        obs.append(len(sim.road_order.get(rid, [])) / c)
-    for rid in inter.outgoing:
-        obs.append(len(sim.road_order.get(rid, [])) / c)
-    for slot, rid in enumerate(inter.incoming):
-        one_hot = [0.0] * n_in
-        one_hot[slot] = 1.0
-        if mode is CooperationMode.I_COTV:
-            obs.extend([0.0, 0.0, 0.0] + [0.0] * n_in)
-            continue
-        road = sim.network.roads[rid]
-        order = sim.road_order.get(rid, [])
-        if order:
-            veh = sim.vehicles[order[-1]]  # highest position = closest
-            obs.extend([veh.speed / road.speed_limit,
-                        veh.accel / ACCEL_NORM,
-                        (road.length - veh.position) / road.length])
+    roads, intersections = sim.network.roads, sim.network.intersections
+    road_order, vehicles = sim.road_order, sim.vehicles
+    ablated = mode is CooperationMode.I_COTV
+    prev_commands = prev_commands or {}
+    rows = []
+    for light in sim.lights.values():
+        inter = intersections[light.intersection]
+        n_in = len(inter.incoming)
+        row = [light.phase_index / len(light.phases)]
+        row += [len(road_order[rid]) / c for rid in inter.incoming]
+        row += [len(road_order[rid]) / c for rid in inter.outgoing]
+        if ablated:
+            row += [0.0] * (n_in * (3 + n_in))
         else:
-            obs.extend([0.0, 0.0, 1.0])
-        obs.extend(one_hot)
-    if mode is CooperationMode.M_COTV:
-        prev_commands = prev_commands or {}
-        for rid in inter.incoming:
-            obs.append(prev_commands.get(rid, 0.0) / ACCEL_NORM)
-    return np.asarray(obs, dtype=np.float64)
+            for rid, one_hot in zip(inter.incoming, _slot_one_hots(n_in)):
+                order = road_order[rid]
+                if order:
+                    road = roads[rid]
+                    veh = vehicles[order[-1]]  # highest position = closest
+                    row += [veh.speed / road.speed_limit,
+                            veh.accel / ACCEL_NORM,
+                            (road.length - veh.position) / road.length]
+                else:
+                    row += [0.0, 0.0, 1.0]
+                row += one_hot
+        if mode is CooperationMode.M_COTV:
+            row += [prev_commands.get(rid, 0.0) / ACCEL_NORM
+                    for rid in inter.incoming]
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
-def cav_observation(sim, vehicle_id, mode, prev_tl_action=None):
-    """Vehicle-agent state vector.
+def cav_observation(sim, agents, mode, prev_tl_action=None):
+    """Vehicle-agent state matrix, one row per (vehicle id, road index) pair
+    of `select_cav_agents`.
 
-    Layout: [own speed/v*, own accel/3, leader speed/v*, leader accel/3,
+    Row layout: [own speed/v*, own accel/3, leader speed/v*, leader accel/3,
     gap/road length (1 when no leader), distance-to-intersection/road length,
-    signal for own approach in {1 green, 0.5 yellow, 0 red}]. The leader of
-    a road's front vehicle is the tail of its next route road, with the gap
-    measured across the stop line (`SimState.leader_of`). I_COTV pins the
-    signal entry at 0; M_COTV appends the light's previous action bit.
+    signal for own approach in {1 green, 0.5 yellow, 0 red}]. The leader is
+    the next vehicle in the road's order; a road's front vehicle sees the
+    tail of its next route road, with the gap measured across the stop line.
+    I_COTV pins the signal entry at 0; M_COTV appends the previous action bit
+    of the approached light (`prev_tl_action`, light id -> action).
     """
-    veh = sim.vehicles[vehicle_id]
-    road = sim.network.roads[veh.road]
-    v_star = road.speed_limit
-    lead = sim.leader_of(vehicle_id)
-    if lead is not None:
-        lead_veh, gap = lead
-        lead_block = [lead_veh.speed / v_star, lead_veh.accel / ACCEL_NORM,
-                      max(gap, 0.0) / road.length]
-    else:
-        lead_block = [0.0, 0.0, 1.0]
-    dist = (road.length - veh.position) / road.length
-    if mode is CooperationMode.I_COTV or road.approach_intersection is None:
-        signal = 0.0
-    else:
-        light = sim.lights[road.approach_intersection]
-        signal = light.signal_for(road.approach)
-    obs = [veh.speed / v_star, veh.accel / ACCEL_NORM] + lead_block + [dist, signal]
-    if mode is CooperationMode.M_COTV:
-        obs.append(float(prev_tl_action or 0))
-    return np.asarray(obs, dtype=np.float64)
+    roads, vehicles = sim.network.roads, sim.vehicles
+    road_order = sim.road_order
+    ablated = mode is CooperationMode.I_COTV
+    prev_tl_action = prev_tl_action or {}
+    rows = []
+    for vid, j in agents:
+        veh = vehicles[vid]
+        road = roads[veh.road]
+        order = road_order[veh.road]
+        v_star = road.speed_limit
+        if j + 1 < len(order):
+            lead = vehicles[order[j + 1]]
+            ahead = lead, lead.position - lead.length - veh.position
+        else:
+            ahead = _cross_boundary_leader(sim, veh, road)
+        row = [veh.speed / v_star, veh.accel / ACCEL_NORM]
+        if ahead is None:
+            row += [0.0, 0.0, 1.0]
+        else:
+            lead, gap = ahead
+            row += [lead.speed / v_star, lead.accel / ACCEL_NORM,
+                    max(gap, 0.0) / road.length]
+        row.append((road.length - veh.position) / road.length)
+        inter_id = road.approach_intersection
+        if ablated or inter_id is None:
+            row.append(0.0)
+        else:
+            row.append(sim.lights[inter_id].signal_for(road.approach))
+        if mode is CooperationMode.M_COTV:
+            row.append(float(prev_tl_action.get(inter_id, 0)))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
 def tl_reward(sim, light, c=None):
     """Negative intersection pressure over the road capacity."""
     c = c if c is not None else max_road_capacity(sim.network)
     inter = sim.network.intersections[light.intersection]
-    n_in = sum(len(sim.road_order.get(r, [])) for r in inter.incoming)
-    n_out = sum(len(sim.road_order.get(r, [])) for r in inter.outgoing)
+    road_order = sim.road_order
+    n_in = sum([len(road_order[r]) for r in inter.incoming])
+    n_out = sum([len(road_order[r]) for r in inter.outgoing])
     return -(n_in - n_out) / c
 
 
@@ -180,7 +205,8 @@ def cav_reward(sim, vehicle_id, a_star=DEFAULT_A_STAR):
     squared positive accelerations (each over a_star) divided by |K| squared.
     Both terms live in [-1, 0]; negative accelerations are clipped to zero.
     """
-    veh = sim.vehicles[vehicle_id]
+    vehicles = sim.vehicles
+    veh = vehicles[vehicle_id]
     road = sim.network.roads[veh.road]
     members = sim.road_order[veh.road]
     if not members:
@@ -190,9 +216,12 @@ def cav_reward(sim, vehicle_id, a_star=DEFAULT_A_STAR):
     deficit = 0.0
     accel_sq = 0.0
     for vid in members:
-        other = sim.vehicles[vid]
-        deficit += (v_star - min(other.speed, v_star)) / v_star
-        a_pos = max(other.accel, 0.0)
+        other = vehicles[vid]
+        # min(speed, v_star) and max(accel, 0.0), written out: the builtin
+        # calls cost as much as the rest of this per-member loop
+        speed, accel = other.speed, other.accel
+        deficit += (v_star - (v_star if v_star < speed else speed)) / v_star
+        a_pos = 0.0 if 0.0 > accel else accel
         accel_sq += (a_pos / a_star) ** 2
     r1 = -deficit / k
     r2 = -math.sqrt(accel_sq / (k * k))
@@ -215,8 +244,8 @@ class AgentStep:
 class TrafficEnv:
     """Owns one SimState and the per-step agent bookkeeping.
 
-    `step` stacks the observations of all signal agents into one matrix and
-    those of the selected vehicle agents into another, asks each type's policy
+    `step` builds the observations of all signal agents as one matrix and
+    those of the selected vehicle agents as another, asks each type's policy
     for all its actions in one forward, advances the simulator, scores the
     post-transition state, and returns one AgentStep per acting agent. A
     vehicle agent leaving the selected set (crossed the line, displaced,
@@ -254,13 +283,10 @@ class TrafficEnv:
 
         tl_actions = {}
         if cfg.tl_agents and tl_policy is not None:
-            lids = list(sim.lights)
-            obs = np.array([tl_observation(sim, sim.lights[lid], cfg.mode,
-                                           self.c, self._prev_cmd_by_road)
-                            for lid in lids])
+            obs = tl_observation(sim, cfg.mode, self.c, self._prev_cmd_by_road)
             actions, logps, values = tl_policy.act(obs, rng, sample)
             for lid, row, action, logp, value in zip(
-                    lids, obs, actions.tolist(), logps.tolist(),
+                    sim.lights, obs, actions.tolist(), logps.tolist(),
                     values.tolist()):
                 tl_actions[lid] = action
                 records.append(AgentStep(lid, "TL", row, float(action),
@@ -271,20 +297,16 @@ class TrafficEnv:
         cav_actions = {}
         cav_records = {}
         cmd_road = {}
-        vids = (select_cav_agents(sim, cfg.mode)
-                if cfg.cav_agents and cav_policy is not None else [])
-        if vids:
-            roads = [sim.vehicles[vid].road for vid in vids]
-            obs = np.array([
-                cav_observation(sim, vid, cfg.mode, self._prev_tl_action.get(
-                    sim.network.roads[road].approach_intersection, 0))
-                for vid, road in zip(vids, roads)])
+        agents = (select_cav_agents(sim, cfg.mode)
+                  if cfg.cav_agents and cav_policy is not None else [])
+        if agents:
+            obs = cav_observation(sim, agents, cfg.mode, self._prev_tl_action)
             actions, logps, values = cav_policy.act(obs, rng, sample)
-            for vid, road, row, action, logp, value in zip(
-                    vids, roads, obs, actions.tolist(), logps.tolist(),
+            for (vid, _), row, action, logp, value in zip(
+                    agents, obs, actions.tolist(), logps.tolist(),
                     values.tolist()):
                 cav_actions[vid] = action
-                cmd_road[vid] = road
+                cmd_road[vid] = sim.vehicles[vid].road
                 rec = AgentStep(vid, "CAV", row, action, logp, value,
                                 t=sim.clock)
                 records.append(rec)
@@ -298,7 +320,8 @@ class TrafficEnv:
                 rec.reward = tl_reward(sim, sim.lights[rec.agent_id], self.c)
         if cav_records:
             arrived = {t.vehicle_id for t in sim.completed[completed_before:]}
-            still_selected = set(select_cav_agents(sim, cfg.mode))
+            still_selected = {vid for vid, _ in
+                              select_cav_agents(sim, cfg.mode)}
             for vid, rec in cav_records.items():
                 if vid not in sim.vehicles:
                     # arrived agents exit cleanly; removed ones were collided

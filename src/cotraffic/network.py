@@ -235,13 +235,15 @@ class ScenarioSpec:
         if not 0.0 <= self.penetration_rate <= 1.0:
             raise ConfigError("penetration rate must lie in [0, 1]")
         for flow in self.flows:
-            origin = self.network.road(flow.origin)  # raises on unknown
+            if flow.origin not in self.network.roads:
+                raise ConfigError(
+                    f"flow {flow.name}: origin {flow.origin!r} is not a road "
+                    "of the network")
             route = self.network.straight_route(flow.origin)
             if route[-1] != flow.destination:
                 raise ConfigError(
                     f"flow {flow.name}: straight route from {flow.origin} ends at "
                     f"{route[-1]}, not {flow.destination}")
-            del origin
 
     def with_overrides(self, horizon=None, penetration=None, seed=None):
         return replace(
@@ -351,6 +353,23 @@ def _parse_entries(block_name, body):
     return entries
 
 
+def _number(block_name, entries, key, default, kind=float):
+    """entries[key] parsed as `kind` (default when absent); an unparseable
+    or non-finite value is a ConfigError naming the block and key."""
+    if key not in entries:
+        return default
+    text = entries[key]
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(
+            f"{block_name}: {key} {text!r} is not {what}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{block_name}: {key} must be finite, got {text!r}")
+    return value
+
+
 def parse_scenario_text(text):
     """Parse scenario file text into a ScenarioSpec."""
     stripped = re.sub(r"#[^\n]*", "", text)
@@ -381,30 +400,40 @@ def parse_scenario_text(text):
     if not m:
         raise ConfigError(f"network: bad grid {grid!r} (expected RxC)")
     rows, cols = int(m.group(1)), int(m.group(2))
-    net = build_grid(rows, cols,
-                     float(network_entries.get("road_length", DEFAULT_ROAD_LENGTH)),
-                     float(network_entries.get("speed_limit", DEFAULT_SPEED_LIMIT)))
+    net = build_grid(
+        rows, cols,
+        _number("network", network_entries, "road_length",
+                DEFAULT_ROAD_LENGTH),
+        _number("network", network_entries, "speed_limit",
+                DEFAULT_SPEED_LIMIT))
 
     flows = []
     for i, entries in enumerate(flow_blocks):
         for required in ("origin", "destination", "count", "start", "period"):
             if required not in entries:
                 raise ConfigError(f"flow #{i}: missing key {required!r}")
+        block = f"flow #{i}"
         flows.append(FlowSpec(
             entries.get("name", f"flow{i}"), entries["origin"],
-            entries["destination"], int(entries["count"]),
-            float(entries["start"]), float(entries["period"])))
+            entries["destination"],
+            _number(block, entries, "count", None, int),
+            _number(block, entries, "start", None),
+            _number(block, entries, "period", None)))
 
     return ScenarioSpec(
         net, tuple(flows),
-        horizon=int(sim_entries.get("horizon", 720)),
-        penetration_rate=float(sim_entries.get("penetration", 1.0)),
-        seed=int(sim_entries.get("seed", 0)))
+        horizon=_number("sim", sim_entries, "horizon", 720, int),
+        penetration_rate=_number("sim", sim_entries, "penetration", 1.0),
+        seed=_number("sim", sim_entries, "seed", 0, int))
 
 
 def load_scenario(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
+    return parse_scenario_text(text)
 
 
 def scenario_to_text(scenario):

@@ -249,7 +249,8 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
         dlogp_dlogstd = zscore ** 2 - 1.0
         entropy = np.full(n, 0.5 + 0.5 * LOG_2PI + params.log_std[0])
 
-    ratio = np.exp(logp - old_logp)
+    log_ratio = logp - old_logp
+    ratio = np.exp(log_ratio)
     unclipped = ratio * adv
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv
     pg_loss = -np.minimum(unclipped, clipped)
@@ -290,6 +291,8 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
         "value_loss": float(np.mean(v_err ** 2)),
         "entropy": float(np.mean(entropy)),
         "mean_ratio": float(np.mean(ratio)),
+        # the (r - 1) - log r estimator of KL(old || new): unbiased, >= 0
+        "approx_kl": float(np.mean((ratio - 1.0) - log_ratio)),
         "clip_fraction": float(np.mean(~use_unclipped)),
     }
     return loss, grads.flat, stats

@@ -50,6 +50,12 @@ class PpoConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+# per-minibatch statistics of `ppo_loss_and_grads` that `train` records,
+# averaged over the iteration's minibatches, as `{tl,cav}_<name>` entries
+DIAGNOSTICS = ("loss", "policy_loss", "value_loss", "entropy", "mean_ratio",
+               "approx_kl", "clip_fraction")
+
+
 def paper_profile():
     return PpoConfig()
 
@@ -248,8 +254,8 @@ def train(scenario, env_cfg=None, cfg=None, seed=0, tl_plan=None,
                 batch = buffer.build_batch(cfg.gamma, cfg.gae_lambda)
                 stats = ppo_update(params, optimizers[agent_type], batch,
                                    cfg, update_rng)
-                entry[f"{agent_type.lower()}_loss"] = stats["loss"]
-                entry[f"{agent_type.lower()}_clip_fraction"] = stats["clip_fraction"]
+                for key in DIAGNOSTICS:
+                    entry[f"{agent_type.lower()}_{key}"] = stats[key]
                 buffer.clear()
         except NonFiniteLossError:
             halted = True

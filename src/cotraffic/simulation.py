@@ -13,6 +13,7 @@ A SimState is single-writer: all mutation flows through `step`. Independent
 states can run in parallel processes without shared mutable data.
 """
 import bisect
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -129,6 +130,9 @@ class TripRecord:
 
 @dataclass
 class SimState:
+    """The world at one second. `pending` holds the scheduled insertions not
+    yet placed, sorted by time (`build_insertion_schedule`'s order), so the
+    entries due at any second are a prefix of it."""
     network: object
     idm: IdmParams
     clock: int = 0
@@ -145,22 +149,6 @@ class SimState:
     def conservation_ok(self):
         return self.inserted_count == (len(self.vehicles) + len(self.completed)
                                        + self.collided_count)
-
-    def leader_of(self, vehicle_id):
-        """(leader vehicle, bumper gap), or None when nothing is ahead.
-
-        The road-front vehicle's leader is the tail of its next route road,
-        the vehicle `step` makes it follow once it is free to cross, with the
-        gap measured across the stop line.
-        """
-        veh = self.vehicles[vehicle_id]
-        order = self.road_order[veh.road]
-        idx = order.index(vehicle_id)
-        if idx + 1 >= len(order):
-            return _cross_boundary_leader(self, veh,
-                                          self.network.roads[veh.road])
-        lead = self.vehicles[order[idx + 1]]
-        return lead, lead.position - lead.length - veh.position
 
 
 def build_sim(scenario):
@@ -263,19 +251,22 @@ def _safe_insertion_speed(drawn, road_front, p):
 
 
 def _attempt_insertions(sim, now):
-    """Place due scheduled vehicles; origins with a busy entry zone retry."""
-    still_pending = []
-    for ins in sim.pending:
-        if ins.time > now:
-            still_pending.append(ins)
-            continue
+    """Place due scheduled vehicles; origins with a busy entry zone retry.
+
+    The due entries are the time-sorted `pending` list's prefix; the blocked
+    ones among them stay at its front, in schedule order.
+    """
+    pending = sim.pending
+    due = bisect.bisect_right(pending, now, key=operator.attrgetter("time"))
+    if not due:
+        return
+    blocked = []
+    for ins in pending[:due]:
         origin = ins.route[0]
         order = sim.road_order[origin]
-        blocked = any(
-            sim.vehicles[vid].position - sim.vehicles[vid].length < INSERTION_FREE_ZONE
-            for vid in order)
-        if blocked:
-            still_pending.append(ins)
+        if any(sim.vehicles[vid].position - sim.vehicles[vid].length
+               < INSERTION_FREE_ZONE for vid in order):
+            blocked.append(ins)
             continue
         front = None
         if order:
@@ -287,7 +278,7 @@ def _attempt_insertions(sim, now):
         sim.vehicles[veh.id] = veh
         order.insert(0, veh.id)
         sim.inserted_count += 1
-    sim.pending = still_pending
+    pending[:due] = blocked
 
 
 class ScanView(NamedTuple):
@@ -419,124 +410,117 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
     for light_id, light in sim.lights.items():
         apply_tl_action(light, tl_actions.get(light_id, 0))
 
-    # acceleration inputs; the front vehicle of a signalized road may face a
-    # standing virtual leader at the stop line
-    ids = []
-    speed, v_limit, lead_speed, gap, has_lead = [], [], [], [], []
-    is_cmd, cmd = [], []
-    roads_of = []
-    for road_id in sim.network.roads:
+    # the active vehicles flattened road by road, each road rear to front
+    vehicles = sim.vehicles
+    vehs, roads_of, fronts = [], [], []
+    for road_id, road in sim.network.roads.items():
         order = sim.road_order[road_id]
-        if not order:
-            continue
-        road = sim.network.roads[road_id]
-        light = (sim.lights.get(road.approach_intersection)
-                 if road.approach_intersection else None)
-        for i, vid in enumerate(order):
-            veh = sim.vehicles[vid]
-            commanded = vid in cav_accels
-            ids.append(vid)
-            roads_of.append(road)
-            speed.append(veh.speed)
-            v_limit.append(road.speed_limit)
-            is_cmd.append(commanded)
-            cmd.append(cav_accels.get(vid, 0.0))
-            if i + 1 < len(order):
-                lead = sim.vehicles[order[i + 1]]
-                lead_speed.append(lead.speed)
-                gap.append(max(lead.position - lead.length - veh.position, 1e-9))
-                has_lead.append(True)
-            else:
-                virtual = (red_light_virtual_leader(veh, light, road,
-                                                    sim.idm.b_comfort)
-                           if light else None)
-                if virtual is None and light is not None:
-                    # free to cross: follow the tail of the continuation road
-                    # so a discharging queue stays a platoon over the boundary
-                    tail = _cross_boundary_leader(sim, veh, road)
-                    if tail is not None:
-                        virtual = tail[0].speed, max(tail[1], 1e-9)
-                if virtual is not None:
-                    lead_speed.append(virtual[0])
-                    gap.append(virtual[1])
-                    has_lead.append(True)
-                else:
-                    lead_speed.append(0.0)
-                    gap.append(0.0)
-                    has_lead.append(False)
+        if order:
+            vehs += [vehicles[vid] for vid in order]
+            roads_of += [road] * len(order)
+            fronts.append(len(vehs) - 1)
 
-    if ids:
+    if vehs:
+        # acceleration inputs: row i + 1 leads row i, except that a road's
+        # front row faces a standing virtual leader at the stop line, the
+        # tail of its continuation road, or nothing (the last row is a road
+        # front, so its placeholder entries are always overwritten)
+        speed = [veh.speed for veh in vehs]
+        lead_speed = speed[1:] + [0.0]
+        gap = [max(lead.position - lead.length - veh.position, 1e-9)
+               for veh, lead in zip(vehs, vehs[1:])] + [0.0]
+        has_lead = [True] * len(vehs)
+        for i in fronts:
+            front, road = vehs[i], roads_of[i]
+            light = (sim.lights.get(road.approach_intersection)
+                     if road.approach_intersection else None)
+            virtual = (red_light_virtual_leader(front, light, road,
+                                                sim.idm.b_comfort)
+                       if light else None)
+            if virtual is None and light is not None:
+                # free to cross: follow the tail of the continuation road so
+                # a discharging queue stays a platoon over the boundary
+                tail = _cross_boundary_leader(sim, front, road)
+                if tail is not None:
+                    virtual = tail[0].speed, max(tail[1], 1e-9)
+            if virtual is None:
+                lead_speed[i], gap[i], has_lead[i] = 0.0, 0.0, False
+            else:
+                lead_speed[i], gap[i] = virtual
+
         p = sim.idm
+        n = len(vehs)
+        if cav_accels:
+            is_cmd = np.array([veh.id in cav_accels for veh in vehs])
+            cmd = np.array([cav_accels.get(veh.id, 0.0) for veh in vehs])
+        else:
+            is_cmd, cmd = np.zeros(n, dtype=bool), np.zeros(n)
+        speed = np.array(speed)
+        v_limit = np.array([road.speed_limit for road in roads_of])
         accel = kernels.vehicle_accels(
-            np.array(speed), np.array(lead_speed), np.array(gap),
-            np.array(has_lead, dtype=bool), np.array(v_limit),
-            np.array(is_cmd, dtype=bool), np.array(cmd),
+            speed, np.array(lead_speed), np.array(gap),
+            np.array(has_lead, dtype=bool), v_limit, is_cmd, cmd,
             p.a_max, p.b_comfort, p.delta, p.headway, p.s0)
         new_speed, dx, eff_accel = kernels.kinematics(
-            np.array(speed), accel, np.array(v_limit), DT)
+            speed, accel, v_limit, DT)
 
         # pass 1: move everyone in place; transfers are queued so that they
         # are position-inserted against settled (post-move) occupants only
         arrivals = []
         transfers = []
-        for i, vid in enumerate(ids):
-            veh = sim.vehicles[vid]
-            road = roads_of[i]
-            x_new = veh.position + dx[i]
-            moved = dx[i]
+        lights = sim.lights
+        for i, (veh, road, moved, v_new, a_new) in enumerate(zip(
+                vehs, roads_of, dx.tolist(), new_speed.tolist(),
+                eff_accel.tolist())):
+            x_new = veh.position + moved
             if x_new >= road.length:
-                last = veh.route_index + 1 >= len(veh.route)
-                served = (road.approach is None
-                          or sim.lights[road.approach_intersection].serves(road.approach))
-                if last:
+                if veh.route_index + 1 >= len(veh.route):
                     moved = road.length - veh.position
                     veh.position = road.length
-                    veh.speed = float(new_speed[i])
-                    veh.accel = float(eff_accel[i])
-                    arrivals.append((vid, float(moved), i))
+                    veh.speed = v_new
+                    veh.accel = a_new
+                    arrivals.append((veh, moved))
                     continue
-                if served:
-                    sim.road_order[road.id].remove(vid)
+                if (road.approach is None or lights[
+                        road.approach_intersection].serves(road.approach)):
+                    sim.road_order[road.id].remove(veh.id)
                     veh.route_index += 1
                     veh.road = veh.route[veh.route_index]
                     veh.position = x_new - road.length
-                    transfers.append(vid)
+                    transfers.append(veh)
                 else:
-                    # not allowed to cross: pinned at the stop line
+                    # not allowed to cross: pinned at the stop line; the
+                    # fuel kernel reads the held speed and acceleration too
                     moved = road.length - veh.position
                     veh.position = road.length
-                    new_speed[i] = 0.0
-                    eff_accel[i] = -veh.speed / DT
+                    v_new = new_speed[i] = 0.0
+                    a_new = eff_accel[i] = -veh.speed / DT
             else:
                 veh.position = x_new
-            veh.speed = float(new_speed[i])
-            veh.accel = float(eff_accel[i])
-            veh.distance_m += float(moved)
+            veh.speed = v_new
+            veh.accel = a_new
+            veh.distance_m += moved
 
-        for vid in transfers:
-            veh = sim.vehicles[vid]
+        for veh in transfers:
             dest = sim.road_order[veh.road]
-            keys = [sim.vehicles[o].position for o in dest]
-            dest.insert(bisect.bisect_left(keys, veh.position), vid)
+            keys = [vehicles[o].position for o in dest]
+            dest.insert(bisect.bisect_left(keys, veh.position), veh.id)
 
         fuel, co2 = kernels.fuel_co2(new_speed, eff_accel)
-        for i, vid in enumerate(ids):
-            veh = sim.vehicles.get(vid)
-            if veh is None:
-                continue
-            veh.fuel_l += float(fuel[i]) * DT
-            veh.co2_g += float(co2[i]) * DT
+        for veh, fuel_l, co2_g in zip(vehs, fuel.tolist(), co2.tolist()):
+            veh.fuel_l += fuel_l * DT
+            veh.co2_g += co2_g * DT
 
         net = sim.network
-        for vid, moved, i in arrivals:
-            veh = sim.vehicles.pop(vid)
-            sim.road_order[veh.road].remove(vid)
+        for veh, moved in arrivals:
+            del vehicles[veh.id]
+            sim.road_order[veh.road].remove(veh.id)
             veh.distance_m += moved
             route_len = net.route_length(veh.route)
             ideal = sum(net.roads[r].length / net.roads[r].speed_limit
                         for r in veh.route)
             sim.completed.append(TripRecord(
-                vid, veh.kind, veh.depart_time, now, route_len, ideal,
+                veh.id, veh.kind, veh.depart_time, now, route_len, ideal,
                 veh.fuel_l, veh.co2_g, veh.distance_m))
 
     _attempt_insertions(sim, now)

@@ -151,6 +151,25 @@ def test_evaluate_rejects_damaged_checkpoint(train_dir, tmp_path, capsys,
     assert str(run / "checkpoint_tl.npz") in err and named in err
 
 
+@pytest.mark.parametrize("text,named", [
+    ("network { grid: 1x1, road_length: abc }",
+     "network: road_length 'abc'"),
+    ("network { grid: 1x1 }\nflow { origin: nowhere, destination: J0-0:N0, "
+     "count: 3, start: 1, period: 10 }", "origin 'nowhere'"),
+    ("network { grid: 1x1, road_length: nan }",
+     "network: road_length must be finite"),
+], ids=["unparseable-number", "unknown-flow-road", "nan-length"])
+def test_baseline_rejects_bad_scenario_file(tmp_path, capsys, text, named):
+    path = tmp_path / "scenario.txt"
+    path.write_text(text)
+    assert run_cli("baseline", "--method", "actuated", "--config", str(path),
+                   "--episodes", "1", "--horizon", "20",
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and named in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_and_report(train_dir, tmp_path):
     sweep_out = tmp_path / "sweep"
     code = run_cli("sweep", "--checkpoint-dir", str(train_dir),

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from cotraffic import policy
-from cotraffic.env import (CooperationMode, EnvConfig, TrafficEnv,
-                           cav_obs_dim, cav_observation, max_road_capacity,
+from cotraffic.env import (ACCEL_NORM, CooperationMode, EnvConfig, AgentStep,
+                           COLLISION_REWARD, TrafficEnv, cav_obs_dim,
+                           cav_observation, max_road_capacity,
                            select_cav_agents, tl_obs_dim, tl_observation,
                            tl_reward, cav_reward)
 from cotraffic.network import build_grid, grid_scenario
 from cotraffic.policy import Policy, init_params
-from cotraffic.simulation import build_sim
+from cotraffic.simulation import _cross_boundary_leader, step
 
 from test_simulation import empty_sim, put_vehicle
 
@@ -19,6 +20,23 @@ COTV = CooperationMode.COTV
 STAR = CooperationMode.COTV_STAR
 ICOTV = CooperationMode.I_COTV
 MCOTV = CooperationMode.M_COTV
+
+
+def agent_ids(agents):
+    return [vid for vid, _ in agents]
+
+
+def tl_obs(sim, mode, prev_commands=None):
+    """The one 1x1 light's row of the signal observation matrix."""
+    (row,) = tl_observation(sim, mode, prev_commands=prev_commands)
+    return row
+
+
+def cav_obs(sim, vid, mode, prev_tl_action=None):
+    """One vehicle's row of the vehicle observation matrix."""
+    j = sim.road_order[sim.vehicles[vid].road].index(vid)
+    (row,) = cav_observation(sim, [(vid, j)], mode, prev_tl_action)
+    return row
 
 
 def test_capacity_constant():
@@ -38,32 +56,38 @@ def selection_fixture():
 
 
 def test_select_closest_only():
-    assert select_cav_agents(selection_fixture(), COTV) == ["near"]
+    assert agent_ids(select_cav_agents(selection_fixture(), COTV)) == ["near"]
 
 
 def test_select_star_takes_all():
-    assert select_cav_agents(selection_fixture(), STAR) == ["near", "mid", "far"]
+    assert agent_ids(select_cav_agents(selection_fixture(), STAR)) == [
+        "near", "mid", "far"]
+
+
+def test_select_returns_each_agents_road_order_index():
+    assert select_cav_agents(selection_fixture(), STAR) == [
+        ("near", 2), ("mid", 1), ("far", 0)]
 
 
 def test_select_skips_hdv_only_roads():
     sim = empty_sim()
     put_vehicle(sim, "h1", "N0:J0-0", 250.0, 5.0, kind="HDV")
     put_vehicle(sim, "c1", "W0:J0-0", 100.0, 5.0, kind="CAV")
-    assert select_cav_agents(sim, COTV) == ["c1"]
+    assert agent_ids(select_cav_agents(sim, COTV)) == ["c1"]
 
 
 def test_hdv_closer_than_cav_does_not_block_selection():
     sim = empty_sim()
     put_vehicle(sim, "h", "N0:J0-0", 280.0, 5.0, kind="HDV")
     put_vehicle(sim, "c", "N0:J0-0", 100.0, 5.0, kind="CAV")
-    assert select_cav_agents(sim, COTV) == ["c"]
+    assert agent_ids(select_cav_agents(sim, COTV)) == ["c"]
 
 
 # --- observations ------------------------------------------------------------
 
 def test_tl_observation_empty_intersection():
     sim = empty_sim()
-    obs = tl_observation(sim, sim.lights["J0-0"], COTV)
+    obs = tl_obs(sim, COTV)
     assert obs.shape == (tl_obs_dim(sim.network, COTV),)
     assert obs.shape == (1 + 4 + 4 + 4 * 7,)
     assert obs[0] == 0.0
@@ -79,7 +103,7 @@ def test_tl_observation_counts_normalized():
     sim = empty_sim()
     for k in range(10):
         put_vehicle(sim, f"v{k}", "N0:J0-0", 10.0 + 20 * k, 3.0)
-    obs = tl_observation(sim, sim.lights["J0-0"], COTV)
+    obs = tl_obs(sim, COTV)
     inter = sim.network.intersections["J0-0"]
     slot = inter.incoming.index("N0:J0-0")
     assert obs[1 + slot] == pytest.approx(10 / 40)
@@ -90,7 +114,7 @@ def test_tl_observation_closest_vehicle_block():
     put_vehicle(sim, "back", "N0:J0-0", 100.0, 6.0)
     near = put_vehicle(sim, "front", "N0:J0-0", 270.0, 12.0)
     near.accel = -1.5
-    obs = tl_observation(sim, sim.lights["J0-0"], COTV)
+    obs = tl_obs(sim, COTV)
     inter = sim.network.intersections["J0-0"]
     slot = inter.incoming.index("N0:J0-0")
     block = obs[9 + 7 * slot: 9 + 7 * (slot + 1)]
@@ -102,7 +126,7 @@ def test_tl_observation_closest_vehicle_block():
 def test_icotv_zeroes_vehicle_blocks_but_not_counts():
     sim = empty_sim()
     put_vehicle(sim, "v", "N0:J0-0", 270.0, 12.0)
-    obs = tl_observation(sim, sim.lights["J0-0"], ICOTV)
+    obs = tl_obs(sim, ICOTV)
     assert np.all(obs[9:] == 0.0)
     assert obs[1:9].sum() > 0.0
 
@@ -115,13 +139,13 @@ def test_icotv_mode_ablation_property():
         for k in range(6):
             put_vehicle(sim, f"v{k}", "N0:J0-0", 20.0 + 40 * k,
                         float(rng.uniform(0, 15)))
-        before_i = tl_observation(sim, sim.lights["J0-0"], ICOTV)
-        before_c = tl_observation(sim, sim.lights["J0-0"], COTV)
+        before_i = tl_obs(sim, ICOTV)
+        before_c = tl_obs(sim, COTV)
         for veh in sim.vehicles.values():
             veh.speed = float(rng.uniform(0, 15))
             veh.accel = float(rng.uniform(-3, 3))
-        after_i = tl_observation(sim, sim.lights["J0-0"], ICOTV)
-        after_c = tl_observation(sim, sim.lights["J0-0"], COTV)
+        after_i = tl_obs(sim, ICOTV)
+        after_c = tl_obs(sim, COTV)
         np.testing.assert_array_equal(before_i, after_i)
         assert not np.array_equal(before_c, after_c)
 
@@ -129,8 +153,7 @@ def test_icotv_mode_ablation_property():
 def test_mcotv_extends_with_previous_commands():
     sim = empty_sim()
     assert tl_obs_dim(sim.network, MCOTV) == tl_obs_dim(sim.network, COTV) + 4
-    obs = tl_observation(sim, sim.lights["J0-0"], MCOTV,
-                         prev_commands={"N0:J0-0": 1.5})
+    obs = tl_obs(sim, MCOTV, prev_commands={"N0:J0-0": 1.5})
     inter = sim.network.intersections["J0-0"]
     slot = inter.incoming.index("N0:J0-0")
     tail = obs[-4:]
@@ -141,7 +164,7 @@ def test_mcotv_extends_with_previous_commands():
 def test_cav_observation_sentinels_and_signal():
     sim = empty_sim()
     put_vehicle(sim, "solo", "N0:J0-0", 150.0, 9.0, kind="CAV")
-    obs = cav_observation(sim, "solo", COTV)
+    obs = cav_obs(sim, "solo", COTV)
     assert obs.shape == (7,)
     assert obs[0] == pytest.approx(0.6)
     assert obs[2] == 0.0 and obs[3] == 0.0 and obs[4] == 1.0  # leader sentinels
@@ -149,13 +172,13 @@ def test_cav_observation_sentinels_and_signal():
     assert obs[6] == 1.0  # green NS
 
     sim.lights["J0-0"].phase_index = 1
-    assert cav_observation(sim, "solo", COTV)[6] == 0.5  # yellow
+    assert cav_obs(sim, "solo", COTV)[6] == 0.5  # yellow
     sim.lights["J0-0"].phase_index = 2
-    assert cav_observation(sim, "solo", COTV)[6] == 0.0  # red
-    assert cav_observation(sim, "solo", ICOTV)[6] == 0.0  # ablated
+    assert cav_obs(sim, "solo", COTV)[6] == 0.0  # red
+    assert cav_obs(sim, "solo", ICOTV)[6] == 0.0  # ablated
 
     assert cav_obs_dim(MCOTV) == 8
-    obs_m = cav_observation(sim, "solo", MCOTV, prev_tl_action=1)
+    obs_m = cav_obs(sim, "solo", MCOTV, prev_tl_action={"J0-0": 1})
     assert obs_m[7] == 1.0
 
 
@@ -163,7 +186,7 @@ def test_cav_observation_leader_gap():
     sim = empty_sim()
     put_vehicle(sim, "me", "N0:J0-0", 100.0, 9.0, kind="CAV")
     put_vehicle(sim, "lead", "N0:J0-0", 135.0, 12.0)
-    obs = cav_observation(sim, "me", COTV)
+    obs = cav_obs(sim, "me", COTV)
     assert obs[2] == pytest.approx(0.8)
     assert obs[4] == pytest.approx(30.0 / 300.0)
 
@@ -172,17 +195,17 @@ def test_cav_observation_front_vehicle_sees_next_road_tail():
     sim = empty_sim()
     put_vehicle(sim, "me", "N0:J0-0", 280.0, 9.0, kind="CAV",
                 route=["N0:J0-0", "J0-0:S0"])
-    np.testing.assert_array_equal(cav_observation(sim, "me", COTV)[2:5],
+    np.testing.assert_array_equal(cav_obs(sim, "me", COTV)[2:5],
                                   [0.0, 0.0, 1.0])  # next road empty
     put_vehicle(sim, "tail", "J0-0:S0", 12.0, 6.0)
     put_vehicle(sim, "ahead", "J0-0:S0", 60.0, 12.0)
     sim.vehicles["tail"].accel = -1.5
-    obs = cav_observation(sim, "me", COTV)
+    obs = cav_obs(sim, "me", COTV)
     assert obs[2] == pytest.approx(6.0 / 15.0)
     assert obs[3] == pytest.approx(-0.5)
     assert obs[4] == pytest.approx((20.0 + 12.0 - 5.0) / 300.0)
     sim.lights["J0-0"].phase_index = 2  # red: still the vehicle ahead
-    assert cav_observation(sim, "me", ICOTV)[4] == pytest.approx(27.0 / 300.0)
+    assert cav_obs(sim, "me", ICOTV)[4] == pytest.approx(27.0 / 300.0)
 
 
 def test_observation_length_constant_during_run():
@@ -416,3 +439,175 @@ def test_env_step_without_cav_draws_nothing(monkeypatch):
         assert env.step(None, cav_p, rng=rng) == []
     assert rows == []
     assert rng.bit_generator.state == state
+
+
+# --- parity with the per-agent observations ----------------------------------
+#
+# The functions below are the per-agent forms that the all-agents matrix forms
+# replaced, kept verbatim as the reference: one signal row per call, one
+# vehicle row per call with its leader found by `order.index`, and the agent
+# list as bare ids. `reference_step` is the environment transition over them.
+
+def ref_select_cav_agents(sim, mode):
+    selected = []
+    for inter in sim.network.intersections.values():
+        for road_id in inter.incoming:
+            order = sim.road_order.get(road_id, [])
+            cavs = [vid for vid in reversed(order)
+                    if sim.vehicles[vid].kind == "CAV"]
+            if not cavs:
+                continue
+            if mode is STAR:
+                selected.extend(cavs)
+            else:
+                selected.append(cavs[0])
+    return selected
+
+
+def ref_leader_of(sim, vehicle_id):
+    veh = sim.vehicles[vehicle_id]
+    order = sim.road_order[veh.road]
+    idx = order.index(vehicle_id)
+    if idx + 1 >= len(order):
+        return _cross_boundary_leader(sim, veh, sim.network.roads[veh.road])
+    lead = sim.vehicles[order[idx + 1]]
+    return lead, lead.position - lead.length - veh.position
+
+
+def ref_tl_observation(sim, light, mode, c, prev_commands=None):
+    inter = sim.network.intersections[light.intersection]
+    n_in = len(inter.incoming)
+    obs = [light.phase_index / len(light.phases)]
+    for rid in inter.incoming:
+        obs.append(len(sim.road_order.get(rid, [])) / c)
+    for rid in inter.outgoing:
+        obs.append(len(sim.road_order.get(rid, [])) / c)
+    for slot, rid in enumerate(inter.incoming):
+        one_hot = [0.0] * n_in
+        one_hot[slot] = 1.0
+        if mode is ICOTV:
+            obs.extend([0.0, 0.0, 0.0] + [0.0] * n_in)
+            continue
+        road = sim.network.roads[rid]
+        order = sim.road_order.get(rid, [])
+        if order:
+            veh = sim.vehicles[order[-1]]
+            obs.extend([veh.speed / road.speed_limit,
+                        veh.accel / ACCEL_NORM,
+                        (road.length - veh.position) / road.length])
+        else:
+            obs.extend([0.0, 0.0, 1.0])
+        obs.extend(one_hot)
+    if mode is MCOTV:
+        prev_commands = prev_commands or {}
+        for rid in inter.incoming:
+            obs.append(prev_commands.get(rid, 0.0) / ACCEL_NORM)
+    return np.asarray(obs, dtype=np.float64)
+
+
+def ref_cav_observation(sim, vehicle_id, mode, prev_tl_action=None):
+    veh = sim.vehicles[vehicle_id]
+    road = sim.network.roads[veh.road]
+    v_star = road.speed_limit
+    lead = ref_leader_of(sim, vehicle_id)
+    if lead is not None:
+        lead_veh, gap = lead
+        lead_block = [lead_veh.speed / v_star, lead_veh.accel / ACCEL_NORM,
+                      max(gap, 0.0) / road.length]
+    else:
+        lead_block = [0.0, 0.0, 1.0]
+    dist = (road.length - veh.position) / road.length
+    if mode is ICOTV or road.approach_intersection is None:
+        signal = 0.0
+    else:
+        light = sim.lights[road.approach_intersection]
+        signal = light.signal_for(road.approach)
+    obs = ([veh.speed / v_star, veh.accel / ACCEL_NORM] + lead_block
+           + [dist, signal])
+    if mode is MCOTV:
+        obs.append(float(prev_tl_action or 0))
+    return np.asarray(obs, dtype=np.float64)
+
+
+def reference_step(env, tl_policy, cav_policy, rng):
+    """`TrafficEnv.step` with sampled actions, over the per-agent forms."""
+    sim, cfg = env.sim, env.cfg
+    records = []
+    lids = list(sim.lights)
+    obs = np.array([ref_tl_observation(sim, sim.lights[lid], cfg.mode, env.c,
+                                       env._prev_cmd_by_road)
+                    for lid in lids])
+    actions, logps, values = tl_policy.act(obs, rng, True)
+    tl_actions = {}
+    for lid, row, action, logp, value in zip(
+            lids, obs, actions.tolist(), logps.tolist(), values.tolist()):
+        tl_actions[lid] = action
+        records.append(AgentStep(lid, "TL", row, float(action), logp, value,
+                                 t=sim.clock))
+    cav_actions, cav_records, cmd_road = {}, {}, {}
+    vids = ref_select_cav_agents(sim, cfg.mode)
+    if vids:
+        roads = [sim.vehicles[vid].road for vid in vids]
+        obs = np.array([
+            ref_cav_observation(sim, vid, cfg.mode, env._prev_tl_action.get(
+                sim.network.roads[road].approach_intersection, 0))
+            for vid, road in zip(vids, roads)])
+        actions, logps, values = cav_policy.act(obs, rng, True)
+        for vid, road, row, action, logp, value in zip(
+                vids, roads, obs, actions.tolist(), logps.tolist(),
+                values.tolist()):
+            cav_actions[vid] = action
+            cmd_road[vid] = road
+            rec = AgentStep(vid, "CAV", row, action, logp, value, t=sim.clock)
+            records.append(rec)
+            cav_records[vid] = rec
+    completed_before = len(sim.completed)
+    step(sim, tl_actions, cav_actions)
+    for rec in records:
+        if rec.agent_type == "TL":
+            rec.reward = tl_reward(sim, sim.lights[rec.agent_id], env.c)
+    if cav_records:
+        arrived = {t.vehicle_id for t in sim.completed[completed_before:]}
+        still_selected = set(ref_select_cav_agents(sim, cfg.mode))
+        for vid, rec in cav_records.items():
+            if vid not in sim.vehicles:
+                rec.reward = 0.0 if vid in arrived else COLLISION_REWARD
+                rec.done = True
+                continue
+            rec.reward = cav_reward(sim, vid, cfg.a_star)
+            rec.done = vid not in still_selected
+    env._prev_tl_action = {lid: tl_actions.get(lid, 0) for lid in sim.lights}
+    env._prev_cmd_by_road = {cmd_road[vid]: cmd
+                             for vid, cmd in cav_actions.items()}
+    return records
+
+
+def record_key(rec):
+    """Every AgentStep field, floats by repr and the observation by bytes."""
+    return (rec.agent_id, rec.agent_type, rec.obs.dtype, rec.obs.shape,
+            rec.obs.tobytes(), repr(rec.action), repr(rec.log_prob),
+            repr(rec.value), repr(rec.reward), rec.done, rec.t)
+
+
+@pytest.mark.parametrize("mode", list(CooperationMode))
+@pytest.mark.parametrize("grid,penetration",
+                         [("1x1", 0.3), ("1x1", 1.0), ("1x6", 0.3),
+                          ("1x6", 1.0)])
+def test_matrix_observations_match_per_agent_reference(mode, grid, penetration):
+    scen = grid_scenario(grid, penetration=penetration, seed=11)
+    env = TrafficEnv(scen, EnvConfig(mode))
+    ref = TrafficEnv(scen, EnvConfig(mode))
+    env.reset()
+    ref.reset()
+    tl_p, cav_p = make_policies(scen.network, mode, seed=5)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    n_cav = 0
+    for _ in range(300):
+        got = env.step(tl_p, cav_p, rng=rng)
+        want = reference_step(ref, tl_p, cav_p, ref_rng)
+        assert [record_key(r) for r in got] == [record_key(r) for r in want]
+        n_cav += sum(r.agent_type == "CAV" for r in got)
+    assert n_cav > 0
+    assert env.sim.completed == ref.sim.completed
+    assert env.sim.collisions == ref.sim.collisions
+    assert env.sim.ttc_event_count == ref.sim.ttc_event_count

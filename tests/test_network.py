@@ -1,8 +1,13 @@
 """Grid construction, demand flows, schedules, and scenario files."""
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from cotraffic.network import (ConfigError, build_grid, build_insertion_schedule,
+from cotraffic.network import (ConfigError, ScenarioSpec, build_grid,
+                               build_insertion_schedule,
                                assign_vehicle_kinds, grid_scenario,
                                parse_scenario_text, scenario_to_text,
                                standard_flows_1x1, standard_flows_1x6)
@@ -166,3 +171,84 @@ def test_scenario_invariants_rejected():
         grid_scenario("1x1", penetration=1.5)
     with pytest.raises(ConfigError):
         grid_scenario("2x2")  # only the two named grids have canned demand
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("network { grid: 1x1, road_length: abc }",
+     "network: road_length 'abc' is not a number"),
+    ("network { grid: 1x1, road_length: nan }",
+     "network: road_length must be finite"),
+    ("network { grid: 1x1, speed_limit: inf }",
+     "network: speed_limit must be finite"),
+    ("network { grid: 1x1 }\nflow { origin: W0:J0-0, destination: J0-0:E0, "
+     "count: 2.5, start: 1, period: 8 }",
+     "flow #0: count '2.5' is not an integer"),
+    ("network { grid: 1x1 }\nflow { origin: W0:J0-0, destination: J0-0:E0, "
+     "count: 2, start: 1, period: -inf }",
+     "flow #0: period must be finite"),
+    ("network { grid: 1x1 }\nflow { name: A, origin: nowhere, "
+     "destination: J0-0:E0, count: 2, start: 1, period: 8 }",
+     "flow A: origin 'nowhere' is not a road"),
+    ("network { grid: 1x1 }\nsim { seed: x1 }",
+     "sim: seed 'x1' is not an integer"),
+], ids=["number", "nan-length", "inf-limit", "count", "inf-period",
+        "unknown-road", "seed"])
+def test_scenario_parser_names_block_and_key(entry, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_scenario_text(entry)
+
+
+# --- fuzzed scenario files ---------------------------------------------------
+
+_KEYS = {"network": ["grid", "road_length", "speed_limit"],
+         "flow": ["name", "origin", "destination", "count", "start",
+                  "period"],
+         "sim": ["horizon", "penetration", "seed"],
+         "lane": ["grid", "count"]}
+# grids stay small so that an accepted file builds its network quickly
+_GRIDS = st.one_of(
+    st.builds("{}x{}".format, st.integers(0, 3), st.integers(0, 3)),
+    st.sampled_from(["", "1x", "x1", "1x1x1", "one"]))
+_VALUES = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "inf", "1e400", "0", "-3", "2.5",
+                     "W0:J0-0", "J0-0:E0", "N0:J0-0", "J0-0:S0", "nowhere"]),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(st.characters(blacklist_characters="{},#\n"), max_size=8))
+
+
+@st.composite
+def scenario_texts(draw):
+    """A valid scenario with one entry replaced, or blocks of random keys
+    and values, optionally followed by random text."""
+    if draw(st.booleans()):
+        text = scenario_to_text(grid_scenario("1x1"))
+        entries = list(re.finditer(r"(\w+): ([^,}\n]*)", text))
+        entry = draw(st.sampled_from(entries))
+        key = entry.group(1)
+        value = draw(_GRIDS if key == "grid" else _VALUES)
+        text = text[:entry.start(2)] + value + text[entry.end(2):]
+    else:
+        blocks = []
+        for _ in range(draw(st.integers(0, 4))):
+            name = draw(st.sampled_from(["network", "flow", "sim", "lane"]))
+            keys = draw(st.lists(st.sampled_from(_KEYS[name]), unique=True,
+                                 max_size=7))
+            items = [f"{key}: {draw(_GRIDS if key == 'grid' else _VALUES)}"
+                     for key in keys]
+            blocks.append(f"{name} {{ {', '.join(items)} }}")
+        text = "\n".join(blocks)
+    return text + draw(st.sampled_from(["", "", "\n# note", "junk"]))
+
+
+@given(scenario_texts())
+def test_scenario_parser_raises_only_config_errors(text):
+    try:
+        spec = parse_scenario_text(text)
+    except ConfigError:
+        return
+    assert isinstance(spec, ScenarioSpec)
+    for road in spec.network.roads.values():
+        assert math.isfinite(road.length) and math.isfinite(road.speed_limit)
+    for flow in spec.flows:
+        assert math.isfinite(flow.start) and math.isfinite(flow.period)

@@ -1,6 +1,10 @@
 """Networks, GAE, the clipped update, and training-loop bookkeeping."""
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,7 @@ def test_ratio_one_gives_unclipped_surrogate():
         batch["advantages"], batch["returns"],
         clip_eps=0.2, value_coef=0.0, entropy_coef=0.0)
     assert stats["mean_ratio"] == pytest.approx(1.0)
+    assert stats["approx_kl"] == pytest.approx(0.0, abs=1e-12)
     assert stats["clip_fraction"] == 0.0
     assert loss == pytest.approx(-np.mean(batch["advantages"]))
 
@@ -202,6 +207,7 @@ def test_clip_engages_at_ratio_limits():
         params, batch["obs"], batch["actions"], old, adv, batch["returns"],
         clip_eps=0.2, value_coef=0.0, entropy_coef=0.0)
     assert stats["clip_fraction"] == 1.0
+    assert stats["approx_kl"] == pytest.approx(0.5 - np.log(1.5))
     assert loss == pytest.approx(-np.mean(1.2 * adv))
 
 
@@ -330,6 +336,12 @@ def test_train_smoke_bookkeeping():
     assert all(np.isfinite(c["tl_reward"]) for c in res.curves)
     assert all(c["tl_steps"] == 2 * 50 for c in res.curves)
     assert res.tl_params is not None and res.cav_params is not None
+    for c in res.curves:
+        for prefix in ("tl", "cav"):
+            for key in ("loss", "policy_loss", "value_loss", "entropy",
+                        "mean_ratio", "approx_kl", "clip_fraction"):
+                assert np.isfinite(c[f"{prefix}_{key}"])
+            assert c[f"{prefix}_approx_kl"] >= 0.0
 
 
 def test_train_zero_penetration_skips_cav_update():
@@ -358,6 +370,53 @@ def test_train_worker_count_does_not_change_results():
     b = train(scen, EnvConfig(CooperationMode.COTV), cfg, seed=5, workers=2)
     assert a.curve("tl_reward") == b.curve("tl_reward")
     assert a.tl_params.fingerprint() == b.tl_params.fingerprint()
+
+
+# Trains a tiny cotv profile and prints the OpenBLAS thread count, the final
+# fingerprints and the reward curves without their wall-clock column.
+TINY_TRAINING = """
+import ctypes, json
+from pathlib import Path
+import numpy as np
+from cotraffic.env import CooperationMode, EnvConfig
+from cotraffic.network import grid_scenario
+from cotraffic.ppo import PpoConfig, train
+threads = None
+libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+    get_threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    threads = get_threads()
+cfg = PpoConfig(iterations=3, episodes_per_iter=2, horizon=120,
+                minibatch_size=256)
+res = train(grid_scenario("1x1", penetration=1.0, seed=3),
+            EnvConfig(CooperationMode.COTV), cfg, seed=7)
+print(json.dumps({"threads": threads}))
+print(json.dumps({"tl": res.tl_params.fingerprint(),
+                  "cav": res.cav_params.fingerprint(),
+                  "curves": [{k: v for k, v in c.items() if k != "wall_s"}
+                             for c in res.curves]}))
+"""
+
+
+def test_training_does_not_depend_on_blas_thread_count():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for pinned in (True, False):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        if pinned:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run([sys.executable, "-c", TINY_TRAINING], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        threads, result = proc.stdout.strip().split("\n")
+        outputs.append((threads, result))
+    (pinned_threads, pinned_result), (_, default_result) = outputs
+    assert pinned_threads in ('{"threads": 1}', '{"threads": null}')
+    assert pinned_result == default_result
 
 
 def test_parameter_sharing_single_set_per_type():

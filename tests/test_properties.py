@@ -1,7 +1,8 @@
 """Simulator invariants on generated states: random vehicle placements on
 the 1x1 and 1x6 grids, driven by random light actions and commanded
 accelerations. After every step the fleet is conserved, each road's order
-is sorted by position, speeds lie in [0, limit] and positions on the road;
+is sorted by position, speeds lie in [0, limit] and positions on the road,
+and every vehicle's kinematic and energy fields are Python floats;
 during it, the collision scan and the TTC counter agree with brute-force
 rescans of the state they read, and the view `step` hands each scan equals
 the per-vehicle loop it replaced. The example count is set by the profile
@@ -106,8 +107,15 @@ class OracleScans:
                                    count_ttc_events=self.checked_ttc)
 
 
+FLOAT_FIELDS = ("position", "speed", "accel", "fuel_l", "co2_g", "distance_m")
+
+
 def assert_invariants(sim):
     assert sim.conservation_ok()
+    for veh in sim.vehicles.values():
+        for name in FLOAT_FIELDS:
+            # a numpy scalar here would leak into every later computation
+            assert type(getattr(veh, name)) is float, (veh.id, name)
     for road_id, order in sim.road_order.items():
         road = sim.network.roads[road_id]
         positions = [sim.vehicles[vid].position for vid in order]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cotraffic import simulation
-from cotraffic.network import build_grid, grid_scenario
+from cotraffic.network import Insertion, build_grid, grid_scenario
 from cotraffic.simulation import (IdmParams, TraceWriter, Vehicle,
                                   apply_tl_action, build_sim, co2_rate,
                                   count_ttc_events, detect_collisions,
@@ -208,6 +208,20 @@ def test_vehicle_holds_at_stop_line_on_red():
     assert veh.road == "N0:J0-0" and veh.speed == 0.0
 
 
+def test_held_vehicle_is_charged_for_the_held_motion():
+    # a slow vehicle commanded over a red line: its clamped command would
+    # burn more than idle fuel, its held motion (speed 0) burns idle fuel
+    sim = empty_sim()
+    sim.lights["J0-0"].phase_index = 2
+    veh = put_vehicle(sim, "v0", "N0:J0-0", 298.5, 0.05,
+                      route=["N0:J0-0", "J0-0:S0"], kind="CAV")
+    step(sim, {}, {"v0": 3.0})
+    assert (veh.position, veh.speed, veh.accel) == (300.0, 0.0, -0.05)
+    assert fuel_rate(3.05, -0.05) > fuel_rate(0.0, -0.05)
+    assert veh.fuel_l == pytest.approx(fuel_rate(0.0, -0.05), rel=1e-12)
+    assert veh.distance_m == 1.5
+
+
 def test_vehicle_crosses_on_green():
     sim = empty_sim()
     sim.lights["J0-0"].phase_index = 0  # green NS
@@ -216,6 +230,25 @@ def test_vehicle_crosses_on_green():
     step(sim, {}, {})
     assert veh.road == "J0-0:S0"
     assert veh.position < 20.0
+
+
+def test_insertions_placed_when_due_and_blocked_ones_retry_in_order():
+    sim = empty_sim()
+    west, north = ("W0:J0-0", "J0-0:E0"), ("N0:J0-0", "J0-0:S0")
+    sim.pending = [Insertion(1.0, "a", "HDV", west, 10.0),
+                   Insertion(1.0, "b", "HDV", west, 10.0),
+                   Insertion(2.5, "c", "HDV", west, 10.0),
+                   Insertion(3.0, "d", "HDV", north, 5.0)]
+    step(sim)  # t=1: b is due but blocked by a at the road start
+    assert list(sim.vehicles) == ["a"]
+    assert [ins.vehicle_id for ins in sim.pending] == ["b", "c", "d"]
+    step(sim)  # t=2: a is still inside the entry zone; c is not yet due
+    assert list(sim.vehicles) == ["a"]
+    step(sim)  # t=3: b enters, c waits behind it, d enters on time
+    assert list(sim.vehicles) == ["a", "b", "d"]
+    assert sim.vehicles["d"].depart_time == 3
+    assert [ins.vehicle_id for ins in sim.pending] == ["c"]
+    assert sim.conservation_ok()
 
 
 # --- collisions and conflicts ------------------------------------------------
