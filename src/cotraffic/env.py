@@ -250,7 +250,9 @@ class TrafficEnv:
     post-transition state, and returns one AgentStep per acting agent. A
     vehicle agent leaving the selected set (crossed the line, displaced,
     removed, or arrived) has done=True on its final record; signal agents are
-    closed by the rollout loop at the horizon.
+    closed by the rollout loop at the horizon. Only `step` and `reset` may
+    change `sim`: a step's vehicle agents are the selection that the
+    previous step made after it moved the simulator.
     """
 
     def __init__(self, scenario, cfg=None):
@@ -260,11 +262,15 @@ class TrafficEnv:
         self.sim = None
         self._prev_tl_action = {}
         self._prev_cmd_by_road = {}
+        # the selection of the state the last step left, which is this
+        # step's selection: nothing moves the simulator between two steps
+        self._next_agents = None
 
     def reset(self):
         self.sim = build_sim(self.scenario)
         self._prev_tl_action = {lid: 0 for lid in self.sim.lights}
         self._prev_cmd_by_road = {}
+        self._next_agents = None
         return self.sim
 
     def step(self, tl_policy=None, cav_policy=None, rng=None, sample=True,
@@ -297,8 +303,12 @@ class TrafficEnv:
         cav_actions = {}
         cav_records = {}
         cmd_road = {}
-        agents = (select_cav_agents(sim, cfg.mode)
-                  if cfg.cav_agents and cav_policy is not None else [])
+        selecting = cfg.cav_agents and cav_policy is not None
+        agents = []
+        if selecting:
+            agents = self._next_agents
+            if agents is None:
+                agents = select_cav_agents(sim, cfg.mode)
         if agents:
             obs = cav_observation(sim, agents, cfg.mode, self._prev_tl_action)
             actions, logps, values = cav_policy.act(obs, rng, sample)
@@ -314,14 +324,15 @@ class TrafficEnv:
 
         completed_before = len(sim.completed)
         step(sim, tl_actions, cav_actions, trace=trace)
+        self._next_agents = (select_cav_agents(sim, cfg.mode) if selecting
+                             else None)
 
         for rec in records:
             if rec.agent_type == "TL":
                 rec.reward = tl_reward(sim, sim.lights[rec.agent_id], self.c)
         if cav_records:
             arrived = {t.vehicle_id for t in sim.completed[completed_before:]}
-            still_selected = {vid for vid, _ in
-                              select_cav_agents(sim, cfg.mode)}
+            still_selected = {vid for vid, _ in self._next_agents}
             for vid, rec in cav_records.items():
                 if vid not in sim.vehicles:
                     # arrived agents exit cleanly; removed ones were collided

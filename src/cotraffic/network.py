@@ -15,6 +15,9 @@ APPROACHES = ("N", "E", "S", "W")
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 
 DEFAULT_ROAD_LENGTH = 300.0
+# vehicle geometry; a road shorter than one vehicle plus its gap holds none
+VEHICLE_LENGTH = 5.0
+MIN_GAP = 2.5
 DEFAULT_SPEED_LIMIT = 15.0
 GENERATION_WINDOW_S = 300.0
 
@@ -116,6 +119,11 @@ def build_grid(rows, cols, road_length=DEFAULT_ROAD_LENGTH,
     """Build a rows x cols signalized grid of two-way single-lane roads."""
     if rows < 1 or cols < 1:
         raise ConfigError("grid dimensions must be >= 1")
+    if road_length < VEHICLE_LENGTH + MIN_GAP:
+        raise ConfigError(
+            f"road_length {road_length:g} m cannot hold one vehicle; the "
+            f"minimum is {VEHICLE_LENGTH + MIN_GAP:g} m (vehicle length "
+            f"{VEHICLE_LENGTH:g} m plus minimum gap {MIN_GAP:g} m)")
 
     def junction(r, c):
         return f"J{r}-{c}"

@@ -91,23 +91,29 @@ def init_params(kind, obs_dim, hidden=(64, 64), seed=0):
     return params
 
 
-def forward(params, obs):
+def forward(params, obs, out=None):
     """Batched forward pass; returns (head_pre, values, cache).
 
     head_pre is the raw policy-head output (logit for "tl", pre-squash mean
-    for "cav"); cache holds the activations the backward pass needs.
+    for "cav"); cache holds the activations the backward pass needs. `out`,
+    if given, holds one (rows, width) array per hidden layer to write the
+    activations into.
     """
     x = np.atleast_2d(np.asarray(obs, dtype=np.float64))
     if x.shape[1] != params.obs_dim:
         raise ValueError(f"observation length {x.shape[1]} does not match "
                          f"network input {params.obs_dim}")
     hs = [x]
-    for w, b in zip(params.weights, params.biases):
-        hs.append(np.tanh(hs[-1] @ w + b))
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = hs[-1] @ w if out is None else np.matmul(hs[-1], w, out=out[k])
+        z += b
+        hs.append(np.tanh(z, out=z))
     h = hs[-1]
-    head_pre = (h @ params.w_policy + params.b_policy)[:, 0]
-    values = (h @ params.w_value + params.b_value)[:, 0]
-    return head_pre, values, hs
+    head_pre = h @ params.w_policy
+    head_pre += params.b_policy
+    values = h @ params.w_value
+    values += params.b_value
+    return head_pre[:, 0], values[:, 0], hs
 
 
 def _sigmoid(z):
@@ -211,15 +217,33 @@ class Policy:
         return actions, log_probs, values
 
 
+class GradWorkspace:
+    """The (rows x width) arrays of one `ppo_loss_and_grads` call on up to
+    `rows` samples, and the gradient it returns.
+
+    One workspace serves every minibatch of an update, so a minibatch
+    allocates, and page-faults in, none of its large temporaries. The
+    gradient it returns is overwritten by the next call.
+    """
+
+    def __init__(self, params, rows):
+        self.hidden = [np.empty((rows, width)) for width in params.hidden]
+        self.grad_hidden = [np.empty((rows, width))
+                            for width in params.hidden]
+        self.head = np.empty((rows, params.hidden[-1]))
+        self.grads = MlpParams(params.kind, params.obs_dim, params.hidden)
+
+
 def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
-                       clip_eps, value_coef, entropy_coef):
+                       clip_eps, value_coef, entropy_coef, work=None):
     """Clipped-surrogate loss with exact gradients for every parameter.
 
     Loss per sample: -min(rho*A, clip(rho, 1-eps, 1+eps)*A)
                      + value_coef * (v - R)^2 - entropy_coef * H,
     averaged over the batch; rho = exp(logp_new - logp_old).
     Returns (loss, gradient laid out like params.flat, stats); the gradient
-    is None when the loss is not finite.
+    is None when the loss is not finite. `work` is a `GradWorkspace` of at
+    least as many rows as `obs`; without one, the call makes its own.
     """
     x = np.asarray(obs, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -227,9 +251,12 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     adv = np.asarray(advantages, dtype=np.float64)
     ret = np.asarray(returns, dtype=np.float64)
     n = x.shape[0]
+    if work is None:
+        work = GradWorkspace(params, n)
 
-    head_pre, values, hs = forward(params, x)
-    grads = MlpParams(params.kind, params.obs_dim, params.hidden)
+    head_pre, values, hs = forward(params, x,
+                                   out=[a[:n] for a in work.hidden])
+    grads = work.grads
 
     if params.kind == "tl":
         z = head_pre
@@ -273,17 +300,26 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     h = hs[-1]
     gp = g_pre[:, None]
     gv = g_value[:, None]
-    grads.w_policy[...] = h.T @ gp
-    grads.b_policy[...] = gp.sum(axis=0)
-    grads.w_value[...] = h.T @ gv
-    grads.b_value[...] = gv.sum(axis=0)
-    g_h = gp @ params.w_policy.T + gv @ params.w_value.T
+    np.matmul(h.T, gp, out=grads.w_policy)
+    np.sum(gp, axis=0, out=grads.b_policy)
+    np.matmul(h.T, gv, out=grads.w_value)
+    np.sum(gv, axis=0, out=grads.b_value)
+    # the heads are rank one: broadcast products equal the K=1 matmuls bit
+    # for bit and skip the BLAS call
+    g_h = np.multiply(gp, params.w_policy.T, out=work.grad_hidden[-1][:n])
+    g_h += np.multiply(gv, params.w_value.T, out=work.head[:n])
     for i in range(len(params.weights) - 1, -1, -1):
-        g_z = g_h * (1.0 - hs[i + 1] ** 2)
-        grads.weights[i][...] = hs[i].T @ g_z
-        grads.biases[i][...] = g_z.sum(axis=0)
+        # g_z = g_h * (1 - h^2), overwriting the cached activation h, which
+        # no later step reads
+        d = hs[i + 1]
+        np.square(d, out=d)
+        np.subtract(1.0, d, out=d)
+        g_h *= d
+        np.matmul(hs[i].T, g_h, out=grads.weights[i])
+        np.sum(g_h, axis=0, out=grads.biases[i])
         if i > 0:
-            g_h = g_z @ params.weights[i].T
+            g_h = np.matmul(g_h, params.weights[i].T,
+                            out=work.grad_hidden[i - 1][:n])
 
     stats = {
         "loss": loss,
@@ -309,22 +345,40 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
+        # scratch vectors, so that a step allocates no temporary
+        self._s1 = np.empty_like(params.flat)
+        self._s2 = np.empty_like(params.flat)
 
     def step(self, params, grad, max_grad_norm=None):
-        """Update `params.flat`, first clipping `grad` to one global norm."""
+        """Update `params.flat`, first clipping `grad` to one global norm.
+
+        The operations are those of
+        `m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+        flat -= lr * (m/b1c) / (sqrt(v/b2c) + eps)`, in that order, written
+        into the two scratch vectors.
+        """
+        s1, s2 = self._s1, self._s2
         if max_grad_norm is not None:
-            total = np.sqrt(np.sum(grad ** 2))
+            total = np.sqrt(np.sum(np.square(grad, out=s1)))
             if total > max_grad_norm:
-                grad = grad * (max_grad_norm / (total + 1e-12))
+                grad = np.multiply(grad, max_grad_norm / (total + 1e-12),
+                                   out=s2)
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         self.m *= self.beta1
-        self.m += (1 - self.beta1) * grad
+        self.m += np.multiply(1 - self.beta1, grad, out=s1)
         self.v *= self.beta2
-        self.v += (1 - self.beta2) * grad ** 2
-        params.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c)
-                                                   + self.eps)
+        np.square(grad, out=s1)
+        s1 *= 1 - self.beta2
+        self.v += s1
+        np.divide(self.m, b1c, out=s1)
+        s1 *= self.lr
+        np.divide(self.v, b2c, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        params.flat -= s1
         return params
 
 

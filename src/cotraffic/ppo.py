@@ -2,10 +2,11 @@
 
 Each iteration runs E independent episodes of H steps, pools every agent's
 trajectory segments into one buffer per agent type, computes generalized
-advantage estimates segment by segment, and applies K epochs of shuffled
-minibatch clipped-surrogate updates, signal type first, then vehicles. The
-buffer is emptied after every iteration. Everything is deterministic given
-the seed, including episode scheduling across worker processes.
+advantage estimates in one sweep over all segments, and applies K epochs of
+shuffled minibatch clipped-surrogate updates, signal type first, then
+vehicles. The buffer is emptied after every iteration. Everything is
+deterministic given the seed, including episode scheduling across worker
+processes.
 """
 import os
 import time
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import rollout
 from .env import CooperationMode, EnvConfig, cav_obs_dim, tl_obs_dim
-from .policy import Adam, init_params, ppo_loss_and_grads
+from .policy import Adam, GradWorkspace, init_params, ppo_loss_and_grads
 
 
 class NonFiniteLossError(RuntimeError):
@@ -74,6 +75,11 @@ def compute_gae(rewards, values, last_value, gamma, lam):
     delta_t = r_t + gamma * v_{t+1} - v_t, with v after the segment end equal
     to last_value (0 for terminated segments). A_t = delta_t + gamma * lam *
     A_{t+1}; returns_t = A_t + v_t.
+
+    A 1-D call is one segment. A (segments x time) call sweeps all rows at
+    once; a row shorter than the time axis is right-padded with zero rewards
+    and values, which keeps its advantage at exactly 0 until its last step
+    and bootstraps that step with 0, so `last_value` must then be 0.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -81,16 +87,25 @@ def compute_gae(rewards, values, last_value, gamma, lam):
         raise ValueError("rewards and values must have equal length")
     if not (np.all(np.isfinite(rewards)) and np.all(np.isfinite(values))):
         raise ValueError("rewards and values must be finite")
-    n = rewards.shape[0]
-    adv = np.empty(n)
-    next_value = float(last_value)
-    running = 0.0
-    for t in range(n - 1, -1, -1):
-        delta = rewards[t] + gamma * next_value - values[t]
-        running = delta + gamma * lam * running
-        adv[t] = running
-        next_value = values[t]
+    next_values = np.full_like(values, float(last_value))
+    next_values[..., :-1] = values[..., 1:]
+    deltas = rewards + gamma * next_values - values
+    decay = gamma * lam
+    adv = np.empty_like(rewards)
+    running = np.zeros(rewards.shape[:-1])
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        running = deltas[..., t] + decay * running
+        adv[..., t] = running
     return adv, adv + values
+
+
+def explained_variance(values, returns):
+    """1 - var(returns - values) / var(returns); nan when the returns are
+    constant."""
+    var_returns = np.var(returns)
+    if var_returns == 0.0:
+        return float("nan")
+    return float(1.0 - np.var(returns - values) / var_returns)
 
 
 @dataclass
@@ -106,24 +121,25 @@ class RolloutBuffer:
         return sum(len(s) for s in self.segments)
 
     def build_batch(self, gamma, lam):
-        obs, actions, logps, advs, rets = [], [], [], [], []
-        for seg in self.segments:
-            rewards = [s.reward for s in seg]
-            values = [s.value for s in seg]
-            # every segment ends for its agent (done), so bootstrap with 0
-            adv, ret = compute_gae(rewards, values, 0.0, gamma, lam)
-            for s, a, r in zip(seg, adv, ret):
-                obs.append(s.obs)
-                actions.append(s.action)
-                logps.append(s.log_prob)
-                advs.append(a)
-                rets.append(r)
+        """Training arrays and value estimates of every step in segment
+        order, with GAE computed in one sweep over the segments right-padded
+        to the longest one."""
+        steps = [s for seg in self.segments for s in seg]
+        lengths = np.array([len(seg) for seg in self.segments])
+        mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        rewards, values = np.zeros(mask.shape), np.zeros(mask.shape)
+        rewards[mask] = [s.reward for s in steps]
+        values[mask] = [s.value for s in steps]
+        # every segment ends for its agent (done), so bootstrap with 0
+        adv, ret = compute_gae(rewards, values, 0.0, gamma, lam)
         return {
-            "obs": np.asarray(obs, dtype=np.float64),
-            "actions": np.asarray(actions, dtype=np.float64),
-            "old_logp": np.asarray(logps, dtype=np.float64),
-            "advantages": np.asarray(advs, dtype=np.float64),
-            "returns": np.asarray(rets, dtype=np.float64),
+            "obs": np.asarray([s.obs for s in steps], dtype=np.float64),
+            "actions": np.asarray([s.action for s in steps], dtype=np.float64),
+            "old_logp": np.asarray([s.log_prob for s in steps],
+                                   dtype=np.float64),
+            "advantages": adv[mask],
+            "returns": ret[mask],
+            "values": values[mask],
         }
 
     def clear(self):
@@ -142,19 +158,24 @@ def ppo_update(params, optimizer, batch, cfg, rng):
         raise ValueError("empty batch")
     adv = batch["advantages"]
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    columns = (batch["obs"], batch["actions"], batch["old_logp"], adv,
+               batch["returns"])
+    work = GradWorkspace(params, min(n, cfg.minibatch_size))
     stats_acc = []
     for _ in range(cfg.epochs):
+        # one gather per epoch; each minibatch is then a contiguous slice
+        # holding the rows of order[start:end]
         order = rng.permutation(n)
+        shuffled = [col[order] for col in columns]
         for start in range(0, n, cfg.minibatch_size):
-            idx = order[start:start + cfg.minibatch_size]
+            end = start + cfg.minibatch_size
             loss, grad, stats = ppo_loss_and_grads(
-                params, batch["obs"][idx], batch["actions"][idx],
-                batch["old_logp"][idx], adv[idx], batch["returns"][idx],
-                cfg.clip_eps, cfg.value_coef, cfg.entropy_coef)
+                params, *(col[start:end] for col in shuffled),
+                cfg.clip_eps, cfg.value_coef, cfg.entropy_coef, work)
             if grad is None:
                 raise NonFiniteLossError(
                     f"non-finite loss {loss!r} on a {params.kind} minibatch "
-                    f"of {len(idx)} samples")
+                    f"of {min(end, n) - start} samples")
             optimizer.step(params, grad, cfg.max_grad_norm)
             stats_acc.append(stats)
     keys = stats_acc[0].keys()
@@ -217,9 +238,11 @@ def train(scenario, env_cfg=None, cfg=None, seed=0, tl_plan=None,
     for iteration in range(cfg.iterations):
         seeds = [episode_seed(seed, iteration, ep)
                  for ep in range(cfg.episodes_per_iter)]
+        rollout_begin = time.perf_counter()
         episodes = rollout.collect_episodes(
             scenario, env_cfg, tl_params, cav_params, seeds, cfg.horizon,
             tl_plan=tl_plan, workers=workers)
+        rollout_s = time.perf_counter() - rollout_begin
 
         buffers = {"TL": RolloutBuffer(), "CAV": RolloutBuffer()}
         reward_sums = {"TL": [], "CAV": []}
@@ -243,6 +266,7 @@ def train(scenario, env_cfg=None, cfg=None, seed=0, tl_plan=None,
             "collisions": collision_count,
         }
 
+        update_begin = time.perf_counter()
         try:
             for agent_type in cfg.update_order:
                 if agent_type not in optimizers:
@@ -252,16 +276,21 @@ def train(scenario, env_cfg=None, cfg=None, seed=0, tl_plan=None,
                     continue  # e.g. zero CAV penetration: nothing to update
                 params = tl_params if agent_type == "TL" else cav_params
                 batch = buffer.build_batch(cfg.gamma, cfg.gae_lambda)
+                prefix = agent_type.lower()
+                entry[f"{prefix}_explained_variance"] = explained_variance(
+                    batch["values"], batch["returns"])
                 stats = ppo_update(params, optimizers[agent_type], batch,
                                    cfg, update_rng)
                 for key in DIAGNOSTICS:
-                    entry[f"{agent_type.lower()}_{key}"] = stats[key]
+                    entry[f"{prefix}_{key}"] = stats[key]
                 buffer.clear()
         except NonFiniteLossError:
             halted = True
         for buffer in buffers.values():
             buffer.clear()
 
+        entry["rollout_s"] = rollout_s
+        entry["update_s"] = time.perf_counter() - update_begin
         entry["wall_s"] = time.perf_counter() - t0
         curves.append(entry)
         if progress is not None:

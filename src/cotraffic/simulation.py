@@ -20,13 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .network import build_insertion_schedule
+from .network import MIN_GAP, VEHICLE_LENGTH, build_insertion_schedule
 
 DT = 1.0
 YELLOW_DURATION = 3
 MIN_GREEN = 5
-VEHICLE_LENGTH = 5.0
-MIN_GAP = 2.5
 TTC_THRESHOLD = 3.0
 # Virtual stop-line leaders never report a gap below this, so a vehicle held
 # exactly at the line still gets a finite braking demand.

@@ -321,7 +321,8 @@ def test_criterion_06_gae_and_gradients():
 
 def test_criterion_07_determinism(cotv_dirs, tmp_path):
     def strip_timing(rows):
-        return [{k: v for k, v in row.items() if k != "wall_s"}
+        return [{k: v for k, v in row.items()
+                 if k not in ("wall_s", "rollout_s", "update_s")}
                 for row in rows]
 
     curves_a = strip_timing(_read_curves(cotv_dirs[0]))

@@ -170,6 +170,24 @@ def test_baseline_rejects_bad_scenario_file(tmp_path, capsys, text, named):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--method", "cotv", "--iterations", "1", "--train-episodes",
+     "1"],
+    ["baseline", "--method", "actuated", "--episodes", "1"],
+], ids=["train", "baseline"])
+def test_roads_too_short_for_one_vehicle_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "scenario.txt"
+    path.write_text("network { grid: 1x1, road_length: 5 }\n"
+                    "flow { origin: W0:J0-0, destination: J0-0:E0, "
+                    "count: 3, start: 1, period: 10 }")
+    assert run_cli(*command, "--config", str(path), "--horizon", "20",
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: road_length 5 m")
+    assert "minimum is 7.5 m" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_and_report(train_dir, tmp_path):
     sweep_out = tmp_path / "sweep"
     code = run_cli("sweep", "--checkpoint-dir", str(train_dir),

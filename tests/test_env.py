@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cotraffic import env as env_module
 from cotraffic import policy
 from cotraffic.env import (ACCEL_NORM, CooperationMode, EnvConfig, AgentStep,
                            COLLISION_REWARD, TrafficEnv, cav_obs_dim,
@@ -439,6 +440,37 @@ def test_env_step_without_cav_draws_nothing(monkeypatch):
         assert env.step(None, cav_p, rng=rng) == []
     assert rows == []
     assert rng.bit_generator.state == state
+
+
+def test_env_step_selects_vehicle_agents_once_per_step(monkeypatch):
+    scen = grid_scenario("1x6", penetration=1.0, seed=3)
+    env = TrafficEnv(scen, EnvConfig(COTV))
+    tl_p, cav_p = make_policies(scen.network, COTV)
+    calls = []
+    real = env_module.select_cav_agents
+
+    def counted(sim, mode):
+        calls.append(sim.clock)
+        return real(sim, mode)
+
+    monkeypatch.setattr(env_module, "select_cav_agents", counted)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        env.reset()
+        del calls[:]
+        n_cav = 0
+        for _ in range(60):
+            records = env.step(tl_p, cav_p, rng=rng)
+            n_cav += sum(r.agent_type == "CAV" for r in records)
+        assert n_cav > 0
+        # a reset step selects before it moves; every step selects after
+        assert calls == [0] + list(range(1, 61))
+    # a step with no vehicle policy selects nothing, and the next step with
+    # one selects afresh
+    del calls[:]
+    env.step(tl_p, None, rng=rng)
+    env.step(tl_p, cav_p, rng=rng)
+    assert calls == [61, 62]
 
 
 # --- parity with the per-agent observations ----------------------------------

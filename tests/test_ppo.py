@@ -9,14 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cotraffic.env import CooperationMode, EnvConfig
+from cotraffic.env import AgentStep, CooperationMode, EnvConfig
 from cotraffic.network import grid_scenario
-from cotraffic.policy import (Adam, BernoulliAction, GaussianAction,
-                              MlpParams, Policy, init_params, load_checkpoint,
-                              policy_forward, ppo_loss_and_grads,
-                              save_checkpoint)
+from cotraffic.policy import (ACTION_SCALE, LOG_2PI, Adam, BernoulliAction,
+                              GaussianAction, GradWorkspace, MlpParams,
+                              Policy, _sigmoid, _softplus, init_params,
+                              load_checkpoint, policy_forward,
+                              ppo_loss_and_grads, save_checkpoint)
 from cotraffic.ppo import (NonFiniteLossError, PpoConfig, RolloutBuffer,
-                           ci_profile, compute_gae, ppo_update, train)
+                           ci_profile, compute_gae, explained_variance,
+                           ppo_update, train)
 
 
 def zero_params(kind, obs_dim, hidden=(4, 3)):
@@ -307,6 +309,253 @@ def test_adam_matches_per_array_reference(kind, obs_dim, max_grad_norm, clips):
         assert np.array_equal(opt.m, ref_m) and np.array_equal(opt.v, ref_v)
 
 
+# --- parity with the allocating update ---------------------------------------
+#
+# The forms below are the update as it was before it reused its arrays, kept
+# verbatim as the reference: a forward that allocates every activation, a
+# backward whose head products are K=1 matmuls, Adam with a temporary per
+# operation, a scalar GAE loop per segment, and a per-minibatch index gather.
+# The current code must match them bit for bit.
+
+def ref_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
+                       clip_eps, value_coef, entropy_coef):
+    x = np.asarray(obs, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
+    old_logp = np.asarray(old_logp, dtype=np.float64)
+    adv = np.asarray(advantages, dtype=np.float64)
+    ret = np.asarray(returns, dtype=np.float64)
+    n = x.shape[0]
+
+    hs = [x]
+    for w, b in zip(params.weights, params.biases):
+        hs.append(np.tanh(hs[-1] @ w + b))
+    h = hs[-1]
+    head_pre = (h @ params.w_policy + params.b_policy)[:, 0]
+    values = (h @ params.w_value + params.b_value)[:, 0]
+    grads = MlpParams(params.kind, params.obs_dim, params.hidden)
+
+    if params.kind == "tl":
+        z = head_pre
+        sig = _sigmoid(z)
+        logp = np.where(actions > 0.5, -_softplus(-z), -_softplus(z))
+        dlogp_dpre = actions - sig
+        entropy = sig * _softplus(-z) + (1.0 - sig) * _softplus(z)
+        dent_dpre = -z * sig * (1.0 - sig)
+    else:
+        t = np.tanh(head_pre)
+        mean = ACTION_SCALE * t
+        std = np.exp(params.log_std[0])
+        zscore = (actions - mean) / std
+        logp = -0.5 * zscore ** 2 - params.log_std[0] - 0.5 * LOG_2PI
+        dlogp_dmean = zscore / std
+        dlogp_dpre = dlogp_dmean * ACTION_SCALE * (1.0 - t ** 2)
+        dlogp_dlogstd = zscore ** 2 - 1.0
+        entropy = np.full(n, 0.5 + 0.5 * LOG_2PI + params.log_std[0])
+
+    log_ratio = logp - old_logp
+    ratio = np.exp(log_ratio)
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv
+    pg_loss = -np.minimum(unclipped, clipped)
+    v_err = values - ret
+    loss = float(np.mean(pg_loss + value_coef * v_err ** 2
+                         - entropy_coef * entropy))
+    if not np.isfinite(loss):
+        return loss, None, {"loss": loss}
+
+    use_unclipped = unclipped <= clipped
+    g_logp = np.where(use_unclipped, -adv * ratio, 0.0) / n
+    g_value = 2.0 * value_coef * v_err / n
+
+    if params.kind == "tl":
+        g_pre = g_logp * dlogp_dpre + (-entropy_coef / n) * dent_dpre
+    else:
+        g_pre = g_logp * dlogp_dpre
+        grads.log_std[0] = np.sum(g_logp * dlogp_dlogstd) - entropy_coef
+
+    gp = g_pre[:, None]
+    gv = g_value[:, None]
+    grads.w_policy[...] = h.T @ gp
+    grads.b_policy[...] = gp.sum(axis=0)
+    grads.w_value[...] = h.T @ gv
+    grads.b_value[...] = gv.sum(axis=0)
+    g_h = gp @ params.w_policy.T + gv @ params.w_value.T
+    for i in range(len(params.weights) - 1, -1, -1):
+        g_z = g_h * (1.0 - hs[i + 1] ** 2)
+        grads.weights[i][...] = hs[i].T @ g_z
+        grads.biases[i][...] = g_z.sum(axis=0)
+        if i > 0:
+            g_h = g_z @ params.weights[i].T
+
+    stats = {
+        "loss": loss,
+        "policy_loss": float(np.mean(pg_loss)),
+        "value_loss": float(np.mean(v_err ** 2)),
+        "entropy": float(np.mean(entropy)),
+        "mean_ratio": float(np.mean(ratio)),
+        "approx_kl": float(np.mean((ratio - 1.0) - log_ratio)),
+        "clip_fraction": float(np.mean(~use_unclipped)),
+    }
+    return loss, grads.flat, stats
+
+
+class TemporariesAdam(Adam):
+    """Reference: `Adam.step` with a new temporary per operation."""
+
+    def step(self, params, grad, max_grad_norm=None):
+        if max_grad_norm is not None:
+            total = np.sqrt(np.sum(grad ** 2))
+            if total > max_grad_norm:
+                grad = grad * (max_grad_norm / (total + 1e-12))
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad ** 2
+        params.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c)
+                                                   + self.eps)
+        return params
+
+
+def ref_compute_gae(rewards, values, last_value, gamma, lam):
+    rewards = np.asarray(rewards, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    n = rewards.shape[0]
+    adv = np.empty(n)
+    next_value = float(last_value)
+    running = 0.0
+    for t in range(n - 1, -1, -1):
+        delta = rewards[t] + gamma * next_value - values[t]
+        running = delta + gamma * lam * running
+        adv[t] = running
+        next_value = values[t]
+    return adv, adv + values
+
+
+def ref_build_batch(segments, gamma, lam):
+    obs, actions, logps, advs, rets = [], [], [], [], []
+    for seg in segments:
+        rewards = [s.reward for s in seg]
+        values = [s.value for s in seg]
+        adv, ret = ref_compute_gae(rewards, values, 0.0, gamma, lam)
+        for s, a, r in zip(seg, adv, ret):
+            obs.append(s.obs)
+            actions.append(s.action)
+            logps.append(s.log_prob)
+            advs.append(a)
+            rets.append(r)
+    return {
+        "obs": np.asarray(obs, dtype=np.float64),
+        "actions": np.asarray(actions, dtype=np.float64),
+        "old_logp": np.asarray(logps, dtype=np.float64),
+        "advantages": np.asarray(advs, dtype=np.float64),
+        "returns": np.asarray(rets, dtype=np.float64),
+    }
+
+
+def ref_ppo_update(params, optimizer, batch, cfg, rng):
+    n = batch["obs"].shape[0]
+    adv = batch["advantages"]
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    stats_acc = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.minibatch_size):
+            idx = order[start:start + cfg.minibatch_size]
+            _, grad, stats = ref_loss_and_grads(
+                params, batch["obs"][idx], batch["actions"][idx],
+                batch["old_logp"][idx], adv[idx], batch["returns"][idx],
+                cfg.clip_eps, cfg.value_coef, cfg.entropy_coef)
+            optimizer.step(params, grad, cfg.max_grad_norm)
+            stats_acc.append(stats)
+    return {k: float(np.mean([s[k] for s in stats_acc]))
+            for k in stats_acc[0]}
+
+
+def random_segments(kind, obs_dim, lengths, seed):
+    rng = np.random.default_rng(seed)
+    segments = []
+    for length in lengths:
+        segments.append([
+            AgentStep("a", kind, rng.normal(size=obs_dim),
+                      float(rng.integers(2)) if kind == "TL"
+                      else float(rng.normal()),
+                      float(rng.normal() - 1.0), float(rng.normal()),
+                      reward=float(rng.normal()), t=t)
+            for t in range(length)])
+    return segments
+
+
+@pytest.mark.parametrize("kind,obs_dim", [("tl", 37), ("cav", 7)])
+def test_loss_and_grads_match_allocating_reference(kind, obs_dim):
+    params = init_params(kind, obs_dim, seed=13)
+    # one workspace for every size: smaller minibatches use its leading rows
+    work = GradWorkspace(params, 512)
+    for n in (1, 7, 416, 512):
+        batch = sample_batch(params, n=n, seed=n)
+        old = batch["old_logp"] + np.random.default_rng(n).normal(0, 0.3, n)
+        args = (params, batch["obs"], batch["actions"], old,
+                batch["advantages"], batch["returns"], 0.2, 0.5, 0.01)
+        want_loss, want_grad, want_stats = ref_loss_and_grads(*args)
+        for kwargs in ({}, {"work": work}):
+            loss, grad, stats = ppo_loss_and_grads(*args, **kwargs)
+            assert loss == want_loss and stats == want_stats
+            assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_build_batch_matches_per_segment_gae():
+    rng = np.random.default_rng(8)
+    lengths = [1, 360, 1] + list(rng.integers(1, 80, size=40)) + [1]
+    for kind, obs_dim in (("TL", 37), ("CAV", 7)):
+        segments = random_segments(kind, obs_dim, lengths, seed=len(kind))
+        buf = RolloutBuffer()
+        for seg in segments:
+            buf.add_segment(seg)
+        for gamma, lam in ((0.99, 0.95), (1.0, 1.0), (0.9, 0.0)):
+            got = buf.build_batch(gamma, lam)
+            want = ref_build_batch(segments, gamma, lam)
+            for key, arr in want.items():
+                assert got[key].shape == arr.shape
+                assert got[key].tobytes() == arr.tobytes(), key
+
+
+@pytest.mark.parametrize("kind,obs_dim", [("tl", 37), ("cav", 7)])
+def test_ppo_update_matches_index_gather_reference(kind, obs_dim):
+    segments = random_segments(kind.upper(), obs_dim,
+                               [1, 90, 7, 120, 30, 52], seed=5)
+    buf = RolloutBuffer()
+    for seg in segments:
+        buf.add_segment(seg)
+    batch = buf.build_batch(0.99, 0.95)
+    # 300 samples: the last minibatch of every epoch is a short one
+    cfg = PpoConfig(epochs=4, minibatch_size=64)
+    params = init_params(kind, obs_dim, seed=2)
+    ref_params = copy.deepcopy(params)
+    opt, ref_opt = Adam(params), TemporariesAdam(ref_params)
+    stats = ppo_update(params, opt, batch, cfg, np.random.default_rng(4))
+    want = ref_ppo_update(ref_params, ref_opt, batch, cfg,
+                          np.random.default_rng(4))
+    assert stats["updates"] == 4 * 5
+    assert {k: stats[k] for k in want} == want
+    for got, ref in ((params.flat, ref_params.flat), (opt.m, ref_opt.m),
+                     (opt.v, ref_opt.v)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_explained_variance_by_hand():
+    # returns (1, 2, 3, 6): mean 3, var (4 + 1 + 0 + 9) / 4 = 3.5;
+    # residuals (0, 1, -1, 2): mean 0.5, var (0.25 + 0.25 + 2.25 + 2.25) / 4
+    # = 1.25; 1 - 1.25 / 3.5 = 9 / 14
+    values = np.array([1.0, 1.0, 4.0, 4.0])
+    returns = np.array([1.0, 2.0, 3.0, 6.0])
+    assert explained_variance(values, returns) == pytest.approx(9 / 14,
+                                                                rel=1e-15)
+    assert explained_variance(returns, returns) == 1.0
+    assert np.isnan(explained_variance(values, np.full(4, 2.0)))
+
+
 # --- buffers and training loop -----------------------------------------------
 
 def test_rollout_buffer_hygiene():
@@ -373,7 +622,7 @@ def test_train_worker_count_does_not_change_results():
 
 
 # Trains a tiny cotv profile and prints the OpenBLAS thread count, the final
-# fingerprints and the reward curves without their wall-clock column.
+# fingerprints and the reward curves without their wall-clock columns.
 TINY_TRAINING = """
 import ctypes, json
 from pathlib import Path
@@ -394,7 +643,8 @@ res = train(grid_scenario("1x1", penetration=1.0, seed=3),
 print(json.dumps({"threads": threads}))
 print(json.dumps({"tl": res.tl_params.fingerprint(),
                   "cav": res.cav_params.fingerprint(),
-                  "curves": [{k: v for k, v in c.items() if k != "wall_s"}
+                  "curves": [{k: v for k, v in c.items()
+                              if k not in ("wall_s", "rollout_s", "update_s")}
                              for c in res.curves]}))
 """
 
