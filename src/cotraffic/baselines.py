@@ -7,8 +7,6 @@ car-following safety.
 """
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 from .simulation import (IdmParams, MIN_GREEN, YELLOW_DURATION, build_sim,
                          idm_accel, step)
@@ -227,10 +225,8 @@ class GlosaController:
         p = sim.idm
         n = len(ids)
         follow = kernels.vehicle_accels(
-            np.array(speed), np.array(lead_speed), np.array(gap),
-            np.array(has_lead, dtype=bool), np.array(v_limit),
-            np.zeros(n, dtype=bool), np.zeros(n),
-            p.a_max, p.b_comfort, p.delta, p.headway, p.s0).tolist()
+            speed, lead_speed, gap, has_lead, v_limit, [False] * n, [0.0] * n,
+            p.a_max, p.b_comfort, p.delta, p.headway, p.s0)
         return {vid: _advise(speed[i], dist[i], v_limit[i], windows[i],
                              follow[i])
                 for i, vid in enumerate(ids)}

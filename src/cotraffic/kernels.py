@@ -2,19 +2,29 @@
 
 Every simulation second touches every active vehicle (car-following
 acceleration, kinematics, safety scans, energy rates). Each kernel is one
-vectorized numpy function over all vehicles of the step. Leaderless rows
-carry a zero gap and non-closing pairs a zero closing speed, so those
-divisors are replaced with ``np.where`` before dividing.
+loop over the vehicles of the step. Its inputs and outputs are lists of
+Python floats (and bools for the flags). A step holds a few dozen vehicles,
+so a numpy call would cost more in fixed overhead than in arithmetic.
 
-Array convention: vehicles are flattened road by road, sorted by position
+The loops do the operations of a row in the order the vectorized form did.
+Their clamps are conditional expressions, which pick the operand that
+``min``/``max`` would pick without the cost of a builtin call.
+The one power, ``(v / v_limit) ** delta``, is Python's ``**``, that is the C
+library's ``pow``. A numpy array power dispatches to a SIMD ``pow`` chosen by
+the CPU's features, which differs from it in the last bit on some inputs; so
+the simulator's output no longer depends on which SIMD extensions numpy
+finds on the host.
+
+Row convention: vehicles are flattened road by road, sorted by position
 ascending within a road, so index ``i + 1`` is the immediate leader of ``i``
 unless ``i`` is the front vehicle of its road. Callers pass leader data
 explicitly (``lead_speed``, ``gap``, ``has_lead``) so that signal stop lines
-can be folded in as virtual leaders before the kernel call.
+can be folded in as virtual leaders before the kernel call. Leaderless rows
+and non-closing pairs skip the terms that would divide by their zero gap or
+closing speed.
 """
+import math
 from types import SimpleNamespace
-
-import numpy as np
 
 # Tractive-power fuel surrogate constants (mid-size gasoline car).
 VEHICLE_MASS_KG = 1500.0
@@ -33,26 +43,31 @@ EMERGENCY_DECEL = 4.5
 # Commanded-acceleration box for controlled vehicles.
 CMD_ACCEL_MAX = 3.0
 
-_BACKEND = SimpleNamespace(name="numpy")
+_BACKEND = SimpleNamespace(name="python")
 
 
 def active_backend():
-    """Record of the kernel implementation; its `name` is always 'numpy'."""
+    """Record of the kernel implementation; its `name` is always 'python'."""
     return _BACKEND
 
 
 def vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
                    a_max, b_comfort, delta, headway, s0):
     """Acceleration for every vehicle: commanded if flagged, else IDM."""
-    two_sqrt_ab = 2.0 * np.sqrt(a_max * b_comfort)
-    free = (speed / v_limit) ** delta
-    a = a_max * (1.0 - free)
-    safe_gap = np.where(has_lead, gap, 1.0)
-    s_star = s0 + speed * headway + speed * (speed - lead_speed) / two_sqrt_ab
-    ratio = s_star / safe_gap
-    a = a - np.where(has_lead, a_max * (ratio * ratio), 0.0)
-    a = np.clip(a, -EMERGENCY_DECEL, a_max)
-    return np.where(is_cmd, np.clip(cmd, -CMD_ACCEL_MAX, CMD_ACCEL_MAX), a)
+    two_sqrt_ab = 2.0 * math.sqrt(a_max * b_comfort)
+    floor, box = -EMERGENCY_DECEL, CMD_ACCEL_MAX
+    out = []
+    for v, v_lead, s, lead, v_lim, commanded, c in zip(
+            speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd):
+        if commanded:
+            out.append(-box if c < -box else box if c > box else c)
+            continue
+        a = a_max * (1.0 - (v / v_lim) ** delta)
+        if lead:
+            ratio = (s0 + v * headway + v * (v - v_lead) / two_sqrt_ab) / s
+            a = a - a_max * (ratio * ratio)
+        out.append(floor if a < floor else a_max if a > a_max else a)
+    return out
 
 
 def kinematics(speed, accel, v_limit, dt=1.0):
@@ -61,28 +76,36 @@ def kinematics(speed, accel, v_limit, dt=1.0):
     Returns (new_speed, dx, effective_accel); the effective acceleration is
     what the clamp actually realized, (v' - v) / dt.
     """
-    new_speed = np.clip(speed + accel * dt, 0.0, v_limit)
-    return new_speed, new_speed * dt, (new_speed - speed) / dt
+    new_speed = [0.0 if (v_new := v + a * dt) < 0.0
+                 else v_lim if v_new > v_lim else v_new
+                 for v, a, v_lim in zip(speed, accel, v_limit)]
+    return (new_speed, [v_new * dt for v_new in new_speed],
+            [(v_new - v) / dt for v_new, v in zip(new_speed, speed)])
 
 
 def ttc_events(gap, speed, lead_speed, has_lead, threshold):
     """Count follower-leader pairs closing with time-to-collision < threshold."""
-    closing = speed - lead_speed
-    ok = has_lead & (closing > 0.0) & (gap > 0.0)
-    safe = np.where(closing > 0.0, closing, 1.0)
-    return int(np.count_nonzero(ok & (gap / safe < threshold)))
+    events = 0
+    for s, v, v_lead, lead in zip(gap, speed, lead_speed, has_lead):
+        closing = v - v_lead
+        if lead and closing > 0.0 and s > 0.0 and s / closing < threshold:
+            events += 1
+    return events
 
 
 def collision_followers(gap, has_lead):
     """Mark followers whose bumper gap to the immediate leader is <= 0."""
-    return has_lead & (gap <= 0.0)
+    return [lead and s <= 0.0 for s, lead in zip(gap, has_lead)]
 
 
 def fuel_co2(speed, accel):
     """Tractive-power fuel and CO2 rates (l/s, g/s) per vehicle."""
     drag = 0.5 * AIR_DENSITY * DRAG_COEF * FRONTAL_AREA_M2
     roll = VEHICLE_MASS_KG * GRAVITY * ROLLING_COEF
-    power = (VEHICLE_MASS_KG * accel * speed + roll * speed
-             + drag * (speed * speed * speed))
-    fuel = IDLE_FUEL_L_S + np.maximum(power, 0.0) / (ENGINE_EFFICIENCY * FUEL_ENERGY_J_L)
-    return fuel, fuel * CO2_G_PER_L
+    energy_per_l = ENGINE_EFFICIENCY * FUEL_ENERGY_J_L
+    fuel = []
+    for v, a in zip(speed, accel):
+        power = VEHICLE_MASS_KG * a * v + roll * v + drag * (v * v * v)
+        fuel.append(IDLE_FUEL_L_S + (0.0 if power < 0.0 else power)
+                    / energy_per_l)
+    return fuel, [rate * CO2_G_PER_L for rate in fuel]

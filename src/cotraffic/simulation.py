@@ -13,11 +13,10 @@ A SimState is single-writer: all mutation flows through `step`. Independent
 states can run in parallel processes without shared mutable data.
 """
 import bisect
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from . import kernels
 from .network import MIN_GAP, VEHICLE_LENGTH, build_insertion_schedule
@@ -172,12 +171,10 @@ def idm_accel(v, v_leader, gap, v_limit, p=None):
     if has_lead and (gap is None or gap <= 0):
         raise ValueError("gap must be positive when a leader is present")
     out = kernels.vehicle_accels(
-        np.array([float(v)]), np.array([float(v_leader) if has_lead else 0.0]),
-        np.array([float(gap) if has_lead else 1.0]),
-        np.array([has_lead]), np.array([float(v_limit)]),
-        np.array([False]), np.array([0.0]),
-        p.a_max, p.b_comfort, p.delta, p.headway, p.s0)
-    return float(out[0])
+        [float(v)], [float(v_leader) if has_lead else 0.0],
+        [float(gap) if has_lead else 1.0], [has_lead], [float(v_limit)],
+        [False], [0.0], p.a_max, p.b_comfort, p.delta, p.headway, p.s0)
+    return out[0]
 
 
 def red_light_virtual_leader(vehicle, light, road, b_comfort=1.5):
@@ -244,8 +241,8 @@ def _safe_insertion_speed(drawn, road_front, p):
     tail_veh, gap = road_front
     if gap <= p.s0:
         return 0.0
-    v_safe = np.sqrt(tail_veh.speed ** 2 + 2.0 * p.b_comfort * (gap - p.s0))
-    return min(drawn, float(v_safe))
+    v_safe = math.sqrt(tail_veh.speed ** 2 + 2.0 * p.b_comfort * (gap - p.s0))
+    return min(drawn, v_safe)
 
 
 def _attempt_insertions(sim, now):
@@ -283,36 +280,34 @@ class ScanView(NamedTuple):
     """Active vehicles flattened road by road, each road rear to front in
     its `road_order`, with each vehicle's in-road leader: row i + 1 leads
     row i unless row i is the front vehicle of its road (`has_lead` False,
-    zero gap and leader speed)."""
+    zero gap and leader speed). Every column is a list, of Python floats
+    for `speed`, `lead_speed` and `gap` and of bools for `has_lead`."""
     ids: list
-    speed: np.ndarray
-    lead_speed: np.ndarray
-    gap: np.ndarray
-    has_lead: np.ndarray
+    speed: list
+    lead_speed: list
+    gap: list
+    has_lead: list
 
 
 def scan_view(sim):
     """Build the ScanView of the current state."""
-    ids, fronts = [], []
+    ids, speed, lead_speed, gap, has_lead = [], [], [], [], []
+    vehicles = sim.vehicles
     for road_id in sim.network.roads:
         order = sim.road_order[road_id]
-        if order:
-            ids.extend(order)
-            fronts.append(len(ids) - 1)
-    vehs = [sim.vehicles[vid] for vid in ids]
-    pos = np.array([v.position for v in vehs])
-    speed = np.array([v.speed for v in vehs])
-    rear = pos - np.array([v.length for v in vehs])
-    n = len(ids)
-    has_lead = np.ones(n, dtype=bool)
-    lead_speed = np.zeros(n)
-    gap = np.zeros(n)
-    lead_speed[:-1] = speed[1:]
-    gap[:-1] = rear[1:] - pos[:-1]
-    fronts = np.array(fronts, dtype=np.intp)
-    has_lead[fronts] = False
-    lead_speed[fronts] = 0.0
-    gap[fronts] = 0.0
+        if not order:
+            continue
+        vehs = [vehicles[vid] for vid in order]
+        road_speed = [veh.speed for veh in vehs]
+        ids += order
+        speed += road_speed
+        lead_speed += road_speed[1:]
+        lead_speed.append(0.0)
+        gap += [lead.position - lead.length - veh.position
+                for veh, lead in zip(vehs, vehs[1:])]
+        gap.append(0.0)
+        has_lead += [True] * (len(order) - 1)
+        has_lead.append(False)
     return ScanView(ids, speed, lead_speed, gap, has_lead)
 
 
@@ -330,7 +325,9 @@ def detect_collisions(sim, view=None):
     hit = kernels.collision_followers(view.gap, view.has_lead)
     events = []
     to_remove = set()
-    for i in np.nonzero(hit)[0]:
+    for i, collided in enumerate(hit):
+        if not collided:
+            continue
         follower, leader = view.ids[i], view.ids[i + 1]
         events.append(CollisionEvent(sim.clock, sim.vehicles[follower].road,
                                      follower, leader))
@@ -353,22 +350,22 @@ def count_ttc_events(sim, threshold=TTC_THRESHOLD, view=None):
         view = scan_view(sim)
     if not view.ids:
         return 0
-    events = int(kernels.ttc_events(view.gap, view.speed, view.lead_speed,
-                                    view.has_lead, float(threshold)))
+    events = kernels.ttc_events(view.gap, view.speed, view.lead_speed,
+                                view.has_lead, float(threshold))
     sim.ttc_event_count += events
     return events
 
 
 def fuel_rate(v, a):
     """Fuel burn in l/s from the tractive-power surrogate."""
-    fuel, _ = kernels.fuel_co2(np.array([float(v)]), np.array([float(a)]))
-    return float(fuel[0])
+    fuel, _ = kernels.fuel_co2([float(v)], [float(a)])
+    return fuel[0]
 
 
 def co2_rate(v, a):
     """CO2 in g/s, proportional to fuel burn."""
-    _, co2 = kernels.fuel_co2(np.array([float(v)]), np.array([float(a)]))
-    return float(co2[0])
+    _, co2 = kernels.fuel_co2([float(v)], [float(a)])
+    return co2[0]
 
 
 class TraceWriter:
@@ -449,15 +446,13 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
         p = sim.idm
         n = len(vehs)
         if cav_accels:
-            is_cmd = np.array([veh.id in cav_accels for veh in vehs])
-            cmd = np.array([cav_accels.get(veh.id, 0.0) for veh in vehs])
+            is_cmd = [veh.id in cav_accels for veh in vehs]
+            cmd = [cav_accels.get(veh.id, 0.0) for veh in vehs]
         else:
-            is_cmd, cmd = np.zeros(n, dtype=bool), np.zeros(n)
-        speed = np.array(speed)
-        v_limit = np.array([road.speed_limit for road in roads_of])
+            is_cmd, cmd = [False] * n, [0.0] * n
+        v_limit = [road.speed_limit for road in roads_of]
         accel = kernels.vehicle_accels(
-            speed, np.array(lead_speed), np.array(gap),
-            np.array(has_lead, dtype=bool), v_limit, is_cmd, cmd,
+            speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
             p.a_max, p.b_comfort, p.delta, p.headway, p.s0)
         new_speed, dx, eff_accel = kernels.kinematics(
             speed, accel, v_limit, DT)
@@ -468,8 +463,7 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
         transfers = []
         lights = sim.lights
         for i, (veh, road, moved, v_new, a_new) in enumerate(zip(
-                vehs, roads_of, dx.tolist(), new_speed.tolist(),
-                eff_accel.tolist())):
+                vehs, roads_of, dx, new_speed, eff_accel)):
             x_new = veh.position + moved
             if x_new >= road.length:
                 if veh.route_index + 1 >= len(veh.route):
@@ -505,7 +499,7 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
             dest.insert(bisect.bisect_left(keys, veh.position), veh.id)
 
         fuel, co2 = kernels.fuel_co2(new_speed, eff_accel)
-        for veh, fuel_l, co2_g in zip(vehs, fuel.tolist(), co2.tolist()):
+        for veh, fuel_l, co2_g in zip(vehs, fuel, co2):
             veh.fuel_l += fuel_l * DT
             veh.co2_g += co2_g * DT
 

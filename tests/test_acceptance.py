@@ -6,7 +6,9 @@ variant, and the no-cooperation ablation, and prints one PASS/FAIL line per
 criterion (run with `pytest -s tests/test_acceptance.py` to see them live).
 Training fixtures take a few minutes total on one core.
 """
+import contextlib
 import csv
+import ctypes
 import json
 import math
 import time
@@ -51,6 +53,33 @@ def _put(sim, vid, road, position, speed=0.0, accel=0.0, kind="HDV"):
     return veh
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread, then restore its count.
+
+    `time.process_time()` counts every thread of the process, OpenBLAS's
+    workers included, so their spinning would be charged to the training
+    that happens to run a matmul. Training itself is identical at any
+    thread count (tests/test_ppo.py checks that).
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if not found:
+        yield
+        return
+    lib = ctypes.CDLL(str(found[0]))
+    get_threads = lib.scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads = lib.scipy_openblas_set_num_threads64_
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def _fresh_sim():
     sim = build_sim(grid_scenario("1x1", penetration=0.0, seed=1))
     sim.pending = []
@@ -64,11 +93,12 @@ def cotv_dirs(tmp_path_factory):
     dirs = []
     for tag in ("a", "b"):
         out = tmp_path_factory.mktemp(f"cotv_{tag}")
-        cpu0 = time.process_time()
-        code = cli_main(["train", "--method", "cotv", "--grid", "1x1",
-                         "--profile", "ci", "--seed", str(SEED),
-                         "--out", str(out)])
-        TRAIN_CPU_S.setdefault("cotv", time.process_time() - cpu0)
+        with _one_blas_thread():
+            cpu0 = time.process_time()
+            code = cli_main(["train", "--method", "cotv", "--grid", "1x1",
+                             "--profile", "ci", "--seed", str(SEED),
+                             "--out", str(out)])
+            TRAIN_CPU_S.setdefault("cotv", time.process_time() - cpu0)
         assert code == 0
         dirs.append(out)
     return dirs
@@ -89,10 +119,11 @@ def cotv_params(cotv_dirs):
 @pytest.fixture(scope="module")
 def star_result():
     scen = grid_scenario("1x1", penetration=1.0, seed=SEED)
-    cpu0 = time.process_time()
-    result = train(scen, EnvConfig(CooperationMode.COTV_STAR), ci_profile(),
-                   seed=SEED)
-    TRAIN_CPU_S["cotv-star"] = time.process_time() - cpu0
+    with _one_blas_thread():
+        cpu0 = time.process_time()
+        result = train(scen, EnvConfig(CooperationMode.COTV_STAR),
+                       ci_profile(), seed=SEED)
+        TRAIN_CPU_S["cotv-star"] = time.process_time() - cpu0
     return result
 
 
@@ -383,7 +414,7 @@ def test_criterion_10_scalability(cotv_dirs, cotv_params, cotv_agg, star_result)
         cotv_wall = json.load(fh)["wall_time_s"]
     star_wall = star_result.wall_time_s
     # the gate reads CPU time, which host load does not inflate as it does
-    # wall time; both are printed
+    # wall time, taken with OpenBLAS on one thread; both are printed
     cotv_cpu, star_cpu = TRAIN_CPU_S["cotv"], TRAIN_CPU_S["cotv-star"]
 
     # per-step agent bound in the closest-only mode

@@ -2,8 +2,6 @@
 checkpoint it evaluates must load to the fingerprints it pins."""
 from pathlib import Path
 
-import numpy as np
-
 from cotraffic import kernels
 from cotraffic.policy import load_checkpoint
 
@@ -15,15 +13,14 @@ def test_tracer_wraps_every_layer_and_restores(monkeypatch):
     import tracer
 
     with tracer.Tracer(tracer.LAYER_WRAPS) as t:
-        kernels.collision_followers(np.array([1.0, -1.0]),
-                                    np.array([True, True]))
+        kernels.collision_followers([1.0, -1.0], [True, True])
     assert t.restored()
     assert t.names[t.name_id[-1]] == "kernels.collision_followers"
     assert t.rows[-1] == 2
 
 
 def test_kernel_backend_record():
-    assert kernels.active_backend().name == "numpy"
+    assert kernels.active_backend().name == "python"
 
 
 def test_benchmark_checkpoint_fingerprints(monkeypatch):

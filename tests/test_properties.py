@@ -65,8 +65,7 @@ def loop_view(sim):
 def assert_view_is_current(sim, view):
     """The view a scan was handed equals the reference built from the state
     the scan reads, bit for bit."""
-    assert (view.ids, view.speed.tolist(), view.lead_speed.tolist(),
-            view.gap.tolist(), view.has_lead.tolist()) == loop_view(sim)
+    assert tuple(view) == loop_view(sim)
 
 
 class OracleScans:
