@@ -8,8 +8,8 @@ car-following safety.
 from dataclasses import dataclass
 
 from . import kernels
-from .simulation import (IdmParams, MIN_GREEN, YELLOW_DURATION, build_sim,
-                         idm_accel, step)
+# idm_accel is not called here; perfbench/tracer.py wraps it at this name
+from .simulation import MIN_GREEN, YELLOW_DURATION, build_sim, idm_accel, step
 
 GLOSA_ACCEL_LIMIT = 3.0
 
@@ -144,7 +144,14 @@ def _earliest_arrival(v, dist, v_max, a=GLOSA_ACCEL_LIMIT):
 
 def _advise(v, dist_to_stop, v_star, windows, follow):
     """The advisory rule for one vehicle, given its next two green windows
-    and its car-following acceleration `follow`."""
+    and its car-following acceleration `follow`.
+
+    If the vehicle can reach the line within the current green it follows
+    the car-following law; otherwise it aims a constant speed
+    dist/time-to-next-green, clamped to [0, v*], as accel = clip(v_t - v,
+    -3, 3). A real leader always caps the advice at the car-following
+    acceleration.
+    """
     now_window, next_window = windows
     if now_window[0] == 0.0 and _earliest_arrival(v, dist_to_stop, v_star) <= now_window[1]:
         return max(min(follow, GLOSA_ACCEL_LIMIT), -GLOSA_ACCEL_LIMIT)
@@ -154,35 +161,14 @@ def _advise(v, dist_to_stop, v_star, windows, follow):
     return max(min(advice, follow), -GLOSA_ACCEL_LIMIT)
 
 
-def glosa_advice(vehicle, light, dist_to_stop, road, durations,
-                 leader=None, idm=None):
-    """Target acceleration from the predicted signal schedule.
-
-    If the vehicle can reach the line within the current green it follows the
-    car-following law; otherwise it aims a constant speed dist/time-to-next-
-    green, clamped to [0, v*], as accel = clip(v_t - v, -3, 3). A real leader
-    always caps the advice at the car-following acceleration.
-    """
-    idm = idm or IdmParams()
-    v = vehicle.speed
-    v_star = road.speed_limit
-    if leader is not None:
-        follow = idm_accel(v, leader[0], leader[1], v_star, idm)
-    else:
-        follow = idm_accel(v, None, None, v_star, idm)
-    return _advise(v, dist_to_stop, v_star,
-                   _green_windows(light, durations, road.approach), follow)
-
-
 class GlosaController:
     """Speed advice for every CAV on a signal approach road.
 
     Runs on top of the actuated plan and projects its greens at max-green
     length, since its gap-outs are not knowable ahead of time. Each step
     gathers every advised CAV, computes their car-following accelerations in
-    one `kernels.vehicle_accels` call and applies `glosa_advice`'s rule per
-    vehicle, with the green windows projected once per road. The result
-    equals `glosa_advice` called per vehicle, bit for bit.
+    one `kernels.vehicle_accels` call and applies `_advise` per vehicle, with
+    the green windows projected once per road.
     """
 
     def __init__(self):

@@ -180,12 +180,6 @@ def _distribution(params, head_pre):
                           float(params.log_std[0]))
 
 
-def policy_forward(params, obs):
-    """Distribution and value estimate for one observation."""
-    head_pre, values, _ = forward(params, np.asarray(obs)[None, :])
-    return _distribution(params, float(head_pre[0])), float(values[0])
-
-
 class Policy:
     """Binds one agent type's shared params to the sample/greedy action API.
 

@@ -8,9 +8,13 @@ vehicles. The buffer is emptied after every iteration. Everything is
 deterministic given the seed, including episode scheduling across worker
 processes.
 """
+import contextlib
+import ctypes
 import os
+import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -199,11 +203,48 @@ class TrainResult:
         return [c[key] for c in self.curves]
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then
+    restore the previous thread count.
+
+    With two or more threads OpenBLAS splits the inner axis of a product
+    such as the (64 x K) @ (K x 64) hidden-weight gradient and sums the
+    parts, so for some minibatch sizes K (the first is 385) the result
+    differs in the last bit from the one-thread result. One thread makes
+    training independent of the host's core count. Without the bundled
+    library's thread control the block runs at the BLAS's own count, and a
+    note on stderr says so.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(found[0]))
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        print("note: numpy's OpenBLAS thread control "
+              "(scipy_openblas_set_num_threads64_) was not found; training "
+              "runs at the BLAS's own thread count, and its result may "
+              "depend on that count", file=sys.stderr)
+        yield
+        return
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def episode_seed(seed, iteration, episode):
     """Deterministic per-episode seed, independent of worker scheduling."""
     return np.random.SeedSequence((seed, iteration, episode))
 
 
+@one_blas_thread()
 def train(scenario, env_cfg=None, cfg=None, seed=0, tl_plan=None,
           workers=None, progress=None):
     """Run the full training loop; returns parameters and reward curves.
@@ -211,7 +252,8 @@ def train(scenario, env_cfg=None, cfg=None, seed=0, tl_plan=None,
     `tl_plan` names a non-learned signal plan ("static"/"actuated") for
     configurations whose lights are not agents. Worker count comes from the
     argument, else COTRAFFIC_WORKERS, else 1; results are identical for any
-    value.
+    value. It runs on one BLAS thread (`one_blas_thread`), so results are
+    identical for any BLAS thread count too.
     """
     env_cfg = env_cfg or EnvConfig()
     cfg = cfg or PpoConfig()

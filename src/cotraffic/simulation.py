@@ -280,9 +280,14 @@ class ScanView(NamedTuple):
     """Active vehicles flattened road by road, each road rear to front in
     its `road_order`, with each vehicle's in-road leader: row i + 1 leads
     row i unless row i is the front vehicle of its road (`has_lead` False,
-    zero gap and leader speed). Every column is a list, of Python floats
-    for `speed`, `lead_speed` and `gap` and of bools for `has_lead`."""
+    zero gap and leader speed). `vehs` and `roads` hold each row's Vehicle
+    and Road, and `fronts` the row of every road's front vehicle, in road
+    order. Every column is a list, of Python floats for `speed`,
+    `lead_speed` and `gap` and of bools for `has_lead`."""
     ids: list
+    vehs: list
+    roads: list
+    fronts: list
     speed: list
     lead_speed: list
     gap: list
@@ -290,25 +295,30 @@ class ScanView(NamedTuple):
 
 
 def scan_view(sim):
-    """Build the ScanView of the current state."""
-    ids, speed, lead_speed, gap, has_lead = [], [], [], [], []
-    vehicles = sim.vehicles
-    for road_id in sim.network.roads:
-        order = sim.road_order[road_id]
-        if not order:
-            continue
-        vehs = [vehicles[vid] for vid in order]
-        road_speed = [veh.speed for veh in vehs]
-        ids += order
-        speed += road_speed
-        lead_speed += road_speed[1:]
-        lead_speed.append(0.0)
-        gap += [lead.position - lead.length - veh.position
-                for veh, lead in zip(vehs, vehs[1:])]
-        gap.append(0.0)
-        has_lead += [True] * (len(order) - 1)
-        has_lead.append(False)
-    return ScanView(ids, speed, lead_speed, gap, has_lead)
+    """Build the ScanView of the current state: one walk over the roads
+    collects the rows, then each column is one pass over the whole fleet,
+    and the front rows are patched afterwards."""
+    ids, roads, fronts = [], [], []
+    road_order = sim.road_order
+    for road_id, road in sim.network.roads.items():
+        order = road_order[road_id]
+        if order:
+            ids += order
+            roads += [road] * len(order)
+            fronts.append(len(ids) - 1)
+    vehs = list(map(sim.vehicles.__getitem__, ids))
+    speed = [veh.speed for veh in vehs]
+    # the last row is a road front, so its placeholder is always patched
+    last = [0.0] if ids else []
+    lead_speed = speed[1:] + last
+    gap = [lead.position - lead.length - veh.position
+           for veh, lead in zip(vehs, vehs[1:])] + last
+    has_lead = [True] * len(ids)
+    for i in fronts:
+        lead_speed[i] = gap[i] = 0.0
+        has_lead[i] = False
+    return ScanView(ids, vehs, roads, fronts, speed, lead_speed, gap,
+                    has_lead)
 
 
 def detect_collisions(sim, view=None):
@@ -356,18 +366,6 @@ def count_ttc_events(sim, threshold=TTC_THRESHOLD, view=None):
     return events
 
 
-def fuel_rate(v, a):
-    """Fuel burn in l/s from the tractive-power surrogate."""
-    fuel, _ = kernels.fuel_co2([float(v)], [float(a)])
-    return fuel[0]
-
-
-def co2_rate(v, a):
-    """CO2 in g/s, proportional to fuel burn."""
-    _, co2 = kernels.fuel_co2([float(v)], [float(a)])
-    return co2[0]
-
-
 class TraceWriter:
     """Line-oriented per-step trace: t vehicle road position speed accel."""
 
@@ -388,8 +386,10 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
     Order: signal transitions, accelerations (commanded or car-following
     with stop-line virtual leaders), kinematics, road transfers and stop-line
     holds, energy accounting, arrivals, insertions, clock, collision and
-    conflict scans, phase timers. The two scans share one ScanView of the
-    settled state; it is built again only when a collision removed vehicles.
+    conflict scans, phase timers. The acceleration inputs come from the
+    ScanView of the pre-move state, with the front rows patched. The two
+    scans share one ScanView of the settled state; it is built again only
+    when a collision removed vehicles. No view outlives the call.
     """
     tl_actions = tl_actions or {}
     cav_accels = cav_accels or {}
@@ -405,27 +405,15 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
     for light_id, light in sim.lights.items():
         apply_tl_action(light, tl_actions.get(light_id, 0))
 
-    # the active vehicles flattened road by road, each road rear to front
-    vehicles = sim.vehicles
-    vehs, roads_of, fronts = [], [], []
-    for road_id, road in sim.network.roads.items():
-        order = sim.road_order[road_id]
-        if order:
-            vehs += [vehicles[vid] for vid in order]
-            roads_of += [road] * len(order)
-            fronts.append(len(vehs) - 1)
-
+    # acceleration inputs from the pre-move view: row i + 1 leads row i,
+    # except that a road's front row faces a standing virtual leader at the
+    # stop line, the tail of its continuation road, or nothing
+    view = scan_view(sim)
+    vehs, roads_of, speed = view.vehs, view.roads, view.speed
     if vehs:
-        # acceleration inputs: row i + 1 leads row i, except that a road's
-        # front row faces a standing virtual leader at the stop line, the
-        # tail of its continuation road, or nothing (the last row is a road
-        # front, so its placeholder entries are always overwritten)
-        speed = [veh.speed for veh in vehs]
-        lead_speed = speed[1:] + [0.0]
-        gap = [max(lead.position - lead.length - veh.position, 1e-9)
-               for veh, lead in zip(vehs, vehs[1:])] + [0.0]
-        has_lead = [True] * len(vehs)
-        for i in fronts:
+        lead_speed, has_lead = view.lead_speed, view.has_lead
+        gap = [1e-9 if g < 1e-9 else g for g in view.gap]
+        for i in view.fronts:
             front, road = vehs[i], roads_of[i]
             light = (sim.lights.get(road.approach_intersection)
                      if road.approach_intersection else None)
@@ -439,15 +427,15 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
                 if tail is not None:
                     virtual = tail[0].speed, max(tail[1], 1e-9)
             if virtual is None:
-                lead_speed[i], gap[i], has_lead[i] = 0.0, 0.0, False
+                gap[i] = 0.0    # the view's leaderless gap, before the floor
             else:
-                lead_speed[i], gap[i] = virtual
+                (lead_speed[i], gap[i]), has_lead[i] = virtual, True
 
         p = sim.idm
         n = len(vehs)
         if cav_accels:
-            is_cmd = [veh.id in cav_accels for veh in vehs]
-            cmd = [cav_accels.get(veh.id, 0.0) for veh in vehs]
+            is_cmd = [vid in cav_accels for vid in view.ids]
+            cmd = [cav_accels.get(vid, 0.0) for vid in view.ids]
         else:
             is_cmd, cmd = [False] * n, [0.0] * n
         v_limit = [road.speed_limit for road in roads_of]
@@ -461,7 +449,7 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
         # are position-inserted against settled (post-move) occupants only
         arrivals = []
         transfers = []
-        lights = sim.lights
+        vehicles, lights = sim.vehicles, sim.lights
         for i, (veh, road, moved, v_new, a_new) in enumerate(zip(
                 vehs, roads_of, dx, new_speed, eff_accel)):
             x_new = veh.position + moved

@@ -6,9 +6,7 @@ variant, and the no-cooperation ablation, and prints one PASS/FAIL line per
 criterion (run with `pytest -s tests/test_acceptance.py` to see them live).
 Training fixtures take a few minutes total on one core.
 """
-import contextlib
 import csv
-import ctypes
 import json
 import math
 import time
@@ -25,7 +23,7 @@ from cotraffic.metrics import aggregate_reports, compare_table, write_compare_cs
 from cotraffic.network import build_grid, build_insertion_schedule, grid_scenario
 from cotraffic.policy import (Policy, init_params, load_checkpoint,
                               ppo_loss_and_grads)
-from cotraffic.ppo import ci_profile, compute_gae, train
+from cotraffic.ppo import ci_profile, compute_gae, one_blas_thread, train
 from cotraffic.rollout import evaluate_baseline, evaluate_policy
 from cotraffic.simulation import (IdmParams, Vehicle, build_sim, idm_accel,
                                   make_light, step)
@@ -33,7 +31,10 @@ from cotraffic.simulation import (IdmParams, Vehicle, build_sim, idm_accel,
 SEED = 7
 EVAL_SEEDS = [SEED + 100_000 + i for i in range(18)]
 EVAL_HORIZON = 720
-# CPU seconds of the criterion-10 trainings, filled in by their fixtures
+# CPU seconds of the criterion-10 trainings, filled in by their fixtures.
+# They are taken with OpenBLAS on one thread: `time.process_time()` counts
+# every thread of the process, OpenBLAS's workers included, so their spinning
+# would be charged to the training that happens to run a matmul.
 TRAIN_CPU_S = {}
 
 
@@ -53,33 +54,6 @@ def _put(sim, vid, road, position, speed=0.0, accel=0.0, kind="HDV"):
     return veh
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin numpy's bundled OpenBLAS to one thread, then restore its count.
-
-    `time.process_time()` counts every thread of the process, OpenBLAS's
-    workers included, so their spinning would be charged to the training
-    that happens to run a matmul. Training itself is identical at any
-    thread count (tests/test_ppo.py checks that).
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_*.so"))
-    if not found:
-        yield
-        return
-    lib = ctypes.CDLL(str(found[0]))
-    get_threads = lib.scipy_openblas_get_num_threads64_
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads = lib.scipy_openblas_set_num_threads64_
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def _fresh_sim():
     sim = build_sim(grid_scenario("1x1", penetration=0.0, seed=1))
     sim.pending = []
@@ -93,7 +67,7 @@ def cotv_dirs(tmp_path_factory):
     dirs = []
     for tag in ("a", "b"):
         out = tmp_path_factory.mktemp(f"cotv_{tag}")
-        with _one_blas_thread():
+        with one_blas_thread():
             cpu0 = time.process_time()
             code = cli_main(["train", "--method", "cotv", "--grid", "1x1",
                              "--profile", "ci", "--seed", str(SEED),
@@ -119,7 +93,7 @@ def cotv_params(cotv_dirs):
 @pytest.fixture(scope="module")
 def star_result():
     scen = grid_scenario("1x1", penetration=1.0, seed=SEED)
-    with _one_blas_thread():
+    with one_blas_thread():
         cpu0 = time.process_time()
         result = train(scen, EnvConfig(CooperationMode.COTV_STAR),
                        ci_profile(), seed=SEED)

@@ -2,14 +2,32 @@
 import numpy as np
 import pytest
 
+from cotraffic import baselines
 from cotraffic.baselines import (ActuatedConfig, ActuatedController,
-                                 BaselineController, StaticPlan, glosa_advice, max_pressure_tick,
-                                 static_tick)
+                                 BaselineController, StaticPlan,
+                                 max_pressure_tick, static_tick)
 from cotraffic.network import build_grid, grid_scenario
 from cotraffic.simulation import (YELLOW_DURATION, IdmParams, Vehicle,
                                   idm_accel, make_light, step)
 
 from test_simulation import empty_sim, put_vehicle
+
+
+def glosa_advice(vehicle, light, dist_to_stop, road, durations,
+                 leader=None, idm=None):
+    """Reference for `GlosaController.commands`: the advisory for one
+    vehicle, with its car-following acceleration from the scalar
+    `idm_accel`. `leader` is (speed, gap) or None."""
+    idm = idm or IdmParams()
+    v = vehicle.speed
+    v_star = road.speed_limit
+    if leader is not None:
+        follow = idm_accel(v, leader[0], leader[1], v_star, idm)
+    else:
+        follow = idm_accel(v, None, None, v_star, idm)
+    return baselines._advise(
+        v, dist_to_stop, v_star,
+        baselines._green_windows(light, durations, road.approach), follow)
 
 
 def test_static_tick_fires_at_planned_duration():

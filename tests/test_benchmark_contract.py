@@ -1,9 +1,13 @@
-"""The names the benchmark's tracer wraps and records must exist, and the
-checkpoint it evaluates must load to the fingerprints it pins."""
+"""The names the benchmark's tracer wraps and records must exist, the
+checkpoint it evaluates must load to the fingerprints it pins, and the
+episode results its pool probe compares must keep the fields it reads."""
+import dataclasses
 from pathlib import Path
 
-from cotraffic import kernels
-from cotraffic.policy import load_checkpoint
+from cotraffic import kernels, rollout
+from cotraffic.env import cav_obs_dim, tl_obs_dim
+from cotraffic.network import grid_scenario
+from cotraffic.policy import init_params, load_checkpoint
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,3 +35,24 @@ def test_benchmark_checkpoint_fingerprints(monkeypatch):
         params, _ = load_checkpoint(
             workloads.CHECKPOINT_DIR / f"checkpoint_{kind}.npz")
         assert params.fingerprint() == want
+
+
+def test_pool_probe_reads_every_result_field(monkeypatch):
+    # perfbench's pool probe compares two collect_episodes results with
+    # workloads.segments_equal, which reads EpisodeResult.collisions,
+    # .completed and .ttc_events and every attribute of every record
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    scen = grid_scenario("1x1", penetration=1.0, seed=3)
+    tl = init_params("tl", tl_obs_dim(scen.network, workloads.COTV.mode),
+                     seed=1)
+    cav = init_params("cav", cav_obs_dim(workloads.COTV.mode), seed=1)
+    a, b = (rollout.collect_episodes(scen, workloads.COTV, tl, cav, [1, 2],
+                                     60, workers=1) for _ in range(2))
+    assert workloads.segments_equal(a, b)
+    for name in ("collisions", "completed", "ttc_events"):
+        changed = [dataclasses.replace(b[0], **{name: getattr(b[0], name) + 1})]
+        assert not workloads.segments_equal(a[:1], changed)
+    b[0].segments["TL"][0][-1].reward += 1.0
+    assert not workloads.segments_equal(a, b)

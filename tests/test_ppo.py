@@ -1,5 +1,6 @@
 """Networks, GAE, the clipped update, and training-loop bookkeeping."""
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -9,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cotraffic import ppo
 from cotraffic.env import AgentStep, CooperationMode, EnvConfig
 from cotraffic.network import grid_scenario
 from cotraffic.policy import (ACTION_SCALE, LOG_2PI, Adam, BernoulliAction,
                               GaussianAction, GradWorkspace, MlpParams,
-                              Policy, _sigmoid, _softplus, init_params,
-                              load_checkpoint, policy_forward,
+                              Policy, _distribution, _sigmoid, _softplus,
+                              forward, init_params, load_checkpoint,
                               ppo_loss_and_grads, save_checkpoint)
 from cotraffic.ppo import (NonFiniteLossError, PpoConfig, RolloutBuffer,
                            ci_profile, compute_gae, explained_variance,
@@ -31,6 +33,13 @@ def zero_params(kind, obs_dim, hidden=(4, 3)):
 
 
 # --- forward pass ------------------------------------------------------------
+
+def policy_forward(params, obs):
+    """Distribution and value estimate for one observation, through the
+    batched `forward` that `Policy.act` runs."""
+    head_pre, values, _ = forward(params, np.asarray(obs)[None, :])
+    return _distribution(params, float(head_pre[0])), float(values[0])
+
 
 def test_policy_forward_zero_weights():
     dist, value = policy_forward(zero_params("tl", 5), np.zeros(5))
@@ -621,26 +630,27 @@ def test_train_worker_count_does_not_change_results():
     assert a.tl_params.fingerprint() == b.tl_params.fingerprint()
 
 
-# Trains a tiny cotv profile and prints the OpenBLAS thread count, the final
+# Trains cotv with the PpoConfig fields given as JSON in argv[1] and prints
+# the OpenBLAS thread count before and after `train`, then the final
 # fingerprints and the reward curves without their wall-clock columns.
-TINY_TRAINING = """
-import ctypes, json
+TRAINING = """
+import ctypes, json, sys
 from pathlib import Path
 import numpy as np
 from cotraffic.env import CooperationMode, EnvConfig
 from cotraffic.network import grid_scenario
 from cotraffic.ppo import PpoConfig, train
-threads = None
-libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
-    get_threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    threads = get_threads()
-cfg = PpoConfig(iterations=3, episodes_per_iter=2, horizon=120,
-                minibatch_size=256)
+def threads():
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        get_threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return get_threads()
+before = threads()
 res = train(grid_scenario("1x1", penetration=1.0, seed=3),
-            EnvConfig(CooperationMode.COTV), cfg, seed=7)
-print(json.dumps({"threads": threads}))
+            EnvConfig(CooperationMode.COTV),
+            PpoConfig(**json.loads(sys.argv[1])), seed=7)
+print(json.dumps([before, threads()]))
 print(json.dumps({"tl": res.tl_params.fingerprint(),
                   "cav": res.cav_params.fingerprint(),
                   "curves": [{k: v for k, v in c.items()
@@ -649,7 +659,9 @@ print(json.dumps({"tl": res.tl_params.fingerprint(),
 """
 
 
-def test_training_does_not_depend_on_blas_thread_count():
+def train_at_two_blas_settings(**cfg):
+    """Runs TRAINING in child processes with OPENBLAS_NUM_THREADS=1 and with
+    the variable unset; returns (thread counts, result) of each run."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for pinned in (True, False):
@@ -659,14 +671,48 @@ def test_training_does_not_depend_on_blas_thread_count():
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         if pinned:
             env["OPENBLAS_NUM_THREADS"] = "1"
-        proc = subprocess.run([sys.executable, "-c", TINY_TRAINING], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = subprocess.run([sys.executable, "-c", TRAINING, json.dumps(cfg)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
         assert proc.returncode == 0, proc.stderr
         threads, result = proc.stdout.strip().split("\n")
-        outputs.append((threads, result))
-    (pinned_threads, pinned_result), (_, default_result) = outputs
-    assert pinned_threads in ('{"threads": 1}', '{"threads": null}')
+        outputs.append((json.loads(threads), json.loads(result)))
+    return outputs
+
+
+def test_training_does_not_depend_on_blas_thread_count():
+    (pinned_threads, pinned_result), (_, default_result) = (
+        train_at_two_blas_settings(iterations=3, episodes_per_iter=2,
+                                   horizon=120, minibatch_size=256))
+    assert pinned_threads in ([1, 1], [None, None])
     assert pinned_result == default_result
+
+
+def test_thread_sensitive_minibatch_does_not_depend_on_blas_thread_count():
+    # One CAV minibatch of 385-511 rows. With two or more threads OpenBLAS
+    # splits the K axis of the (64 x K) @ (K x 64) hidden-weight gradient
+    # for many K from 385 on and sums the parts, which moves the last bit;
+    # the minibatches of the test above hold at most 256 rows.
+    (pinned_threads, pinned_result), (default_threads, default_result) = (
+        train_at_two_blas_settings(iterations=1, episodes_per_iter=2,
+                                   horizon=100, minibatch_size=512))
+    assert 385 <= pinned_result["curves"][0]["cav_steps"] < 512
+    assert pinned_threads in ([1, 1], [None, None])
+    # `train` hands back the thread count it found
+    assert default_threads[0] == default_threads[1]
+    assert pinned_result == default_result
+
+
+def test_missing_blas_thread_control_is_reported(monkeypatch, capsys):
+    def no_library(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(ppo.ctypes, "CDLL", no_library)
+    ran = []
+    with ppo.one_blas_thread():
+        ran.append(True)
+    assert ran == [True]
+    assert "scipy_openblas_set_num_threads64_" in capsys.readouterr().err
 
 
 def test_parameter_sharing_single_set_per_type():

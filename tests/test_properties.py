@@ -4,14 +4,15 @@ accelerations. After every step the fleet is conserved, each road's order
 is sorted by position, speeds lie in [0, limit] and positions on the road,
 and every vehicle's kinematic and energy fields are Python floats;
 during it, the collision scan and the TTC counter agree with brute-force
-rescans of the state they read, and the view `step` hands each scan equals
-the per-vehicle loop it replaced. The example count is set by the profile
-in conftest.py."""
+rescans of the state they read, the view `step` hands each scan equals the
+per-vehicle loop it replaced, and the acceleration inputs `step` builds from
+its pre-move view equal the per-road construction they replaced. The example
+count is set by the profile in conftest.py."""
 from unittest import mock
 
 from hypothesis import given, strategies as st
 
-from cotraffic import simulation
+from cotraffic import kernels, simulation
 from cotraffic.network import grid_scenario
 from cotraffic.simulation import build_sim, step
 
@@ -62,10 +63,82 @@ def loop_view(sim):
     return ids, speed, lead_speed, gap, has_lead
 
 
+def bitwise(col):
+    """A column as comparable bit patterns: a float by its hex form, so that
+    -0.0 differs from 0.0 and a non-float never equals a float."""
+    return [(type(x), x.hex() if type(x) is float else x) for x in col]
+
+
 def assert_view_is_current(sim, view):
     """The view a scan was handed equals the reference built from the state
-    the scan reads, bit for bit."""
-    assert tuple(view) == loop_view(sim)
+    the scan reads, bit for bit, and its row bookkeeping matches it."""
+    got = (view.ids, view.speed, view.lead_speed, view.gap, view.has_lead)
+    assert list(map(bitwise, got)) == list(map(bitwise, loop_view(sim)))
+    assert all(veh is sim.vehicles[vid]
+               for vid, veh in zip(view.ids, view.vehs, strict=True))
+    assert [road.id for road in view.roads] == [veh.road for veh in view.vehs]
+    assert view.fronts == [i for i, lead in enumerate(view.has_lead)
+                           if not lead]
+
+
+def ref_accel_inputs(sim, commands):
+    """Reference for the inputs `step` hands `kernels.vehicle_accels`: the
+    per-road construction it replaced, as (speed, lead_speed, gap, has_lead,
+    v_limit, is_cmd, cmd) lists. Gaps are floored at 1e-9 by `max`; a road's
+    front row faces its stop-line virtual leader, else the tail of its
+    continuation road, else nothing (zero gap and leader speed)."""
+    vehs, roads_of, fronts = [], [], []
+    for road_id, road in sim.network.roads.items():
+        order = sim.road_order[road_id]
+        if order:
+            vehs += [sim.vehicles[vid] for vid in order]
+            roads_of += [road] * len(order)
+            fronts.append(len(vehs) - 1)
+    speed = [veh.speed for veh in vehs]
+    lead_speed = speed[1:] + [0.0]
+    gap = [max(lead.position - lead.length - veh.position, 1e-9)
+           for veh, lead in zip(vehs, vehs[1:])] + [0.0]
+    has_lead = [True] * len(vehs)
+    for i in fronts:
+        front, road = vehs[i], roads_of[i]
+        light = (sim.lights.get(road.approach_intersection)
+                 if road.approach_intersection else None)
+        virtual = (simulation.red_light_virtual_leader(
+            front, light, road, sim.idm.b_comfort) if light else None)
+        if virtual is None and light is not None:
+            tail = simulation._cross_boundary_leader(sim, front, road)
+            if tail is not None:
+                virtual = tail[0].speed, max(tail[1], 1e-9)
+        if virtual is None:
+            lead_speed[i], gap[i], has_lead[i] = 0.0, 0.0, False
+        else:
+            lead_speed[i], gap[i] = virtual
+    return (speed, lead_speed, gap, has_lead,
+            [road.speed_limit for road in roads_of],
+            [veh.id in commands for veh in vehs],
+            [commands.get(veh.id, 0.0) for veh in vehs])
+
+
+class CheckedAccels:
+    """Wraps `kernels.vehicle_accels` while `step` runs on `sim` and checks
+    the inputs it is handed against `ref_accel_inputs` of the state at call
+    time. `commands` is the command map of the step being run."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.commands = {}
+        self.calls = 0
+        self.accels = kernels.vehicle_accels
+
+    def checked(self, *args):
+        inputs, idm = args[:7], args[7:]
+        want = ref_accel_inputs(self.sim, self.commands)
+        assert list(map(bitwise, inputs)) == list(map(bitwise, want))
+        self.calls += 1
+        return self.accels(*inputs, *idm)
+
+    def patch(self):
+        return mock.patch.object(kernels, "vehicle_accels", self.checked)
 
 
 class OracleScans:
@@ -129,11 +202,16 @@ def assert_invariants(sim):
 @given(worlds(), st.integers(1, 30), st.data())
 def test_step_invariants_on_random_placements(sim, steps, data):
     accel = st.floats(-5.0, 5.0)
-    with OracleScans().patch():
+    accels = CheckedAccels(sim)
+    with OracleScans().patch(), accels.patch():
         for _ in range(steps):
             lights = {lid: data.draw(st.integers(0, 1)) for lid in sim.lights}
             cavs = [vid for vid, v in sim.vehicles.items() if v.kind == "CAV"]
             commanded = data.draw(st.lists(st.sampled_from(cavs), unique=True)
                                   if cavs else st.just([]))
-            step(sim, lights, {vid: data.draw(accel) for vid in commanded})
+            accels.commands = {vid: data.draw(accel) for vid in commanded}
+            moving = bool(sim.vehicles)
+            calls = accels.calls
+            step(sim, lights, accels.commands)
+            assert accels.calls == calls + moving
             assert_invariants(sim)

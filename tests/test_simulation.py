@@ -5,15 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from cotraffic import simulation
+from cotraffic import kernels, simulation
 from cotraffic.network import Insertion, build_grid, grid_scenario
 from cotraffic.simulation import (IdmParams, TraceWriter, Vehicle,
-                                  apply_tl_action, build_sim, co2_rate,
+                                  apply_tl_action, build_sim,
                                   count_ttc_events, detect_collisions,
-                                  fuel_rate, idm_accel, make_light,
+                                  idm_accel, make_light,
                                   red_light_virtual_leader, step)
 
 P = IdmParams()
+
+
+def fuel_rate(v, a):
+    """Fuel burn in l/s of one vehicle, through the `fuel_co2` kernel."""
+    return kernels.fuel_co2([float(v)], [float(a)])[0][0]
+
+
+def co2_rate(v, a):
+    """CO2 in g/s of one vehicle, through the `fuel_co2` kernel."""
+    return kernels.fuel_co2([float(v)], [float(a)])[1][0]
 
 
 def put_vehicle(sim, vid, road, position, speed, route=None, kind="HDV"):
