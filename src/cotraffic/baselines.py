@@ -12,6 +12,11 @@ from . import kernels
 from .simulation import MIN_GREEN, YELLOW_DURATION, build_sim, idm_accel, step
 
 GLOSA_ACCEL_LIMIT = 3.0
+# gap-out actuation: the longest green, the empty run that ends a green, and
+# how far from the stop line a vehicle counts as waiting
+ACTUATED_MAX_GREEN = 45
+ACTUATED_GAP_S = 3
+DETECTION_DISTANCE = 50.0
 
 
 @dataclass(frozen=True)
@@ -33,24 +38,13 @@ def static_tick(light, plan):
     return int(light.time_in_phase >= plan.duration(light.phase))
 
 
-@dataclass(frozen=True)
-class ActuatedConfig:
-    max_green: int = 45
-    gap_threshold: int = 3
-    detection_distance: float = 50.0
-
-    def __post_init__(self):
-        if self.max_green <= MIN_GREEN:
-            raise ValueError("max_green must exceed the minimum green time")
-
-
 class ActuatedController:
     """Gap-out actuation: switch once the served approaches have shown no
-    vehicle near the stop line for gap_threshold consecutive seconds, or at
-    max_green. Holds one empty-run counter per light."""
+    vehicle within DETECTION_DISTANCE of the stop line for ACTUATED_GAP_S
+    consecutive seconds, or at ACTUATED_MAX_GREEN. Holds one empty-run
+    counter per light."""
 
-    def __init__(self, cfg=None):
-        self.cfg = cfg or ActuatedConfig()
+    def __init__(self):
         self._empty_run = {}
         self._last_phase = {}
 
@@ -68,15 +62,15 @@ class ActuatedController:
             if road.approach not in light.phase.served:
                 continue
             for vid in sim.road_order.get(rid, []):
-                if road.length - sim.vehicles[vid].position <= self.cfg.detection_distance:
+                if road.length - sim.vehicles[vid].position <= DETECTION_DISTANCE:
                     occupied = True
                     break
             if occupied:
                 break
         self._empty_run[lid] = 0 if occupied else self._empty_run[lid] + 1
-        if light.time_in_phase >= self.cfg.max_green:
+        if light.time_in_phase >= ACTUATED_MAX_GREEN:
             return 1
-        return int(self._empty_run[lid] >= self.cfg.gap_threshold)
+        return int(self._empty_run[lid] >= ACTUATED_GAP_S)
 
 
 def phase_pressure(sim, light, phase):
@@ -102,7 +96,7 @@ def max_pressure_tick(light, sim):
     """
     if light.phase.kind != "green":
         return 0
-    if light.time_in_phase < light.min_green:
+    if light.time_in_phase < MIN_GREEN:
         return 0
     greens = [p for p in light.phases if p.kind == "green"]
     current = light.phase
@@ -111,8 +105,8 @@ def max_pressure_tick(light, sim):
                > phase_pressure(sim, light, current))
 
 
-def _green_windows(light, durations, approach, count=2):
-    """Next `count` green windows for the approach, as (start, end) pairs in
+def _green_windows(light, durations, approach):
+    """Next two green windows for the approach, as (start, end) pairs in
     seconds from now. `durations` maps phase index to projected length; the
     current phase is credited with its elapsed time.
     """
@@ -120,11 +114,11 @@ def _green_windows(light, durations, approach, count=2):
     t = 0.0
     idx = light.phase_index
     remaining = max(durations[idx] - light.time_in_phase, 0)
-    for _ in range(count * len(light.phases) + len(light.phases)):
+    for _ in range(3 * len(light.phases)):
         phase = light.phases[idx]
         if phase.kind == "green" and approach in phase.served:
             windows.append((t, t + remaining))
-            if len(windows) == count:
+            if len(windows) == 2:
                 return windows
         t += remaining
         idx = (idx + 1) % len(light.phases)
@@ -132,10 +126,12 @@ def _green_windows(light, durations, approach, count=2):
     raise RuntimeError("no green phase serves this approach")
 
 
-def _earliest_arrival(v, dist, v_max, a=GLOSA_ACCEL_LIMIT):
-    """Time to cover dist starting at v, accelerating at a up to v_max."""
+def _earliest_arrival(v, dist, v_max):
+    """Time to cover dist starting at v, accelerating at GLOSA_ACCEL_LIMIT up
+    to v_max."""
     if dist <= 0:
         return 0.0
+    a = GLOSA_ACCEL_LIMIT
     d_acc = (v_max ** 2 - v ** 2) / (2.0 * a)
     if d_acc >= dist:
         return (-v + (v * v + 2.0 * a * dist) ** 0.5) / a
@@ -171,9 +167,6 @@ class GlosaController:
     the green windows projected once per road.
     """
 
-    def __init__(self):
-        self._green = ActuatedConfig().max_green
-
     def commands(self, sim):
         ids, speed, lead_speed, gap, has_lead, v_limit = [], [], [], [], [], []
         dist, windows = [], []   # to the stop line; the road's green windows
@@ -184,8 +177,8 @@ class GlosaController:
             if not order:
                 continue
             light = sim.lights[road.approach_intersection]
-            durations = [self._green if p.kind == "green" else YELLOW_DURATION
-                         for p in light.phases]
+            durations = [ACTUATED_MAX_GREEN if p.kind == "green"
+                         else YELLOW_DURATION for p in light.phases]
             road_windows = _green_windows(light, durations, road.approach)
             for i, vid in enumerate(order):
                 veh = sim.vehicles[vid]

@@ -5,6 +5,7 @@ resolved configuration, seed, and config hash, enough to reproduce the run
 exactly. Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -25,29 +26,24 @@ from .policy import load_checkpoint, save_checkpoint
 EVAL_SEED_OFFSET = 100_000
 
 
-def _resolve_scenario(args, default_grid="1x1"):
-    if getattr(args, "config", None):
-        scenario = load_scenario(args.config)
-    else:
-        scenario = grid_scenario(getattr(args, "grid", None) or default_grid)
-    overrides = {}
-    if getattr(args, "horizon", None):
-        overrides["horizon"] = args.horizon
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return scenario.with_overrides(**overrides) if overrides else scenario
+def _resolve_scenario(args):
+    scenario = (load_scenario(args.config) if args.config
+                else grid_scenario(args.grid))
+    return scenario.with_overrides(horizon=args.horizon, seed=args.seed)
 
 
 def _profile_config(args):
-    cfg = ppo.PROFILES[args.profile]()
-    overrides = {}
-    if getattr(args, "iterations", None):
-        overrides["iterations"] = args.iterations
-    if getattr(args, "train_episodes", None):
-        overrides["episodes_per_iter"] = args.train_episodes
-    if getattr(args, "horizon", None):
-        overrides["horizon"] = args.horizon
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    overrides = {"iterations": args.iterations,
+                 "episodes_per_iter": args.train_episodes,
+                 "horizon": args.horizon}
+    return dataclasses.replace(
+        ppo.PROFILES[args.profile](),
+        **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _eval_seeds(args):
+    """The --episodes evaluation seeds, counted up from --seed."""
+    return [args.seed + EVAL_SEED_OFFSET + i for i in range(args.episodes)]
 
 
 # manifest fields that describe one run rather than its configuration
@@ -84,22 +80,11 @@ def _out_dir(args, default_name):
     return out
 
 
-class _maybe_trace:
-    """Context manager for the optional --trace output file."""
-
-    def __init__(self, args):
-        self.path = getattr(args, "trace", None)
-        self.fh = None
-
-    def __enter__(self):
-        if self.path:
-            self.fh = open(self.path, "w", encoding="utf-8")
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.fh:
-            self.fh.close()
-        return False
+def _trace_file(args):
+    """The --trace file opened for writing, or a context yielding None."""
+    if args.trace:
+        return open(args.trace, "w", encoding="utf-8")
+    return contextlib.nullcontext()
 
 
 def cmd_train(args):
@@ -191,15 +176,13 @@ def _load_run(checkpoint_dir):
     return manifest, params
 
 
-def _eval_common(args, manifest, params):
+def _eval_common(args, manifest, params, penetration):
     method = get_method(manifest["method"])
     scenario = parse_scenario_text(manifest["scenario_text"])
-    if args.seed is not None:
-        scenario = scenario.with_overrides(seed=args.seed)
     penetration = resolve_penetration(
-        method, args.penetration, manifest.get("penetration",
-                                               scenario.penetration_rate))
-    scenario = scenario.with_overrides(penetration=penetration)
+        method, penetration, manifest.get("penetration",
+                                          scenario.penetration_rate))
+    scenario = scenario.with_overrides(penetration=penetration, seed=args.seed)
 
     env_cfg = method.env_cfg
     tl_params = params.get("tl")
@@ -219,7 +202,7 @@ def _eval_common(args, manifest, params):
     return method, scenario, env_cfg, tl_params, cav_params
 
 
-def _write_eval_outputs(out, method, scenario, args, reports, label=""):
+def _write_eval_outputs(out, method, scenario, reports, label=""):
     prefix = f"{label}_" if label else ""
     aggregate = metrics.aggregate_reports(reports)
     for i, report in enumerate(reports):
@@ -237,16 +220,15 @@ def _write_eval_outputs(out, method, scenario, args, reports, label=""):
 def cmd_evaluate(args):
     manifest, params = _load_run(args.checkpoint_dir)
     method, scenario, env_cfg, tl_params, cav_params = _eval_common(
-        args, manifest, params)
+        args, manifest, params, args.penetration)
     out = _out_dir(args, f"runs/eval-{method.name}")
-    base_seed = args.seed if args.seed is not None else manifest.get("seed", 0)
-    seeds = [base_seed + EVAL_SEED_OFFSET + i for i in range(args.episodes)]
-    with _maybe_trace(args) as trace_fh:
+    seeds = _eval_seeds(args)
+    with _trace_file(args) as trace_fh:
         reports = rollout.evaluate_policy(
             scenario, env_cfg, tl_params, cav_params, seeds,
-            horizon=args.horizon or scenario.horizon, tl_plan=method.tl_plan,
+            args.horizon or scenario.horizon, tl_plan=method.tl_plan,
             trace_fh=trace_fh)
-    aggregate = _write_eval_outputs(out, method, scenario, args, reports)
+    aggregate = _write_eval_outputs(out, method, scenario, reports)
     _write_json(out / "manifest.json", _manifest(
         args, scenario, method,
         {"checkpoint_dir": str(args.checkpoint_dir), "episodes": args.episodes,
@@ -267,13 +249,11 @@ def cmd_baseline(args):
                                       scenario.penetration_rate)
     scenario = scenario.with_overrides(penetration=penetration)
     out = _out_dir(args, f"runs/baseline-{args.method}")
-    base_seed = args.seed if args.seed is not None else scenario.seed
-    seeds = [base_seed + EVAL_SEED_OFFSET + i for i in range(args.episodes)]
-    with _maybe_trace(args) as trace_fh:
+    seeds = _eval_seeds(args)
+    with _trace_file(args) as trace_fh:
         reports = rollout.evaluate_baseline(
-            scenario, args.method, seeds,
-            horizon=args.horizon or scenario.horizon, trace_fh=trace_fh)
-    aggregate = _write_eval_outputs(out, method, scenario, args, reports)
+            scenario, args.method, seeds, scenario.horizon, trace_fh=trace_fh)
+    aggregate = _write_eval_outputs(out, method, scenario, reports)
     _write_json(out / "manifest.json", _manifest(
         args, scenario, method,
         {"episodes": args.episodes, "penetration": scenario.penetration_rate,
@@ -286,22 +266,15 @@ def cmd_baseline(args):
 
 def cmd_sweep(args):
     manifest, params = _load_run(args.checkpoint_dir)
-    rates = [float(r) for r in args.rates.split(",")]
-    for rate in rates:
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigError(f"penetration rate {rate} outside [0, 1]")
     out = _out_dir(args, "runs/sweep")
     rows = []
-    for rate in rates:
-        args.penetration = rate
+    for rate in args.rates:
         method, scenario, env_cfg, tl_params, cav_params = _eval_common(
-            args, manifest, params)
-        base_seed = args.seed if args.seed is not None else manifest.get("seed", 0)
-        seeds = [base_seed + EVAL_SEED_OFFSET + i for i in range(args.episodes)]
+            args, manifest, params, rate)
         reports = rollout.evaluate_policy(
-            scenario, env_cfg, tl_params, cav_params, seeds,
-            horizon=args.horizon or scenario.horizon, tl_plan=method.tl_plan)
-        aggregate = _write_eval_outputs(out, method, scenario, args, reports,
+            scenario, env_cfg, tl_params, cav_params, _eval_seeds(args),
+            args.horizon or scenario.horizon, tl_plan=method.tl_plan)
+        aggregate = _write_eval_outputs(out, method, scenario, reports,
                                         label=f"rate{rate:0.2f}")
         rows.append((rate, aggregate))
         print(f"penetration {rate:.2f}: mean travel time "
@@ -313,15 +286,11 @@ def cmd_sweep(args):
             fh.write(f"{rate:.2f}," + ",".join(
                 _fmt(vals[k]) for k in metrics.EpisodeReport.METRIC_KEYS) + "\n")
     _write_json(out / "manifest.json", _manifest(
-        args, _resolve_scenario_from_manifest(manifest), get_method(manifest["method"]),
-        {"rates": rates, "episodes": args.episodes,
+        args, parse_scenario_text(manifest["scenario_text"]), method,
+        {"rates": args.rates, "episodes": args.episodes,
          "checkpoint_dir": str(args.checkpoint_dir)}))
     print(f"sweep outputs in {out}")
     return 0
-
-
-def _resolve_scenario_from_manifest(manifest):
-    return parse_scenario_text(manifest["scenario_text"])
 
 
 def cmd_report(args):
@@ -353,21 +322,53 @@ def cmd_report(args):
     return 0
 
 
-def _add_common(p, with_scenario=True):
-    p.add_argument("--seed", type=int, default=None, help="run seed")
+def _positive_int(text):
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _rates(text):
+    """argparse type of --rates: comma-separated fractions in [0, 1]."""
+    try:
+        rates = [float(r) for r in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    for rate in rates:
+        if not 0.0 <= rate <= 1.0:
+            raise argparse.ArgumentTypeError(
+                f"penetration rate {rate} outside [0, 1]")
+    return rates
+
+
+# the flags that only some subcommands take, by name
+_FLAGS = {
+    "--config": dict(help="scenario file path"),
+    "--grid": dict(choices=["1x1", "1x6"], default="1x1",
+                   help="built-in scenario (default 1x1)"),
+    "--penetration": dict(type=float, help="CAV fraction in [0, 1]"),
+    "--episodes": dict(type=_positive_int, default=18,
+                       help="evaluation episodes"),
+    "--trace": dict(metavar="PATH",
+                    help="write a per-step vehicle trace of the first episode"),
+}
+
+
+def _add_common(p, *flags):
+    """--seed, --out and --horizon, then each of `flags` from _FLAGS."""
+    p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--horizon", type=int, default=None,
+    p.add_argument("--horizon", type=_positive_int, default=None,
                    help="override episode length in seconds")
-    if with_scenario:
-        p.add_argument("--config", default=None, help="scenario file path")
-        p.add_argument("--grid", choices=["1x1", "1x6"], default=None,
-                       help="built-in scenario (default 1x1)")
-    p.add_argument("--penetration", type=float, default=None,
-                   help="CAV fraction in [0, 1]")
-    p.add_argument("--episodes", type=int, default=18,
-                   help="evaluation episodes")
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="write a per-step vehicle trace of the first episode")
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser():
@@ -381,30 +382,33 @@ def build_parser():
     p = sub.add_parser("train", help="train an RL method")
     p.add_argument("--method", required=True)
     p.add_argument("--profile", choices=sorted(ppo.PROFILES), default="ci")
-    p.add_argument("--iterations", type=int, default=None,
+    p.add_argument("--iterations", type=_positive_int, default=None,
                    help="override the profile's iteration count")
-    p.add_argument("--train-episodes", type=int, default=None,
+    p.add_argument("--train-episodes", type=_positive_int, default=None,
                    help="override the profile's parallel episodes per iteration")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("COTRAFFIC_WORKERS", "1")))
+    # a string default goes through `type` too, so a bad variable is refused
+    p.add_argument("--workers", type=_positive_int,
+                   default=os.environ.get("COTRAFFIC_WORKERS", "1"),
+                   help="rollout processes (default: $COTRAFFIC_WORKERS or 1)")
     p.add_argument("--verbose", action="store_true")
-    _add_common(p)
+    _add_common(p, "--config", "--grid", "--penetration")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a trained checkpoint")
     p.add_argument("--checkpoint-dir", required=True)
-    _add_common(p, with_scenario=False)
+    _add_common(p, "--penetration", "--episodes", "--trace")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("baseline", help="run a non-learned method")
     p.add_argument("--method", required=True)
-    _add_common(p)
+    _add_common(p, "--config", "--grid", "--penetration", "--episodes",
+                "--trace")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("sweep", help="penetration-rate sweep of a checkpoint")
     p.add_argument("--checkpoint-dir", required=True)
-    p.add_argument("--rates", default="0,0.2,0.4,0.6,0.8,1.0")
-    _add_common(p, with_scenario=False)
+    p.add_argument("--rates", type=_rates, default="0,0.2,0.4,0.6,0.8,1.0")
+    _add_common(p, "--episodes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="comparison table from run directories")
@@ -418,8 +422,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = 0
     try:
         return args.func(args)
     except ConfigError as exc:

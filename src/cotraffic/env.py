@@ -23,7 +23,7 @@ from .simulation import (MIN_GAP, VEHICLE_LENGTH, _cross_boundary_leader,
                          build_sim, step)
 
 ACCEL_NORM = 3.0       # commanded-acceleration scale used for normalization
-DEFAULT_A_STAR = 9.0   # acceleration normalizer in the vehicle reward
+A_STAR = 9.0          # acceleration normalizer in the vehicle reward
 COLLISION_REWARD = -2.0  # terminal reward when an acting vehicle is removed
 
 
@@ -39,12 +39,11 @@ class EnvConfig:
     mode: CooperationMode = CooperationMode.COTV
     tl_agents: bool = True
     cav_agents: bool = True
-    a_star: float = DEFAULT_A_STAR
 
 
-def max_road_capacity(network, vehicle_length=VEHICLE_LENGTH, min_gap=MIN_GAP):
+def max_road_capacity(network):
     """Vehicles that fit on the longest road at minimum spacing."""
-    c = int(math.floor(network.max_road_length / (vehicle_length + min_gap)))
+    c = int(math.floor(network.max_road_length / (VEHICLE_LENGTH + MIN_GAP)))
     if c < 1:
         raise ValueError("road too short to hold a single vehicle")
     return c
@@ -97,7 +96,7 @@ def _slot_one_hots(n_in):
                  for slot in range(n_in))
 
 
-def tl_observation(sim, mode, c=None, prev_commands=None):
+def tl_observation(sim, mode, c, prev_commands):
     """Signal-agent state matrix, one row per light in `sim.lights` order.
 
     Row layout: [phase/nphases] then one vehicle-count slot per incoming and
@@ -108,11 +107,9 @@ def tl_observation(sim, mode, c=None, prev_commands=None):
     acceleration (over 3) of the acting vehicle on each incoming road
     (`prev_commands`, road id -> command), sentinel 0.
     """
-    c = c if c is not None else max_road_capacity(sim.network)
     roads, intersections = sim.network.roads, sim.network.intersections
     road_order, vehicles = sim.road_order, sim.vehicles
     ablated = mode is CooperationMode.I_COTV
-    prev_commands = prev_commands or {}
     rows = []
     for light in sim.lights.values():
         inter = intersections[light.intersection]
@@ -141,7 +138,7 @@ def tl_observation(sim, mode, c=None, prev_commands=None):
     return np.array(rows, dtype=np.float64)
 
 
-def cav_observation(sim, agents, mode, prev_tl_action=None):
+def cav_observation(sim, agents, mode, prev_tl_action):
     """Vehicle-agent state matrix, one row per (vehicle id, road index) pair
     of `select_cav_agents`.
 
@@ -156,7 +153,6 @@ def cav_observation(sim, agents, mode, prev_tl_action=None):
     roads, vehicles = sim.network.roads, sim.vehicles
     road_order = sim.road_order
     ablated = mode is CooperationMode.I_COTV
-    prev_tl_action = prev_tl_action or {}
     rows = []
     for vid, j in agents:
         veh = vehicles[vid]
@@ -197,12 +193,12 @@ def tl_reward(sim, light, c=None):
     return -(n_in - n_out) / c
 
 
-def cav_reward(sim, vehicle_id, a_star=DEFAULT_A_STAR):
+def cav_reward(sim, vehicle_id):
     """Speed-deficit plus positive-acceleration penalty over the agent's road.
 
     Both terms cover every vehicle K on the road: the mean deficit of speed
     from the limit (speeds capped at the limit), and the root of the summed
-    squared positive accelerations (each over a_star) divided by |K| squared.
+    squared positive accelerations (each over A_STAR) divided by |K| squared.
     Both terms live in [-1, 0]; negative accelerations are clipped to zero.
     """
     vehicles = sim.vehicles
@@ -222,7 +218,7 @@ def cav_reward(sim, vehicle_id, a_star=DEFAULT_A_STAR):
         speed, accel = other.speed, other.accel
         deficit += (v_star - (v_star if v_star < speed else speed)) / v_star
         a_pos = 0.0 if 0.0 > accel else accel
-        accel_sq += (a_pos / a_star) ** 2
+        accel_sq += (a_pos / A_STAR) ** 2
     r1 = -deficit / k
     r2 = -math.sqrt(accel_sq / (k * k))
     return r1 + r2
@@ -255,9 +251,9 @@ class TrafficEnv:
     previous step made after it moved the simulator.
     """
 
-    def __init__(self, scenario, cfg=None):
+    def __init__(self, scenario, cfg):
         self.scenario = scenario
-        self.cfg = cfg or EnvConfig()
+        self.cfg = cfg
         self.c = max_road_capacity(scenario.network)
         self.sim = None
         self._prev_tl_action = {}
@@ -339,7 +335,7 @@ class TrafficEnv:
                     rec.reward = 0.0 if vid in arrived else COLLISION_REWARD
                     rec.done = True
                     continue
-                rec.reward = cav_reward(sim, vid, cfg.a_star)
+                rec.reward = cav_reward(sim, vid)
                 rec.done = vid not in still_selected
 
         self._prev_tl_action = {lid: tl_actions.get(lid, 0) for lid in sim.lights}

@@ -133,11 +133,10 @@ def report_to_dict(report):
     return d
 
 
-def write_report_json(path, report, extra=None):
+def write_report_json(path, report, extra):
     payload = report_to_dict(report)
     payload["n_travel_times"] = len(report.travel_times)
-    if extra:
-        payload.update(extra)
+    payload.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(sanitize_json(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -262,15 +262,13 @@ class ScenarioSpec:
             seed=self.seed if seed is None else int(seed))
 
 
-def grid_scenario(grid, horizon=720, penetration=1.0, seed=0,
-                  road_length=DEFAULT_ROAD_LENGTH,
-                  speed_limit=DEFAULT_SPEED_LIMIT):
+def grid_scenario(grid, horizon=720, penetration=1.0, seed=0):
     """Scenario for a named standard grid, '1x1' or '1x6'."""
     if grid == "1x1":
-        net = build_grid(1, 1, road_length, speed_limit)
+        net = build_grid(1, 1)
         flows = standard_flows_1x1()
     elif grid == "1x6":
-        net = build_grid(1, 6, road_length, speed_limit)
+        net = build_grid(1, 6)
         flows = standard_flows_1x6()
     else:
         raise ConfigError(f"unknown standard grid {grid!r} (expected 1x1 or 1x6)")

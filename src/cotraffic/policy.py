@@ -20,6 +20,10 @@ import numpy as np
 ACTION_SCALE = 3.0
 LOG_STD_INIT = float(np.log(0.5 * ACTION_SCALE))
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class MlpParams:
@@ -29,7 +33,7 @@ class MlpParams:
     `flat` in `arrays()` order; gradients and Adam moments share the layout.
     """
 
-    def __init__(self, kind, obs_dim, hidden=(64, 64)):
+    def __init__(self, kind, obs_dim, hidden):
         if kind not in ("tl", "cav"):
             raise ValueError(f"unknown agent kind {kind!r}")
         self.kind, self.obs_dim, self.hidden = kind, int(obs_dim), tuple(hidden)
@@ -331,11 +335,8 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
 class Adam:
     """Adaptive-moment optimizer over a network's flat parameter vector."""
 
-    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=3e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
@@ -358,19 +359,19 @@ class Adam:
                 grad = np.multiply(grad, max_grad_norm / (total + 1e-12),
                                    out=s2)
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        self.m *= self.beta1
-        self.m += np.multiply(1 - self.beta1, grad, out=s1)
-        self.v *= self.beta2
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
+        self.m *= ADAM_BETA1
+        self.m += np.multiply(1 - ADAM_BETA1, grad, out=s1)
+        self.v *= ADAM_BETA2
         np.square(grad, out=s1)
-        s1 *= 1 - self.beta2
+        s1 *= 1 - ADAM_BETA2
         self.v += s1
         np.divide(self.m, b1c, out=s1)
         s1 *= self.lr
         np.divide(self.v, b2c, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += ADAM_EPS
         s1 /= s2
         params.flat -= s1
         return params

@@ -4,13 +4,11 @@ Each iteration runs E independent episodes of H steps, pools every agent's
 trajectory segments into one buffer per agent type, computes generalized
 advantage estimates in one sweep over all segments, and applies K epochs of
 shuffled minibatch clipped-surrogate updates, signal type first, then
-vehicles. The buffer is emptied after every iteration. Everything is
-deterministic given the seed, including episode scheduling across worker
-processes.
+vehicles. Every iteration fills fresh buffers. Everything is deterministic
+given the seed, including episode scheduling across worker processes.
 """
 import contextlib
 import ctypes
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -19,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rollout
-from .env import CooperationMode, EnvConfig, cav_obs_dim, tl_obs_dim
+from .env import cav_obs_dim, tl_obs_dim
 from .policy import Adam, GradWorkspace, init_params, ppo_loss_and_grads
 
 
@@ -42,7 +40,6 @@ class PpoConfig:
     entropy_coef: float = 0.01
     max_grad_norm: float = 0.5
     hidden: tuple = (64, 64)
-    update_order: tuple = ("TL", "CAV")
 
     def __post_init__(self):
         if not 0.0 < self.clip_eps < 1.0:
@@ -146,9 +143,6 @@ class RolloutBuffer:
             "values": values[mask],
         }
 
-    def clear(self):
-        self.segments = []
-
 
 def ppo_update(params, optimizer, batch, cfg, rng):
     """K epochs of shuffled minibatch updates on one agent type's batch.
@@ -245,21 +239,16 @@ def episode_seed(seed, iteration, episode):
 
 
 @one_blas_thread()
-def train(scenario, env_cfg=None, cfg=None, seed=0, tl_plan=None,
-          workers=None, progress=None):
+def train(scenario, env_cfg, cfg, seed=0, tl_plan=None, workers=1,
+          progress=None):
     """Run the full training loop; returns parameters and reward curves.
 
     `tl_plan` names a non-learned signal plan ("static"/"actuated") for
-    configurations whose lights are not agents. Worker count comes from the
-    argument, else COTRAFFIC_WORKERS, else 1; results are identical for any
-    value. It runs on one BLAS thread (`one_blas_thread`), so results are
-    identical for any BLAS thread count too.
+    configurations whose lights are not agents. `workers` episode processes
+    run each iteration's rollouts; results are identical for any value. It
+    runs on one BLAS thread (`one_blas_thread`), so results are identical for
+    any BLAS thread count too.
     """
-    env_cfg = env_cfg or EnvConfig()
-    cfg = cfg or PpoConfig()
-    if workers is None:
-        workers = int(os.environ.get("COTRAFFIC_WORKERS", "1"))
-
     tl_params = cav_params = None
     optimizers = {}
     if env_cfg.tl_agents:
@@ -310,7 +299,7 @@ def train(scenario, env_cfg=None, cfg=None, seed=0, tl_plan=None,
 
         update_begin = time.perf_counter()
         try:
-            for agent_type in cfg.update_order:
+            for agent_type in ("TL", "CAV"):
                 if agent_type not in optimizers:
                     continue
                 buffer = buffers[agent_type]
@@ -325,11 +314,8 @@ def train(scenario, env_cfg=None, cfg=None, seed=0, tl_plan=None,
                                    cfg, update_rng)
                 for key in DIAGNOSTICS:
                     entry[f"{prefix}_{key}"] = stats[key]
-                buffer.clear()
         except NonFiniteLossError:
             halted = True
-        for buffer in buffers.values():
-            buffer.clear()
 
         entry["rollout_s"] = rollout_s
         entry["update_s"] = time.perf_counter() - update_begin

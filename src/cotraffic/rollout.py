@@ -26,6 +26,15 @@ class EpisodeResult:
     ttc_events: int
 
 
+def _episode_seeds(seed):
+    """(demand seed, action seed) of an episode `seed`, an int or a
+    SeedSequence; the demand seed replaces the scenario's seed."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence((int(seed),))
+    scen_seed, act_seed = seed.generate_state(2)
+    return int(scen_seed) % (2 ** 31), int(act_seed)
+
+
 def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
                 sample=True, tl_plan=None, collect=True, trace=None):
     """Run one episode; returns (EpisodeResult, final sim state).
@@ -35,15 +44,10 @@ def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
     and any still-open segment is closed at the horizon with done set on its
     final record.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        seed_seq = seed
-    else:
-        seed_seq = np.random.SeedSequence((int(seed),))
-    scen_seed, act_seed = seed_seq.generate_state(2)
-    episode_scenario = scenario.with_overrides(seed=int(scen_seed) % (2 ** 31))
-    env = TrafficEnv(episode_scenario, env_cfg)
+    scen_seed, act_seed = _episode_seeds(seed)
+    env = TrafficEnv(scenario.with_overrides(seed=scen_seed), env_cfg)
     env.reset()
-    rng = np.random.default_rng(np.random.SeedSequence(int(act_seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(act_seed))
 
     tl_policy = Policy(tl_params) if (env_cfg.tl_agents and tl_params) else None
     cav_policy = Policy(cav_params) if (env_cfg.cav_agents and cav_params) else None
@@ -92,13 +96,12 @@ def collect_episodes(scenario, env_cfg, tl_params, cav_params, seeds, horizon,
 
 
 def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds,
-                    horizon=None, tl_plan=None, trace_fh=None):
+                    horizon, tl_plan=None, trace_fh=None):
     """Greedy-action evaluation episodes; returns one report per seed.
 
     When a trace file handle is given, the first episode's per-step vehicle
     records are written to it.
     """
-    horizon = horizon or scenario.horizon
     reports = []
     for i, seed in enumerate(seeds):
         trace = TraceWriter(trace_fh) if (trace_fh is not None and i == 0) else None
@@ -112,18 +115,16 @@ def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds,
 def run_baseline_episode(scenario, method, seed, horizon=None, trace_fh=None):
     """One non-learned episode (static, actuated, max-pressure, or glosa)."""
     horizon = horizon or scenario.horizon
-    seed_seq = np.random.SeedSequence((int(seed),))
-    scen_seed = int(seed_seq.generate_state(1)[0]) % (2 ** 31)
-    episode_scenario = scenario.with_overrides(seed=scen_seed)
+    scen_seed, _ = _episode_seeds(seed)
     controller = baselines.BaselineController(method)
-    sim = controller.new_sim(episode_scenario)
+    sim = controller.new_sim(scenario.with_overrides(seed=scen_seed))
     trace = TraceWriter(trace_fh) if trace_fh is not None else None
     for _ in range(horizon):
         controller.step(sim, trace=trace)
     return build_episode_report(sim), sim
 
 
-def evaluate_baseline(scenario, method, seeds, horizon=None, trace_fh=None):
+def evaluate_baseline(scenario, method, seeds, horizon, trace_fh=None):
     return [run_baseline_episode(scenario, method, seed, horizon,
                                  trace_fh=trace_fh if i == 0 else None)[0]
             for i, seed in enumerate(seeds)]

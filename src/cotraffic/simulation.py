@@ -74,7 +74,6 @@ class TrafficLight:
     phases: list
     phase_index: int = 0
     time_in_phase: int = 0
-    min_green: int = MIN_GREEN
 
     @property
     def phase(self):
@@ -177,7 +176,7 @@ def idm_accel(v, v_leader, gap, v_limit, p=None):
     return out[0]
 
 
-def red_light_virtual_leader(vehicle, light, road, b_comfort=1.5):
+def red_light_virtual_leader(vehicle, light, road, b_comfort):
     """Standing virtual leader at the stop line, or None if free to proceed.
 
     Green for the vehicle's approach: None. Yellow: stop unless the braking
@@ -206,7 +205,7 @@ def apply_tl_action(light, action):
 
     time_in_phase counts fully displayed seconds and is advanced by the step
     loop after the movement update, so thresholds read literally: a yellow
-    showing 3 s auto-advances, a green showing at least min_green may switch.
+    showing 3 s auto-advances, a green showing at least MIN_GREEN may switch.
     """
     if action not in (0, 1):
         raise ValueError(f"traffic light action must be 0 or 1, got {action!r}")
@@ -215,7 +214,7 @@ def apply_tl_action(light, action):
         if light.time_in_phase >= YELLOW_DURATION:
             light.phase_index = (light.phase_index + 1) % len(light.phases)
             light.time_in_phase = 0
-    elif action == 1 and light.time_in_phase >= light.min_green:
+    elif action == 1 and light.time_in_phase >= MIN_GREEN:
         light.phase_index = (light.phase_index + 1) % len(light.phases)
         light.time_in_phase = 0
     return light
@@ -350,18 +349,16 @@ def detect_collisions(sim, view=None):
     return events
 
 
-def count_ttc_events(sim, threshold=TTC_THRESHOLD, view=None):
-    """Count closing adjacent pairs with time-to-collision under threshold
-    this instant, and add them to the cumulative counter. `view` is the
-    current state's ScanView, built here when not given."""
-    if threshold <= 0:
-        raise ValueError("TTC threshold must be positive")
+def count_ttc_events(sim, view=None):
+    """Count closing adjacent pairs with time-to-collision under
+    TTC_THRESHOLD this instant, and add them to the cumulative counter.
+    `view` is the current state's ScanView, built here when not given."""
     if view is None:
         view = scan_view(sim)
     if not view.ids:
         return 0
     events = kernels.ttc_events(view.gap, view.speed, view.lead_speed,
-                                view.has_lead, float(threshold))
+                                view.has_lead, TTC_THRESHOLD)
     sim.ttc_event_count += events
     return events
 

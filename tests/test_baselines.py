@@ -2,13 +2,15 @@
 import numpy as np
 import pytest
 
-from cotraffic import baselines
-from cotraffic.baselines import (ActuatedConfig, ActuatedController,
+from cotraffic import baselines, rollout, simulation
+from cotraffic.baselines import (ACTUATED_MAX_GREEN, ActuatedController,
                                  BaselineController, StaticPlan,
                                  max_pressure_tick, static_tick)
+from cotraffic.env import CooperationMode, EnvConfig, cav_obs_dim, tl_obs_dim
 from cotraffic.network import build_grid, grid_scenario
-from cotraffic.simulation import (YELLOW_DURATION, IdmParams, Vehicle,
-                                  idm_accel, make_light, step)
+from cotraffic.policy import init_params
+from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, IdmParams,
+                                  Vehicle, idm_accel, make_light, step)
 
 from test_simulation import empty_sim, put_vehicle
 
@@ -68,15 +70,14 @@ def test_static_phase_durations_observed():
 
 
 def test_actuated_gap_out_and_max_out():
-    cfg = ActuatedConfig(max_green=45, gap_threshold=3, detection_distance=50)
-    ctrl = ActuatedController(cfg)
+    ctrl = ActuatedController()
     sim = empty_sim()
     light = sim.lights["J0-0"]  # green NS, no traffic at all
     light.time_in_phase = 6
     ticks = [ctrl.tick(light, sim) for _ in range(4)]
     assert ticks == [0, 0, 1, 1]  # empty run reaches the 3 s threshold
 
-    ctrl2 = ActuatedController(cfg)
+    ctrl2 = ActuatedController()
     put_vehicle(sim, "close", "N0:J0-0", 280.0, 5.0)  # 20 m from the line
     assert [ctrl2.tick(light, sim) for _ in range(6)] == [0] * 6
 
@@ -85,8 +86,7 @@ def test_actuated_gap_out_and_max_out():
 
 
 def test_actuated_detection_distance():
-    cfg = ActuatedConfig()
-    ctrl = ActuatedController(cfg)
+    ctrl = ActuatedController()
     sim = empty_sim()
     light = sim.lights["J0-0"]
     light.time_in_phase = 10
@@ -215,7 +215,6 @@ def test_glosa_commands_match_scalar_rule_bitwise():
     scen = grid_scenario("1x6", penetration=0.5, seed=4)
     ctrl = BaselineController("glosa")
     sim = ctrl.new_sim(scen)
-    max_green = ActuatedConfig().max_green
     seen = {"hdv_leader": 0, "empty_road": 0, "front_cav": 0}
     for _ in range(200):
         want = {}
@@ -223,8 +222,8 @@ def test_glosa_commands_match_scalar_rule_bitwise():
             if road.approach_intersection is None:
                 continue
             light = sim.lights[road.approach_intersection]
-            durations = [max_green if p.kind == "green" else YELLOW_DURATION
-                         for p in light.phases]
+            durations = [ACTUATED_MAX_GREEN if p.kind == "green"
+                         else YELLOW_DURATION for p in light.phases]
             order = sim.road_order[road_id]
             seen["empty_road"] += not order
             for i, vid in enumerate(order):
@@ -279,7 +278,33 @@ def test_max_pressure_respects_min_green_in_sim():
         light = sim.lights["J0-0"]
         if light.phase_index != last_index:
             if light.phases[last_index].kind == "green":
-                assert sim.clock - green_entry >= light.min_green
+                assert sim.clock - green_entry >= MIN_GREEN
             if light.phase.kind == "green":
                 green_entry = sim.clock
             last_index = light.phase_index
+
+
+def test_baseline_and_policy_episodes_of_a_seed_share_their_demand(
+        monkeypatch):
+    # methods are compared at the same evaluation seeds, so an integer seed
+    # must give a baseline episode and a policy episode the same insertions:
+    # ids, times, kinds, routes and depart speeds
+    scen = grid_scenario("1x1", penetration=0.5, seed=0)
+    env_cfg = EnvConfig(CooperationMode.COTV)
+    tl = init_params("tl", tl_obs_dim(scen.network, env_cfg.mode), seed=1)
+    cav = init_params("cav", cav_obs_dim(env_cfg.mode), seed=1)
+    schedules = []
+    real = simulation.build_insertion_schedule
+
+    def recorded(scenario):
+        schedules.append(real(scenario))
+        return schedules[-1]
+
+    monkeypatch.setattr(simulation, "build_insertion_schedule", recorded)
+    for seed in (100_007, 100_008):
+        rollout.run_baseline_episode(scen, "actuated", seed, horizon=1)
+        rollout.evaluate_policy(scen, env_cfg, tl, cav, [seed], 1)
+    first, first_rl, second, second_rl = schedules
+    assert first == first_rl and second == second_rl
+    assert first != second
+    assert {ins.kind for ins in first} == {"CAV", "HDV"}

@@ -1,11 +1,13 @@
 """The names the benchmark's tracer wraps and records must exist, the
-checkpoint it evaluates must load to the fingerprints it pins, and the
-episode results its pool probe compares must keep the fields it reads."""
+calls its workloads make must still bind, the checkpoint it evaluates must
+load to the fingerprints it pins, and the episode results its pool probe
+compares must keep the fields it reads."""
 import dataclasses
+import inspect
 from pathlib import Path
 
-from cotraffic import kernels, rollout
-from cotraffic.env import cav_obs_dim, tl_obs_dim
+from cotraffic import kernels, ppo, rollout
+from cotraffic.env import CooperationMode, EnvConfig, cav_obs_dim, tl_obs_dim
 from cotraffic.network import grid_scenario
 from cotraffic.policy import init_params, load_checkpoint
 
@@ -21,6 +23,23 @@ def test_tracer_wraps_every_layer_and_restores(monkeypatch):
     assert t.restored()
     assert t.names[t.name_id[-1]] == "kernels.collision_followers"
     assert t.rows[-1] == 2
+
+
+def test_workload_call_forms_bind():
+    # the argument forms perfbench/workloads.py calls the package with; a
+    # trimmed signature fails here rather than in the benchmark
+    def binds(fn, *args, **kwargs):
+        inspect.signature(fn).bind(*args, **kwargs)
+
+    scen = grid_scenario("1x6", penetration=1.0)
+    cfg = dataclasses.replace(ppo.ci_profile(), iterations=1)
+    cotv = EnvConfig(CooperationMode.COTV)
+    binds(rollout.run_baseline_episode, scen, "glosa", 1)
+    binds(rollout.run_episode, scen, cotv, None, None, 1, scen.horizon,
+          sample=False, collect=True)
+    binds(ppo.train, scen, cotv, cfg, seed=1, workers=1,
+          progress=print)
+    binds(grid_scenario, "1x6", penetration=1.0)
 
 
 def test_kernel_backend_record():

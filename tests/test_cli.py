@@ -227,3 +227,56 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+
+
+def assert_usage_error(capsys, argv, named):
+    """argparse refuses `argv`: exit 2, with `named` in the message."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err or "unrecognized arguments" in err
+    assert named in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--method", "cotv", "--iterations", "0"], "--iterations"),
+    (["train", "--method", "cotv", "--train-episodes", "0"],
+     "--train-episodes"),
+    (["train", "--method", "cotv", "--horizon", "0"], "--horizon"),
+    (["train", "--method", "cotv", "--workers", "0"], "--workers"),
+    (["baseline", "--method", "actuated", "--horizon", "0"], "--horizon"),
+    (["baseline", "--method", "actuated", "--episodes", "0"], "--episodes"),
+    (["baseline", "--method", "actuated", "--episodes", "-2"], "--episodes"),
+    (["baseline", "--method", "actuated", "--episodes", "two"], "--episodes"),
+    (["evaluate", "--checkpoint-dir", "nowhere", "--episodes", "0"],
+     "--episodes"),
+    (["sweep", "--checkpoint-dir", "nowhere", "--rates", "0,abc"], "--rates"),
+    (["sweep", "--checkpoint-dir", "nowhere", "--rates", "0,1.5"], "--rates"),
+    (["sweep", "--checkpoint-dir", "nowhere", "--rates", "0,,1"], "--rates"),
+], ids=["iterations", "train-episodes", "train-horizon", "workers",
+        "baseline-horizon", "episodes-0", "episodes-negative",
+        "episodes-word", "evaluate-episodes", "rates-word", "rates-range",
+        "rates-empty"])
+def test_bad_numbers_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    assert_usage_error(capsys, argv + ["--out", str(tmp_path / "o")], flag)
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_workers_variable_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COTRAFFIC_WORKERS", "many")
+    assert_usage_error(capsys, ["train", "--method", "cotv",
+                                "--out", str(tmp_path / "o")], "--workers")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--method", "cotv", "--trace", "t.txt"], "--trace"),
+    (["train", "--method", "cotv", "--episodes", "3"], "--episodes"),
+    (["sweep", "--checkpoint-dir", "nowhere", "--trace", "t.txt"], "--trace"),
+    (["sweep", "--checkpoint-dir", "nowhere", "--penetration", "0.5"],
+     "--penetration"),
+], ids=["train-trace", "train-episodes", "sweep-trace", "sweep-penetration"])
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv,
+                                                      flag):
+    assert_usage_error(capsys, argv + ["--out", str(tmp_path / "o")], flag)
+    assert not (tmp_path / "o").exists()

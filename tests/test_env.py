@@ -29,14 +29,15 @@ def agent_ids(agents):
 
 def tl_obs(sim, mode, prev_commands=None):
     """The one 1x1 light's row of the signal observation matrix."""
-    (row,) = tl_observation(sim, mode, prev_commands=prev_commands)
+    (row,) = tl_observation(sim, mode, max_road_capacity(sim.network),
+                            prev_commands or {})
     return row
 
 
 def cav_obs(sim, vid, mode, prev_tl_action=None):
     """One vehicle's row of the vehicle observation matrix."""
     j = sim.road_order[sim.vehicles[vid].road].index(vid)
-    (row,) = cav_observation(sim, [(vid, j)], mode, prev_tl_action)
+    (row,) = cav_observation(sim, [(vid, j)], mode, prev_tl_action or {})
     return row
 
 
@@ -606,7 +607,7 @@ def reference_step(env, tl_policy, cav_policy, rng):
                 rec.reward = 0.0 if vid in arrived else COLLISION_REWARD
                 rec.done = True
                 continue
-            rec.reward = cav_reward(sim, vid, cfg.a_star)
+            rec.reward = cav_reward(sim, vid)
             rec.done = vid not in still_selected
     env._prev_tl_action = {lid: tl_actions.get(lid, 0) for lid in sim.lights}
     env._prev_cmd_by_road = {cmd_road[vid]: cmd

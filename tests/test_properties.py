@@ -166,10 +166,10 @@ class OracleScans:
             assert got == want
         return events
 
-    def checked_ttc(self, sim, threshold=simulation.TTC_THRESHOLD, view=None):
-        want = brute_force_ttc(sim, threshold)
+    def checked_ttc(self, sim, view=None):
+        want = brute_force_ttc(sim, simulation.TTC_THRESHOLD)
         assert_view_is_current(sim, view)
-        got = self.ttc(sim, threshold, view)
+        got = self.ttc(sim, view)
         assert got == want
         return got
 

@@ -88,9 +88,10 @@ def test_virtual_leader_red_and_green():
     light = make_light("J0-0")
     veh = Vehicle("x", "HDV", road.id, 250.0, 10.0, (road.id,))
     light.phase_index = 2  # green WE, so the N approach faces red
-    assert red_light_virtual_leader(veh, light, road) == (0.0, 50.0)
+    b = P.b_comfort
+    assert red_light_virtual_leader(veh, light, road, b) == (0.0, 50.0)
     light.phase_index = 0  # green NS
-    assert red_light_virtual_leader(veh, light, road) is None
+    assert red_light_virtual_leader(veh, light, road, b) is None
 
 
 def test_virtual_leader_yellow_dilemma():
@@ -100,10 +101,12 @@ def test_virtual_leader_yellow_dilemma():
     light.phase_index = 1  # yellow NS
     committed = Vehicle("a", "HDV", road.id, 295.0, 15.0, (road.id,))
     # needed deceleration 15^2 / (2*5) = 22.5 > comfortable 1.5: proceeds
-    assert red_light_virtual_leader(committed, light, road) is None
+    assert red_light_virtual_leader(committed, light, road,
+                                    P.b_comfort) is None
     far = Vehicle("b", "HDV", road.id, 100.0, 15.0, (road.id,))
     # 15^2 / (2*200) = 0.5625 < 1.5: stops at the line
-    assert red_light_virtual_leader(far, light, road) == (0.0, 200.0)
+    assert red_light_virtual_leader(far, light, road,
+                                    P.b_comfort) == (0.0, 200.0)
 
 
 def test_apply_tl_action_transitions():
@@ -337,12 +340,6 @@ def test_ttc_no_event_when_not_closing():
     assert count_ttc_events(sim) == 0
 
 
-def test_ttc_threshold_validation():
-    sim = empty_sim()
-    with pytest.raises(ValueError):
-        count_ttc_events(sim, threshold=0.0)
-
-
 def brute_force_ttc(sim, threshold=3.0):
     count = 0
     for road_id in sim.network.roads:
@@ -387,9 +384,9 @@ def test_collision_and_ttc_in_one_step_rebuild_the_view(monkeypatch):
         seen["stale_ttc"] = brute_force_ttc(s)
         return real_detect(s, view)
 
-    def ttc(s, threshold=3.0, view=None):
-        seen["ttc"] = brute_force_ttc(s, threshold)
-        return real_ttc(s, threshold, view)
+    def ttc(s, view=None):
+        seen["ttc"] = brute_force_ttc(s)
+        return real_ttc(s, view)
 
     monkeypatch.setattr(simulation, "detect_collisions", detect)
     monkeypatch.setattr(simulation, "count_ttc_events", ttc)
