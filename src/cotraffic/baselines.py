@@ -247,6 +247,8 @@ class BaselineController:
     def new_sim(self, scenario):
         return build_sim(scenario)
 
-    def step(self, sim, trace=None):
+    def step(self, sim, trace=None, view=None):
+        """One second of `sim` under this controller; `view` and the return
+        value are `simulation.step`'s."""
         commands = self.glosa.commands(sim) if self.glosa else {}
-        return step(sim, self.lights(sim), commands, trace=trace)
+        return step(sim, self.lights(sim), commands, trace=trace, view=view)

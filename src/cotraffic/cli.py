@@ -46,8 +46,29 @@ def _eval_seeds(args):
     return [args.seed + EVAL_SEED_OFFSET + i for i in range(args.episodes)]
 
 
-# manifest fields that describe one run rather than its configuration
-_UNHASHED = ("created_unix", "command", "wall_time_s", "halted_early")
+# manifest fields that describe one run or its host rather than its
+# configuration
+_UNHASHED = ("created_unix", "command", "wall_time_s", "halted_early",
+             "numpy", "numpy_cpu_features", "blas", "blas_threads")
+
+
+def _host():
+    """The class of host a run's numbers are bit-reproducible on: numpy's
+    version, the SIMD features it dispatches to, and its BLAS (None on a
+    numpy older than 1.26, which has no dict form of its build config)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x keeps the module under numpy.core
+        from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:
+        blas = None
+    return {"numpy": np.__version__,
+            "numpy_cpu_features": [name for name, on in __cpu_features__.items()
+                                   if on],
+            "blas": blas}
 
 
 def _manifest(args, scenario, method, extra):
@@ -59,6 +80,7 @@ def _manifest(args, scenario, method, extra):
         "method_notes": method.notes,
         "seed": args.seed,
         "scenario_text": scenario_to_text(scenario),
+        **_host(),
     }
     payload.update(extra)
     digest_src = json.dumps(
@@ -140,6 +162,7 @@ def cmd_train(args):
         "checkpoints": checkpoints,
         "wall_time_s": result.wall_time_s,
         "halted_early": result.halted_early,
+        "blas_threads": result.blas_threads,
     })
     _write_json(out / "manifest.json", manifest)
     print(f"trained {args.method}: {len(result.curves)} iterations, "
@@ -182,7 +205,8 @@ def _eval_common(args, manifest, params, penetration):
     penetration = resolve_penetration(
         method, penetration, manifest.get("penetration",
                                           scenario.penetration_rate))
-    scenario = scenario.with_overrides(penetration=penetration, seed=args.seed)
+    scenario = scenario.with_overrides(penetration=penetration, seed=args.seed,
+                                       horizon=args.horizon)
 
     env_cfg = method.env_cfg
     tl_params = params.get("tl")
@@ -226,8 +250,7 @@ def cmd_evaluate(args):
     with _trace_file(args) as trace_fh:
         reports = rollout.evaluate_policy(
             scenario, env_cfg, tl_params, cav_params, seeds,
-            args.horizon or scenario.horizon, tl_plan=method.tl_plan,
-            trace_fh=trace_fh)
+            scenario.horizon, tl_plan=method.tl_plan, trace_fh=trace_fh)
     aggregate = _write_eval_outputs(out, method, scenario, reports)
     _write_json(out / "manifest.json", _manifest(
         args, scenario, method,
@@ -273,7 +296,7 @@ def cmd_sweep(args):
             args, manifest, params, rate)
         reports = rollout.evaluate_policy(
             scenario, env_cfg, tl_params, cav_params, _eval_seeds(args),
-            args.horizon or scenario.horizon, tl_plan=method.tl_plan)
+            scenario.horizon, tl_plan=method.tl_plan)
         aggregate = _write_eval_outputs(out, method, scenario, reports,
                                         label=f"rate{rate:0.2f}")
         rows.append((rate, aggregate))
@@ -286,7 +309,8 @@ def cmd_sweep(args):
             fh.write(f"{rate:.2f}," + ",".join(
                 _fmt(vals[k]) for k in metrics.EpisodeReport.METRIC_KEYS) + "\n")
     _write_json(out / "manifest.json", _manifest(
-        args, parse_scenario_text(manifest["scenario_text"]), method,
+        args, parse_scenario_text(manifest["scenario_text"]).with_overrides(
+            horizon=args.horizon), method,
         {"rates": args.rates, "episodes": args.episodes,
          "checkpoint_dir": str(args.checkpoint_dir)}))
     print(f"sweep outputs in {out}")
@@ -322,16 +346,23 @@ def cmd_report(args):
     return 0
 
 
-def _positive_int(text):
-    """argparse type of the count flags: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low, kind):
+    """argparse type of an integer flag of at least `low`, named `kind`
+    integer in its error message."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")   # the count flags
+_seed = _int_at_least(0, "non-negative")
 
 
 def _rates(text):
@@ -363,7 +394,8 @@ _FLAGS = {
 
 def _add_common(p, *flags):
     """--seed, --out and --horizon, then each of `flags` from _FLAGS."""
-    p.add_argument("--seed", type=int, default=0, help="run seed")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="run seed, a non-negative integer")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--horizon", type=_positive_int, default=None,
                    help="override episode length in seconds")

@@ -248,7 +248,8 @@ class TrafficEnv:
     removed, or arrived) has done=True on its final record; signal agents are
     closed by the rollout loop at the horizon. Only `step` and `reset` may
     change `sim`: a step's vehicle agents are the selection that the
-    previous step made after it moved the simulator.
+    previous step made after it moved the simulator, and the simulator
+    starts from the fleet view that the previous step returned.
     """
 
     def __init__(self, scenario, cfg):
@@ -258,15 +259,17 @@ class TrafficEnv:
         self.sim = None
         self._prev_tl_action = {}
         self._prev_cmd_by_road = {}
-        # the selection of the state the last step left, which is this
-        # step's selection: nothing moves the simulator between two steps
+        # the selection and the fleet view of the state the last step left,
+        # which are this step's: nothing moves the simulator between steps
         self._next_agents = None
+        self._view = None
 
     def reset(self):
         self.sim = build_sim(self.scenario)
         self._prev_tl_action = {lid: 0 for lid in self.sim.lights}
         self._prev_cmd_by_road = {}
         self._next_agents = None
+        self._view = None
         return self.sim
 
     def step(self, tl_policy=None, cav_policy=None, rng=None, sample=True,
@@ -319,7 +322,8 @@ class TrafficEnv:
                 cav_records[vid] = rec
 
         completed_before = len(sim.completed)
-        step(sim, tl_actions, cav_actions, trace=trace)
+        self._view = step(sim, tl_actions, cav_actions, trace=trace,
+                          view=self._view)
         self._next_agents = (select_cav_agents(sim, cfg.mode) if selecting
                              else None)
 

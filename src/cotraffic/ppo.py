@@ -192,9 +192,26 @@ class TrainResult:
     config: PpoConfig
     seed: int
     halted_early: bool = False
+    blas_threads: int = None  # None: no OpenBLAS thread control was found
 
     def curve(self, key):
         return [c[key] for c in self.curves]
+
+
+def _openblas_thread_control():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when the library or its symbols are not found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(found[0]))
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
 
 
 @contextlib.contextmanager
@@ -210,21 +227,15 @@ def one_blas_thread():
     library's thread control the block runs at the BLAS's own count, and a
     note on stderr says so.
     """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_*.so"))
-    try:
-        lib = ctypes.CDLL(str(found[0]))
-        get_threads = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
+    control = _openblas_thread_control()
+    if control is None:
         print("note: numpy's OpenBLAS thread control "
               "(scipy_openblas_set_num_threads64_) was not found; training "
               "runs at the BLAS's own thread count, and its result may "
               "depend on that count", file=sys.stderr)
         yield
         return
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads, set_threads = control
     before = get_threads()
     set_threads(1)
     try:
@@ -247,8 +258,10 @@ def train(scenario, env_cfg, cfg, seed=0, tl_plan=None, workers=1,
     configurations whose lights are not agents. `workers` episode processes
     run each iteration's rollouts; results are identical for any value. It
     runs on one BLAS thread (`one_blas_thread`), so results are identical for
-    any BLAS thread count too.
+    any BLAS thread count too; the result records the count it ran at.
     """
+    control = _openblas_thread_control()
+    blas_threads = control[0]() if control else None
     tl_params = cav_params = None
     optimizers = {}
     if env_cfg.tl_agents:
@@ -327,4 +340,5 @@ def train(scenario, env_cfg, cfg, seed=0, tl_plan=None, workers=1,
             break
 
     return TrainResult(tl_params, cav_params, curves,
-                       time.perf_counter() - t0, cfg, seed, halted)
+                       time.perf_counter() - t0, cfg, seed, halted,
+                       blas_threads)

@@ -119,8 +119,9 @@ def run_baseline_episode(scenario, method, seed, horizon=None, trace_fh=None):
     controller = baselines.BaselineController(method)
     sim = controller.new_sim(scenario.with_overrides(seed=scen_seed))
     trace = TraceWriter(trace_fh) if trace_fh is not None else None
+    view = None
     for _ in range(horizon):
-        controller.step(sim, trace=trace)
+        view = controller.step(sim, trace=trace, view=view)
     return build_episode_report(sim), sim
 
 

@@ -282,7 +282,12 @@ class ScanView(NamedTuple):
     zero gap and leader speed). `vehs` and `roads` hold each row's Vehicle
     and Road, and `fronts` the row of every road's front vehicle, in road
     order. Every column is a list, of Python floats for `speed`,
-    `lead_speed` and `gap` and of bools for `has_lead`."""
+    `lead_speed` and `gap` and of bools for `has_lead`.
+
+    A view describes its state until the next write to that state: `step`
+    returns the view of the state it leaves, and the caller that writes
+    nothing else to the state in between hands it to the next `step`, which
+    consumes it."""
     ids: list
     vehs: list
     roads: list
@@ -377,16 +382,19 @@ class TraceWriter:
                               f"{v.position:.3f} {v.speed:.3f} {v.accel:.3f}\n")
 
 
-def step(sim, tl_actions=None, cav_accels=None, trace=None):
-    """Advance the world by one second.
+def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
+    """Advance the world by one second; returns the ScanView of the state
+    it leaves.
 
     Order: signal transitions, accelerations (commanded or car-following
     with stop-line virtual leaders), kinematics, road transfers and stop-line
     holds, energy accounting, arrivals, insertions, clock, collision and
-    conflict scans, phase timers. The acceleration inputs come from the
-    ScanView of the pre-move state, with the front rows patched. The two
-    scans share one ScanView of the settled state; it is built again only
-    when a collision removed vehicles. No view outlives the call.
+    conflict scans, phase timers. The acceleration inputs come from `view`,
+    the ScanView of the pre-move state, with the front rows patched in
+    place; it is built here when not given. A caller that writes to `sim`
+    between two steps passes none. The two scans share one ScanView of the
+    settled state, which is built again when a collision removed vehicles
+    and is the one returned: it holds until the next write to `sim`.
     """
     tl_actions = tl_actions or {}
     cav_accels = cav_accels or {}
@@ -405,7 +413,8 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
     # acceleration inputs from the pre-move view: row i + 1 leads row i,
     # except that a road's front row faces a standing virtual leader at the
     # stop line, the tail of its continuation road, or nothing
-    view = scan_view(sim)
+    if view is None:
+        view = scan_view(sim)
     vehs, roads_of, speed = view.vehs, view.roads, view.speed
     if vehs:
         lead_speed, has_lead = view.lead_speed, view.has_lead
@@ -514,4 +523,4 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None):
 
     if trace is not None:
         trace.record(sim)
-    return sim
+    return view

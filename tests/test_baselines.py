@@ -12,7 +12,7 @@ from cotraffic.policy import init_params
 from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, IdmParams,
                                   Vehicle, idm_accel, make_light, step)
 
-from test_simulation import empty_sim, put_vehicle
+from test_simulation import empty_sim, episode_state, put_vehicle
 
 
 def glosa_advice(vehicle, light, dist_to_stop, road, durations,
@@ -245,6 +245,41 @@ def test_glosa_commands_match_scalar_rule_bitwise():
         assert all(got[vid] == want[vid] for vid in want)
         step(sim, ctrl.lights(sim), got)
     assert all(seen.values()), seen
+
+
+def test_baseline_episode_builds_one_fleet_view_per_step(monkeypatch):
+    # each step hands the view of the state it leaves to the next step: an
+    # episode of H steps builds H + 1 views, plus one per step with a crash
+    calls = []
+    real = simulation.scan_view
+
+    def counted(sim):
+        calls.append(sim.clock)
+        return real(sim)
+
+    monkeypatch.setattr(simulation, "scan_view", counted)
+    scen = grid_scenario("1x6", penetration=1.0, seed=11)
+    for method in ("actuated", "glosa"):
+        del calls[:]
+        _, sim = rollout.run_baseline_episode(scen, method, seed=11,
+                                              horizon=120)
+        crash_steps = len({event.time for event in sim.collisions})
+        assert len(calls) == 120 + 1 + crash_steps
+
+
+def test_glosa_episode_with_handed_views_equals_fresh_views():
+    # stepping with the view the last step returned, and with none, gives
+    # the same states bit for bit
+    # a controller per episode, since the actuated plan keeps per-light state
+    scen = grid_scenario("1x6", penetration=1.0, seed=11)
+    ctrl, ref = BaselineController("glosa"), BaselineController("glosa")
+    handed, fresh = ctrl.new_sim(scen), ref.new_sim(scen)
+    view = None
+    for _ in range(300):
+        view = ctrl.step(handed, view=view)
+        ref.step(fresh)
+    assert len(handed.completed) > 100
+    assert repr(episode_state(handed)) == repr(episode_state(fresh))
 
 
 def test_glosa_episode_runs_safely():

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cotraffic import cli
 from cotraffic.cli import main
+from cotraffic.network import parse_scenario_text
 
 
 def run_cli(*argv):
@@ -280,3 +282,57 @@ def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv,
                                                       flag):
     assert_usage_error(capsys, argv + ["--out", str(tmp_path / "o")], flag)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--method", "cotv", "--seed", "-1"],
+    ["evaluate", "--checkpoint-dir", "nowhere", "--seed", "-200000"],
+    ["baseline", "--method", "actuated", "--seed", "-1"],
+    ["sweep", "--checkpoint-dir", "nowhere", "--seed", "-1"],
+    ["train", "--method", "cotv", "--seed", "one"],
+], ids=["train", "evaluate", "baseline", "sweep", "train-word"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    assert_usage_error(capsys, argv + ["--out", str(tmp_path / "o")],
+                       "--seed")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_manifest_records_the_horizon_that_ran(train_dir, tmp_path, command):
+    extra = ["--rates", "1.0"] if command == "sweep" else []
+    manifests = []
+    for horizon in ([], ["--horizon", "20"]):
+        out = tmp_path / f"h{len(horizon)}"
+        assert run_cli(command, "--checkpoint-dir", str(train_dir),
+                       "--episodes", "1", "--out", str(out),
+                       *extra, *horizon) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    default, short = manifests
+    assert parse_scenario_text(default["scenario_text"]).horizon == 40
+    assert parse_scenario_text(short["scenario_text"]).horizon == 20
+    assert default["config_sha256"] != short["config_sha256"]
+
+
+def test_manifest_records_the_host_outside_the_hash(train_dir, tmp_path,
+                                                    monkeypatch):
+    from numpy._core._multiarray_umath import __cpu_features__
+    trained = json.loads((train_dir / "manifest.json").read_text())
+    assert trained["numpy"] == np.__version__
+    assert trained["numpy_cpu_features"] == [
+        name for name, on in __cpu_features__.items() if on]
+    assert trained["blas"].split()[0]
+    # training pins numpy's OpenBLAS to one thread when it can
+    assert trained["blas_threads"] in (1, None)
+
+    def baseline_manifest(out):
+        assert run_cli("baseline", "--method", "actuated", "--episodes", "1",
+                       "--horizon", "20", "--out", str(out)) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    here = baseline_manifest(tmp_path / "here")
+    assert "blas_threads" not in here
+    monkeypatch.setattr(cli, "_host", lambda: {
+        "numpy": "0.0", "numpy_cpu_features": [], "blas": "other 0"})
+    elsewhere = baseline_manifest(tmp_path / "elsewhere")
+    assert elsewhere["numpy"] == "0.0" != here["numpy"]
+    assert elsewhere["config_sha256"] == here["config_sha256"]

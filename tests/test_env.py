@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cotraffic import env as env_module
-from cotraffic import policy
+from cotraffic import policy, simulation
 from cotraffic.env import (ACCEL_NORM, CooperationMode, EnvConfig, AgentStep,
                            COLLISION_REWARD, TrafficEnv, cav_obs_dim,
                            cav_observation, max_road_capacity,
@@ -15,7 +15,7 @@ from cotraffic.network import build_grid, grid_scenario
 from cotraffic.policy import Policy, init_params
 from cotraffic.simulation import _cross_boundary_leader, step
 
-from test_simulation import empty_sim, put_vehicle
+from test_simulation import empty_sim, episode_state, put_vehicle
 
 COTV = CooperationMode.COTV
 STAR = CooperationMode.COTV_STAR
@@ -472,6 +472,58 @@ def test_env_step_selects_vehicle_agents_once_per_step(monkeypatch):
     env.step(tl_p, None, rng=rng)
     env.step(tl_p, cav_p, rng=rng)
     assert calls == [61, 62]
+
+
+def test_env_builds_one_fleet_view_per_step(monkeypatch):
+    # each step hands the view of the state it leaves to the next step: an
+    # episode of H steps builds H + 1 views, plus one per step with a crash
+    scen = grid_scenario("1x6", penetration=1.0, seed=3)
+    env = TrafficEnv(scen, EnvConfig(COTV))
+    tl_p, cav_p = make_policies(scen.network, COTV)
+    calls = []
+    real = simulation.scan_view
+
+    def counted(sim):
+        calls.append(sim.clock)
+        return real(sim)
+
+    monkeypatch.setattr(simulation, "scan_view", counted)
+    rng = np.random.default_rng(0)
+    crash_steps = []
+    for _ in range(2):
+        sim = env.reset()   # the first step after a reset builds its own
+        del calls[:]
+        for _ in range(120):
+            env.step(tl_p, cav_p, rng=rng)
+        crash_steps.append(len({event.time for event in sim.collisions}))
+        assert len(calls) == 120 + 1 + crash_steps[-1]
+    assert sum(crash_steps) > 0
+
+
+def test_env_episode_with_handed_views_equals_fresh_views(monkeypatch):
+    # a sampled cotv episode where every step is handed no view, so builds
+    # its own, gives the same states and agent records bit for bit
+    scen = grid_scenario("1x6", penetration=1.0, seed=3)
+    tl_p, cav_p = make_policies(scen.network, COTV)
+
+    def run():
+        env = TrafficEnv(scen, EnvConfig(COTV))
+        sim = env.reset()
+        rng = np.random.default_rng(5)
+        records = []
+        for _ in range(300):
+            records += [(r.agent_id, r.obs.tobytes(), r.action, r.log_prob,
+                         r.value, r.reward, r.done, r.t)
+                        for r in env.step(tl_p, cav_p, rng=rng)]
+        return episode_state(sim), records
+
+    handed = run()
+    with monkeypatch.context() as m:
+        m.setattr(env_module, "step",
+                  lambda *args, view=None, **kwargs: step(*args, **kwargs))
+        fresh = run()
+    assert handed[0][4], "no collision in the episode"
+    assert repr(handed) == repr(fresh)
 
 
 # --- parity with the per-agent observations ----------------------------------

@@ -6,15 +6,17 @@ and every vehicle's kinematic and energy fields are Python floats;
 during it, the collision scan and the TTC counter agree with brute-force
 rescans of the state they read, the view `step` hands each scan equals the
 per-vehicle loop it replaced, and the acceleration inputs `step` builds from
-its pre-move view equal the per-road construction they replaced. The example
-count is set by the profile in conftest.py."""
+its pre-move view equal the per-road construction they replaced. The view
+`step` returns equals a fresh `scan_view` of the state it leaves, and is
+handed to the next step. The example count is set by the profile in
+conftest.py."""
 from unittest import mock
 
 from hypothesis import given, strategies as st
 
 from cotraffic import kernels, simulation
 from cotraffic.network import grid_scenario
-from cotraffic.simulation import build_sim, step
+from cotraffic.simulation import build_sim, scan_view, step
 
 from test_simulation import (brute_force_collision_pairs, brute_force_ttc,
                              empty_sim, put_vehicle)
@@ -179,6 +181,20 @@ class OracleScans:
                                    count_ttc_events=self.checked_ttc)
 
 
+def assert_view_equals_fresh(sim, view):
+    """The view `step` returned equals a fresh `scan_view` of the state it
+    left: the columns bit for bit, each row's Vehicle and Road by
+    identity."""
+    fresh = scan_view(sim)
+    assert view.ids == fresh.ids
+    assert view.fronts == fresh.fronts
+    for name in ("speed", "lead_speed", "gap", "has_lead"):
+        assert bitwise(getattr(view, name)) == bitwise(getattr(fresh, name))
+    for name in ("vehs", "roads"):
+        assert all(a is b for a, b in zip(getattr(view, name),
+                                          getattr(fresh, name), strict=True))
+
+
 FLOAT_FIELDS = ("position", "speed", "accel", "fuel_l", "co2_g", "distance_m")
 
 
@@ -203,6 +219,7 @@ def assert_invariants(sim):
 def test_step_invariants_on_random_placements(sim, steps, data):
     accel = st.floats(-5.0, 5.0)
     accels = CheckedAccels(sim)
+    view = None
     with OracleScans().patch(), accels.patch():
         for _ in range(steps):
             lights = {lid: data.draw(st.integers(0, 1)) for lid in sim.lights}
@@ -212,6 +229,8 @@ def test_step_invariants_on_random_placements(sim, steps, data):
             accels.commands = {vid: data.draw(accel) for vid in commanded}
             moving = bool(sim.vehicles)
             calls = accels.calls
-            step(sim, lights, accels.commands)
+            # the next step reads its acceleration inputs from this view
+            view = step(sim, lights, accels.commands, view=view)
             assert accels.calls == calls + moving
             assert_invariants(sim)
+            assert_view_equals_fresh(sim, view)

@@ -1,4 +1,5 @@
 """Micro-simulation dynamics: car following, signals, collisions, energy."""
+import dataclasses
 import io
 import math
 
@@ -37,6 +38,13 @@ def put_vehicle(sim, vid, road, position, speed, route=None, kind="HDV"):
     order.insert(idx, vid)
     sim.inserted_count += 1
     return veh
+
+
+def episode_state(sim):
+    """Every vehicle field, counter and trip record of a state."""
+    return (sim.clock, [dataclasses.astuple(v) for v in sim.vehicles.values()],
+            sim.road_order, sim.completed, sim.collisions, sim.inserted_count,
+            sim.collided_count, sim.ttc_event_count)
 
 
 def empty_sim(grid="1x1"):
