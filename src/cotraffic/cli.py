@@ -290,12 +290,13 @@ def cmd_baseline(args):
 def cmd_sweep(args):
     manifest, params = _load_run(args.checkpoint_dir)
     out = _out_dir(args, "runs/sweep")
+    seeds = _eval_seeds(args)
     rows = []
     for rate in args.rates:
         method, scenario, env_cfg, tl_params, cav_params = _eval_common(
             args, manifest, params, rate)
         reports = rollout.evaluate_policy(
-            scenario, env_cfg, tl_params, cav_params, _eval_seeds(args),
+            scenario, env_cfg, tl_params, cav_params, seeds,
             scenario.horizon, tl_plan=method.tl_plan)
         aggregate = _write_eval_outputs(out, method, scenario, reports,
                                         label=f"rate{rate:0.2f}")
@@ -308,11 +309,13 @@ def cmd_sweep(args):
             vals = agg.metrics()
             fh.write(f"{rate:.2f}," + ",".join(
                 _fmt(vals[k]) for k in metrics.EpisodeReport.METRIC_KEYS) + "\n")
+    # the scenario that ran, as `_eval_common` builds it; the penetration
+    # rates are listed on their own
     _write_json(out / "manifest.json", _manifest(
         args, parse_scenario_text(manifest["scenario_text"]).with_overrides(
-            horizon=args.horizon), method,
+            seed=args.seed, horizon=args.horizon), method,
         {"rates": args.rates, "episodes": args.episodes,
-         "checkpoint_dir": str(args.checkpoint_dir)}))
+         "checkpoint_dir": str(args.checkpoint_dir), "eval_seeds": seeds}))
     print(f"sweep outputs in {out}")
     return 0
 

@@ -291,8 +291,7 @@ class TrafficEnv:
             obs = tl_observation(sim, cfg.mode, self.c, self._prev_cmd_by_road)
             actions, logps, values = tl_policy.act(obs, rng, sample)
             for lid, row, action, logp, value in zip(
-                    sim.lights, obs, actions.tolist(), logps.tolist(),
-                    values.tolist()):
+                    sim.lights, obs, actions, logps, values):
                 tl_actions[lid] = action
                 records.append(AgentStep(lid, "TL", row, float(action),
                                          logp, value, t=sim.clock))
@@ -312,8 +311,7 @@ class TrafficEnv:
             obs = cav_observation(sim, agents, cfg.mode, self._prev_tl_action)
             actions, logps, values = cav_policy.act(obs, rng, sample)
             for (vid, _), row, action, logp, value in zip(
-                    agents, obs, actions.tolist(), logps.tolist(),
-                    values.tolist()):
+                    agents, obs, actions, logps, values):
                 cav_actions[vid] = action
                 cmd_road[vid] = sim.vehicles[vid].road
                 rec = AgentStep(vid, "CAV", row, action, logp, value,

@@ -8,12 +8,12 @@ all its parameters in one flat vector, and its gradient and Adam moments are
 vectors in the same layout, so an update is a few whole-vector operations.
 Forward and backward passes are written out by hand in numpy so the training
 step can be checked against central finite differences parameter by
-parameter.
+parameter. `Policy.act` serves a step's agents of one type with one forward,
+then samples and scores each row on Python floats.
 """
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,62 +128,6 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-@dataclass(frozen=True)
-class BernoulliAction:
-    """Keep/switch distribution; `logit` is a float or one per agent."""
-    logit: float
-
-    @property
-    def p_switch(self):
-        return _sigmoid(np.asarray(self.logit, dtype=np.float64))
-
-    def sample(self, rng):
-        draws = rng.random(np.shape(self.logit))
-        return (draws < self.p_switch).astype(np.int64)
-
-    def greedy(self):
-        return (np.asarray(self.logit) > 0.0).astype(np.int64)
-
-    def log_prob(self, action):
-        z = np.asarray(self.logit, dtype=np.float64)
-        return np.where(action, -_softplus(-z), -_softplus(z))
-
-    def entropy(self):
-        z = np.asarray(self.logit, dtype=np.float64)
-        s = _sigmoid(z)
-        return s * _softplus(-z) + (1.0 - s) * _softplus(z)
-
-
-@dataclass(frozen=True)
-class GaussianAction:
-    """Acceleration distribution; `mean` is a float or one per agent."""
-    mean: float
-    log_std: float
-
-    def sample(self, rng):
-        noise = rng.standard_normal(np.shape(self.mean))
-        raw = self.mean + np.exp(self.log_std) * noise
-        return np.clip(raw, -ACTION_SCALE, ACTION_SCALE)
-
-    def greedy(self):
-        return self.mean
-
-    def log_prob(self, action):
-        z = (action - self.mean) / np.exp(self.log_std)
-        return -0.5 * z * z - self.log_std - 0.5 * LOG_2PI
-
-    def entropy(self):
-        return 0.5 + 0.5 * LOG_2PI + self.log_std
-
-
-def _distribution(params, head_pre):
-    """Action distribution over one head output or an array of them."""
-    if params.kind == "tl":
-        return BernoulliAction(head_pre)
-    return GaussianAction(ACTION_SCALE * np.tanh(head_pre),
-                          float(params.log_std[0]))
-
-
 class Policy:
     """Binds one agent type's shared params to the sample/greedy action API.
 
@@ -197,21 +141,58 @@ class Policy:
     def act(self, obs, rng=None, sample=True):
         """Actions, log-probs and values for an (n, obs_dim) matrix.
 
-        One forward serves all n rows. Sampling draws n numbers from `rng` in
-        row order: `rng.random(n)` for signals, `rng.standard_normal(n)` for
-        vehicles, which are the numbers n scalar draws would give. A 1-D
-        `obs` is one row and returns an (action, log_prob, value) of scalars.
+        Returns three lists of n Python numbers (int actions for signals,
+        float accelerations for vehicles); a 1-D `obs` is one row and returns
+        an (action, log_prob, value) of scalars. One forward serves all n
+        rows. Sampling draws n numbers from `rng` in row order:
+        `rng.random(n)` for signals, `rng.standard_normal(n)` for vehicles,
+        which are the numbers n scalar draws would give.
+
+        A signal switches with probability sigmoid(z) of its logit z and has
+        log-prob -softplus(-z) or -softplus(z); a vehicle's acceleration is
+        3 tanh(z) plus exp(log_std) times its draw, clipped to +-3 m/s^2, with
+        the Gaussian log-prob. At a few rows per call numpy's per-call cost
+        outweighs the arithmetic, so each row's arithmetic runs on Python
+        floats, which round as numpy does. Only `tanh`, `logaddexp` and `exp`
+        stay in numpy: numpy computes them with its own code (SIMD `tanh` and
+        `exp`), which can differ from Python's `math` in the last bit, and
+        training output keeps numpy's bits.
         """
         if sample and rng is None:
             raise ValueError("sampling actions needs an rng; pass one, "
                              "or sample=False for greedy actions")
         obs = np.asarray(obs, dtype=np.float64)
         head_pre, values, _ = forward(self.params, obs)
-        dist = _distribution(self.params, head_pre)
-        actions = dist.sample(rng) if sample else dist.greedy()
-        log_probs = dist.log_prob(actions)
+        n = len(head_pre)
+        if self.params.kind == "tl":
+            heads = head_pre.tolist()
+            if sample:
+                halves = np.tanh([0.5 * z for z in heads]).tolist()
+                actions = [1 if u < 0.5 * (1.0 + t) else 0 for u, t in
+                           zip(rng.random(n).tolist(), halves)]
+            else:
+                actions = [1 if z > 0.0 else 0 for z in heads]
+            # log-prob = -softplus(-z) for a switch, -softplus(z) for a keep
+            softplus = np.logaddexp(
+                0.0, [-z if a else z for z, a in zip(heads, actions)]).tolist()
+            log_probs = [-s for s in softplus]
+        else:
+            log_std = float(self.params.log_std[0])
+            std = float(np.exp(log_std))
+            means = [ACTION_SCALE * t for t in np.tanh(head_pre).tolist()]
+            if sample:
+                actions = [min(max(m + std * e, -ACTION_SCALE), ACTION_SCALE)
+                           for m, e in zip(
+                               means, rng.standard_normal(n).tolist())]
+            else:
+                actions = means
+            log_probs = []
+            for a, m in zip(actions, means):
+                z = (a - m) / std
+                log_probs.append(-0.5 * z * z - log_std - 0.5 * LOG_2PI)
+        values = values.tolist()
         if obs.ndim == 1:
-            return actions.item(), log_probs.item(), values.item()
+            return actions[0], log_probs[0], values[0]
         return actions, log_probs, values
 
 

@@ -369,7 +369,9 @@ def count_ttc_events(sim, view=None):
 
 
 class TraceWriter:
-    """Line-oriented per-step trace: t vehicle road position speed accel."""
+    """Line-oriented per-step trace: one `t vehicle road position speed
+    accel` line per vehicle, then one `t light id phase_index time_in_phase`
+    line per light."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -380,6 +382,9 @@ class TraceWriter:
                 v = sim.vehicles[vid]
                 self.fh.write(f"{sim.clock} {vid} {road_id} "
                               f"{v.position:.3f} {v.speed:.3f} {v.accel:.3f}\n")
+        for light_id, light in sim.lights.items():
+            self.fh.write(f"{sim.clock} light {light_id} "
+                          f"{light.phase_index} {light.time_in_phase}\n")
 
 
 def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):

@@ -313,6 +313,23 @@ def test_manifest_records_the_horizon_that_ran(train_dir, tmp_path, command):
     assert default["config_sha256"] != short["config_sha256"]
 
 
+def test_sweep_and_evaluate_record_the_same_seeds(train_dir, tmp_path):
+    # the checkpoint was trained at --seed 3; both runs evaluate at --seed 5
+    manifests = []
+    for command, extra in (("evaluate", []), ("sweep", ["--rates", "1.0"])):
+        out = tmp_path / command
+        assert run_cli(command, "--checkpoint-dir", str(train_dir),
+                       "--episodes", "2", "--seed", "5", "--out", str(out),
+                       *extra) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    evaluated, swept = manifests
+    assert evaluated["seed"] == swept["seed"] == 5
+    assert parse_scenario_text(swept["scenario_text"]).seed == 5
+    assert swept["scenario_text"] == evaluated["scenario_text"]
+    assert swept["eval_seeds"] == evaluated["eval_seeds"]
+    assert len(swept["eval_seeds"]) == 2
+
+
 def test_manifest_records_the_host_outside_the_hash(train_dir, tmp_path,
                                                     monkeypatch):
     from numpy._core._multiarray_umath import __cpu_features__

@@ -625,7 +625,7 @@ def reference_step(env, tl_policy, cav_policy, rng):
     actions, logps, values = tl_policy.act(obs, rng, True)
     tl_actions = {}
     for lid, row, action, logp, value in zip(
-            lids, obs, actions.tolist(), logps.tolist(), values.tolist()):
+            lids, obs, actions, logps, values):
         tl_actions[lid] = action
         records.append(AgentStep(lid, "TL", row, float(action), logp, value,
                                  t=sim.clock))
@@ -639,8 +639,7 @@ def reference_step(env, tl_policy, cav_policy, rng):
             for vid, road in zip(vids, roads)])
         actions, logps, values = cav_policy.act(obs, rng, True)
         for vid, road, row, action, logp, value in zip(
-                vids, roads, obs, actions.tolist(), logps.tolist(),
-                values.tolist()):
+                vids, roads, obs, actions, logps, values):
             cav_actions[vid] = action
             cmd_road[vid] = road
             rec = AgentStep(vid, "CAV", row, action, logp, value, t=sim.clock)

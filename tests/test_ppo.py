@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,10 @@ from cotraffic import ppo
 from cotraffic.env import AgentStep, CooperationMode, EnvConfig
 from cotraffic.network import grid_scenario
 from cotraffic.policy import (ACTION_SCALE, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                              LOG_2PI, Adam, BernoulliAction,
-                              GaussianAction, GradWorkspace, MlpParams,
-                              Policy, _distribution, _sigmoid, _softplus,
-                              forward, init_params, load_checkpoint,
-                              ppo_loss_and_grads, save_checkpoint)
+                              LOG_2PI, Adam, GradWorkspace, MlpParams, Policy,
+                              _sigmoid, _softplus, forward, init_params,
+                              load_checkpoint, ppo_loss_and_grads,
+                              save_checkpoint)
 from cotraffic.ppo import (NonFiniteLossError, PpoConfig, RolloutBuffer,
                            ci_profile, compute_gae, explained_variance,
                            ppo_update, train)
@@ -31,6 +31,78 @@ def zero_params(kind, obs_dim, hidden=(4, 3)):
     if params.log_std is not None:
         params.log_std[...] = np.log(1.5)
     return params
+
+
+# --- reference action distributions ------------------------------------------
+# Whole-array forms of the distributions `Policy.act` samples and scores row
+# by row; `act` must give their bits.
+
+@dataclass(frozen=True)
+class BernoulliAction:
+    """Keep/switch distribution; `logit` is a float or one per agent."""
+    logit: float
+
+    @property
+    def p_switch(self):
+        return _sigmoid(np.asarray(self.logit, dtype=np.float64))
+
+    def sample(self, rng):
+        draws = rng.random(np.shape(self.logit))
+        return (draws < self.p_switch).astype(np.int64)
+
+    def greedy(self):
+        return (np.asarray(self.logit) > 0.0).astype(np.int64)
+
+    def log_prob(self, action):
+        z = np.asarray(self.logit, dtype=np.float64)
+        return np.where(action, -_softplus(-z), -_softplus(z))
+
+    def entropy(self):
+        z = np.asarray(self.logit, dtype=np.float64)
+        s = _sigmoid(z)
+        return s * _softplus(-z) + (1.0 - s) * _softplus(z)
+
+
+@dataclass(frozen=True)
+class GaussianAction:
+    """Acceleration distribution; `mean` is a float or one per agent."""
+    mean: float
+    log_std: float
+
+    def sample(self, rng):
+        noise = rng.standard_normal(np.shape(self.mean))
+        raw = self.mean + np.exp(self.log_std) * noise
+        return np.clip(raw, -ACTION_SCALE, ACTION_SCALE)
+
+    def greedy(self):
+        return self.mean
+
+    def log_prob(self, action):
+        z = (action - self.mean) / np.exp(self.log_std)
+        return -0.5 * z * z - self.log_std - 0.5 * LOG_2PI
+
+    def entropy(self):
+        return 0.5 + 0.5 * LOG_2PI + self.log_std
+
+
+def _distribution(params, head_pre):
+    """Action distribution over one head output or an array of them."""
+    if params.kind == "tl":
+        return BernoulliAction(head_pre)
+    return GaussianAction(ACTION_SCALE * np.tanh(head_pre),
+                          float(params.log_std[0]))
+
+
+def reference_act(params, obs, rng, sample):
+    """`Policy.act` through the whole-array distributions."""
+    obs = np.asarray(obs, dtype=np.float64)
+    head_pre, values, _ = forward(params, obs)
+    dist = _distribution(params, head_pre)
+    actions = dist.sample(rng) if sample else dist.greedy()
+    log_probs = dist.log_prob(actions)
+    if obs.ndim == 1:
+        return actions.item(), log_probs.item(), values.item()
+    return actions.tolist(), log_probs.tolist(), values.tolist()
 
 
 # --- forward pass ------------------------------------------------------------
@@ -98,7 +170,7 @@ def test_batched_act_matches_row_by_row(kind, dim, sample):
     rng_rows, rng_batch = np.random.default_rng(6), np.random.default_rng(6)
     rows = [policy.act(o, rng_rows, sample) for o in obs]
     actions, logps, values = policy.act(obs, rng_batch, sample)
-    assert actions.shape == logps.shape == values.shape == (23,)
+    assert len(actions) == len(logps) == len(values) == 23
     row_actions, row_logps, row_values = (np.array(col) for col in zip(*rows))
     if kind == "tl":
         np.testing.assert_array_equal(actions, row_actions)
@@ -107,6 +179,45 @@ def test_batched_act_matches_row_by_row(kind, dim, sample):
     np.testing.assert_allclose(logps, row_logps, rtol=0, atol=1e-12)
     np.testing.assert_allclose(values, row_values, rtol=0, atol=1e-12)
     assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+
+
+def wide_head_params(kind, dim, seed):
+    """A network whose head outputs reach past +-700: signal logits that
+    saturate softplus and tanh, and vehicle means at the +-3 bounds."""
+    params = init_params(kind, dim, seed=seed)
+    params.w_policy[...] = np.random.default_rng(seed).normal(
+        0.0, 150.0, size=params.w_policy.shape)
+    return params
+
+
+def act_key(result):
+    """Each number of an `act` result by type and repr, so that equal keys
+    mean equal bits."""
+    if isinstance(result[0], list):
+        return [[(type(x), repr(x)) for x in col] for col in result]
+    return [(type(x), repr(x)) for x in result]
+
+
+@pytest.mark.parametrize("kind, dim", [("tl", 9), ("cav", 7)])
+@pytest.mark.parametrize("sample", [True, False])
+def test_act_matches_reference_distributions_bit_for_bit(kind, dim, sample):
+    params = wide_head_params(kind, dim, seed=8)
+    policy = Policy(params)
+    data = np.random.default_rng(9)
+    rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
+    heads, clipped = [], 0
+    for n in list(range(1, 65)) + [None]:
+        obs = data.normal(size=dim if n is None else (n, dim))
+        got = policy.act(obs, rng, sample)
+        want = reference_act(params, obs, ref_rng, sample)
+        assert act_key(got) == act_key(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        heads += forward(params, obs)[0].tolist()
+        if kind == "cav" and sample and n is not None:
+            clipped += sum(abs(a) == ACTION_SCALE for a in got[0])
+    assert max(heads) > 700.0 and min(heads) < -700.0
+    if kind == "cav" and sample:
+        assert clipped > 0
 
 
 def test_act_returns_scalars_for_one_row():
@@ -123,7 +234,7 @@ def test_sampling_without_rng_is_rejected():
     with pytest.raises(ValueError, match="rng"):
         policy.act(np.zeros((3, 7)))
     actions, _, _ = policy.act(np.zeros((3, 7)), sample=False)
-    assert actions.shape == (3,)
+    assert actions == [0.0, 0.0, 0.0]
 
 
 # --- generalized advantage estimation ----------------------------------------

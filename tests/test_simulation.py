@@ -494,7 +494,14 @@ def test_trace_writer_field_order():
     put_vehicle(sim, "v0", "W0:J0-0", 10.0, 5.0)
     buf = io.StringIO()
     step(sim, {}, {}, trace=TraceWriter(buf))
-    line = buf.getvalue().strip().split("\n")[0].split()
-    assert line[0] == "1" and line[1] == "v0" and line[2] == "W0:J0-0"
-    assert float(line[3]) > 10.0 and float(line[4]) >= 5.0
-    assert len(line) == 6
+    vehicle, *lights = [row.split() for row in buf.getvalue().splitlines()]
+    assert vehicle[0] == "1" and vehicle[1] == "v0"
+    assert vehicle[2] == "W0:J0-0"
+    assert float(vehicle[3]) > 10.0 and float(vehicle[4]) >= 5.0
+    assert len(vehicle) == 6
+    # the light rows follow the vehicle rows, one per light
+    assert [row[:3] for row in lights] == [["1", "light", lid]
+                                           for lid in sim.lights]
+    for row, light in zip(lights, sim.lights.values()):
+        assert row[3:] == [str(light.phase_index), str(light.time_in_phase)]
+    assert lights
