@@ -8,12 +8,12 @@ from .env import CooperationMode, EnvConfig, TrafficEnv, max_road_capacity
 from .network import (FlowSpec, RoadNetwork, ScenarioSpec, build_grid,
                       grid_scenario, load_scenario)
 from .ppo import PpoConfig, ci_profile, paper_profile, train
-from .simulation import IdmParams, SimState, build_sim, step
+from .simulation import SimState, build_sim, step
 
 __all__ = [
     "CooperationMode", "EnvConfig", "TrafficEnv", "max_road_capacity",
     "FlowSpec", "RoadNetwork", "ScenarioSpec", "build_grid", "grid_scenario",
     "load_scenario", "PpoConfig", "ci_profile", "paper_profile", "train",
-    "IdmParams", "SimState", "build_sim", "step",
+    "SimState", "build_sim", "step",
     "__version__",
 ]

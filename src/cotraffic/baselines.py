@@ -5,13 +5,13 @@ pressure-comparison plan. Speed advisory: a kinematic green-window rule that
 aims each equipped vehicle at its predicted next green, never overriding
 car-following safety.
 """
-from dataclasses import dataclass
-
 from . import kernels
 # idm_accel is not called here; perfbench/tracer.py wraps it at this name
 from .simulation import MIN_GREEN, YELLOW_DURATION, build_sim, idm_accel, step
 
 GLOSA_ACCEL_LIMIT = 3.0
+# the fixed plan's green; its yellows last YELLOW_DURATION
+STATIC_GREEN_S = 40
 # gap-out actuation: the longest green, the empty run that ends a green, and
 # how far from the stop line a vehicle counts as waiting
 ACTUATED_MAX_GREEN = 45
@@ -19,23 +19,11 @@ ACTUATED_GAP_S = 3
 DETECTION_DISTANCE = 50.0
 
 
-@dataclass(frozen=True)
-class StaticPlan:
-    """Fixed-cycle durations aligned with the light's phase list."""
-    green_s: int = 40
-    yellow_s: int = 3
-
-    def duration(self, phase):
-        return self.green_s if phase.kind == "green" else self.yellow_s
-
-    @property
-    def cycle_length(self):
-        return 2 * (self.green_s + self.yellow_s)
-
-
-def static_tick(light, plan):
+def static_tick(light):
     """1 exactly when the current phase's planned duration has elapsed."""
-    return int(light.time_in_phase >= plan.duration(light.phase))
+    planned = (STATIC_GREEN_S if light.phase.kind == "green"
+               else YELLOW_DURATION)
+    return int(light.time_in_phase >= planned)
 
 
 class ActuatedController:
@@ -201,11 +189,9 @@ class GlosaController:
                     has_lead.append(False)
         if not ids:
             return {}
-        p = sim.idm
         n = len(ids)
         follow = kernels.vehicle_accels(
-            speed, lead_speed, gap, has_lead, v_limit, [False] * n, [0.0] * n,
-            p.a_max, p.b_comfort, p.delta, p.headway, p.s0)
+            speed, lead_speed, gap, has_lead, v_limit, [False] * n, [0.0] * n)
         return {vid: _advise(speed[i], dist[i], v_limit[i], windows[i],
                              follow[i])
                 for i, vid in enumerate(ids)}
@@ -215,8 +201,7 @@ def make_light_controller(plan):
     """Per-step action map for non-learned lights ('static', 'actuated' or
     'max-pressure')."""
     if plan == "static":
-        static = StaticPlan()
-        return lambda sim: {lid: static_tick(light, static)
+        return lambda sim: {lid: static_tick(light)
                             for lid, light in sim.lights.items()}
     if plan == "actuated":
         actuated = ActuatedController()

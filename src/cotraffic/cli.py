@@ -49,13 +49,15 @@ def _eval_seeds(args):
 # manifest fields that describe one run or its host rather than its
 # configuration
 _UNHASHED = ("created_unix", "command", "wall_time_s", "halted_early",
-             "numpy", "numpy_cpu_features", "blas", "blas_threads")
+             "numpy", "numpy_cpu_features", "blas", "blas_core",
+             "blas_threads")
 
 
 def _host():
     """The class of host a run's numbers are bit-reproducible on: numpy's
-    version, the SIMD features it dispatches to, and its BLAS (None on a
-    numpy older than 1.26, which has no dict form of its build config)."""
+    version, the SIMD features it dispatches to, its BLAS (None on a numpy
+    older than 1.26, which has no dict form of its build config) and the
+    BLAS's kernel family (None without numpy's bundled OpenBLAS)."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy 1.x keeps the module under numpy.core
@@ -68,7 +70,8 @@ def _host():
     return {"numpy": np.__version__,
             "numpy_cpu_features": [name for name, on in __cpu_features__.items()
                                    if on],
-            "blas": blas}
+            "blas": blas,
+            "blas_core": ppo.openblas_core()}
 
 
 def _manifest(args, scenario, method, extra):
@@ -129,7 +132,7 @@ def cmd_train(args):
         print(msg, flush=True)
 
     result = ppo.train(scenario, method.env_cfg, cfg, seed=args.seed,
-                       tl_plan=method.tl_plan, workers=args.workers,
+                       workers=args.workers,
                        progress=progress if args.verbose else None)
 
     curve_keys = sorted({k for c in result.curves for k in c})
@@ -181,13 +184,41 @@ def _fmt(value):
     return str(value)
 
 
+# value kinds of run-directory JSON fields: (accepted types, description)
+_TEXT = ((str,), "a string")
+_NUMBER = ((int, float), "a number")
+_NUMBER_OR_NULL = ((int, float, type(None)), "a number or null")
+
+
+def _read_json_object(path, fields):
+    """The JSON object in the file at `path`, checked to hold every key of
+    `fields` with a value of that key's kind (a JSON boolean is no number);
+    anything else is a ConfigError naming the file and the field."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got "
+                          f"{type(data).__name__}")
+    for key, (types, name) in fields.items():
+        if key not in data:
+            raise ConfigError(f"{path}: missing field {key!r}")
+        if isinstance(data[key], bool) or not isinstance(data[key], types):
+            raise ConfigError(f"{path}: field {key!r} must be {name}, got "
+                              f"{data[key]!r:.40}")
+    return data
+
+
 def _load_run(checkpoint_dir):
     ckpt_dir = Path(checkpoint_dir)
     manifest_path = ckpt_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"{checkpoint_dir} has no manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json_object(
+        manifest_path,
+        {"method": _TEXT, "scenario_text": _TEXT, "penetration": _NUMBER})
     params = {}
     for kind in ("tl", "cav"):
         path = ckpt_dir / f"checkpoint_{kind}.npz"
@@ -202,16 +233,15 @@ def _load_run(checkpoint_dir):
 def _eval_common(args, manifest, params, penetration):
     method = get_method(manifest["method"])
     scenario = parse_scenario_text(manifest["scenario_text"])
-    penetration = resolve_penetration(
-        method, penetration, manifest.get("penetration",
-                                          scenario.penetration_rate))
+    penetration = resolve_penetration(method, penetration,
+                                      manifest["penetration"])
     scenario = scenario.with_overrides(penetration=penetration, seed=args.seed,
                                        horizon=args.horizon)
 
     env_cfg = method.env_cfg
     tl_params = params.get("tl")
     cav_params = params.get("cav")
-    if env_cfg.tl_agents and tl_params is None:
+    if env_cfg.tl_plan is None and tl_params is None:
         raise ConfigError("checkpoint directory lacks the signal-agent network")
     if env_cfg.cav_agents and cav_params is None:
         raise ConfigError("checkpoint directory lacks the vehicle-agent network")
@@ -250,7 +280,7 @@ def cmd_evaluate(args):
     with _trace_file(args) as trace_fh:
         reports = rollout.evaluate_policy(
             scenario, env_cfg, tl_params, cav_params, seeds,
-            scenario.horizon, tl_plan=method.tl_plan, trace_fh=trace_fh)
+            scenario.horizon, trace_fh=trace_fh)
     aggregate = _write_eval_outputs(out, method, scenario, reports)
     _write_json(out / "manifest.json", _manifest(
         args, scenario, method,
@@ -296,8 +326,7 @@ def cmd_sweep(args):
         method, scenario, env_cfg, tl_params, cav_params = _eval_common(
             args, manifest, params, rate)
         reports = rollout.evaluate_policy(
-            scenario, env_cfg, tl_params, cav_params, seeds,
-            scenario.horizon, tl_plan=method.tl_plan)
+            scenario, env_cfg, tl_params, cav_params, seeds, scenario.horizon)
         aggregate = _write_eval_outputs(out, method, scenario, reports,
                                         label=f"rate{rate:0.2f}")
         rows.append((rate, aggregate))
@@ -329,8 +358,9 @@ def cmd_report(args):
         agg_path = Path(path) / "aggregate.json"
         if not agg_path.exists():
             raise ConfigError(f"{path} has no aggregate.json")
-        with open(agg_path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json_object(
+            agg_path, dict.fromkeys(metrics.EpisodeReport.METRIC_KEYS,
+                                    _NUMBER_OR_NULL))
         values = {k: (float("nan") if data[k] is None else data[k])
                   for k in metrics.EpisodeReport.METRIC_KEYS}
         runs[name] = metrics.EpisodeReport(travel_times=[], **values)

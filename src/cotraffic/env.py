@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import make_light_controller
 from .simulation import (MIN_GAP, VEHICLE_LENGTH, _cross_boundary_leader,
                          build_sim, step)
 
@@ -36,8 +37,10 @@ class CooperationMode(enum.Enum):
 
 @dataclass(frozen=True)
 class EnvConfig:
+    """`tl_plan` names the non-learned plan that drives the lights
+    ('static', 'actuated' or 'max-pressure'); None makes them agents."""
     mode: CooperationMode = CooperationMode.COTV
-    tl_agents: bool = True
+    tl_plan: str = None
     cav_agents: bool = True
 
 
@@ -249,7 +252,9 @@ class TrafficEnv:
     closed by the rollout loop at the horizon. Only `step` and `reset` may
     change `sim`: a step's vehicle agents are the selection that the
     previous step made after it moved the simulator, and the simulator
-    starts from the fleet view that the previous step returned.
+    starts from the fleet view that the previous step returned. `reset`
+    builds the configured light plan afresh, since the actuated plan keeps
+    per-light state.
     """
 
     def __init__(self, scenario, cfg):
@@ -257,6 +262,7 @@ class TrafficEnv:
         self.cfg = cfg
         self.c = max_road_capacity(scenario.network)
         self.sim = None
+        self._light_plan = None
         self._prev_tl_action = {}
         self._prev_cmd_by_road = {}
         # the selection and the fleet view of the state the last step left,
@@ -266,6 +272,8 @@ class TrafficEnv:
 
     def reset(self):
         self.sim = build_sim(self.scenario)
+        self._light_plan = (make_light_controller(self.cfg.tl_plan)
+                            if self.cfg.tl_plan is not None else None)
         self._prev_tl_action = {lid: 0 for lid in self.sim.lights}
         self._prev_cmd_by_road = {}
         self._next_agents = None
@@ -273,21 +281,25 @@ class TrafficEnv:
         return self.sim
 
     def step(self, tl_policy=None, cav_policy=None, rng=None, sample=True,
-             tl_override=None, trace=None):
+             trace=None):
         """Advance one second; returns the acting agents' AgentSteps.
 
+        The lights follow the configured plan if there is one, else the
+        signal policy if given, and otherwise get no switch; vehicle agents
+        act when the configuration has them and a vehicle policy is given.
         Each agent type makes at most one `act` call per step, on the matrix
         of its agents' observations; row i of that matrix is the `obs` of the
         type's i-th record. A step with no selected vehicle makes no vehicle
-        call and draws nothing from `rng`. Without a signal policy the lights
-        follow `tl_override(sim)`, if given, and otherwise get no switch.
+        call and draws nothing from `rng`.
         """
         sim = self.sim
         cfg = self.cfg
         records = []
 
         tl_actions = {}
-        if cfg.tl_agents and tl_policy is not None:
+        if self._light_plan is not None:
+            tl_actions = self._light_plan(sim)
+        elif tl_policy is not None:
             obs = tl_observation(sim, cfg.mode, self.c, self._prev_cmd_by_road)
             actions, logps, values = tl_policy.act(obs, rng, sample)
             for lid, row, action, logp, value in zip(
@@ -295,8 +307,6 @@ class TrafficEnv:
                 tl_actions[lid] = action
                 records.append(AgentStep(lid, "TL", row, float(action),
                                          logp, value, t=sim.clock))
-        elif tl_override is not None:
-            tl_actions = tl_override(sim)
 
         cav_actions = {}
         cav_records = {}

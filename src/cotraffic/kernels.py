@@ -38,6 +38,14 @@ ENGINE_EFFICIENCY = 0.3
 FUEL_ENERGY_J_L = 3.46e7
 CO2_G_PER_L = 2392.0
 
+# Intelligent-driver car-following law: maximum acceleration, comfortable
+# braking, free-road exponent, time headway and jam distance.
+IDM_A_MAX = 1.0
+IDM_B_COMFORT = 1.5
+IDM_DELTA = 4.0
+IDM_HEADWAY = 1.0
+IDM_S0 = 2.0
+IDM_TWO_SQRT_AB = 2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMFORT)
 # Hard deceleration floor applied to every car-following output.
 EMERGENCY_DECEL = 4.5
 # Commanded-acceleration box for controlled vehicles.
@@ -51,10 +59,10 @@ def active_backend():
     return _BACKEND
 
 
-def vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
-                   a_max, b_comfort, delta, headway, s0):
+def vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd):
     """Acceleration for every vehicle: commanded if flagged, else IDM."""
-    two_sqrt_ab = 2.0 * math.sqrt(a_max * b_comfort)
+    a_max, delta, headway, s0 = IDM_A_MAX, IDM_DELTA, IDM_HEADWAY, IDM_S0
+    two_sqrt_ab = IDM_TWO_SQRT_AB
     floor, box = -EMERGENCY_DECEL, CMD_ACCEL_MAX
     out = []
     for v, v_lead, s, lead, v_lim, commanded, c in zip(

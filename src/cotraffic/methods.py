@@ -10,7 +10,6 @@ class MethodSpec:
     name: str
     rl: bool
     env_cfg: EnvConfig = None
-    tl_plan: str = None           # non-learned light plan when lights aren't agents
     forced_penetration: float = None
     default_penetration: float = None
     notes: str = ""
@@ -35,12 +34,12 @@ METHODS = {
                          env_cfg=EnvConfig(CooperationMode.M_COTV)),
     "flowcav": MethodSpec("flowcav", rl=True,
                           env_cfg=EnvConfig(CooperationMode.I_COTV,
-                                            tl_agents=False, cav_agents=True),
-                          tl_plan="static", default_penetration=1.0,
+                                            tl_plan="static"),
+                          default_penetration=1.0,
                           notes="vehicle agents only, lights on the fixed plan"),
     "presslight": MethodSpec("presslight", rl=True,
                              env_cfg=EnvConfig(CooperationMode.I_COTV,
-                                               tl_agents=True, cav_agents=False),
+                                               cav_agents=False),
                              forced_penetration=0.0,
                              notes="light agents only on pressure state/reward; "
                                    "trained with PPO here rather than the "

@@ -198,20 +198,38 @@ class TrainResult:
         return [c[key] for c in self.curves]
 
 
-def _openblas_thread_control():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None when the library or its symbols are not found."""
+def _openblas_function(name, restype, *argtypes):
+    """The typed function `name` of numpy's bundled OpenBLAS, or None when
+    the library or the symbol is not found."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     found = sorted(libs.glob("libscipy_openblas64_*.so"))
     try:
-        lib = ctypes.CDLL(str(found[0]))
-        get_threads = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
+        fn = getattr(ctypes.CDLL(str(found[0])), name)
     except (IndexError, OSError, AttributeError):
         return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    fn.restype, fn.argtypes = restype, list(argtypes)
+    return fn
+
+
+def _openblas_thread_control():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when the library or its symbols are not found."""
+    get_threads = _openblas_function("scipy_openblas_get_num_threads64_",
+                                     ctypes.c_int)
+    set_threads = _openblas_function("scipy_openblas_set_num_threads64_",
+                                     None, ctypes.c_int)
+    if get_threads is None or set_threads is None:
+        return None
     return get_threads, set_threads
+
+
+def openblas_core():
+    """The kernel family numpy's bundled OpenBLAS runs on this CPU (such as
+    'SkylakeX'; `OPENBLAS_CORETYPE` overrides its choice), or None when the
+    library or its symbol is not found."""
+    corename = _openblas_function("scipy_openblas_get_corename64_",
+                                  ctypes.c_char_p)
+    return None if corename is None else corename().decode()
 
 
 @contextlib.contextmanager
@@ -250,12 +268,11 @@ def episode_seed(seed, iteration, episode):
 
 
 @one_blas_thread()
-def train(scenario, env_cfg, cfg, seed=0, tl_plan=None, workers=1,
-          progress=None):
+def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
     """Run the full training loop; returns parameters and reward curves.
 
-    `tl_plan` names a non-learned signal plan ("static"/"actuated") for
-    configurations whose lights are not agents. `workers` episode processes
+    The signal agents are trained when `env_cfg` has no light plan, the
+    vehicle agents when it has them. `workers` episode processes
     run each iteration's rollouts; results are identical for any value. It
     runs on one BLAS thread (`one_blas_thread`), so results are identical for
     any BLAS thread count too; the result records the count it ran at.
@@ -264,7 +281,7 @@ def train(scenario, env_cfg, cfg, seed=0, tl_plan=None, workers=1,
     blas_threads = control[0]() if control else None
     tl_params = cav_params = None
     optimizers = {}
-    if env_cfg.tl_agents:
+    if env_cfg.tl_plan is None:
         tl_params = init_params("tl", tl_obs_dim(scenario.network, env_cfg.mode),
                                 cfg.hidden, seed)
         optimizers["TL"] = Adam(tl_params, cfg.learning_rate)
@@ -285,7 +302,7 @@ def train(scenario, env_cfg, cfg, seed=0, tl_plan=None, workers=1,
         rollout_begin = time.perf_counter()
         episodes = rollout.collect_episodes(
             scenario, env_cfg, tl_params, cav_params, seeds, cfg.horizon,
-            tl_plan=tl_plan, workers=workers)
+            workers=workers)
         rollout_s = time.perf_counter() - rollout_begin
 
         buffers = {"TL": RolloutBuffer(), "CAV": RolloutBuffer()}
@@ -302,7 +319,8 @@ def train(scenario, env_cfg, cfg, seed=0, tl_plan=None, workers=1,
 
         entry = {
             "iteration": iteration,
-            "tl_reward": float(np.mean(reward_sums["TL"])) if env_cfg.tl_agents else float("nan"),
+            "tl_reward": (float(np.mean(reward_sums["TL"]))
+                          if tl_params is not None else float("nan")),
             "cav_reward": (float(np.mean(reward_sums["CAV"]))
                            if env_cfg.cav_agents and len(buffers["CAV"]) else float("nan")),
             "tl_steps": len(buffers["TL"]),

@@ -36,7 +36,7 @@ def _episode_seeds(seed):
 
 
 def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
-                sample=True, tl_plan=None, collect=True, trace=None):
+                sample=True, collect=True, trace=None):
     """Run one episode; returns (EpisodeResult, final sim state).
 
     `seed` replaces the scenario seed (demand draw and, when sampling, the
@@ -49,16 +49,14 @@ def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
     env.reset()
     rng = np.random.default_rng(np.random.SeedSequence(act_seed))
 
-    tl_policy = Policy(tl_params) if (env_cfg.tl_agents and tl_params) else None
-    cav_policy = Policy(cav_params) if (env_cfg.cav_agents and cav_params) else None
-    override = (baselines.make_light_controller(tl_plan)
-                if tl_plan is not None and tl_policy is None else None)
+    tl_policy = Policy(tl_params) if tl_params else None
+    cav_policy = Policy(cav_params) if cav_params else None
 
     open_segments = {}
     closed = {"TL": [], "CAV": []}
     for _ in range(horizon):
         records = env.step(tl_policy, cav_policy, rng=rng, sample=sample,
-                           tl_override=override, trace=trace)
+                           trace=trace)
         if not collect:
             continue
         for rec in records:
@@ -78,16 +76,15 @@ def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
 
 
 def _episode_task(args):
-    (scenario, env_cfg, tl_params, cav_params, seed, horizon, tl_plan) = args
-    result, _ = run_episode(scenario, env_cfg, tl_params, cav_params, seed,
-                            horizon, sample=True, tl_plan=tl_plan)
-    return result
+    """A sampled episode's EpisodeResult, from `run_episode`'s positional
+    arguments."""
+    return run_episode(*args)[0]
 
 
 def collect_episodes(scenario, env_cfg, tl_params, cav_params, seeds, horizon,
-                     tl_plan=None, workers=1):
+                     workers=1):
     """Training episodes for one iteration, serial or across processes."""
-    tasks = [(scenario, env_cfg, tl_params, cav_params, seed, horizon, tl_plan)
+    tasks = [(scenario, env_cfg, tl_params, cav_params, seed, horizon)
              for seed in seeds]
     if workers <= 1 or len(tasks) == 1:
         return [_episode_task(t) for t in tasks]
@@ -96,7 +93,7 @@ def collect_episodes(scenario, env_cfg, tl_params, cav_params, seeds, horizon,
 
 
 def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds,
-                    horizon, tl_plan=None, trace_fh=None):
+                    horizon, trace_fh=None):
     """Greedy-action evaluation episodes; returns one report per seed.
 
     When a trace file handle is given, the first episode's per-step vehicle
@@ -106,8 +103,8 @@ def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds,
     for i, seed in enumerate(seeds):
         trace = TraceWriter(trace_fh) if (trace_fh is not None and i == 0) else None
         _, sim = run_episode(scenario, env_cfg, tl_params, cav_params, seed,
-                             horizon, sample=False, tl_plan=tl_plan,
-                             collect=False, trace=trace)
+                             horizon, sample=False, collect=False,
+                             trace=trace)
         reports.append(build_episode_report(sim))
     return reports
 

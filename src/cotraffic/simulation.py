@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import kernels
+from .kernels import IDM_B_COMFORT, IDM_S0
 from .network import MIN_GAP, VEHICLE_LENGTH, build_insertion_schedule
 
 DT = 1.0
@@ -29,20 +30,6 @@ TTC_THRESHOLD = 3.0
 # exactly at the line still gets a finite braking demand.
 STOPLINE_GAP_FLOOR = 0.1
 INSERTION_FREE_ZONE = 10.0
-
-
-@dataclass(frozen=True)
-class IdmParams:
-    a_max: float = 1.0
-    b_comfort: float = 1.5
-    delta: float = 4.0
-    headway: float = 1.0
-    s0: float = 2.0
-
-    def __post_init__(self):
-        for name in ("a_max", "b_comfort", "delta", "headway", "s0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IdmParams.{name} must be positive")
 
 
 @dataclass
@@ -130,7 +117,6 @@ class SimState:
     yet placed, sorted by time (`build_insertion_schedule`'s order), so the
     entries due at any second are a prefix of it."""
     network: object
-    idm: IdmParams
     clock: int = 0
     vehicles: dict = field(default_factory=dict)
     road_order: dict = field(default_factory=dict)  # road -> ids by position asc
@@ -148,7 +134,7 @@ class SimState:
 
 
 def build_sim(scenario):
-    sim = SimState(network=scenario.network, idm=IdmParams())
+    sim = SimState(network=scenario.network)
     for road_id in scenario.network.roads:
         sim.road_order[road_id] = []
     for inter_id in scenario.network.intersections:
@@ -157,13 +143,12 @@ def build_sim(scenario):
     return sim
 
 
-def idm_accel(v, v_leader, gap, v_limit, p=None):
+def idm_accel(v, v_leader, gap, v_limit):
     """Car-following acceleration for one vehicle.
 
     Leaderless calls pass v_leader=None and gap=None and keep only the
     free-road term. Output is clamped to [-4.5, a_max].
     """
-    p = p or IdmParams()
     if v < 0:
         raise ValueError("speed must be non-negative")
     has_lead = v_leader is not None
@@ -172,11 +157,11 @@ def idm_accel(v, v_leader, gap, v_limit, p=None):
     out = kernels.vehicle_accels(
         [float(v)], [float(v_leader) if has_lead else 0.0],
         [float(gap) if has_lead else 1.0], [has_lead], [float(v_limit)],
-        [False], [0.0], p.a_max, p.b_comfort, p.delta, p.headway, p.s0)
+        [False], [0.0])
     return out[0]
 
 
-def red_light_virtual_leader(vehicle, light, road, b_comfort):
+def red_light_virtual_leader(vehicle, light, road):
     """Standing virtual leader at the stop line, or None if free to proceed.
 
     Green for the vehicle's approach: None. Yellow: stop unless the braking
@@ -193,7 +178,7 @@ def red_light_virtual_leader(vehicle, light, road, b_comfort):
         if dist <= 0:
             return None
         needed = vehicle.speed ** 2 / (2.0 * dist)
-        if needed > b_comfort:
+        if needed > IDM_B_COMFORT:
             return None
         return 0.0, max(dist, STOPLINE_GAP_FLOOR)
     dist = road.length - vehicle.position
@@ -232,15 +217,16 @@ def _cross_boundary_leader(sim, vehicle, road):
     return lead, (road.length - vehicle.position) + lead.position - lead.length
 
 
-def _safe_insertion_speed(drawn, road_front, p):
+def _safe_insertion_speed(drawn, road_front):
     """Cap the scheduled entry speed so a stop behind the current tail is
     possible at comfortable braking (the schedule's draw is kept otherwise)."""
     if road_front is None:
         return drawn
     tail_veh, gap = road_front
-    if gap <= p.s0:
+    if gap <= IDM_S0:
         return 0.0
-    v_safe = math.sqrt(tail_veh.speed ** 2 + 2.0 * p.b_comfort * (gap - p.s0))
+    v_safe = math.sqrt(tail_veh.speed ** 2
+                       + 2.0 * IDM_B_COMFORT * (gap - IDM_S0))
     return min(drawn, v_safe)
 
 
@@ -266,7 +252,7 @@ def _attempt_insertions(sim, now):
         if order:
             tail = sim.vehicles[order[0]]
             front = (tail, tail.position - tail.length - 0.0)
-        speed = _safe_insertion_speed(ins.depart_speed, front, sim.idm)
+        speed = _safe_insertion_speed(ins.depart_speed, front)
         veh = Vehicle(ins.vehicle_id, ins.kind, origin, 0.0, speed,
                       ins.route, depart_time=now)
         sim.vehicles[veh.id] = veh
@@ -428,8 +414,7 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
             front, road = vehs[i], roads_of[i]
             light = (sim.lights.get(road.approach_intersection)
                      if road.approach_intersection else None)
-            virtual = (red_light_virtual_leader(front, light, road,
-                                                sim.idm.b_comfort)
+            virtual = (red_light_virtual_leader(front, light, road)
                        if light else None)
             if virtual is None and light is not None:
                 # free to cross: follow the tail of the continuation road so
@@ -442,7 +427,6 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
             else:
                 (lead_speed[i], gap[i]), has_lead[i] = virtual, True
 
-        p = sim.idm
         n = len(vehs)
         if cav_accels:
             is_cmd = [vid in cav_accels for vid in view.ids]
@@ -451,8 +435,7 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
             is_cmd, cmd = [False] * n, [0.0] * n
         v_limit = [road.speed_limit for road in roads_of]
         accel = kernels.vehicle_accels(
-            speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
-            p.a_max, p.b_comfort, p.delta, p.headway, p.s0)
+            speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd)
         new_speed, dx, eff_accel = kernels.kinematics(
             speed, accel, v_limit, DT)
 

@@ -25,8 +25,8 @@ from cotraffic.policy import (Policy, init_params, load_checkpoint,
                               ppo_loss_and_grads)
 from cotraffic.ppo import ci_profile, compute_gae, one_blas_thread, train
 from cotraffic.rollout import evaluate_baseline, evaluate_policy
-from cotraffic.simulation import (IdmParams, Vehicle, build_sim, idm_accel,
-                                  make_light, step)
+from cotraffic.simulation import (Vehicle, build_sim, idm_accel, make_light,
+                                  step)
 
 SEED = 7
 EVAL_SEEDS = [SEED + 100_000 + i for i in range(18)]
@@ -190,13 +190,12 @@ def test_criterion_03_demand_fidelity():
     ns_start = min(e.time for e in build_insertion_schedule(s1)
                    if e.vehicle_id.startswith("NS."))
 
-    from cotraffic.baselines import StaticPlan, static_tick
+    from cotraffic.baselines import static_tick
     sim = build_sim(s1.with_overrides(penetration=0.0))
-    plan = StaticPlan()
     light = sim.lights["J0-0"]
     entries, last = [], light.phase_index
     for _ in range(EVAL_HORIZON):
-        step(sim, {"J0-0": static_tick(light, plan)}, {})
+        step(sim, {"J0-0": static_tick(light)}, {})
         if light.phase_index == 0 and last != 0:
             entries.append(sim.clock)
         last = light.phase_index
@@ -210,7 +209,6 @@ def test_criterion_03_demand_fidelity():
 # --- criterion 4: platoon safety ----------------------------------------------
 
 def test_criterion_04_platoon_safety():
-    p = IdmParams()
     n = 11
     pos = np.array([300.0 - 10.0 * i for i in range(n)])
     vel = np.zeros(n)
@@ -222,7 +220,7 @@ def test_criterion_04_platoon_safety():
             if gap <= 0.0:
                 ok = False
                 break
-            a = idm_accel(vel[i], vel[i - 1], gap, 15.0, p)
+            a = idm_accel(vel[i], vel[i - 1], gap, 15.0)
             vel[i] = min(max(vel[i] + a, 0.0), 15.0)
         pos += vel
         gaps = pos[:-1] - 5.0 - pos[1:]

@@ -1,70 +1,66 @@
 """Static, actuated, max-pressure light plans and the speed advisory."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cotraffic import baselines, rollout, simulation
-from cotraffic.baselines import (ACTUATED_MAX_GREEN, ActuatedController,
-                                 BaselineController, StaticPlan,
+from cotraffic.baselines import (ACTUATED_MAX_GREEN, STATIC_GREEN_S,
+                                 ActuatedController, BaselineController,
                                  max_pressure_tick, static_tick)
 from cotraffic.env import CooperationMode, EnvConfig, cav_obs_dim, tl_obs_dim
-from cotraffic.network import build_grid, grid_scenario
+from cotraffic.network import build_grid, grid_scenario, load_scenario
 from cotraffic.policy import init_params
-from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, IdmParams,
-                                  Vehicle, idm_accel, make_light, step)
+from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, Vehicle,
+                                  idm_accel, make_light, step)
 
 from test_simulation import empty_sim, episode_state, put_vehicle
 
 
-def glosa_advice(vehicle, light, dist_to_stop, road, durations,
-                 leader=None, idm=None):
+def glosa_advice(vehicle, light, dist_to_stop, road, durations, leader=None):
     """Reference for `GlosaController.commands`: the advisory for one
     vehicle, with its car-following acceleration from the scalar
     `idm_accel`. `leader` is (speed, gap) or None."""
-    idm = idm or IdmParams()
     v = vehicle.speed
     v_star = road.speed_limit
     if leader is not None:
-        follow = idm_accel(v, leader[0], leader[1], v_star, idm)
+        follow = idm_accel(v, leader[0], leader[1], v_star)
     else:
-        follow = idm_accel(v, None, None, v_star, idm)
+        follow = idm_accel(v, None, None, v_star)
     return baselines._advise(
         v, dist_to_stop, v_star,
         baselines._green_windows(light, durations, road.approach), follow)
 
 
 def test_static_tick_fires_at_planned_duration():
-    plan = StaticPlan()
     light = make_light("J")
     light.time_in_phase = 12
-    assert static_tick(light, plan) == 0
+    assert static_tick(light) == 0
     light.time_in_phase = 40
-    assert static_tick(light, plan) == 1
+    assert static_tick(light) == 1
 
 
 def test_static_cycle_is_86_seconds_observed():
     sim = empty_sim()
-    plan = StaticPlan()
     light = sim.lights["J0-0"]
     entries = []  # clock at each entry into phase 0
     last_index = light.phase_index
     for _ in range(720):
-        step(sim, {"J0-0": static_tick(light, plan)}, {})
+        step(sim, {"J0-0": static_tick(light)}, {})
         if light.phase_index == 0 and last_index != 0:
             entries.append(sim.clock)
         last_index = light.phase_index
     assert len(entries) >= 7
     periods = np.diff(entries)
     assert np.all(periods == 86)
-    assert plan.cycle_length == 86
 
 
 def test_static_phase_durations_observed():
     sim = empty_sim()
-    plan = StaticPlan()
     light = sim.lights["J0-0"]
     shown = {0: 0, 1: 0, 2: 0, 3: 0}
     for _ in range(86):
-        step(sim, {"J0-0": static_tick(light, plan)}, {})
+        step(sim, {"J0-0": static_tick(light)}, {})
         shown[light.phase_index] += 1
     assert shown == {0: 40, 1: 3, 2: 40, 3: 3}
 
@@ -134,8 +130,8 @@ def glosa_fixture(phase_index, time_in_phase):
     light = make_light("J0-0")
     light.phase_index = phase_index
     light.time_in_phase = time_in_phase
-    plan = StaticPlan()
-    durations = [plan.duration(p) for p in light.phases]
+    durations = [STATIC_GREEN_S if p.kind == "green" else YELLOW_DURATION
+                 for p in light.phases]
     road = net.roads["N0:J0-0"]
     return net, light, road, durations
 
@@ -166,7 +162,7 @@ def test_glosa_green_feasible_is_carfollowing():
     net, light, road, durations = glosa_fixture(0, 5)  # green NS, 35 s left
     veh = Vehicle("v", "CAV", road.id, 100.0, 10.0, (road.id,))
     advice = glosa_advice(veh, light, 200.0, road, durations)
-    assert advice == pytest.approx(idm_accel(10.0, None, None, 15.0, IdmParams()))
+    assert advice == pytest.approx(idm_accel(10.0, None, None, 15.0))
 
 
 def test_glosa_respects_leader():
@@ -174,7 +170,7 @@ def test_glosa_respects_leader():
     veh = Vehicle("v", "CAV", road.id, 100.0, 12.0, (road.id,))
     leader = (2.0, 8.0)
     advice = glosa_advice(veh, light, 200.0, road, durations, leader=leader)
-    follow = idm_accel(12.0, 2.0, 8.0, 15.0, IdmParams())
+    follow = idm_accel(12.0, 2.0, 8.0, 15.0)
     assert advice == pytest.approx(max(follow, -3.0))
     assert advice <= 0.0
 
@@ -239,7 +235,7 @@ def test_glosa_commands_match_scalar_rule_bitwise():
                 else:
                     seen["front_cav"] += 1
                 want[vid] = glosa_advice(veh, light, road.length - veh.position,
-                                         road, durations, leader, sim.idm)
+                                         road, durations, leader)
         got = ctrl.glosa.commands(sim)
         assert got.keys() == want.keys()
         assert all(got[vid] == want[vid] for vid in want)
@@ -299,6 +295,16 @@ def test_static_baseline_completes_all_trips():
     for _ in range(720):
         ctrl.step(sim)
     assert len(sim.completed) == 70
+    assert sim.collided_count == 0
+
+
+def test_actuated_episode_on_the_3x3_config_conserves_vehicles():
+    scen = load_scenario(Path(__file__).resolve().parent.parent
+                         / "configs" / "grid3x3.cfg")
+    _, sim = rollout.run_baseline_episode(
+        scen.with_overrides(penetration=0.0), "actuated", seed=7)
+    assert sim.conservation_ok()
+    assert sim.inserted_count == len(sim.completed) == 210
     assert sim.collided_count == 0
 
 

@@ -1,12 +1,17 @@
 """Command-line workflows: manifests, constraint checks, reproducibility."""
+import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cotraffic import cli
+from cotraffic import cli, ppo
 from cotraffic.cli import main
+from cotraffic.metrics import EpisodeReport
 from cotraffic.network import parse_scenario_text
 
 
@@ -60,6 +65,26 @@ def test_presslight_trains_tl_checkpoint_only(tmp_path):
     assert code == 0
     assert (out / "checkpoint_tl.npz").exists()
     assert not (out / "checkpoint_cav.npz").exists()
+
+
+def test_flowcav_trains_vehicles_under_the_static_plan(tmp_path):
+    run = tmp_path / "fc"
+    assert run_cli("train", "--method", "flowcav", "--grid", "1x1",
+                   "--seed", "3", "--out", str(run), "--horizon", "30",
+                   "--iterations", "1", "--train-episodes", "1") == 0
+    assert sorted(p.name for p in run.glob("checkpoint_*")) == [
+        "checkpoint_cav.npz"]
+    trace = tmp_path / "trace.txt"
+    assert run_cli("evaluate", "--checkpoint-dir", str(run), "--episodes",
+                   "1", "--horizon", "200", "--trace", str(trace),
+                   "--out", str(tmp_path / "eval")) == 0
+    phases = [int(line.split()[3]) for line in trace.read_text().splitlines()
+              if line.split()[1] == "light"]
+    assert len(phases) == 200
+    runs = [(phase, len(list(group)))
+            for phase, group in itertools.groupby(phases)]
+    # every finished phase showed for its planned 40 or 3 s, in order
+    assert runs[:-1] == [(0, 40), (1, 3), (2, 40), (3, 3)] * 2
 
 
 def test_evaluate_deterministic(train_dir, tmp_path):
@@ -220,6 +245,40 @@ def test_sweep_and_report(train_dir, tmp_path):
     assert (report_out / "comparison.csv").exists()
 
 
+@pytest.mark.parametrize("command,name,text,named", [
+    ("sweep", "manifest.json", "[1]", "expected a JSON object, got list"),
+    ("sweep", "manifest.json", '{"method": "cotv", "scenario_text": 5}',
+     "field 'scenario_text' must be a string"),
+    ("sweep", "manifest.json", '{"method": "flowcav"}',
+     "missing field 'scenario_text'"),
+    ("sweep", "manifest.json", '{"method": "cotv", "scenario_te',
+     "cannot read"),
+    ("sweep", "manifest.json", json.dumps(
+        {"method": "cotv", "scenario_text": "network { grid: 1x1 }",
+         "penetration": "all"}), "field 'penetration' must be a number"),
+    ("report", "aggregate.json", "[1]", "expected a JSON object, got list"),
+    ("report", "aggregate.json",
+     json.dumps({k: 1.0 for k in EpisodeReport.METRIC_KEYS
+                 if k != "mean_delay"}), "missing field 'mean_delay'"),
+], ids=["manifest-list", "manifest-scenario-number", "manifest-no-scenario",
+        "manifest-truncated", "manifest-penetration-text", "aggregate-list",
+        "aggregate-no-metric"])
+def test_malformed_run_json_exits_2_naming_the_file(tmp_path, capsys, command,
+                                                   name, text, named):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / name).write_text(text)
+    out = tmp_path / "o"
+    argv = (["sweep", "--checkpoint-dir", str(run), "--rates", "1",
+             "--episodes", "1", "--horizon", "20"] if command == "sweep"
+            else ["report", "--baseline", f"b={run}"])
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert str(run / name) in err and named in err
+    assert not out.exists()
+
+
 def test_report_rejects_missing_dir(tmp_path):
     assert run_cli("report", "--baseline", f"b={tmp_path}/nope",
                    "--out", str(tmp_path / "r")) == 2
@@ -349,7 +408,26 @@ def test_manifest_records_the_host_outside_the_hash(train_dir, tmp_path,
     here = baseline_manifest(tmp_path / "here")
     assert "blas_threads" not in here
     monkeypatch.setattr(cli, "_host", lambda: {
-        "numpy": "0.0", "numpy_cpu_features": [], "blas": "other 0"})
+        "numpy": "0.0", "numpy_cpu_features": [], "blas": "other 0",
+        "blas_core": "Other"})
     elsewhere = baseline_manifest(tmp_path / "elsewhere")
     assert elsewhere["numpy"] == "0.0" != here["numpy"]
     assert elsewhere["config_sha256"] == here["config_sha256"]
+
+
+def test_manifest_records_the_blas_core_the_run_used(tmp_path):
+    # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so the run is a child
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotraffic.cli", "baseline", "--method",
+         "actuated", "--episodes", "1", "--horizon", "5", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads((out / "manifest.json").read_text())["blas_core"]
+    # null where numpy's bundled OpenBLAS or its core-name symbol is missing
+    assert recorded == ("Haswell" if ppo.openblas_core() is not None
+                        else None)

@@ -4,19 +4,22 @@ simulator's independence from numpy's CPU dispatch.
 The references below are the numpy bodies the list kernels replaced, with
 the one power evaluated per element in Python: an array `**` dispatches to a
 SIMD `pow` that can differ from the C library's in the last bit."""
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cotraffic import kernels
 from cotraffic.kernels import (AIR_DENSITY, CMD_ACCEL_MAX, CO2_G_PER_L,
                                DRAG_COEF, EMERGENCY_DECEL, ENGINE_EFFICIENCY,
                                FRONTAL_AREA_M2, FUEL_ENERGY_J_L, GRAVITY,
-                               IDLE_FUEL_L_S, ROLLING_COEF, VEHICLE_MASS_KG)
-from cotraffic.simulation import IdmParams
+                               IDLE_FUEL_L_S, IDM_A_MAX, IDM_B_COMFORT,
+                               IDM_DELTA, IDM_HEADWAY, IDM_S0, ROLLING_COEF,
+                               VEHICLE_MASS_KG)
 
 ROWS = 4000
 
@@ -95,7 +98,6 @@ def assert_floats_equal(got, want):
 
 
 def test_vehicle_accels_match_numpy_form():
-    p = IdmParams()
     for seed in range(5):
         r = random_rows(seed)
         # a real leader always sits at a positive gap (the step floors it
@@ -103,10 +105,9 @@ def test_vehicle_accels_match_numpy_form():
         gap = np.where(r["has_lead"], np.abs(r["gap"]) + 1e-9, 0.0)
         cols = (r["speed"], r["lead_speed"], gap, r["has_lead"],
                 r["v_limit"], r["is_cmd"], r["cmd"])
-        want = ref_vehicle_accels(*cols, p.a_max, p.b_comfort, p.delta,
-                                  p.headway, p.s0)
-        got = kernels.vehicle_accels(*as_lists(*cols), p.a_max, p.b_comfort,
-                                     p.delta, p.headway, p.s0)
+        want = ref_vehicle_accels(*cols, IDM_A_MAX, IDM_B_COMFORT, IDM_DELTA,
+                                  IDM_HEADWAY, IDM_S0)
+        got = kernels.vehicle_accels(*as_lists(*cols))
         assert_floats_equal(got, want)
         assert np.any(np.abs(r["cmd"][r["is_cmd"]]) > CMD_ACCEL_MAX)
 
@@ -163,6 +164,22 @@ for method, penetration in (("actuated", 0.0), ("glosa", 1.0)):
                                        veh.fuel_l)))
     print(method, sim.collided_count, sim.ttc_event_count)
 """
+
+
+@pytest.mark.parametrize("module", ["simulation", "kernels", "baselines"])
+def test_simulator_modules_import_no_numpy(module):
+    # numpy's array operations dispatch on the CPU's SIMD features, which
+    # the test below only catches where they change a bit on this host
+    path = Path(kernels.__file__).with_name(f"{module}.py")
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert not [name for name in imported
+                if name == "numpy" or name.startswith("numpy.")]
 
 
 def test_simulation_does_not_depend_on_numpy_cpu_dispatch():

@@ -1,6 +1,7 @@
 """Grid construction, demand flows, schedules, and scenario files."""
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import given, strategies as st
 from cotraffic.network import (ConfigError, ScenarioSpec, build_grid,
                                build_insertion_schedule,
                                assign_vehicle_kinds, grid_scenario,
-                               parse_scenario_text, scenario_to_text,
-                               standard_flows_1x1, standard_flows_1x6)
+                               load_scenario, parse_scenario_text,
+                               scenario_to_text, standard_flows_1x1,
+                               standard_flows_1x6)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # independent oracle for the per-flow counts: hourly rate over a 300 s window
 HOURLY_RATES = {"NS": 288, "WE": 240, "EW": 192, "SN": 120}
@@ -131,6 +135,27 @@ def test_scenario_text_round_trip():
     assert parsed.seed == 11
     assert sum(f.count for f in parsed.flows) == 70
     assert scenario_to_text(parsed) == text
+
+
+@pytest.mark.parametrize("grid", ["1x1", "1x6"])
+def test_committed_config_reproduces_the_built_in_grid(grid):
+    parsed = load_scenario(CONFIGS / f"grid{grid}.cfg")
+    built_in = grid_scenario(grid)
+    assert parsed.network == built_in.network
+    assert parsed.flows == built_in.flows
+    # the files carry their own demand seed; everything else is the default
+    assert parsed.seed == 7
+    assert parsed.with_overrides(seed=built_in.seed) == built_in
+
+
+def test_committed_3x3_config_feeds_every_boundary_arm():
+    scen = load_scenario(CONFIGS / "grid3x3.cfg")
+    assert len(scen.network.intersections) == 9
+    assert sum(f.count for f in scen.flows) == 210
+    boundary_entries = {rid for rid, road in scen.network.roads.items()
+                        if road.from_node[0] in "NESW"}
+    assert sorted(f.origin for f in scen.flows) == sorted(boundary_entries)
+    assert len(boundary_entries) == 12
 
 
 def test_scenario_parser_rejects_unknown_keys():

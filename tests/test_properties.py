@@ -105,8 +105,8 @@ def ref_accel_inputs(sim, commands):
         front, road = vehs[i], roads_of[i]
         light = (sim.lights.get(road.approach_intersection)
                  if road.approach_intersection else None)
-        virtual = (simulation.red_light_virtual_leader(
-            front, light, road, sim.idm.b_comfort) if light else None)
+        virtual = (simulation.red_light_virtual_leader(front, light, road)
+                   if light else None)
         if virtual is None and light is not None:
             tail = simulation._cross_boundary_leader(sim, front, road)
             if tail is not None:
@@ -132,12 +132,11 @@ class CheckedAccels:
         self.calls = 0
         self.accels = kernels.vehicle_accels
 
-    def checked(self, *args):
-        inputs, idm = args[:7], args[7:]
+    def checked(self, *inputs):
         want = ref_accel_inputs(self.sim, self.commands)
         assert list(map(bitwise, inputs)) == list(map(bitwise, want))
         self.calls += 1
-        return self.accels(*inputs, *idm)
+        return self.accels(*inputs)
 
     def patch(self):
         return mock.patch.object(kernels, "vehicle_accels", self.checked)

@@ -8,13 +8,12 @@ import pytest
 
 from cotraffic import kernels, simulation
 from cotraffic.network import Insertion, build_grid, grid_scenario
-from cotraffic.simulation import (IdmParams, TraceWriter, Vehicle,
-                                  apply_tl_action, build_sim,
-                                  count_ttc_events, detect_collisions,
-                                  idm_accel, make_light,
+from cotraffic.kernels import (IDM_A_MAX, IDM_B_COMFORT, IDM_DELTA,
+                               IDM_HEADWAY, IDM_S0)
+from cotraffic.simulation import (TraceWriter, Vehicle, apply_tl_action,
+                                  build_sim, count_ttc_events,
+                                  detect_collisions, idm_accel, make_light,
                                   red_light_virtual_leader, step)
-
-P = IdmParams()
 
 
 def fuel_rate(v, a):
@@ -57,15 +56,15 @@ def empty_sim(grid="1x1"):
 # --- car following -----------------------------------------------------------
 
 def test_idm_standstill_free_road():
-    assert idm_accel(0.0, None, None, 15.0, P) == pytest.approx(1.0)
+    assert idm_accel(0.0, None, None, 15.0) == pytest.approx(1.0)
 
 
 def test_idm_equilibrium_at_jam_distance():
-    assert idm_accel(0.0, 0.0, 2.0, 15.0, P) == pytest.approx(0.0)
+    assert idm_accel(0.0, 0.0, 2.0, 15.0) == pytest.approx(0.0)
 
 
 def test_idm_free_flow_at_limit():
-    assert idm_accel(15.0, None, None, 15.0, P) == pytest.approx(0.0)
+    assert idm_accel(15.0, None, None, 15.0) == pytest.approx(0.0)
 
 
 def test_idm_matches_closed_form_on_random_inputs():
@@ -75,17 +74,18 @@ def test_idm_matches_closed_form_on_random_inputs():
         vl = rng.uniform(0, 15)
         gap = rng.uniform(0.5, 200)
         vlim = rng.uniform(5, 20)
-        s_star = P.s0 + v * P.headway + v * (v - vl) / (2 * math.sqrt(P.a_max * P.b_comfort))
-        want = P.a_max * (1 - (v / vlim) ** P.delta - (s_star / gap) ** 2)
-        want = min(max(want, -4.5), P.a_max)
-        assert idm_accel(v, vl, gap, vlim, P) == pytest.approx(want, rel=1e-12)
+        s_star = (IDM_S0 + v * IDM_HEADWAY
+                  + v * (v - vl) / (2 * math.sqrt(IDM_A_MAX * IDM_B_COMFORT)))
+        want = IDM_A_MAX * (1 - (v / vlim) ** IDM_DELTA - (s_star / gap) ** 2)
+        want = min(max(want, -4.5), IDM_A_MAX)
+        assert idm_accel(v, vl, gap, vlim) == pytest.approx(want, rel=1e-12)
 
 
 def test_idm_rejects_nonpositive_gap_with_leader():
     with pytest.raises(ValueError):
-        idm_accel(5.0, 3.0, 0.0, 15.0, P)
+        idm_accel(5.0, 3.0, 0.0, 15.0)
     with pytest.raises(ValueError):
-        idm_accel(5.0, 3.0, -1.0, 15.0, P)
+        idm_accel(5.0, 3.0, -1.0, 15.0)
 
 
 # --- signal interaction ------------------------------------------------------
@@ -96,10 +96,9 @@ def test_virtual_leader_red_and_green():
     light = make_light("J0-0")
     veh = Vehicle("x", "HDV", road.id, 250.0, 10.0, (road.id,))
     light.phase_index = 2  # green WE, so the N approach faces red
-    b = P.b_comfort
-    assert red_light_virtual_leader(veh, light, road, b) == (0.0, 50.0)
+    assert red_light_virtual_leader(veh, light, road) == (0.0, 50.0)
     light.phase_index = 0  # green NS
-    assert red_light_virtual_leader(veh, light, road, b) is None
+    assert red_light_virtual_leader(veh, light, road) is None
 
 
 def test_virtual_leader_yellow_dilemma():
@@ -109,12 +108,10 @@ def test_virtual_leader_yellow_dilemma():
     light.phase_index = 1  # yellow NS
     committed = Vehicle("a", "HDV", road.id, 295.0, 15.0, (road.id,))
     # needed deceleration 15^2 / (2*5) = 22.5 > comfortable 1.5: proceeds
-    assert red_light_virtual_leader(committed, light, road,
-                                    P.b_comfort) is None
+    assert red_light_virtual_leader(committed, light, road) is None
     far = Vehicle("b", "HDV", road.id, 100.0, 15.0, (road.id,))
     # 15^2 / (2*200) = 0.5625 < 1.5: stops at the line
-    assert red_light_virtual_leader(far, light, road,
-                                    P.b_comfort) == (0.0, 200.0)
+    assert red_light_virtual_leader(far, light, road) == (0.0, 200.0)
 
 
 def test_apply_tl_action_transitions():
@@ -481,7 +478,7 @@ def test_idm_platoon_stop_and_go_safety():
         for i in range(1, n):
             gap = pos[i - 1] - length - pos[i]
             assert gap > 0.0, f"collision at step {t}"
-            accels[i] = idm_accel(vel[i], vel[i - 1], gap, 15.0, P)
+            accels[i] = idm_accel(vel[i], vel[i - 1], gap, 15.0)
         vel[1:] = np.clip(vel[1:] + accels[1:], 0.0, 15.0)
         pos += vel
         assert np.all(vel >= 0.0) and np.all(vel <= 15.0)
