@@ -6,7 +6,8 @@ aims each equipped vehicle at its predicted next green, never overriding
 car-following safety.
 """
 from . import kernels
-# idm_accel is not called here; perfbench/tracer.py wraps it at this name
+# build_sim, idm_accel and step are not called here; perfbench/tracer.py
+# wraps them at these names
 from .simulation import MIN_GREEN, YELLOW_DURATION, build_sim, idm_accel, step
 
 GLOSA_ACCEL_LIMIT = 3.0
@@ -211,29 +212,3 @@ def make_light_controller(plan):
         return lambda sim: {lid: max_pressure_tick(light, sim)
                             for lid, light in sim.lights.items()}
     raise ValueError(f"unknown light plan {plan!r}")
-
-
-# baseline method -> light plan; glosa advises on top of the actuated plan
-_BASELINE_PLANS = {"baseline-static": "static", "actuated": "actuated",
-                   "max-pressure": "max-pressure", "glosa": "actuated"}
-
-
-class BaselineController:
-    """Bundles a light plan and optional speed advisory into one stepper."""
-
-    def __init__(self, method):
-        if method not in _BASELINE_PLANS:
-            raise ValueError(f"unknown baseline method {method!r}")
-        self.method = method
-        plan = _BASELINE_PLANS[method]
-        self.lights = make_light_controller(plan)
-        self.glosa = GlosaController() if method == "glosa" else None
-
-    def new_sim(self, scenario):
-        return build_sim(scenario)
-
-    def step(self, sim, trace=None, view=None):
-        """One second of `sim` under this controller; `view` and the return
-        value are `simulation.step`'s."""
-        commands = self.glosa.commands(sim) if self.glosa else {}
-        return step(sim, self.lights(sim), commands, trace=trace, view=view)

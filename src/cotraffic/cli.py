@@ -93,12 +93,6 @@ def _manifest(args, scenario, method, extra):
     return payload
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _out_dir(args, default_name):
     out = Path(args.out or default_name)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,7 +161,7 @@ def cmd_train(args):
         "halted_early": result.halted_early,
         "blas_threads": result.blas_threads,
     })
-    _write_json(out / "manifest.json", manifest)
+    metrics.write_json(out / "manifest.json", manifest)
     print(f"trained {args.method}: {len(result.curves)} iterations, "
           f"{result.wall_time_s:.1f}s, outputs in {out}")
     if result.halted_early:
@@ -231,10 +225,17 @@ def _load_run(checkpoint_dir):
 
 
 def _eval_common(args, manifest, params, penetration):
-    method = get_method(manifest["method"])
-    scenario = parse_scenario_text(manifest["scenario_text"])
-    penetration = resolve_penetration(method, penetration,
-                                      manifest["penetration"])
+    """The method, scenario and networks that evaluate the --checkpoint-dir
+    run (its manifest and networks) at `penetration`. A manifest entry that
+    cannot run is a ConfigError naming the manifest."""
+    try:
+        method = get_method(manifest["method"])
+        scenario = parse_scenario_text(manifest["scenario_text"])
+        penetration = resolve_penetration(method, penetration,
+                                          manifest["penetration"])
+    except ConfigError as exc:
+        raise ConfigError(
+            f"{Path(args.checkpoint_dir) / 'manifest.json'}: {exc}") from None
     scenario = scenario.with_overrides(penetration=penetration, seed=args.seed,
                                        horizon=args.horizon)
 
@@ -243,7 +244,7 @@ def _eval_common(args, manifest, params, penetration):
     cav_params = params.get("cav")
     if env_cfg.tl_plan is None and tl_params is None:
         raise ConfigError("checkpoint directory lacks the signal-agent network")
-    if env_cfg.cav_agents and cav_params is None:
+    if env_cfg.cav_plan is None and cav_params is None:
         raise ConfigError("checkpoint directory lacks the vehicle-agent network")
     if tl_params is not None:
         want = tl_obs_dim(scenario.network, env_cfg.mode)
@@ -253,7 +254,7 @@ def _eval_common(args, manifest, params, penetration):
                 f"scenario/mode needs {want}")
     if cav_params is not None and cav_params.obs_dim != cav_obs_dim(env_cfg.mode):
         raise ConfigError("vehicle checkpoint does not match the mode")
-    return method, scenario, env_cfg, tl_params, cav_params
+    return method, scenario, tl_params, cav_params
 
 
 def _write_eval_outputs(out, method, scenario, reports, label=""):
@@ -271,26 +272,35 @@ def _write_eval_outputs(out, method, scenario, reports, label=""):
     return aggregate
 
 
-def cmd_evaluate(args):
-    manifest, params = _load_run(args.checkpoint_dir)
-    method, scenario, env_cfg, tl_params, cav_params = _eval_common(
-        args, manifest, params, args.penetration)
-    out = _out_dir(args, f"runs/eval-{method.name}")
+def _evaluate(args, out, verb, method, scenario, tl_params, cav_params,
+              extra):
+    """Run the --episodes greedy episodes of `method` (None networks for an
+    agent type it does not learn), write their reports and the manifest
+    with `extra` fields into `out`, and print the mean travel time."""
     seeds = _eval_seeds(args)
     with _trace_file(args) as trace_fh:
         reports = rollout.evaluate_policy(
-            scenario, env_cfg, tl_params, cav_params, seeds,
+            scenario, method.env_cfg, tl_params, cav_params, seeds,
             scenario.horizon, trace_fh=trace_fh)
     aggregate = _write_eval_outputs(out, method, scenario, reports)
-    _write_json(out / "manifest.json", _manifest(
+    metrics.write_json(out / "manifest.json", _manifest(
         args, scenario, method,
-        {"checkpoint_dir": str(args.checkpoint_dir), "episodes": args.episodes,
-         "penetration": scenario.penetration_rate, "eval_seeds": seeds,
-         "greedy_actions": True}))
-    print(f"evaluated {method.name}: mean travel time "
+        {"episodes": args.episodes, "penetration": scenario.penetration_rate,
+         "eval_seeds": seeds, **extra}))
+    print(f"{verb} {method.name}: mean travel time "
           f"{aggregate.mean_travel_time:.2f}s over {args.episodes} episodes; "
           f"outputs in {out}")
     return 0
+
+
+def cmd_evaluate(args):
+    manifest, params = _load_run(args.checkpoint_dir)
+    method, scenario, tl_params, cav_params = _eval_common(
+        args, manifest, params, args.penetration)
+    out = _out_dir(args, f"runs/eval-{method.name}")
+    return _evaluate(args, out, "evaluated", method, scenario, tl_params,
+                     cav_params, {"checkpoint_dir": str(args.checkpoint_dir),
+                                  "greedy_actions": True})
 
 
 def cmd_baseline(args):
@@ -302,31 +312,20 @@ def cmd_baseline(args):
                                       scenario.penetration_rate)
     scenario = scenario.with_overrides(penetration=penetration)
     out = _out_dir(args, f"runs/baseline-{args.method}")
-    seeds = _eval_seeds(args)
-    with _trace_file(args) as trace_fh:
-        reports = rollout.evaluate_baseline(
-            scenario, args.method, seeds, scenario.horizon, trace_fh=trace_fh)
-    aggregate = _write_eval_outputs(out, method, scenario, reports)
-    _write_json(out / "manifest.json", _manifest(
-        args, scenario, method,
-        {"episodes": args.episodes, "penetration": scenario.penetration_rate,
-         "eval_seeds": seeds}))
-    print(f"baseline {args.method}: mean travel time "
-          f"{aggregate.mean_travel_time:.2f}s over {args.episodes} episodes; "
-          f"outputs in {out}")
-    return 0
+    return _evaluate(args, out, "baseline", method, scenario, None, None, {})
 
 
 def cmd_sweep(args):
     manifest, params = _load_run(args.checkpoint_dir)
+    runs = [(rate, *_eval_common(args, manifest, params, rate))
+            for rate in args.rates]
     out = _out_dir(args, "runs/sweep")
     seeds = _eval_seeds(args)
     rows = []
-    for rate in args.rates:
-        method, scenario, env_cfg, tl_params, cav_params = _eval_common(
-            args, manifest, params, rate)
+    for rate, method, scenario, tl_params, cav_params in runs:
         reports = rollout.evaluate_policy(
-            scenario, env_cfg, tl_params, cav_params, seeds, scenario.horizon)
+            scenario, method.env_cfg, tl_params, cav_params, seeds,
+            scenario.horizon)
         aggregate = _write_eval_outputs(out, method, scenario, reports,
                                         label=f"rate{rate:0.2f}")
         rows.append((rate, aggregate))
@@ -340,7 +339,7 @@ def cmd_sweep(args):
                 _fmt(vals[k]) for k in metrics.EpisodeReport.METRIC_KEYS) + "\n")
     # the scenario that ran, as `_eval_common` builds it; the penetration
     # rates are listed on their own
-    _write_json(out / "manifest.json", _manifest(
+    metrics.write_json(out / "manifest.json", _manifest(
         args, parse_scenario_text(manifest["scenario_text"]).with_overrides(
             seed=args.seed, horizon=args.horizon), method,
         {"rates": args.rates, "episodes": args.episodes,
@@ -368,9 +367,10 @@ def cmd_report(args):
     table = metrics.compare_table(runs, baseline_name)
     out = _out_dir(args, "runs/report")
     metrics.write_compare_csv(out / "comparison.csv", table, baseline_name)
-    _write_json(out / "comparison.json",
-                {m: {k: {"value": v, "pct_change": p} for k, (v, p) in row.items()}
-                 for m, row in table.items()})
+    metrics.write_json(
+        out / "comparison.json",
+        {m: {k: {"value": v, "pct_change": p} for k, (v, p) in row.items()}
+         for m, row in table.items()})
     for method in sorted(table):
         tt, pct = table[method]["mean_travel_time"]
         suffix = "" if method == baseline_name else f" ({pct:+.2f}%)"
@@ -421,7 +421,8 @@ _FLAGS = {
     "--episodes": dict(type=_positive_int, default=18,
                        help="evaluation episodes"),
     "--trace": dict(metavar="PATH",
-                    help="write a per-step vehicle trace of the first episode"),
+                    help="write a per-step vehicle and light trace of the "
+                         "first episode"),
 }
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import make_light_controller
+from .baselines import GlosaController, make_light_controller
 from .simulation import (MIN_GAP, VEHICLE_LENGTH, _cross_boundary_leader,
                          build_sim, step)
 
@@ -38,10 +38,12 @@ class CooperationMode(enum.Enum):
 @dataclass(frozen=True)
 class EnvConfig:
     """`tl_plan` names the non-learned plan that drives the lights
-    ('static', 'actuated' or 'max-pressure'); None makes them agents."""
+    ('static', 'actuated' or 'max-pressure') and `cav_plan` the one that
+    drives the connected vehicles ('idm', the car-following law alone, or
+    'glosa', the speed advisory); None makes them agents."""
     mode: CooperationMode = CooperationMode.COTV
     tl_plan: str = None
-    cav_agents: bool = True
+    cav_plan: str = None
 
 
 def max_road_capacity(network):
@@ -254,7 +256,7 @@ class TrafficEnv:
     previous step made after it moved the simulator, and the simulator
     starts from the fleet view that the previous step returned. `reset`
     builds the configured light plan afresh, since the actuated plan keeps
-    per-light state.
+    per-light state, and checks the vehicle plan.
     """
 
     def __init__(self, scenario, cfg):
@@ -263,6 +265,7 @@ class TrafficEnv:
         self.c = max_road_capacity(scenario.network)
         self.sim = None
         self._light_plan = None
+        self._advisory = None
         self._prev_tl_action = {}
         self._prev_cmd_by_road = {}
         # the selection and the fleet view of the state the last step left,
@@ -272,8 +275,12 @@ class TrafficEnv:
 
     def reset(self):
         self.sim = build_sim(self.scenario)
-        self._light_plan = (make_light_controller(self.cfg.tl_plan)
-                            if self.cfg.tl_plan is not None else None)
+        cfg = self.cfg
+        if cfg.cav_plan not in (None, "idm", "glosa"):
+            raise ValueError(f"unknown vehicle plan {cfg.cav_plan!r}")
+        self._light_plan = (make_light_controller(cfg.tl_plan)
+                            if cfg.tl_plan is not None else None)
+        self._advisory = GlosaController() if cfg.cav_plan == "glosa" else None
         self._prev_tl_action = {lid: 0 for lid in self.sim.lights}
         self._prev_cmd_by_road = {}
         self._next_agents = None
@@ -285,12 +292,13 @@ class TrafficEnv:
         """Advance one second; returns the acting agents' AgentSteps.
 
         The lights follow the configured plan if there is one, else the
-        signal policy if given, and otherwise get no switch; vehicle agents
-        act when the configuration has them and a vehicle policy is given.
-        Each agent type makes at most one `act` call per step, on the matrix
-        of its agents' observations; row i of that matrix is the `obs` of the
-        type's i-th record. A step with no selected vehicle makes no vehicle
-        call and draws nothing from `rng`.
+        signal policy if given, and otherwise get no switch. The vehicles
+        follow the advisory under the 'glosa' plan; vehicle agents act when
+        the configuration has them and a vehicle policy is given. Each agent
+        type makes at most one `act` call per step, on the matrix of its
+        agents' observations; row i of that matrix is the `obs` of the type's
+        i-th record. A step with no selected vehicle makes no vehicle call
+        and draws nothing from `rng`.
         """
         sim = self.sim
         cfg = self.cfg
@@ -311,7 +319,7 @@ class TrafficEnv:
         cav_actions = {}
         cav_records = {}
         cmd_road = {}
-        selecting = cfg.cav_agents and cav_policy is not None
+        selecting = cfg.cav_plan is None and cav_policy is not None
         agents = []
         if selecting:
             agents = self._next_agents
@@ -328,6 +336,8 @@ class TrafficEnv:
                                 t=sim.clock)
                 records.append(rec)
                 cav_records[vid] = rec
+        if self._advisory is not None:
+            cav_actions = self._advisory.commands(sim)
 
         completed_before = len(sim.completed)
         self._view = step(sim, tl_actions, cav_actions, trace=trace,
@@ -351,7 +361,7 @@ class TrafficEnv:
                 rec.done = vid not in still_selected
 
         self._prev_tl_action = {lid: tl_actions.get(lid, 0) for lid in sim.lights}
-        self._prev_cmd_by_road = {cmd_road[vid]: cmd
-                                  for vid, cmd in cav_actions.items()}
+        self._prev_cmd_by_road = {road: cav_actions[vid]
+                                  for vid, road in cmd_road.items()}
         return records
 

@@ -8,42 +8,46 @@ from .network import ConfigError
 @dataclass(frozen=True)
 class MethodSpec:
     name: str
-    rl: bool
-    env_cfg: EnvConfig = None
+    env_cfg: EnvConfig
     forced_penetration: float = None
     default_penetration: float = None
     notes: str = ""
 
+    @property
+    def rl(self):
+        """Whether the method is learned: agents drive the lights or the
+        connected vehicles."""
+        return self.env_cfg.tl_plan is None or self.env_cfg.cav_plan is None
+
 
 METHODS = {
-    "baseline-static": MethodSpec("baseline-static", rl=False,
-                                  default_penetration=0.0),
-    "actuated": MethodSpec("actuated", rl=False, default_penetration=0.0),
-    "max-pressure": MethodSpec("max-pressure", rl=False,
-                               default_penetration=0.0),
-    "glosa": MethodSpec("glosa", rl=False, forced_penetration=1.0,
-                        notes="speed advisory controls every vehicle; paired "
-                              "with the actuated light plan"),
-    "cotv": MethodSpec("cotv", rl=True,
-                       env_cfg=EnvConfig(CooperationMode.COTV)),
-    "cotv-star": MethodSpec("cotv-star", rl=True,
-                            env_cfg=EnvConfig(CooperationMode.COTV_STAR)),
-    "i-cotv": MethodSpec("i-cotv", rl=True,
-                         env_cfg=EnvConfig(CooperationMode.I_COTV)),
-    "m-cotv": MethodSpec("m-cotv", rl=True,
-                         env_cfg=EnvConfig(CooperationMode.M_COTV)),
-    "flowcav": MethodSpec("flowcav", rl=True,
-                          env_cfg=EnvConfig(CooperationMode.I_COTV,
-                                            tl_plan="static"),
-                          default_penetration=1.0,
-                          notes="vehicle agents only, lights on the fixed plan"),
-    "presslight": MethodSpec("presslight", rl=True,
-                             env_cfg=EnvConfig(CooperationMode.I_COTV,
-                                               cav_agents=False),
-                             forced_penetration=0.0,
-                             notes="light agents only on pressure state/reward; "
-                                   "trained with PPO here rather than the "
-                                   "original DQN"),
+    "baseline-static": MethodSpec(
+        "baseline-static", EnvConfig(tl_plan="static", cav_plan="idm"),
+        default_penetration=0.0),
+    "actuated": MethodSpec(
+        "actuated", EnvConfig(tl_plan="actuated", cav_plan="idm"),
+        default_penetration=0.0),
+    "max-pressure": MethodSpec(
+        "max-pressure", EnvConfig(tl_plan="max-pressure", cav_plan="idm"),
+        default_penetration=0.0),
+    "glosa": MethodSpec(
+        "glosa", EnvConfig(tl_plan="actuated", cav_plan="glosa"),
+        forced_penetration=1.0,
+        notes="speed advisory controls every vehicle; paired with the "
+              "actuated light plan"),
+    "cotv": MethodSpec("cotv", EnvConfig(CooperationMode.COTV)),
+    "cotv-star": MethodSpec("cotv-star", EnvConfig(CooperationMode.COTV_STAR)),
+    "i-cotv": MethodSpec("i-cotv", EnvConfig(CooperationMode.I_COTV)),
+    "m-cotv": MethodSpec("m-cotv", EnvConfig(CooperationMode.M_COTV)),
+    "flowcav": MethodSpec(
+        "flowcav", EnvConfig(CooperationMode.I_COTV, tl_plan="static"),
+        default_penetration=1.0,
+        notes="vehicle agents only, lights on the fixed plan"),
+    "presslight": MethodSpec(
+        "presslight", EnvConfig(CooperationMode.I_COTV, cav_plan="idm"),
+        forced_penetration=0.0,
+        notes="light agents only on pressure state/reward; trained with PPO "
+              "here rather than the original DQN"),
 }
 
 

@@ -133,13 +133,19 @@ def report_to_dict(report):
     return d
 
 
+def write_json(path, payload):
+    """Write a run-directory JSON file: strict JSON (non-finite floats as
+    null), sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(sanitize_json(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_report_json(path, report, extra):
     payload = report_to_dict(report)
     payload["n_travel_times"] = len(report.travel_times)
     payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sanitize_json(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def write_travel_times_csv(path, report):

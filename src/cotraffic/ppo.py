@@ -272,7 +272,7 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
     """Run the full training loop; returns parameters and reward curves.
 
     The signal agents are trained when `env_cfg` has no light plan, the
-    vehicle agents when it has them. `workers` episode processes
+    vehicle agents when it has no vehicle plan. `workers` episode processes
     run each iteration's rollouts; results are identical for any value. It
     runs on one BLAS thread (`one_blas_thread`), so results are identical for
     any BLAS thread count too; the result records the count it ran at.
@@ -285,7 +285,7 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
         tl_params = init_params("tl", tl_obs_dim(scenario.network, env_cfg.mode),
                                 cfg.hidden, seed)
         optimizers["TL"] = Adam(tl_params, cfg.learning_rate)
-    if env_cfg.cav_agents:
+    if env_cfg.cav_plan is None:
         cav_params = init_params("cav", cav_obs_dim(env_cfg.mode),
                                  cfg.hidden, seed)
         optimizers["CAV"] = Adam(cav_params, cfg.learning_rate)
@@ -322,7 +322,8 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
             "tl_reward": (float(np.mean(reward_sums["TL"]))
                           if tl_params is not None else float("nan")),
             "cav_reward": (float(np.mean(reward_sums["CAV"]))
-                           if env_cfg.cav_agents and len(buffers["CAV"]) else float("nan")),
+                           if cav_params is not None and len(buffers["CAV"])
+                           else float("nan")),
             "tl_steps": len(buffers["TL"]),
             "cav_steps": len(buffers["CAV"]),
             "collisions": collision_count,

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines
 from .env import TrafficEnv
+from .methods import get_method
 from .metrics import build_episode_report
 from .policy import Policy
 from .simulation import TraceWriter
@@ -96,8 +96,10 @@ def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds,
                     horizon, trace_fh=None):
     """Greedy-action evaluation episodes; returns one report per seed.
 
+    An agent type the configuration does not learn takes None for its
+    network.
     When a trace file handle is given, the first episode's per-step vehicle
-    records are written to it.
+    and light records are written to it.
     """
     reports = []
     for i, seed in enumerate(seeds):
@@ -110,19 +112,13 @@ def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds,
 
 
 def run_baseline_episode(scenario, method, seed, horizon=None, trace_fh=None):
-    """One non-learned episode (static, actuated, max-pressure, or glosa)."""
-    horizon = horizon or scenario.horizon
-    scen_seed, _ = _episode_seeds(seed)
-    controller = baselines.BaselineController(method)
-    sim = controller.new_sim(scenario.with_overrides(seed=scen_seed))
+    """One episode of a non-learned method (baseline-static, actuated,
+    max-pressure or glosa); returns (report, final sim state)."""
+    spec = get_method(method)
+    if spec.rl:
+        raise ValueError(f"method {method!r} is learned")
     trace = TraceWriter(trace_fh) if trace_fh is not None else None
-    view = None
-    for _ in range(horizon):
-        view = controller.step(sim, trace=trace, view=view)
+    _, sim = run_episode(scenario, spec.env_cfg, None, None, seed,
+                         horizon or scenario.horizon, sample=False,
+                         collect=False, trace=trace)
     return build_episode_report(sim), sim
-
-
-def evaluate_baseline(scenario, method, seeds, horizon, trace_fh=None):
-    return [run_baseline_episode(scenario, method, seed, horizon,
-                                 trace_fh=trace_fh if i == 0 else None)[0]
-            for i, seed in enumerate(seeds)]

@@ -19,12 +19,13 @@ from cotraffic.cli import main as cli_main
 from cotraffic.env import (CooperationMode, EnvConfig, TrafficEnv,
                            cav_obs_dim, cav_reward, max_road_capacity,
                            tl_obs_dim, tl_reward)
+from cotraffic.methods import get_method
 from cotraffic.metrics import aggregate_reports, compare_table, write_compare_csv
 from cotraffic.network import build_grid, build_insertion_schedule, grid_scenario
 from cotraffic.policy import (Policy, init_params, load_checkpoint,
                               ppo_loss_and_grads)
 from cotraffic.ppo import ci_profile, compute_gae, one_blas_thread, train
-from cotraffic.rollout import evaluate_baseline, evaluate_policy
+from cotraffic.rollout import evaluate_policy
 from cotraffic.simulation import (Vehicle, build_sim, idm_accel, make_light,
                                   step)
 
@@ -111,8 +112,9 @@ def icotv_result():
 @pytest.fixture(scope="module")
 def static_agg():
     scen = grid_scenario("1x1", penetration=0.0, seed=SEED)
-    return aggregate_reports(evaluate_baseline(scen, "baseline-static",
-                                               EVAL_SEEDS, EVAL_HORIZON))
+    return aggregate_reports(evaluate_policy(
+        scen, get_method("baseline-static").env_cfg, None, None, EVAL_SEEDS,
+        EVAL_HORIZON))
 
 
 def _eval_cotv(params, penetration):

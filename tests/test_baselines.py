@@ -1,4 +1,5 @@
 """Static, actuated, max-pressure light plans and the speed advisory."""
+import io
 from pathlib import Path
 
 import numpy as np
@@ -6,13 +7,18 @@ import pytest
 
 from cotraffic import baselines, rollout, simulation
 from cotraffic.baselines import (ACTUATED_MAX_GREEN, STATIC_GREEN_S,
-                                 ActuatedController, BaselineController,
-                                 max_pressure_tick, static_tick)
-from cotraffic.env import CooperationMode, EnvConfig, cav_obs_dim, tl_obs_dim
+                                 ActuatedController, GlosaController,
+                                 make_light_controller, max_pressure_tick,
+                                 static_tick)
+from cotraffic.env import (CooperationMode, EnvConfig, TrafficEnv, cav_obs_dim,
+                           tl_obs_dim)
+from cotraffic.methods import get_method
+from cotraffic.metrics import build_episode_report
 from cotraffic.network import build_grid, grid_scenario, load_scenario
 from cotraffic.policy import init_params
-from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, Vehicle,
-                                  idm_accel, make_light, step)
+from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, TraceWriter,
+                                  Vehicle, build_sim, idm_accel, make_light,
+                                  step)
 
 from test_simulation import empty_sim, episode_state, put_vehicle
 
@@ -30,6 +36,64 @@ def glosa_advice(vehicle, light, dist_to_stop, road, durations, leader=None):
     return baselines._advise(
         v, dist_to_stop, v_star,
         baselines._green_windows(light, durations, road.approach), follow)
+
+
+# the light plan each non-learned method runs; glosa advises on top of the
+# actuated plan
+BASELINE_PLANS = {"baseline-static": "static", "actuated": "actuated",
+                  "max-pressure": "max-pressure", "glosa": "actuated"}
+
+
+def ref_baseline_episode(scenario, method, seed, horizon, trace_fh):
+    """Reference for `rollout.run_baseline_episode`: the light plan and,
+    for glosa, the advisory's commands stepped directly on the simulator,
+    each step handed the view the last one returned."""
+    scen_seed, _ = rollout._episode_seeds(seed)
+    sim = build_sim(scenario.with_overrides(seed=scen_seed))
+    lights = make_light_controller(BASELINE_PLANS[method])
+    glosa = GlosaController() if method == "glosa" else None
+    trace = TraceWriter(trace_fh)
+    view = None
+    for _ in range(horizon):
+        commands = glosa.commands(sim) if glosa else {}
+        view = step(sim, lights(sim), commands, trace=trace, view=view)
+    return build_episode_report(sim)
+
+
+def baseline_env(scenario, method):
+    """A reset TrafficEnv running the non-learned `method`."""
+    env = TrafficEnv(scenario, get_method(method).env_cfg)
+    env.reset()
+    return env
+
+
+@pytest.mark.parametrize("grid", ["1x1", "1x6"])
+@pytest.mark.parametrize("method", sorted(BASELINE_PLANS))
+def test_baseline_episode_matches_the_direct_loop(grid, method):
+    # the method's EnvConfig through TrafficEnv, against the plan stepped
+    # directly: reports and traces bit for bit
+    scen = grid_scenario(grid, penetration=0.5)
+    for seed in (1, 12345):
+        want, got = io.StringIO(), io.StringIO()
+        ref = ref_baseline_episode(scen, method, seed, scen.horizon, want)
+        report, _ = rollout.run_baseline_episode(scen, method, seed,
+                                                 trace_fh=got)
+        assert repr(report) == repr(ref)
+        assert got.getvalue() == want.getvalue()
+
+
+def test_run_baseline_episode_refuses_learned_methods():
+    scen = grid_scenario("1x1", penetration=1.0)
+    for method in ("cotv", "flowcav", "presslight"):
+        with pytest.raises(ValueError, match="learned"):
+            rollout.run_baseline_episode(scen, method, 1, horizon=1)
+
+
+def test_unknown_vehicle_plan_raises_at_reset():
+    env = TrafficEnv(grid_scenario("1x1"), EnvConfig(tl_plan="static",
+                                                     cav_plan="advisory"))
+    with pytest.raises(ValueError, match="unknown vehicle plan 'advisory'"):
+        env.reset()
 
 
 def test_static_tick_fires_at_planned_duration():
@@ -196,12 +260,11 @@ def test_glosa_bounds_property():
 
 def test_glosa_controller_commands_all_cavs_on_approaches():
     scen = grid_scenario("1x1", penetration=1.0, seed=3)
-    ctrl = BaselineController("glosa")
-    sim = ctrl.new_sim(scen)
+    sim = build_sim(scen)
     put_vehicle(sim, "a", "N0:J0-0", 100.0, 5.0, kind="CAV")
     put_vehicle(sim, "b", "W0:J0-0", 200.0, 5.0, kind="CAV")
     put_vehicle(sim, "c", "J0-0:E0", 50.0, 5.0, kind="CAV")  # exit road
-    commands = ctrl.glosa.commands(sim)
+    commands = GlosaController().commands(sim)
     assert set(commands) == {"a", "b"}
 
 
@@ -209,8 +272,8 @@ def test_glosa_commands_match_scalar_rule_bitwise():
     # the batched controller against glosa_advice called per vehicle, on a
     # mixed fleet: HDV leaders, empty roads and road-front CAVs all occur
     scen = grid_scenario("1x6", penetration=0.5, seed=4)
-    ctrl = BaselineController("glosa")
-    sim = ctrl.new_sim(scen)
+    sim = build_sim(scen)
+    glosa, lights = GlosaController(), make_light_controller("actuated")
     seen = {"hdv_leader": 0, "empty_road": 0, "front_cav": 0}
     for _ in range(200):
         want = {}
@@ -236,10 +299,10 @@ def test_glosa_commands_match_scalar_rule_bitwise():
                     seen["front_cav"] += 1
                 want[vid] = glosa_advice(veh, light, road.length - veh.position,
                                          road, durations, leader)
-        got = ctrl.glosa.commands(sim)
+        got = glosa.commands(sim)
         assert got.keys() == want.keys()
         assert all(got[vid] == want[vid] for vid in want)
-        step(sim, ctrl.lights(sim), got)
+        step(sim, lights(sim), got)
     assert all(seen.values()), seen
 
 
@@ -264,36 +327,36 @@ def test_baseline_episode_builds_one_fleet_view_per_step(monkeypatch):
 
 
 def test_glosa_episode_with_handed_views_equals_fresh_views():
-    # stepping with the view the last step returned, and with none, gives
-    # the same states bit for bit
-    # a controller per episode, since the actuated plan keeps per-light state
+    # TrafficEnv stepping with the view the last step returned, and the
+    # simulator stepped with none, give the same states bit for bit; the
+    # direct loop has its own actuated plan, which keeps per-light state
     scen = grid_scenario("1x6", penetration=1.0, seed=11)
-    ctrl, ref = BaselineController("glosa"), BaselineController("glosa")
-    handed, fresh = ctrl.new_sim(scen), ref.new_sim(scen)
-    view = None
+    env = baseline_env(scen, "glosa")
+    fresh = build_sim(scen)
+    glosa, lights = GlosaController(), make_light_controller("actuated")
     for _ in range(300):
-        view = ctrl.step(handed, view=view)
-        ref.step(fresh)
+        env.step()
+        step(fresh, lights(fresh), glosa.commands(fresh))
+    handed = env.sim
     assert len(handed.completed) > 100
     assert repr(episode_state(handed)) == repr(episode_state(fresh))
 
 
 def test_glosa_episode_runs_safely():
-    scen = grid_scenario("1x1", penetration=1.0, seed=5)
-    ctrl = BaselineController("glosa")
-    sim = ctrl.new_sim(scen)
+    env = baseline_env(grid_scenario("1x1", penetration=1.0, seed=5), "glosa")
     for _ in range(720):
-        ctrl.step(sim)
+        env.step()
+    sim = env.sim
     assert sim.collided_count == 0
     assert len(sim.completed) == 70
 
 
 def test_static_baseline_completes_all_trips():
-    scen = grid_scenario("1x1", penetration=0.0, seed=9)
-    ctrl = BaselineController("baseline-static")
-    sim = ctrl.new_sim(scen)
+    env = baseline_env(grid_scenario("1x1", penetration=0.0, seed=9),
+                       "baseline-static")
     for _ in range(720):
-        ctrl.step(sim)
+        env.step()
+    sim = env.sim
     assert len(sim.completed) == 70
     assert sim.collided_count == 0
 
@@ -309,13 +372,13 @@ def test_actuated_episode_on_the_3x3_config_conserves_vehicles():
 
 
 def test_max_pressure_respects_min_green_in_sim():
-    scen = grid_scenario("1x1", penetration=0.0, seed=9)
-    ctrl = BaselineController("max-pressure")
-    sim = ctrl.new_sim(scen)
+    env = baseline_env(grid_scenario("1x1", penetration=0.0, seed=9),
+                       "max-pressure")
+    sim = env.sim
     green_entry = sim.clock
     last_index = sim.lights["J0-0"].phase_index
     for _ in range(400):
-        ctrl.step(sim)
+        env.step()
         light = sim.lights["J0-0"]
         if light.phase_index != last_index:
             if light.phases[last_index].kind == "green":

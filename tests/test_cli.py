@@ -11,6 +11,7 @@ import pytest
 
 from cotraffic import cli, ppo
 from cotraffic.cli import main
+from cotraffic.methods import METHODS
 from cotraffic.metrics import EpisodeReport
 from cotraffic.network import parse_scenario_text
 
@@ -56,15 +57,34 @@ def test_train_outputs_and_manifest(train_dir):
     assert "scenario_text" in manifest and "version" in manifest
 
 
-def test_presslight_trains_tl_checkpoint_only(tmp_path):
-    out = tmp_path / "pl"
+@pytest.fixture(scope="module")
+def presslight_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("presslight")
     code = run_cli("train", "--method", "presslight", "--grid", "1x1",
                    "--profile", "ci", "--seed", "3", "--out", str(out),
                    "--horizon", "40", "--iterations", "1",
                    "--train-episodes", "1")
     assert code == 0
-    assert (out / "checkpoint_tl.npz").exists()
-    assert not (out / "checkpoint_cav.npz").exists()
+    return out
+
+
+def test_presslight_trains_tl_checkpoint_only(presslight_dir):
+    assert sorted(p.name for p in presslight_dir.glob("checkpoint_*")) == [
+        "checkpoint_tl.npz"]
+
+
+# the learned methods; every other method runs under the baseline subcommand
+LEARNED = {"cotv", "cotv-star", "i-cotv", "m-cotv", "flowcav", "presslight"}
+
+
+def test_method_roster_splits_learned_from_baselines(tmp_path, capsys):
+    assert {name for name, spec in METHODS.items() if spec.rl} == LEARNED
+    for name, spec in METHODS.items():
+        command = "baseline" if spec.rl else "train"
+        out = tmp_path / name
+        assert run_cli(command, "--method", name, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
+        assert not out.exists()
 
 
 def test_flowcav_trains_vehicles_under_the_static_plan(tmp_path):
@@ -276,6 +296,56 @@ def test_malformed_run_json_exits_2_naming_the_file(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: config: ")
     assert str(run / name) in err and named in err
+    assert not out.exists()
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_report_with_a_zero_baseline_metric_writes_strict_json(tmp_path):
+    # a metric that is 0 under the baseline has no percentage change
+    for name, collided in (("base", 0.0), ("run", 2.0)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "aggregate.json").write_text(json.dumps(
+            {**dict.fromkeys(EpisodeReport.METRIC_KEYS, 50.0),
+             "collided": collided}))
+    out = tmp_path / "rep"
+    assert run_cli("report", "--baseline", f"base={tmp_path / 'base'}",
+                   "--run", f"run={tmp_path / 'run'}", "--out", str(out)) == 0
+    table = _strict_json(out / "comparison.json")
+    assert table["run"]["collided"] == {"value": 2.0, "pct_change": None}
+    assert table["run"]["mean_delay"] == {"value": 50.0, "pct_change": 0.0}
+
+
+def _garbage_run(tmp_path, presslight_dir):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text(json.dumps(
+        {"method": "cotv", "scenario_text": "garbage", "penetration": 1}))
+    return run
+
+
+@pytest.mark.parametrize("command,make_run,named", [
+    ("sweep", lambda tmp_path, pl: pl,
+     "method presslight fixes the penetration rate at 0.0"),
+    ("sweep", _garbage_run, "unparseable scenario content: 'garbage'"),
+    ("evaluate", _garbage_run, "unparseable scenario content: 'garbage'"),
+], ids=["sweep-forced-penetration", "sweep-garbage-scenario",
+        "evaluate-garbage-scenario"])
+def test_bad_checkpoint_run_exits_2_before_writing(
+        tmp_path, capsys, presslight_dir, command, make_run, named):
+    # every rate is resolved before the output directory is made, and the
+    # message names the manifest that holds the bad entry
+    run = make_run(tmp_path, presslight_dir)
+    out = tmp_path / "o"
+    assert run_cli(command, "--checkpoint-dir", str(run), "--episodes", "1",
+                   "--horizon", "20", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {run / 'manifest.json'}: ")
+    assert named in err
     assert not out.exists()
 
 
