@@ -138,12 +138,17 @@ def _advise(v, dist_to_stop, v_star, windows, follow):
     acceleration.
     """
     now_window, next_window = windows
+    limit = GLOSA_ACCEL_LIMIT
     if now_window[0] == 0.0 and _earliest_arrival(v, dist_to_stop, v_star) <= now_window[1]:
-        return max(min(follow, GLOSA_ACCEL_LIMIT), -GLOSA_ACCEL_LIMIT)
+        return -limit if follow < -limit else limit if follow > limit else follow
     start = now_window[0] if now_window[0] > 0.0 else next_window[0]
-    v_target = min(max(dist_to_stop / start, 0.0), v_star)
-    advice = max(min(v_target - v, GLOSA_ACCEL_LIMIT), -GLOSA_ACCEL_LIMIT)
-    return max(min(advice, follow), -GLOSA_ACCEL_LIMIT)
+    v_target = dist_to_stop / start
+    v_target = 0.0 if v_target < 0.0 else v_target
+    v_target = v_star if v_target > v_star else v_target
+    advice = v_target - v
+    advice = -limit if advice < -limit else limit if advice > limit else advice
+    advice = follow if follow < advice else advice
+    return -limit if advice < -limit else advice
 
 
 class GlosaController:
@@ -151,43 +156,46 @@ class GlosaController:
 
     Runs on top of the actuated plan and projects its greens at max-green
     length, since its gap-outs are not knowable ahead of time. Each step
-    gathers every advised CAV, computes their car-following accelerations in
-    one `kernels.vehicle_accels` call and applies `_advise` per vehicle, with
-    the green windows projected once per road.
+    reads the advised CAVs' rows, in-road leaders and gaps from the step's
+    fleet view (`simulation.ScanView`), computes their car-following
+    accelerations in one `kernels.vehicle_accels` call and applies `_advise`
+    per vehicle, with the green windows projected once per occupied approach
+    road. The view is only read: `step` patches its front rows afterwards.
     """
 
-    def commands(self, sim):
+    def commands(self, sim, view):
         ids, speed, lead_speed, gap, has_lead, v_limit = [], [], [], [], [], []
         dist, windows = [], []   # to the stop line; the road's green windows
-        for road_id, road in sim.network.roads.items():
+        vehs, roads, view_speed = view.vehs, view.roads, view.speed
+        view_lead_speed, view_gap, view_has_lead = (
+            view.lead_speed, view.gap, view.has_lead)
+        start = 0
+        # each road's rows run from the row after the last road's front to
+        # its own front
+        for front in view.fronts:
+            rows = range(start, front + 1)
+            start = front + 1
+            road = roads[front]
             if road.approach_intersection is None:
-                continue
-            order = sim.road_order[road_id]
-            if not order:
                 continue
             light = sim.lights[road.approach_intersection]
             durations = [ACTUATED_MAX_GREEN if p.kind == "green"
                          else YELLOW_DURATION for p in light.phases]
             road_windows = _green_windows(light, durations, road.approach)
-            for i, vid in enumerate(order):
-                veh = sim.vehicles[vid]
+            for i in rows:
+                veh = vehs[i]
                 if veh.kind != "CAV":
                     continue
-                ids.append(vid)
-                speed.append(veh.speed)
+                ids.append(veh.id)
+                speed.append(view_speed[i])
                 v_limit.append(road.speed_limit)
                 dist.append(road.length - veh.position)
                 windows.append(road_windows)
-                if i + 1 < len(order):
-                    lead = sim.vehicles[order[i + 1]]
-                    lead_speed.append(lead.speed)
-                    gap.append(max(lead.position - lead.length - veh.position,
-                                   1e-6))
-                    has_lead.append(True)
-                else:
-                    lead_speed.append(0.0)
-                    gap.append(1.0)
-                    has_lead.append(False)
+                # a front row's zero gap is never read: it has no leader
+                g = view_gap[i]
+                lead_speed.append(view_lead_speed[i])
+                gap.append(1e-6 if g < 1e-6 else g)
+                has_lead.append(view_has_lead[i])
         if not ids:
             return {}
         n = len(ids)

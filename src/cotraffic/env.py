@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import GlosaController, make_light_controller
 from .simulation import (MIN_GAP, VEHICLE_LENGTH, _cross_boundary_leader,
-                         build_sim, step)
+                         build_sim, scan_view, step)
 
 ACCEL_NORM = 3.0       # commanded-acceleration scale used for normalization
 A_STAR = 9.0          # acceleration normalizer in the vehicle reward
@@ -281,7 +281,7 @@ class TrafficEnv:
         self._light_plan = (make_light_controller(cfg.tl_plan)
                             if cfg.tl_plan is not None else None)
         self._advisory = GlosaController() if cfg.cav_plan == "glosa" else None
-        self._prev_tl_action = {lid: 0 for lid in self.sim.lights}
+        self._prev_tl_action = {}
         self._prev_cmd_by_road = {}
         self._next_agents = None
         self._view = None
@@ -302,6 +302,8 @@ class TrafficEnv:
         """
         sim = self.sim
         cfg = self.cfg
+        # only M_COTV observes the other agent type's previous actions
+        m_cotv = cfg.mode is CooperationMode.M_COTV
         records = []
 
         tl_actions = {}
@@ -331,13 +333,16 @@ class TrafficEnv:
             for (vid, _), row, action, logp, value in zip(
                     agents, obs, actions, logps, values):
                 cav_actions[vid] = action
-                cmd_road[vid] = sim.vehicles[vid].road
+                if m_cotv:
+                    cmd_road[vid] = sim.vehicles[vid].road
                 rec = AgentStep(vid, "CAV", row, action, logp, value,
                                 t=sim.clock)
                 records.append(rec)
                 cav_records[vid] = rec
         if self._advisory is not None:
-            cav_actions = self._advisory.commands(sim)
+            if self._view is None:
+                self._view = scan_view(sim)
+            cav_actions = self._advisory.commands(sim, self._view)
 
         completed_before = len(sim.completed)
         self._view = step(sim, tl_actions, cav_actions, trace=trace,
@@ -360,8 +365,10 @@ class TrafficEnv:
                 rec.reward = cav_reward(sim, vid)
                 rec.done = vid not in still_selected
 
-        self._prev_tl_action = {lid: tl_actions.get(lid, 0) for lid in sim.lights}
-        self._prev_cmd_by_road = {road: cav_actions[vid]
-                                  for vid, road in cmd_road.items()}
+        if m_cotv:
+            self._prev_tl_action = {lid: tl_actions.get(lid, 0)
+                                    for lid in sim.lights}
+            self._prev_cmd_by_road = {road: cav_actions[vid]
+                                      for vid, road in cmd_road.items()}
         return records
 

@@ -6,6 +6,12 @@ loop over the vehicles of the step. Its inputs and outputs are lists of
 Python floats (and bools for the flags). A step holds a few dozen vehicles,
 so a numpy call would cost more in fixed overhead than in arithmetic.
 
+`simulation.step` calls `vehicle_accels` and the two scans. It does the
+arithmetic of `kinematics` and `fuel_co2` inside its one loop over the
+vehicles, which also moves them, because building their columns cost more
+than the arithmetic. Those two stay here as the reference forms of that loop
+and as names the benchmark's tracer wraps.
+
 The loops do the operations of a row in the order the vectorized form did.
 Their clamps are conditional expressions, which pick the operand that
 ``min``/``max`` would pick without the cost of a builtin call.
@@ -37,6 +43,11 @@ IDLE_FUEL_L_S = 1.6e-4
 ENGINE_EFFICIENCY = 0.3
 FUEL_ENERGY_J_L = 3.46e7
 CO2_G_PER_L = 2392.0
+# Rolling resistance (N), drag force per squared speed (N s^2/m^2), and the
+# useful energy in a litre of fuel (J).
+ROLLING_FORCE_N = VEHICLE_MASS_KG * GRAVITY * ROLLING_COEF
+DRAG_FACTOR = 0.5 * AIR_DENSITY * DRAG_COEF * FRONTAL_AREA_M2
+ENERGY_PER_L_J = ENGINE_EFFICIENCY * FUEL_ENERGY_J_L
 
 # Intelligent-driver car-following law: maximum acceleration, comfortable
 # braking, free-road exponent, time headway and jam distance.
@@ -82,7 +93,9 @@ def kinematics(speed, accel, v_limit, dt=1.0):
     """Semi-implicit Euler: clamp speed to [0, limit], move with new speed.
 
     Returns (new_speed, dx, effective_accel); the effective acceleration is
-    what the clamp actually realized, (v' - v) / dt.
+    what the clamp actually realized, (v' - v) / dt. The reference form of
+    the first lines of `simulation.step`'s per-vehicle loop, which the
+    simulator does not call.
     """
     new_speed = [0.0 if (v_new := v + a * dt) < 0.0
                  else v_lim if v_new > v_lim else v_new
@@ -107,10 +120,12 @@ def collision_followers(gap, has_lead):
 
 
 def fuel_co2(speed, accel):
-    """Tractive-power fuel and CO2 rates (l/s, g/s) per vehicle."""
-    drag = 0.5 * AIR_DENSITY * DRAG_COEF * FRONTAL_AREA_M2
-    roll = VEHICLE_MASS_KG * GRAVITY * ROLLING_COEF
-    energy_per_l = ENGINE_EFFICIENCY * FUEL_ENERGY_J_L
+    """Tractive-power fuel and CO2 rates (l/s, g/s) per vehicle.
+
+    The reference form of the energy lines of `simulation.step`'s
+    per-vehicle loop, which the simulator does not call.
+    """
+    drag, roll, energy_per_l = DRAG_FACTOR, ROLLING_FORCE_N, ENERGY_PER_L_J
     fuel = []
     for v, a in zip(speed, accel):
         power = VEHICLE_MASS_KG * a * v + roll * v + drag * (v * v * v)

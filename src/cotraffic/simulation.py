@@ -323,6 +323,8 @@ def detect_collisions(sim, view=None):
     if not view.ids:
         return []
     hit = kernels.collision_followers(view.gap, view.has_lead)
+    if not any(hit):
+        return []
     events = []
     to_remove = set()
     for i, collided in enumerate(hit):
@@ -377,15 +379,20 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
     """Advance the world by one second; returns the ScanView of the state
     it leaves.
 
-    Order: signal transitions, accelerations (commanded or car-following
-    with stop-line virtual leaders), kinematics, road transfers and stop-line
-    holds, energy accounting, arrivals, insertions, clock, collision and
-    conflict scans, phase timers. The acceleration inputs come from `view`,
-    the ScanView of the pre-move state, with the front rows patched in
-    place; it is built here when not given. A caller that writes to `sim`
-    between two steps passes none. The two scans share one ScanView of the
-    settled state, which is built again when a collision removed vehicles
-    and is the one returned: it holds until the next write to `sim`.
+    Order: signal transitions, then accelerations (commanded or
+    car-following with stop-line virtual leaders) in one kernel call, then
+    one loop over the vehicles that clamps each one's speed, moves,
+    transfers, holds or arrives it, and charges its fuel and CO2 (a vehicle
+    held at the line for its held speed and acceleration); then insertion of
+    the transferred vehicles into their new roads, arrivals, insertions,
+    clock, collision and conflict scans, phase timers. The acceleration
+    inputs come from `view`, the ScanView of the pre-move state, with the
+    front rows patched in place, so a caller that also reads it (the speed
+    advisory does) reads it first; it is built here when not given. A
+    caller that writes to `sim` between two steps passes none. The two
+    scans share one ScanView of the settled state, which is built again
+    when a collision removed vehicles and is the one returned: it holds
+    until the next write to `sim`.
     """
     tl_actions = tl_actions or {}
     cav_accels = cav_accels or {}
@@ -436,60 +443,66 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
         v_limit = [road.speed_limit for road in roads_of]
         accel = kernels.vehicle_accels(
             speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd)
-        new_speed, dx, eff_accel = kernels.kinematics(
-            speed, accel, v_limit, DT)
 
-        # pass 1: move everyone in place; transfers are queued so that they
-        # are position-inserted against settled (post-move) occupants only
+        # one pass over the rows: clamp the speed, then move, transfer, hold
+        # or arrive the vehicle, then charge its fuel and CO2 (the arithmetic
+        # of kernels.kinematics and kernels.fuel_co2, row by row). Transfers
+        # are queued so that they are position-inserted against settled
+        # (post-move) occupants only
         arrivals = []
         transfers = []
-        vehicles, lights = sim.vehicles, sim.lights
-        for i, (veh, road, moved, v_new, a_new) in enumerate(zip(
-                vehs, roads_of, dx, new_speed, eff_accel)):
+        vehicles, lights, road_order = sim.vehicles, sim.lights, sim.road_order
+        dt, mass, idle, co2_per_l = (DT, kernels.VEHICLE_MASS_KG,
+                                     kernels.IDLE_FUEL_L_S, kernels.CO2_G_PER_L)
+        roll, drag = kernels.ROLLING_FORCE_N, kernels.DRAG_FACTOR
+        energy_per_l = kernels.ENERGY_PER_L_J
+        for veh, road, v, a, v_lim in zip(vehs, roads_of, speed, accel,
+                                          v_limit):
+            v_new = v + a * dt
+            v_new = 0.0 if v_new < 0.0 else v_lim if v_new > v_lim else v_new
+            a_new = (v_new - v) / dt
+            moved = v_new * dt
             x_new = veh.position + moved
-            if x_new >= road.length:
+            length = road.length
+            if x_new >= length:
                 if veh.route_index + 1 >= len(veh.route):
-                    moved = road.length - veh.position
-                    veh.position = road.length
-                    veh.speed = v_new
-                    veh.accel = a_new
-                    arrivals.append((veh, moved))
-                    continue
-                if (road.approach is None or lights[
+                    moved = length - veh.position
+                    veh.position = length
+                    arrivals.append(veh)
+                elif (road.approach is None or lights[
                         road.approach_intersection].serves(road.approach)):
-                    sim.road_order[road.id].remove(veh.id)
+                    road_order[road.id].remove(veh.id)
                     veh.route_index += 1
                     veh.road = veh.route[veh.route_index]
-                    veh.position = x_new - road.length
+                    veh.position = x_new - length
                     transfers.append(veh)
                 else:
-                    # not allowed to cross: pinned at the stop line; the
-                    # fuel kernel reads the held speed and acceleration too
-                    moved = road.length - veh.position
-                    veh.position = road.length
-                    v_new = new_speed[i] = 0.0
-                    a_new = eff_accel[i] = -veh.speed / DT
+                    # not allowed to cross: pinned at the stop line, and
+                    # charged for the held speed and acceleration
+                    moved = length - veh.position
+                    veh.position = length
+                    v_new = 0.0
+                    a_new = -v / dt
             else:
                 veh.position = x_new
             veh.speed = v_new
             veh.accel = a_new
             veh.distance_m += moved
+            power = mass * a_new * v_new + roll * v_new + drag * (
+                v_new * v_new * v_new)
+            fuel = idle + (0.0 if power < 0.0 else power) / energy_per_l
+            veh.fuel_l += fuel * dt
+            veh.co2_g += fuel * co2_per_l * dt
 
         for veh in transfers:
-            dest = sim.road_order[veh.road]
+            dest = road_order[veh.road]
             keys = [vehicles[o].position for o in dest]
             dest.insert(bisect.bisect_left(keys, veh.position), veh.id)
 
-        fuel, co2 = kernels.fuel_co2(new_speed, eff_accel)
-        for veh, fuel_l, co2_g in zip(vehs, fuel, co2):
-            veh.fuel_l += fuel_l * DT
-            veh.co2_g += co2_g * DT
-
         net = sim.network
-        for veh, moved in arrivals:
+        for veh in arrivals:
             del vehicles[veh.id]
-            sim.road_order[veh.road].remove(veh.id)
-            veh.distance_m += moved
+            road_order[veh.road].remove(veh.id)
             route_len = net.route_length(veh.route)
             ideal = sum(net.roads[r].length / net.roads[r].speed_limit
                         for r in veh.route)

@@ -18,7 +18,7 @@ from cotraffic.network import build_grid, grid_scenario, load_scenario
 from cotraffic.policy import init_params
 from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, TraceWriter,
                                   Vehicle, build_sim, idm_accel, make_light,
-                                  step)
+                                  scan_view, step)
 
 from test_simulation import empty_sim, episode_state, put_vehicle
 
@@ -46,8 +46,8 @@ BASELINE_PLANS = {"baseline-static": "static", "actuated": "actuated",
 
 def ref_baseline_episode(scenario, method, seed, horizon, trace_fh):
     """Reference for `rollout.run_baseline_episode`: the light plan and,
-    for glosa, the advisory's commands stepped directly on the simulator,
-    each step handed the view the last one returned."""
+    for glosa, the advisory's commands on a fresh view, stepped directly on
+    the simulator, each step handed the view the last one returned."""
     scen_seed, _ = rollout._episode_seeds(seed)
     sim = build_sim(scenario.with_overrides(seed=scen_seed))
     lights = make_light_controller(BASELINE_PLANS[method])
@@ -55,7 +55,7 @@ def ref_baseline_episode(scenario, method, seed, horizon, trace_fh):
     trace = TraceWriter(trace_fh)
     view = None
     for _ in range(horizon):
-        commands = glosa.commands(sim) if glosa else {}
+        commands = glosa.commands(sim, scan_view(sim)) if glosa else {}
         view = step(sim, lights(sim), commands, trace=trace, view=view)
     return build_episode_report(sim)
 
@@ -264,7 +264,7 @@ def test_glosa_controller_commands_all_cavs_on_approaches():
     put_vehicle(sim, "a", "N0:J0-0", 100.0, 5.0, kind="CAV")
     put_vehicle(sim, "b", "W0:J0-0", 200.0, 5.0, kind="CAV")
     put_vehicle(sim, "c", "J0-0:E0", 50.0, 5.0, kind="CAV")  # exit road
-    commands = GlosaController().commands(sim)
+    commands = GlosaController().commands(sim, scan_view(sim))
     assert set(commands) == {"a", "b"}
 
 
@@ -299,7 +299,7 @@ def test_glosa_commands_match_scalar_rule_bitwise():
                     seen["front_cav"] += 1
                 want[vid] = glosa_advice(veh, light, road.length - veh.position,
                                          road, durations, leader)
-        got = glosa.commands(sim)
+        got = glosa.commands(sim, scan_view(sim))
         assert got.keys() == want.keys()
         assert all(got[vid] == want[vid] for vid in want)
         step(sim, lights(sim), got)
@@ -317,6 +317,8 @@ def test_baseline_episode_builds_one_fleet_view_per_step(monkeypatch):
         return real(sim)
 
     monkeypatch.setattr(simulation, "scan_view", counted)
+    # the env builds the first view of a glosa episode for the advisory
+    monkeypatch.setattr("cotraffic.env.scan_view", counted)
     scen = grid_scenario("1x6", penetration=1.0, seed=11)
     for method in ("actuated", "glosa"):
         del calls[:]
@@ -327,8 +329,9 @@ def test_baseline_episode_builds_one_fleet_view_per_step(monkeypatch):
 
 
 def test_glosa_episode_with_handed_views_equals_fresh_views():
-    # TrafficEnv stepping with the view the last step returned, and the
-    # simulator stepped with none, give the same states bit for bit; the
+    # TrafficEnv stepping and advising with the view the last step
+    # returned, and the simulator stepped with none and the advisory handed
+    # a fresh one, give the same states bit for bit; the
     # direct loop has its own actuated plan, which keeps per-light state
     scen = grid_scenario("1x6", penetration=1.0, seed=11)
     env = baseline_env(scen, "glosa")
@@ -336,7 +339,7 @@ def test_glosa_episode_with_handed_views_equals_fresh_views():
     glosa, lights = GlosaController(), make_light_controller("actuated")
     for _ in range(300):
         env.step()
-        step(fresh, lights(fresh), glosa.commands(fresh))
+        step(fresh, lights(fresh), glosa.commands(fresh, scan_view(fresh)))
     handed = env.sim
     assert len(handed.completed) > 100
     assert repr(episode_state(handed)) == repr(episode_state(fresh))

@@ -8,16 +8,20 @@ rescans of the state they read, the view `step` hands each scan equals the
 per-vehicle loop it replaced, and the acceleration inputs `step` builds from
 its pre-move view equal the per-road construction they replaced. The view
 `step` returns equals a fresh `scan_view` of the state it leaves, and is
-handed to the next step. The example count is set by the profile in
-conftest.py."""
+handed to the next step. On generated fleets with held, arriving and
+crossing vehicles, one step's per-vehicle loop equals the numpy references
+of the kinematics and energy kernels composed with the stop-line hold. The
+example count is set by the profile in conftest.py."""
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from cotraffic import kernels, simulation
 from cotraffic.network import grid_scenario
 from cotraffic.simulation import build_sim, scan_view, step
 
+from test_kernels import ref_fuel_co2, ref_kinematics
 from test_simulation import (brute_force_collision_pairs, brute_force_ttc,
                              empty_sim, put_vehicle)
 
@@ -233,3 +237,133 @@ def test_step_invariants_on_random_placements(sim, steps, data):
             assert accels.calls == calls + moving
             assert_invariants(sim)
             assert_view_equals_fresh(sim, view)
+
+
+# --- the step's per-vehicle loop against the numpy references ---------------
+
+@st.composite
+def moving_fleets(draw):
+    """A 1x1 or 1x6 grid whose lights all show a green, with vehicles that
+    must this second be held at a red stop line, arrive at the end of their
+    route and cross onto their next road, plus vehicles anywhere. Returns
+    the state and its command map: the crossing vehicle is a commanded CAV,
+    the arriving one an HDV on the car-following law."""
+    sim = empty_sim(draw(st.sampled_from(["1x1", "1x6"])))
+    for light in sim.lights.values():
+        # a green stays or turns yellow, so the other approaches stay red
+        light.phase_index = draw(st.sampled_from([0, 2]))
+        light.time_in_phase = draw(st.integers(0, 50))
+    roads = list(sim.network.roads.values())
+    approaches = [r for r in roads if r.approach_intersection is not None]
+
+    def red(road):
+        return not sim.lights[road.approach_intersection].serves(road.approach)
+
+    roles = ["held", "arrive", "cross"] + draw(st.lists(
+        st.sampled_from(["held", "arrive", "cross", "free"]), max_size=20))
+    commands = {}
+    for k, role in enumerate(roles):
+        # the first arriving vehicle is an HDV, the first crossing one a CAV
+        kind = {1: "HDV", 2: "CAV"}.get(k) or draw(
+            st.sampled_from(["HDV", "CAV"]))
+        if role == "held":
+            road = draw(st.sampled_from([r for r in approaches if red(r)]))
+        elif role == "cross":
+            road = draw(st.sampled_from([r for r in approaches
+                                         if not red(r)]))
+        else:
+            road = draw(st.sampled_from(roads))
+        route = ([road.id] if role == "arrive"
+                 else sim.network.straight_route(road.id))
+        # within 3 m of the line at 10 m/s or more, a vehicle crosses it
+        # even at the emergency deceleration or the command floor
+        near = role != "free" or draw(st.booleans())
+        position = draw(st.floats(road.length - 3.0, road.length) if near
+                        else st.floats(0.0, road.length))
+        speed = draw(st.floats(0.0 if role == "free" else 10.0,
+                               road.speed_limit))
+        veh = put_vehicle(sim, f"v{k}", road.id, position, speed,
+                          route=route, kind=kind)
+        veh.fuel_l, veh.co2_g, veh.distance_m = (
+            draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2000.0)),
+            draw(st.floats(0.0, 5000.0)))
+        if kind == "CAV" and (k == 2 or draw(st.booleans())):
+            commands[veh.id] = draw(st.floats(-5.0, 5.0))
+    return sim, commands
+
+
+class CapturedAccels:
+    """Wraps `kernels.vehicle_accels` for one `step` and keeps, per row, the
+    Vehicle and the pre-move fields the loop after the call reads, with the
+    accelerations returned."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.rows = self.columns = None
+        self.accels = kernels.vehicle_accels
+
+    def captured(self, speed, *inputs):
+        assert self.rows is None
+        out = self.accels(speed, *inputs)
+        v_limit = inputs[3]
+        view = scan_view(self.sim)   # the lights already took their actions
+        self.rows = [
+            (veh, road, veh.position, veh.fuel_l, veh.co2_g, veh.distance_m,
+             veh.route_index + 1 >= len(veh.route),
+             road.approach is None or self.sim.lights[
+                 road.approach_intersection].serves(road.approach))
+            for veh, road in zip(view.vehs, view.roads, strict=True)]
+        self.columns = speed, out, v_limit
+        return out
+
+    def patch(self):
+        return mock.patch.object(kernels, "vehicle_accels", self.captured)
+
+
+@given(moving_fleets(), st.data())
+def test_step_loop_matches_kinematics_hold_and_energy_references(fleet, data):
+    # ref_kinematics on the returned accelerations, then the stop-line hold,
+    # then ref_fuel_co2 on the held speeds and accelerations
+    sim, commands = fleet
+    lights = {lid: data.draw(st.integers(0, 1)) for lid in sim.lights}
+    capture = CapturedAccels(sim)
+    with capture.patch():
+        step(sim, lights, commands)
+    (vehs, roads, position, fuel_l, co2_g, distance_m, route_end,
+     served) = map(list, zip(*capture.rows))
+    position, fuel_l, co2_g, distance_m = map(
+        np.array, (position, fuel_l, co2_g, distance_m))
+    length = np.array([road.length for road in roads])
+    speed, accel, v_limit = map(np.array, capture.columns)
+    commanded = [veh.id in commands for veh in vehs]
+    assert any(commanded) and not all(commanded)
+
+    dt = simulation.DT
+    new_speed, dx, eff_accel = ref_kinematics(speed, accel, v_limit, dt)
+    x_new = position + dx
+    crossing = x_new >= length
+    arrive = crossing & np.array(route_end)
+    held = crossing & ~arrive & ~np.array(served)
+    moves = crossing & ~arrive & ~held
+    assert arrive.any() and held.any() and moves.any()
+    new_speed[held] = 0.0
+    eff_accel[held] = -speed[held] / dt
+    moved = np.where(arrive | held, length - position, dx)
+    want_position = np.where(arrive | held, length,
+                             np.where(moves, x_new - length, x_new))
+    fuel, co2 = ref_fuel_co2(new_speed, eff_accel)
+    want = {"speed": new_speed, "accel": eff_accel,
+            "position": want_position, "distance_m": distance_m + moved,
+            "fuel_l": fuel_l + fuel * dt, "co2_g": co2_g + co2 * dt}
+    for name, column in want.items():
+        got = [getattr(veh, name) for veh in vehs]
+        assert bitwise(got) == bitwise(column.tolist()), name
+    arrived = {trip.vehicle_id: trip for trip in sim.completed}
+    assert set(arrived) == {veh.id for veh, a in zip(vehs, arrive) if a}
+    for veh, moving, road in zip(vehs, moves, roads):
+        # every route that crosses a line is a straight one
+        assert veh.road == (road.straight_to if moving else road.id)
+        if veh.id in arrived:
+            trip = arrived[veh.id]
+            assert (trip.fuel_l, trip.co2_g, trip.distance_m) == (
+                veh.fuel_l, veh.co2_g, veh.distance_m)
