@@ -9,6 +9,7 @@ given the seed, including episode scheduling across worker processes.
 """
 import contextlib
 import ctypes
+import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -198,14 +199,24 @@ class TrainResult:
         return [c[key] for c in self.curves]
 
 
-def _openblas_function(name, restype, *argtypes):
-    """The typed function `name` of numpy's bundled OpenBLAS, or None when
-    the library or the symbol is not found."""
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS, looked up and loaded once per process, or
+    None when it is not found."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     found = sorted(libs.glob("libscipy_openblas64_*.so"))
     try:
-        fn = getattr(ctypes.CDLL(str(found[0])), name)
-    except (IndexError, OSError, AttributeError):
+        return ctypes.CDLL(str(found[0]))
+    except (IndexError, OSError):
+        return None
+
+
+def _openblas_function(name, restype, *argtypes):
+    """The typed function `name` of numpy's bundled OpenBLAS, or None when
+    the library or the symbol is not found."""
+    try:
+        fn = getattr(_openblas(), name)
+    except AttributeError:
         return None
     fn.restype, fn.argtypes = restype, list(argtypes)
     return fn

@@ -448,13 +448,13 @@ def test_env_step_selects_vehicle_agents_once_per_step(monkeypatch):
     env = TrafficEnv(scen, EnvConfig(COTV))
     tl_p, cav_p = make_policies(scen.network, COTV)
     calls = []
-    real = env_module.select_cav_agents
+    real = env_module.observe
 
-    def counted(sim, mode):
+    def counted(sim, *args):
         calls.append(sim.clock)
-        return real(sim, mode)
+        return real(sim, *args)
 
-    monkeypatch.setattr(env_module, "select_cav_agents", counted)
+    monkeypatch.setattr(env_module, "observe", counted)
     rng = np.random.default_rng(0)
     for _ in range(2):
         env.reset()
@@ -464,14 +464,20 @@ def test_env_step_selects_vehicle_agents_once_per_step(monkeypatch):
             records = env.step(tl_p, cav_p, rng=rng)
             n_cav += sum(r.agent_type == "CAV" for r in records)
         assert n_cav > 0
-        # a reset step selects before it moves; every step selects after
+        # a reset step observes before it moves; every step observes after
         assert calls == [0] + list(range(1, 61))
-    # a step with no vehicle policy selects nothing, and the next step with
-    # one selects afresh
+    # a step with no vehicle policy still observes for its light agents,
+    # and the next step with one acts on that observation
     del calls[:]
     env.step(tl_p, None, rng=rng)
     env.step(tl_p, cav_p, rng=rng)
     assert calls == [61, 62]
+    # a step with no acting agent observes nothing, and the next step with
+    # agents observes afresh before it moves
+    del calls[:]
+    env.step(None, None, rng=rng)
+    env.step(tl_p, cav_p, rng=rng)
+    assert calls == [63, 64]
 
 
 def test_env_builds_one_fleet_view_per_step(monkeypatch):

@@ -1,5 +1,6 @@
 """Networks, GAE, the clipped update, and training-loop bookkeeping."""
 import copy
+import ctypes
 import json
 import os
 import pickle
@@ -740,6 +741,32 @@ def test_train_worker_count_does_not_change_results():
     assert a.tl_params.fingerprint() == b.tl_params.fingerprint()
 
 
+@pytest.fixture
+def fresh_openblas_lookup():
+    """Empties the per-process OpenBLAS lookup before and after the test, so
+    that a patched `ctypes.CDLL` is consulted and what it returned does not
+    outlive the test."""
+    ppo._openblas.cache_clear()
+    yield
+    ppo._openblas.cache_clear()
+
+
+def test_openblas_is_looked_up_once_per_process(monkeypatch,
+                                                fresh_openblas_lookup):
+    loads = []
+    real = ctypes.CDLL
+
+    def counted(*args, **kwargs):
+        loads.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", counted)
+    for _ in range(2):
+        with ppo.one_blas_thread():
+            pass
+    assert len(loads) <= 1
+
+
 # Trains cotv with the PpoConfig fields given as JSON in argv[1] and prints
 # the OpenBLAS thread count before and after `train`, then the final
 # fingerprints and the reward curves without their wall-clock columns.
@@ -813,7 +840,8 @@ def test_thread_sensitive_minibatch_does_not_depend_on_blas_thread_count():
     assert pinned_result == default_result
 
 
-def test_missing_blas_thread_control_is_reported(monkeypatch, capsys):
+def test_missing_blas_thread_control_is_reported(monkeypatch, capsys,
+                                                 fresh_openblas_lookup):
     def no_library(path):
         raise OSError(f"cannot load {path}")
 

@@ -10,15 +10,21 @@ its pre-move view equal the per-road construction they replaced. The view
 `step` returns equals a fresh `scan_view` of the state it leaves, and is
 handed to the next step. On generated fleets with held, arriving and
 crossing vehicles, one step's per-vehicle loop equals the numpy references
-of the kinematics and energy kernels composed with the stop-line hold. The
-example count is set by the profile in conftest.py."""
+of the kinematics and energy kernels composed with the stop-line hold. On
+generated states of grids from 1x1 to 3x3, the env's one pass over the
+incoming roads equals the per-quantity reference functions bit for bit in
+every cooperation mode. The example count is set by the profile in
+conftest.py."""
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from cotraffic import kernels, simulation
-from cotraffic.network import grid_scenario
+from cotraffic.env import (CooperationMode, cav_observation, cav_reward,
+                           incoming_layout, max_road_capacity, observe,
+                           select_cav_agents, tl_observation, tl_reward)
+from cotraffic.network import ScenarioSpec, build_grid, grid_scenario
 from cotraffic.simulation import build_sim, scan_view, step
 
 from test_kernels import ref_fuel_co2, ref_kinematics
@@ -36,6 +42,12 @@ def worlds(draw):
                                       seed=draw(st.integers(0, 99))))
     else:
         sim = empty_sim(grid)
+    return place_vehicles(draw, sim)
+
+
+def place_vehicles(draw, sim):
+    """Up to 24 HDVs and CAVs at drawn positions and speeds on drawn roads of
+    `sim`, each on the straight route from its road; overlaps are allowed."""
     roads = list(sim.network.roads.values())
     for k in range(draw(st.integers(0, 24))):
         road = draw(st.sampled_from(roads))
@@ -367,3 +379,68 @@ def test_step_loop_matches_kinematics_hold_and_energy_references(fleet, data):
             trip = arrived[veh.id]
             assert (trip.fuel_l, trip.co2_g, trip.distance_m) == (
                 veh.fuel_l, veh.co2_g, veh.distance_m)
+
+
+# --- the env's one pass over the incoming roads against its references -----
+
+@st.composite
+def observed_worlds(draw):
+    """A state of a 1x1 to 3x3 `build_grid` grid or of `worlds()`, with
+    CAVs overlapping the vehicles they follow, and drawn accelerations and
+    light phases; a cooperation mode; M_COTV previous-action maps over drawn
+    roads and lights; and a drawn subset of the occupied roads to score."""
+    if draw(st.booleans()):
+        sim = draw(worlds())
+    else:
+        net = build_grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        sim = place_vehicles(draw, build_sim(ScenarioSpec(net, (), 1, 0.0,
+                                                          0)))
+    for k in range(draw(st.integers(0, 3)) if sim.vehicles else 0):
+        # a CAV up to a car length past the tail of the vehicle it follows,
+        # so that some agent's gap is negative
+        lead = sim.vehicles[draw(st.sampled_from(sorted(sim.vehicles)))]
+        put_vehicle(sim, f"t{k}", lead.road,
+                    max(lead.position - draw(st.floats(0.0, 8.0)), 0.0),
+                    draw(st.floats(0.0, 10.0)), route=lead.route[
+                        lead.route_index:], kind="CAV")
+    for veh in sim.vehicles.values():
+        veh.accel = draw(st.floats(-4.5, 3.0))
+    for light in sim.lights.values():
+        light.phase_index = draw(st.integers(0, len(light.phases) - 1))
+    roads = list(sim.network.roads)
+    prev_commands = {rid: draw(st.floats(-3.0, 3.0))
+                     for rid in roads if draw(st.booleans())}
+    prev_tl_action = {lid: draw(st.integers(0, 1))
+                      for lid in sim.lights if draw(st.booleans())}
+    scored = {rid for rid, order in sim.road_order.items()
+              if order and draw(st.booleans())}
+    mode = draw(st.sampled_from(list(CooperationMode)))
+    return sim, mode, prev_commands, prev_tl_action, scored
+
+
+def assert_same_matrix(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(observed_worlds())
+def test_observe_matches_the_reference_forms(world):
+    sim, mode, prev_commands, prev_tl_action, scored = world
+    c = max_road_capacity(sim.network)
+    got = observe(sim, incoming_layout(sim.network), mode, c, prev_commands,
+                  prev_tl_action, scored)
+    agents = select_cav_agents(sim, mode)
+    assert got.agents == agents
+    assert_same_matrix(got.tl_obs,
+                       tl_observation(sim, mode, c, prev_commands))
+    assert_same_matrix(got.cav_obs,
+                       cav_observation(sim, agents, mode, prev_tl_action))
+    assert [p.hex() for p in got.pressures] == [
+        tl_reward(sim, light, c).hex() for light in sim.lights.values()]
+    # a road off the incoming ones (an exit road) is left to `cav_reward`
+    incoming = {rid for inter in sim.network.intersections.values()
+                for rid in inter.incoming}
+    assert set(got.road_rewards) == scored & incoming
+    for rid, reward in got.road_rewards.items():
+        assert {reward.hex()} == {cav_reward(sim, vid).hex()
+                                  for vid in sim.road_order[rid]}
