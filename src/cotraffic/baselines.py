@@ -42,13 +42,14 @@ class ActuatedController:
         if self._last_phase.get(lid) != light.phase_index:
             self._last_phase[lid] = light.phase_index
             self._empty_run[lid] = 0
-        if light.phase.kind != "green":
+        phase = light.phase
+        if phase.kind != "green":
             return 0
         inter = sim.network.intersections[lid]
         occupied = False
         for rid in inter.incoming:
             road = sim.network.roads[rid]
-            if road.approach not in light.phase.served:
+            if road.approach not in phase.served:
                 continue
             for vid in sim.road_order.get(rid, []):
                 if road.length - sim.vehicles[vid].position <= DETECTION_DISTANCE:
@@ -83,12 +84,12 @@ def max_pressure_tick(light, sim):
     Switches (after the minimum green) only when the alternative green's
     pressure strictly exceeds the current one's; ties keep the phase.
     """
-    if light.phase.kind != "green":
+    current = light.phase
+    if current.kind != "green":
         return 0
     if light.time_in_phase < MIN_GREEN:
         return 0
     greens = [p for p in light.phases if p.kind == "green"]
-    current = light.phase
     alternative = next(p for p in greens if p is not current)
     return int(phase_pressure(sim, light, alternative)
                > phase_pressure(sim, light, current))

@@ -217,8 +217,9 @@ def cav_reward(sim, vehicle_id):
     from the limit (speeds capped at the limit), and the root of the summed
     squared positive accelerations (each over A_STAR) divided by |K| squared.
     Both terms live in [-1, 0]; negative accelerations are clipped to zero.
-    Reference form of `observe`'s road rewards, and what `TrafficEnv` scores
-    an agent with when it has left the incoming roads.
+    Reference form of `observe`'s road rewards, with which it shares the
+    member loop (`_road_reward`), and what `TrafficEnv` scores an agent with
+    when it has left the incoming roads.
     """
     vehicles = sim.vehicles
     veh = vehicles[vehicle_id]
@@ -226,21 +227,7 @@ def cav_reward(sim, vehicle_id):
     members = sim.road_order[veh.road]
     if not members:
         raise ValueError("reward undefined for an empty road")
-    v_star = road.speed_limit
-    k = len(members)
-    deficit = 0.0
-    accel_sq = 0.0
-    for vid in members:
-        other = vehicles[vid]
-        # min(speed, v_star) and max(accel, 0.0), written out: the builtin
-        # calls cost as much as the rest of this per-member loop
-        speed, accel = other.speed, other.accel
-        deficit += (v_star - (v_star if v_star < speed else speed)) / v_star
-        a_pos = 0.0 if 0.0 > accel else accel
-        accel_sq += (a_pos / A_STAR) ** 2
-    r1 = -deficit / k
-    r2 = -math.sqrt(accel_sq / (k * k))
-    return r1 + r2
+    return _road_reward(vehicles, members, road.speed_limit)
 
 
 class Observation(NamedTuple):
@@ -272,12 +259,14 @@ def incoming_layout(network):
 
 
 def _road_reward(vehicles, members, v_star):
-    """`cav_reward` of any vehicle among a road's `members`."""
+    """`cav_reward` of any vehicle among a road's non-empty `members`."""
     k = len(members)
     deficit = 0.0
     accel_sq = 0.0
     for vid in members:
         other = vehicles[vid]
+        # min(speed, v_star) and max(accel, 0.0), written out: the builtin
+        # calls cost as much as the rest of this per-member loop
         speed, accel = other.speed, other.accel
         deficit += (v_star - (v_star if v_star < speed else speed)) / v_star
         a_pos = 0.0 if 0.0 > accel else accel

@@ -6,11 +6,12 @@ loop over the vehicles of the step. Its inputs and outputs are lists of
 Python floats (and bools for the flags). A step holds a few dozen vehicles,
 so a numpy call would cost more in fixed overhead than in arithmetic.
 
-`simulation.step` calls `vehicle_accels` and the two scans. It does the
-arithmetic of `kinematics` and `fuel_co2` inside its one loop over the
+`simulation.step` calls the two scans. It does the arithmetic of
+`vehicle_accels`, `kinematics` and `fuel_co2` inside its one loop over the
 vehicles, which also moves them, because building their columns cost more
-than the arithmetic. Those two stay here as the reference forms of that loop
-and as names the benchmark's tracer wraps.
+than the arithmetic. Those three stay here as the reference forms of that
+loop and as names the benchmark's tracer wraps; the speed advisory calls
+`vehicle_accels` for its vehicles' car-following accelerations.
 
 The loops do the operations of a row in the order the vectorized form did.
 Their clamps are conditional expressions, which pick the operand that
@@ -25,9 +26,10 @@ Row convention: vehicles are flattened road by road, sorted by position
 ascending within a road, so index ``i + 1`` is the immediate leader of ``i``
 unless ``i`` is the front vehicle of its road. Callers pass leader data
 explicitly (``lead_speed``, ``gap``, ``has_lead``) so that signal stop lines
-can be folded in as virtual leaders before the kernel call. Leaderless rows
-and non-closing pairs skip the terms that would divide by their zero gap or
-closing speed.
+can be folded in as virtual leaders before the kernel call. A row with a
+leader needs a positive gap (`simulation.step` floors it at 1e-9).
+Leaderless rows and non-closing pairs skip the terms that would divide by
+their zero gap or closing speed.
 """
 import math
 from types import SimpleNamespace
@@ -71,7 +73,10 @@ def active_backend():
 
 
 def vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd):
-    """Acceleration for every vehicle: commanded if flagged, else IDM."""
+    """Acceleration for every vehicle: commanded if flagged (clamped to
+    +-CMD_ACCEL_MAX), else IDM. The reference form of the acceleration lines
+    of `simulation.step`'s per-vehicle loop, which are these lines row by
+    row; the speed advisory calls it."""
     a_max, delta, headway, s0 = IDM_A_MAX, IDM_DELTA, IDM_HEADWAY, IDM_S0
     two_sqrt_ab = IDM_TWO_SQRT_AB
     floor, box = -EMERGENCY_DECEL, CMD_ACCEL_MAX

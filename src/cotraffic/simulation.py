@@ -67,13 +67,14 @@ class TrafficLight:
         return self.phases[self.phase_index]
 
     def serves(self, approach):
-        return approach in self.phase.served
+        return approach in self.phases[self.phase_index].served
 
     def signal_for(self, approach):
         """1.0 green, 0.5 yellow, 0.0 red for the given approach arm."""
-        if not self.serves(approach):
+        phase = self.phases[self.phase_index]
+        if approach not in phase.served:
             return 0.0
-        return 1.0 if self.phase.kind == "green" else 0.5
+        return 1.0 if phase.kind == "green" else 0.5
 
 
 def make_light(intersection_id):
@@ -171,17 +172,12 @@ def red_light_virtual_leader(vehicle, light, road):
     approach = road.approach
     if approach is None:
         return None
-    if light.serves(approach):
-        if light.phase.kind == "green":
-            return None
-        dist = road.length - vehicle.position
-        if dist <= 0:
-            return None
-        needed = vehicle.speed ** 2 / (2.0 * dist)
-        if needed > IDM_B_COMFORT:
-            return None
-        return 0.0, max(dist, STOPLINE_GAP_FLOOR)
+    phase = light.phases[light.phase_index]
     dist = road.length - vehicle.position
+    if approach in phase.served and (
+            phase.kind == "green" or dist <= 0
+            or vehicle.speed ** 2 / (2.0 * dist) > IDM_B_COMFORT):
+        return None
     return 0.0, max(dist, STOPLINE_GAP_FLOOR)
 
 
@@ -273,7 +269,8 @@ class ScanView(NamedTuple):
     A view describes its state until the next write to that state: `step`
     returns the view of the state it leaves, and the caller that writes
     nothing else to the state in between hands it to the next `step`, which
-    consumes it."""
+    consumes it: it writes each front row's stop-line or cross-boundary
+    leader into that row's `lead_speed`, `gap` and `has_lead`."""
     ids: list
     vehs: list
     roads: list
@@ -379,17 +376,19 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
     """Advance the world by one second; returns the ScanView of the state
     it leaves.
 
-    Order: signal transitions, then accelerations (commanded or
-    car-following with stop-line virtual leaders) in one kernel call, then
-    one loop over the vehicles that clamps each one's speed, moves,
-    transfers, holds or arrives it, and charges its fuel and CO2 (a vehicle
-    held at the line for its held speed and acceleration); then insertion of
-    the transferred vehicles into their new roads, arrivals, insertions,
-    clock, collision and conflict scans, phase timers. The acceleration
-    inputs come from `view`, the ScanView of the pre-move state, with the
-    front rows patched in place, so a caller that also reads it (the speed
-    advisory does) reads it first; it is built here when not given. A
-    caller that writes to `sim` between two steps passes none. The two
+    Order: signal transitions, then the stop-line and cross-boundary
+    leaders of each road's front row, then one loop over the vehicles that
+    computes each one's acceleration (commanded, clamped to the command box,
+    or the car-following law of `kernels.vehicle_accels` with the gap
+    floored at 1e-9), clamps its speed, moves, transfers, holds or arrives
+    it, and charges its fuel and CO2 (a vehicle held at the line for its
+    held speed and acceleration); then insertion of the transferred
+    vehicles into their new roads, arrivals, insertions, clock, collision
+    and conflict scans, phase timers. The acceleration inputs come from
+    `view`, the ScanView of the pre-move state, with the front rows patched
+    in place, so a caller that also reads it (the speed advisory does)
+    reads it first; it is built here when not given. A caller that writes
+    to `sim` between two steps passes none. The two
     scans share one ScanView of the settled state, which is built again
     when a collision removed vehicles and is the one returned: it holds
     until the next write to `sim`.
@@ -410,13 +409,13 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
 
     # acceleration inputs from the pre-move view: row i + 1 leads row i,
     # except that a road's front row faces a standing virtual leader at the
-    # stop line, the tail of its continuation road, or nothing
+    # stop line, the tail of its continuation road, or nothing (the view's
+    # leaderless row as it stands)
     if view is None:
         view = scan_view(sim)
-    vehs, roads_of, speed = view.vehs, view.roads, view.speed
+    vehs, roads_of = view.vehs, view.roads
     if vehs:
-        lead_speed, has_lead = view.lead_speed, view.has_lead
-        gap = [1e-9 if g < 1e-9 else g for g in view.gap]
+        lead_speed, gap, has_lead = view.lead_speed, view.gap, view.has_lead
         for i in view.fronts:
             front, road = vehs[i], roads_of[i]
             light = (sim.lights.get(road.approach_intersection)
@@ -429,35 +428,41 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
                 tail = _cross_boundary_leader(sim, front, road)
                 if tail is not None:
                     virtual = tail[0].speed, max(tail[1], 1e-9)
-            if virtual is None:
-                gap[i] = 0.0    # the view's leaderless gap, before the floor
-            else:
+            if virtual is not None:
                 (lead_speed[i], gap[i]), has_lead[i] = virtual, True
 
-        n = len(vehs)
-        if cav_accels:
-            is_cmd = [vid in cav_accels for vid in view.ids]
-            cmd = [cav_accels.get(vid, 0.0) for vid in view.ids]
-        else:
-            is_cmd, cmd = [False] * n, [0.0] * n
-        v_limit = [road.speed_limit for road in roads_of]
-        accel = kernels.vehicle_accels(
-            speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd)
-
-        # one pass over the rows: clamp the speed, then move, transfer, hold
-        # or arrive the vehicle, then charge its fuel and CO2 (the arithmetic
-        # of kernels.kinematics and kernels.fuel_co2, row by row). Transfers
+        # one pass over the rows: the acceleration (the arithmetic of
+        # kernels.vehicle_accels), then clamp the speed, move, transfer,
+        # hold or arrive the vehicle, then charge its fuel and CO2 (the
+        # arithmetic of kernels.kinematics and kernels.fuel_co2). Transfers
         # are queued so that they are position-inserted against settled
         # (post-move) occupants only
         arrivals = []
         transfers = []
         vehicles, lights, road_order = sim.vehicles, sim.lights, sim.road_order
+        a_max, delta, headway, s0 = (kernels.IDM_A_MAX, kernels.IDM_DELTA,
+                                     kernels.IDM_HEADWAY, IDM_S0)
+        two_sqrt_ab = kernels.IDM_TWO_SQRT_AB
+        floor, box = -kernels.EMERGENCY_DECEL, kernels.CMD_ACCEL_MAX
         dt, mass, idle, co2_per_l = (DT, kernels.VEHICLE_MASS_KG,
                                      kernels.IDLE_FUEL_L_S, kernels.CO2_G_PER_L)
         roll, drag = kernels.ROLLING_FORCE_N, kernels.DRAG_FACTOR
         energy_per_l = kernels.ENERGY_PER_L_J
-        for veh, road, v, a, v_lim in zip(vehs, roads_of, speed, accel,
-                                          v_limit):
+        for vid, veh, road, v, v_lead, s, lead in zip(
+                view.ids, vehs, roads_of, view.speed, lead_speed, gap,
+                has_lead):
+            v_lim = road.speed_limit
+            if vid in cav_accels:
+                c = cav_accels[vid]
+                a = -box if c < -box else box if c > box else c
+            else:
+                a = a_max * (1.0 - (v / v_lim) ** delta)
+                if lead:
+                    s = 1e-9 if s < 1e-9 else s
+                    ratio = (s0 + v * headway + v * (v - v_lead)
+                             / two_sqrt_ab) / s
+                    a = a - a_max * (ratio * ratio)
+                a = floor if a < floor else a_max if a > a_max else a
             v_new = v + a * dt
             v_new = 0.0 if v_new < 0.0 else v_lim if v_new > v_lim else v_new
             a_new = (v_new - v) / dt

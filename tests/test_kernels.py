@@ -1,10 +1,12 @@
-"""The per-step kernels against their vectorized numpy forms, and the
-simulator's independence from numpy's CPU dispatch.
+"""The per-step kernels against their vectorized numpy forms, the
+simulator's independence from numpy's CPU dispatch, and its output pinned
+by digest.
 
 The references below are the numpy bodies the list kernels replaced, with
 the one power evaluated per element in Python: an array `**` dispatches to a
 SIMD `pow` that can differ from the C library's in the last bit."""
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from cotraffic.kernels import (AIR_DENSITY, CMD_ACCEL_MAX, CO2_G_PER_L,
                                VEHICLE_MASS_KG)
 
 ROWS = 4000
+GRID_3X3 = Path(__file__).resolve().parent.parent / "configs" / "grid3x3.cfg"
 
 
 def ref_vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
@@ -148,14 +151,20 @@ def test_fuel_co2_match_numpy_form():
             assert_floats_equal(g, w)
 
 
-# Runs a 1x6 actuated baseline episode with no CAVs and a 1x6 GLOSA episode
-# with only CAVs, and prints every float the episodes leave behind.
+# Runs a 1x6 actuated baseline episode with no CAVs, a 1x6 GLOSA episode
+# with only CAVs, and a static-plan and a max-pressure episode on the 3x3
+# scenario file given as its argument, and prints every float the episodes
+# leave behind.
 BASELINE_EPISODES = """
+import sys
 from dataclasses import astuple
-from cotraffic.network import grid_scenario
+from cotraffic.network import grid_scenario, load_scenario
 from cotraffic.rollout import run_baseline_episode
-for method, penetration in (("actuated", 0.0), ("glosa", 1.0)):
-    scen = grid_scenario("1x6", penetration=penetration, seed=11)
+runs = [(grid_scenario("1x6", penetration=0.0, seed=11), "actuated"),
+        (grid_scenario("1x6", penetration=1.0, seed=11), "glosa"),
+        (load_scenario(sys.argv[1]), "baseline-static"),
+        (load_scenario(sys.argv[1]), "max-pressure")]
+for scen, method in runs:
     _, sim = run_baseline_episode(scen, method, seed=11)
     for rec in sim.completed:
         print(*(repr(x) for x in astuple(rec)))
@@ -164,6 +173,10 @@ for method, penetration in (("actuated", 0.0), ("glosa", 1.0)):
                                        veh.fuel_l)))
     print(method, sim.collided_count, sim.ttc_event_count)
 """
+# SHA-256 of the episodes' output, taken with numpy 2.4.6: a change to the
+# simulator that claims identical outputs must leave it as it is
+BASELINE_EPISODES_SHA256 = (
+    "049e21d1af9973c18694dde0284b36d11c4486b8f430125840a4a3aaed1e9046")
 
 
 @pytest.mark.parametrize("module", ["simulation", "kernels", "baselines"])
@@ -193,10 +206,16 @@ def test_simulation_does_not_depend_on_numpy_cpu_dispatch():
         if disabled:
             # numpy ignores the names a host does not have
             env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
-        proc = subprocess.run([sys.executable, "-c", BASELINE_EPISODES],
-                              env=env, capture_output=True, text=True,
-                              timeout=300)
+        proc = subprocess.run([sys.executable, "-c", BASELINE_EPISODES,
+                               str(GRID_3X3)], env=env, capture_output=True,
+                              text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0].count("\n") > 400
+    assert outputs[0].count("\n") > 800
     assert outputs[0] == outputs[1]
+    digest = hashlib.sha256(outputs[0].encode()).hexdigest()
+    # the insertion schedules draw from numpy's Generator, whose streams
+    # numpy may change between versions
+    assert digest == BASELINE_EPISODES_SHA256, (
+        f"simulator output digest {digest} differs from the one pinned with "
+        f"numpy 2.4.6; numpy here is {np.__version__}")

@@ -2,19 +2,22 @@
 the 1x1 and 1x6 grids, driven by random light actions and commanded
 accelerations. After every step the fleet is conserved, each road's order
 is sorted by position, speeds lie in [0, limit] and positions on the road,
-and every vehicle's kinematic and energy fields are Python floats;
-during it, the collision scan and the TTC counter agree with brute-force
-rescans of the state they read, the view `step` hands each scan equals the
-per-vehicle loop it replaced, and the acceleration inputs `step` builds from
-its pre-move view equal the per-road construction they replaced. The view
-`step` returns equals a fresh `scan_view` of the state it leaves, and is
-handed to the next step. On generated fleets with held, arriving and
-crossing vehicles, one step's per-vehicle loop equals the numpy references
-of the kinematics and energy kernels composed with the stop-line hold. On
-generated states of grids from 1x1 to 3x3, the env's one pass over the
-incoming roads equals the per-quantity reference functions bit for bit in
-every cooperation mode. The example count is set by the profile in
-conftest.py."""
+every vehicle's kinematic and energy fields are Python floats, and every
+vehicle the step moved holds, bit for bit, the speed, acceleration,
+position, distance, fuel and CO2 of the reference step: the per-road
+acceleration inputs of the state after the lights acted, the
+`kernels.vehicle_accels` law, then the numpy references of the kinematics
+and energy kernels composed with the stop-line hold. During the step, the
+collision scan and the TTC counter agree with brute-force rescans of the
+state they read, and the view `step` hands each scan equals the
+per-vehicle loop it replaced. The view `step` returns equals a fresh
+`scan_view` of the state it leaves, and is handed to the next step. On
+generated fleets with held, arriving and crossing vehicles, one step
+matches the reference step in every row. On generated states of grids from
+1x1 to 3x3, the env's one pass over the incoming roads equals the
+per-quantity reference functions bit for bit in every cooperation mode.
+The example count is set by the profile in conftest.py."""
+import copy
 from unittest import mock
 
 import numpy as np
@@ -100,11 +103,11 @@ def assert_view_is_current(sim, view):
 
 
 def ref_accel_inputs(sim, commands):
-    """Reference for the inputs `step` hands `kernels.vehicle_accels`: the
-    per-road construction it replaced, as (speed, lead_speed, gap, has_lead,
-    v_limit, is_cmd, cmd) lists. Gaps are floored at 1e-9 by `max`; a road's
-    front row faces its stop-line virtual leader, else the tail of its
-    continuation road, else nothing (zero gap and leader speed)."""
+    """The `kernels.vehicle_accels` inputs of the rows `step` moves, built
+    road by road as (speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd)
+    lists. Gaps are floored at 1e-9 by `max`; a road's front row faces its
+    stop-line virtual leader, else the tail of its continuation road, else
+    nothing (zero gap and leader speed)."""
     vehs, roads_of, fronts = [], [], []
     for road_id, road in sim.network.roads.items():
         order = sim.road_order[road_id]
@@ -137,25 +140,60 @@ def ref_accel_inputs(sim, commands):
             [commands.get(veh.id, 0.0) for veh in vehs])
 
 
-class CheckedAccels:
-    """Wraps `kernels.vehicle_accels` while `step` runs on `sim` and checks
-    the inputs it is handed against `ref_accel_inputs` of the state at call
-    time. `commands` is the command map of the step being run."""
+def reference_step(sim, tl_actions, commands):
+    """What `step(sim, tl_actions, commands)` must leave in the vehicles it
+    moves: `ref_accel_inputs` of a copy of `sim` whose lights took the
+    actions, then `kernels.vehicle_accels`, `ref_kinematics`, the stop-line
+    hold and `ref_fuel_co2`. Returns the rows' Vehicles of `sim` and their
+    Roads, the expected field columns by name, and the masks of the rows
+    that arrive, are held at the line and cross onto their next road."""
+    ref = copy.deepcopy(sim, {id(sim.network): sim.network})
+    for light_id, light in ref.lights.items():
+        simulation.apply_tl_action(light, tl_actions.get(light_id, 0))
+    ids = [vid for road_id in ref.network.roads
+           for vid in ref.road_order[road_id]]
+    rows = [ref.vehicles[vid] for vid in ids]
+    roads = [ref.network.roads[veh.road] for veh in rows]
+    inputs = ref_accel_inputs(ref, commands)
+    accel = np.array(kernels.vehicle_accels(*inputs), dtype=float)
+    speed, v_limit = (np.array(col, dtype=float)
+                      for col in (inputs[0], inputs[4]))
+    position, fuel_l, co2_g, distance_m = (
+        np.array([getattr(veh, name) for veh in rows], dtype=float)
+        for name in ("position", "fuel_l", "co2_g", "distance_m"))
+    length = np.array([road.length for road in roads], dtype=float)
+    route_end = np.array([veh.route_index + 1 >= len(veh.route)
+                          for veh in rows], dtype=bool)
+    served = np.array([road.approach is None or ref.lights[
+        road.approach_intersection].serves(road.approach) for road in roads],
+        dtype=bool)
 
-    def __init__(self, sim):
-        self.sim = sim
-        self.commands = {}
-        self.calls = 0
-        self.accels = kernels.vehicle_accels
+    dt = simulation.DT
+    new_speed, dx, eff_accel = ref_kinematics(speed, accel, v_limit, dt)
+    x_new = position + dx
+    crossing = x_new >= length
+    arrive = crossing & route_end
+    held = crossing & ~arrive & ~served
+    moves = crossing & ~arrive & ~held
+    new_speed[held] = 0.0
+    eff_accel[held] = -speed[held] / dt
+    moved = np.where(arrive | held, length - position, dx)
+    want_position = np.where(arrive | held, length,
+                             np.where(moves, x_new - length, x_new))
+    fuel, co2 = ref_fuel_co2(new_speed, eff_accel)
+    want = {"speed": new_speed, "accel": eff_accel,
+            "position": want_position, "distance_m": distance_m + moved,
+            "fuel_l": fuel_l + fuel * dt, "co2_g": co2_g + co2 * dt}
+    return ([sim.vehicles[vid] for vid in ids], roads, want, arrive, held,
+            moves)
 
-    def checked(self, *inputs):
-        want = ref_accel_inputs(self.sim, self.commands)
-        assert list(map(bitwise, inputs)) == list(map(bitwise, want))
-        self.calls += 1
-        return self.accels(*inputs)
 
-    def patch(self):
-        return mock.patch.object(kernels, "vehicle_accels", self.checked)
+def assert_moved_as_referenced(vehs, want):
+    """Each of `reference_step`'s expected columns equals the field of the
+    vehicles `step` moved, bit for bit."""
+    for name, column in want.items():
+        got = [getattr(veh, name) for veh in vehs]
+        assert bitwise(got) == bitwise(column.tolist()), name
 
 
 class OracleScans:
@@ -233,20 +271,18 @@ def assert_invariants(sim):
 @given(worlds(), st.integers(1, 30), st.data())
 def test_step_invariants_on_random_placements(sim, steps, data):
     accel = st.floats(-5.0, 5.0)
-    accels = CheckedAccels(sim)
     view = None
-    with OracleScans().patch(), accels.patch():
+    with OracleScans().patch():
         for _ in range(steps):
             lights = {lid: data.draw(st.integers(0, 1)) for lid in sim.lights}
             cavs = [vid for vid, v in sim.vehicles.items() if v.kind == "CAV"]
             commanded = data.draw(st.lists(st.sampled_from(cavs), unique=True)
                                   if cavs else st.just([]))
-            accels.commands = {vid: data.draw(accel) for vid in commanded}
-            moving = bool(sim.vehicles)
-            calls = accels.calls
+            commands = {vid: data.draw(accel) for vid in commanded}
+            vehs, _, want, *_ = reference_step(sim, lights, commands)
             # the next step reads its acceleration inputs from this view
-            view = step(sim, lights, accels.commands, view=view)
-            assert accels.calls == calls + moving
+            view = step(sim, lights, commands, view=view)
+            assert_moved_as_referenced(vehs, want)
             assert_invariants(sim)
             assert_view_equals_fresh(sim, view)
 
@@ -304,72 +340,17 @@ def moving_fleets(draw):
     return sim, commands
 
 
-class CapturedAccels:
-    """Wraps `kernels.vehicle_accels` for one `step` and keeps, per row, the
-    Vehicle and the pre-move fields the loop after the call reads, with the
-    accelerations returned."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.rows = self.columns = None
-        self.accels = kernels.vehicle_accels
-
-    def captured(self, speed, *inputs):
-        assert self.rows is None
-        out = self.accels(speed, *inputs)
-        v_limit = inputs[3]
-        view = scan_view(self.sim)   # the lights already took their actions
-        self.rows = [
-            (veh, road, veh.position, veh.fuel_l, veh.co2_g, veh.distance_m,
-             veh.route_index + 1 >= len(veh.route),
-             road.approach is None or self.sim.lights[
-                 road.approach_intersection].serves(road.approach))
-            for veh, road in zip(view.vehs, view.roads, strict=True)]
-        self.columns = speed, out, v_limit
-        return out
-
-    def patch(self):
-        return mock.patch.object(kernels, "vehicle_accels", self.captured)
-
-
 @given(moving_fleets(), st.data())
 def test_step_loop_matches_kinematics_hold_and_energy_references(fleet, data):
-    # ref_kinematics on the returned accelerations, then the stop-line hold,
-    # then ref_fuel_co2 on the held speeds and accelerations
     sim, commands = fleet
     lights = {lid: data.draw(st.integers(0, 1)) for lid in sim.lights}
-    capture = CapturedAccels(sim)
-    with capture.patch():
-        step(sim, lights, commands)
-    (vehs, roads, position, fuel_l, co2_g, distance_m, route_end,
-     served) = map(list, zip(*capture.rows))
-    position, fuel_l, co2_g, distance_m = map(
-        np.array, (position, fuel_l, co2_g, distance_m))
-    length = np.array([road.length for road in roads])
-    speed, accel, v_limit = map(np.array, capture.columns)
+    vehs, roads, want, arrive, held, moves = reference_step(sim, lights,
+                                                            commands)
     commanded = [veh.id in commands for veh in vehs]
     assert any(commanded) and not all(commanded)
-
-    dt = simulation.DT
-    new_speed, dx, eff_accel = ref_kinematics(speed, accel, v_limit, dt)
-    x_new = position + dx
-    crossing = x_new >= length
-    arrive = crossing & np.array(route_end)
-    held = crossing & ~arrive & ~np.array(served)
-    moves = crossing & ~arrive & ~held
     assert arrive.any() and held.any() and moves.any()
-    new_speed[held] = 0.0
-    eff_accel[held] = -speed[held] / dt
-    moved = np.where(arrive | held, length - position, dx)
-    want_position = np.where(arrive | held, length,
-                             np.where(moves, x_new - length, x_new))
-    fuel, co2 = ref_fuel_co2(new_speed, eff_accel)
-    want = {"speed": new_speed, "accel": eff_accel,
-            "position": want_position, "distance_m": distance_m + moved,
-            "fuel_l": fuel_l + fuel * dt, "co2_g": co2_g + co2 * dt}
-    for name, column in want.items():
-        got = [getattr(veh, name) for veh in vehs]
-        assert bitwise(got) == bitwise(column.tolist()), name
+    step(sim, lights, commands)
+    assert_moved_as_referenced(vehs, want)
     arrived = {trip.vehicle_id: trip for trip in sim.completed}
     assert set(arrived) == {veh.id for veh, a in zip(vehs, arrive) if a}
     for veh, moving, road in zip(vehs, moves, roads):

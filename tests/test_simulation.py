@@ -114,6 +114,42 @@ def test_virtual_leader_yellow_dilemma():
     assert red_light_virtual_leader(far, light, road) == (0.0, 200.0)
 
 
+# what each approach arm shows in each phase of `make_light`'s cycle
+SIGNALS = {0: {"N": "green", "S": "green", "E": "red", "W": "red"},
+           1: {"N": "yellow", "S": "yellow", "E": "red", "W": "red"},
+           2: {"N": "red", "S": "red", "E": "green", "W": "green"},
+           3: {"N": "red", "S": "red", "E": "yellow", "W": "yellow"}}
+
+
+@pytest.mark.parametrize("phase_index", sorted(SIGNALS))
+@pytest.mark.parametrize("arm", ["N", "E", "S", "W"])
+def test_virtual_leader_and_signal_on_every_phase_and_approach(phase_index,
+                                                               arm):
+    net = build_grid(1, 1, 300, 15)
+    road = next(r for r in net.roads.values() if r.approach == arm)
+    exit_road = net.roads[road.straight_to]
+    light = make_light("J0-0")
+    light.phase_index = phase_index
+    shown = SIGNALS[phase_index][arm]
+    assert light.serves(arm) == (shown != "red")
+    assert light.signal_for(arm) == {"green": 1.0, "yellow": 0.5,
+                                     "red": 0.0}[shown]
+
+    def leader(position, speed, on=road):
+        return red_light_virtual_leader(
+            Vehicle("x", "HDV", on.id, position, speed, (on.id,)), light, on)
+
+    # far from the line (15^2 / (2*200) < 1.5), committed to it
+    # (15^2 / (2*5) > 1.5), at it, and stopped within the gap floor of it
+    want = {"green": [None, None, None, None],
+            "yellow": [(0.0, 200.0), None, None, (0.0, 0.1)],
+            "red": [(0.0, 200.0), (0.0, 5.0), (0.0, 0.1), (0.0, 0.1)]}[shown]
+    assert [leader(100.0, 15.0), leader(295.0, 15.0), leader(300.0, 15.0),
+            leader(299.95, 0.0)] == want
+    # a road that approaches no light never faces a stop line
+    assert leader(100.0, 15.0, exit_road) is None
+
+
 def test_apply_tl_action_transitions():
     light = make_light("J")
     light.time_in_phase = 10
