@@ -102,7 +102,11 @@ def _out_dir(args, default_name):
 def _trace_file(args):
     """The --trace file opened for writing, or a context yielding None."""
     if args.trace:
-        return open(args.trace, "w", encoding="utf-8")
+        try:
+            return open(args.trace, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"--trace {args.trace}: cannot open for "
+                              f"writing: {exc.strerror}") from None
     return contextlib.nullcontext()
 
 
@@ -272,13 +276,16 @@ def _write_eval_outputs(out, method, scenario, reports, label=""):
     return aggregate
 
 
-def _evaluate(args, out, verb, method, scenario, tl_params, cav_params,
-              extra):
+def _evaluate(args, default_out, verb, method, scenario, tl_params,
+              cav_params, extra):
     """Run the --episodes greedy episodes of `method` (None networks for an
     agent type it does not learn), write their reports and the manifest
-    with `extra` fields into `out`, and print the mean travel time."""
+    with `extra` fields into --out (`default_out` without one), and print
+    the mean travel time. The --trace file is opened before --out is made,
+    so a trace path that cannot be opened leaves no output directory."""
     seeds = _eval_seeds(args)
     with _trace_file(args) as trace_fh:
+        out = _out_dir(args, default_out)
         reports = rollout.evaluate_policy(
             scenario, method.env_cfg, tl_params, cav_params, seeds,
             scenario.horizon, trace_fh=trace_fh)
@@ -297,10 +304,10 @@ def cmd_evaluate(args):
     manifest, params = _load_run(args.checkpoint_dir)
     method, scenario, tl_params, cav_params = _eval_common(
         args, manifest, params, args.penetration)
-    out = _out_dir(args, f"runs/eval-{method.name}")
-    return _evaluate(args, out, "evaluated", method, scenario, tl_params,
-                     cav_params, {"checkpoint_dir": str(args.checkpoint_dir),
-                                  "greedy_actions": True})
+    return _evaluate(args, f"runs/eval-{method.name}", "evaluated", method,
+                     scenario, tl_params, cav_params,
+                     {"checkpoint_dir": str(args.checkpoint_dir),
+                      "greedy_actions": True})
 
 
 def cmd_baseline(args):
@@ -311,8 +318,8 @@ def cmd_baseline(args):
     penetration = resolve_penetration(method, args.penetration,
                                       scenario.penetration_rate)
     scenario = scenario.with_overrides(penetration=penetration)
-    out = _out_dir(args, f"runs/baseline-{args.method}")
-    return _evaluate(args, out, "baseline", method, scenario, None, None, {})
+    return _evaluate(args, f"runs/baseline-{args.method}", "baseline", method,
+                     scenario, None, None, {})
 
 
 def cmd_sweep(args):
@@ -351,9 +358,12 @@ def cmd_sweep(args):
 def cmd_report(args):
     runs = {}
     for spec in [args.baseline] + (args.run or []):
-        if "=" not in spec:
-            raise ConfigError(f"expected NAME=DIR, got {spec!r}")
-        name, _, path = spec.partition("=")
+        name, sep, path = spec.partition("=")
+        if not (sep and name and path):
+            raise ConfigError(f"expected NAME=DIR with a non-empty NAME and "
+                              f"DIR, got {spec!r}")
+        if name in runs:
+            raise ConfigError(f"run name {name!r} repeated in {spec!r}")
         agg_path = Path(path) / "aggregate.json"
         if not agg_path.exists():
             raise ConfigError(f"{path} has no aggregate.json")

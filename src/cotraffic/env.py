@@ -9,10 +9,11 @@ road: the speed deficit and positive-acceleration norm of its traffic.
 `TrafficEnv` routes the sampled actions into the simulator, then observes
 the state it moved to once.
 
-`select_cav_agents`, `tl_observation`, `cav_observation`, `tl_reward` and
-`cav_reward` are the per-quantity reference forms of that pass, kept for
-the tests and the span tracer; `TrafficEnv` calls only `cav_reward`, for an
-agent that left the incoming roads.
+`select_cav_agents`, `tl_observation` and `cav_observation` each return one
+field of `observe`: the span tracer looks them up by name, and unit tests
+read one field each. The pass's per-agent reference forms live in
+tests/test_env.py. `TrafficEnv` scores an agent that left the incoming
+roads with `cav_reward`.
 
 Cooperation modes:
   COTV       state exchange, closest connected vehicle per incoming road
@@ -21,7 +22,6 @@ Cooperation modes:
   M_COTV     COTV plus the other agent type's previous action as state
 """
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,30 +63,6 @@ def max_road_capacity(network):
     return c
 
 
-def select_cav_agents(sim, mode):
-    """Vehicle agents for this step as (vehicle id, index in its road's
-    `road_order`) pairs, in deterministic road-scan order. Reference form of
-    `observe`'s agent list.
-
-    Per signalized intersection and incoming road, walking from the stop
-    line back: the closest CAV, or every CAV in the COTV_STAR mode. A road
-    feeds one intersection, so no vehicle repeats.
-    """
-    vehicles = sim.vehicles
-    star = mode is CooperationMode.COTV_STAR
-    selected = []
-    for inter in sim.network.intersections.values():
-        for road_id in inter.incoming:
-            order = sim.road_order[road_id]
-            for j in range(len(order) - 1, -1, -1):
-                vid = order[j]
-                if vehicles[vid].kind == "CAV":
-                    selected.append((vid, j))
-                    if not star:
-                        break
-    return selected
-
-
 def tl_obs_dim(network, mode):
     dims = set()
     for inter in network.intersections.values():
@@ -102,101 +78,6 @@ def tl_obs_dim(network, mode):
 
 def cav_obs_dim(mode):
     return 8 if mode is CooperationMode.M_COTV else 7
-
-
-@functools.lru_cache(maxsize=None)
-def _slot_one_hots(n_in):
-    """The road-slot one-hot of each of n_in incoming-road slots."""
-    return tuple(tuple(1.0 if k == slot else 0.0 for k in range(n_in))
-                 for slot in range(n_in))
-
-
-def tl_observation(sim, mode, c, prev_commands):
-    """Signal-agent state matrix, one row per light in `sim.lights` order.
-    Reference form of `observe`'s signal matrix.
-
-    Row layout: [phase/nphases] then one vehicle-count slot per incoming and
-    per outgoing road (normalized by the road capacity c), then one block per
-    incoming road for its closest vehicle: [speed/v*, accel/3, distance/len,
-    road-slot one-hot]. Empty road sentinel: [0, 0, 1, one-hot]. I_COTV
-    zeroes the vehicle blocks; M_COTV appends the previous commanded
-    acceleration (over 3) of the acting vehicle on each incoming road
-    (`prev_commands`, road id -> command), sentinel 0.
-    """
-    roads, intersections = sim.network.roads, sim.network.intersections
-    road_order, vehicles = sim.road_order, sim.vehicles
-    ablated = mode is CooperationMode.I_COTV
-    rows = []
-    for light in sim.lights.values():
-        inter = intersections[light.intersection]
-        n_in = len(inter.incoming)
-        row = [light.phase_index / len(light.phases)]
-        row += [len(road_order[rid]) / c for rid in inter.incoming]
-        row += [len(road_order[rid]) / c for rid in inter.outgoing]
-        if ablated:
-            row += [0.0] * (n_in * (3 + n_in))
-        else:
-            for rid, one_hot in zip(inter.incoming, _slot_one_hots(n_in)):
-                order = road_order[rid]
-                if order:
-                    road = roads[rid]
-                    veh = vehicles[order[-1]]  # highest position = closest
-                    row += [veh.speed / road.speed_limit,
-                            veh.accel / ACCEL_NORM,
-                            (road.length - veh.position) / road.length]
-                else:
-                    row += [0.0, 0.0, 1.0]
-                row += one_hot
-        if mode is CooperationMode.M_COTV:
-            row += [prev_commands.get(rid, 0.0) / ACCEL_NORM
-                    for rid in inter.incoming]
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
-
-
-def cav_observation(sim, agents, mode, prev_tl_action):
-    """Vehicle-agent state matrix, one row per (vehicle id, road index) pair
-    of `select_cav_agents`. Reference form of `observe`'s vehicle matrix.
-
-    Row layout: [own speed/v*, own accel/3, leader speed/v*, leader accel/3,
-    gap/road length (1 when no leader), distance-to-intersection/road length,
-    signal for own approach in {1 green, 0.5 yellow, 0 red}]. The leader is
-    the next vehicle in the road's order; a road's front vehicle sees the
-    tail of its next route road, with the gap measured across the stop line.
-    I_COTV pins the signal entry at 0; M_COTV appends the previous action bit
-    of the approached light (`prev_tl_action`, light id -> action).
-    """
-    roads, vehicles = sim.network.roads, sim.vehicles
-    road_order = sim.road_order
-    ablated = mode is CooperationMode.I_COTV
-    rows = []
-    for vid, j in agents:
-        veh = vehicles[vid]
-        road = roads[veh.road]
-        order = road_order[veh.road]
-        v_star = road.speed_limit
-        if j + 1 < len(order):
-            lead = vehicles[order[j + 1]]
-            ahead = lead, lead.position - lead.length - veh.position
-        else:
-            ahead = _cross_boundary_leader(sim, veh, road)
-        row = [veh.speed / v_star, veh.accel / ACCEL_NORM]
-        if ahead is None:
-            row += [0.0, 0.0, 1.0]
-        else:
-            lead, gap = ahead
-            row += [lead.speed / v_star, lead.accel / ACCEL_NORM,
-                    max(gap, 0.0) / road.length]
-        row.append((road.length - veh.position) / road.length)
-        inter_id = road.approach_intersection
-        if ablated or inter_id is None:
-            row.append(0.0)
-        else:
-            row.append(sim.lights[inter_id].signal_for(road.approach))
-        if mode is CooperationMode.M_COTV:
-            row.append(float(prev_tl_action.get(inter_id, 0)))
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
 
 
 def tl_reward(sim, light, c=None):
@@ -231,10 +112,22 @@ def cav_reward(sim, vehicle_id):
 
 
 class Observation(NamedTuple):
-    """What `observe` reads off one state."""
-    agents: list          # (vehicle id, road index) pairs: select_cav_agents
-    tl_obs: np.ndarray    # tl_observation
-    cav_obs: np.ndarray   # cav_observation of `agents`
+    """What `observe` reads off one state.
+
+    Signal row: [phase/nphases], one vehicle count per incoming and outgoing
+    road over the road capacity c, then per incoming road its closest
+    vehicle's [speed/v*, accel/3, distance/len] ([0, 0, 1] if empty) and
+    road-slot one-hot; I_COTV zeroes these blocks, M_COTV appends each
+    incoming road's previous command over 3 (0 if none). Vehicle row: [own
+    speed/v*, own accel/3, leader speed/v*, leader accel/3, gap/len (floored
+    at 0; 1 with no leader), distance-to-intersection/len, approach signal
+    in {1 green, 0.5 yellow, 0 red}]; a road's front vehicle leads on the
+    tail of its next route road. I_COTV pins the signal at 0; M_COTV appends
+    the approached light's previous action.
+    """
+    agents: list          # (vehicle id, road index) pairs, road-scan order
+    tl_obs: np.ndarray    # one signal row per light, in sim.lights order
+    cav_obs: np.ndarray   # one vehicle row per agent, 1-d empty if none
     pressures: list       # tl_reward of each light, in sim.lights order
     road_rewards: dict    # road id -> cav_reward of the vehicles on it
 
@@ -248,7 +141,8 @@ def incoming_layout(network):
     for inter in network.intersections.values():
         n_in = len(inter.incoming)
         incoming = []
-        for rid, one_hot in zip(inter.incoming, _slot_one_hots(n_in)):
+        for slot, rid in enumerate(inter.incoming):
+            one_hot = tuple(1.0 if k == slot else 0.0 for k in range(n_in))
             road = network.roads[rid]
             incoming.append((rid, road, road.length, road.speed_limit,
                              road.approach_intersection, road.approach,
@@ -360,6 +254,24 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action,
     if agents:  # with none, the 1-d empty array `cav_observation` gives
         cav_obs = cav_obs.reshape(len(agents), -1)
     return Observation(agents, tl_obs, cav_obs, pressures, road_rewards)
+
+
+def select_cav_agents(sim, mode):
+    """`observe`'s vehicle agents of `sim`'s state."""
+    return observe(sim, incoming_layout(sim.network), mode,
+                   max_road_capacity(sim.network), {}, {}).agents
+
+
+def tl_observation(sim, mode, c, prev_commands):
+    """`observe`'s signal matrix of `sim`'s state."""
+    return observe(sim, incoming_layout(sim.network), mode, c, prev_commands,
+                   {}).tl_obs
+
+
+def cav_observation(sim, mode, prev_tl_action):
+    """`observe`'s vehicle matrix of `sim`'s state."""
+    return observe(sim, incoming_layout(sim.network), mode,
+                   max_road_capacity(sim.network), {}, prev_tl_action).cav_obs
 
 
 @dataclass

@@ -242,7 +242,13 @@ class ScenarioSpec:
             raise ConfigError("horizon must be positive")
         if not 0.0 <= self.penetration_rate <= 1.0:
             raise ConfigError("penetration rate must lie in [0, 1]")
+        names = set()
         for flow in self.flows:
+            # a flow's vehicles are named `<flow name>.<k>`
+            if flow.name in names:
+                raise ConfigError(
+                    f"flow {flow.name}: name used by an earlier flow")
+            names.add(flow.name)
             if flow.origin not in self.network.roads:
                 raise ConfigError(
                     f"flow {flow.name}: origin {flow.origin!r} is not a road "

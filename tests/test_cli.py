@@ -354,6 +354,64 @@ def test_report_rejects_missing_dir(tmp_path):
                    "--out", str(tmp_path / "r")) == 2
 
 
+@pytest.mark.parametrize("baseline,run,bad", [
+    ("a={base}", "a={run}", "a={run}"),
+    ("={base}", "b={run}", "={base}"),
+    ("a={base}", "b=", "b="),
+], ids=["repeated-name", "empty-name", "empty-dir"])
+def test_report_refuses_a_repeated_or_empty_name_or_dir(tmp_path, capsys,
+                                                        baseline, run, bad):
+    # a repeated NAME would replace the baseline, and an empty DIR would
+    # read ./aggregate.json
+    dirs = {"base": tmp_path / "base", "run": tmp_path / "run"}
+    for path in dirs.values():
+        path.mkdir()
+        (path / "aggregate.json").write_text(json.dumps(
+            dict.fromkeys(EpisodeReport.METRIC_KEYS, 50.0)))
+    out = tmp_path / "rep"
+    assert run_cli("report", "--baseline", baseline.format(**dirs), "--run",
+                   run.format(**dirs), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert repr(bad.format(**dirs)) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,method", [("baseline", "baseline-static"),
+                                            ("train", "cotv")])
+def test_repeated_flow_name_exits_2_before_writing(tmp_path, capsys, command,
+                                                   method):
+    # the flows' vehicle ids `A.<k>` would collide in the simulator
+    config = tmp_path / "repeated.cfg"
+    config.write_text(
+        "network { grid: 1x1 }\n"
+        "flow { name: A, origin: W0:J0-0, destination: J0-0:E0, count: 2, "
+        "start: 1, period: 8 }\n"
+        "flow { name: A, origin: N0:J0-0, destination: J0-0:S0, count: 2, "
+        "start: 1, period: 8 }")
+    out = tmp_path / "o"
+    assert run_cli(command, "--method", method, "--config", str(config),
+                   "--horizon", "20", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config: flow A: name used by an earlier flow")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "baseline"])
+@pytest.mark.parametrize("trace", ["", "missing/trace.txt"],
+                         ids=["directory", "missing-directory"])
+def test_unopenable_trace_exits_2_before_writing(train_dir, tmp_path, capsys,
+                                                 command, trace):
+    source = (["--checkpoint-dir", str(train_dir)] if command == "evaluate"
+              else ["--method", "baseline-static"])
+    out = tmp_path / "o"
+    assert run_cli(command, *source, "--episodes", "1", "--horizon", "20",
+                   "--trace", str(tmp_path / trace), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: --trace {tmp_path / trace}: ")
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")

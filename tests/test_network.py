@@ -216,8 +216,16 @@ def test_scenario_invariants_rejected():
      "flow A: origin 'nowhere' is not a road"),
     ("network { grid: 1x1 }\nsim { seed: x1 }",
      "sim: seed 'x1' is not an integer"),
+    ("network { grid: 1x1 }\nflow { name: A, origin: W0:J0-0, destination: "
+     "J0-0:E0, count: 2, start: 1, period: 8 }\nflow { name: A, origin: "
+     "N0:J0-0, destination: J0-0:S0, count: 2, start: 1, period: 8 }",
+     "flow A: name used by an earlier flow"),
+    ("network { grid: 1x1 }\nflow { name: flow1, origin: W0:J0-0, "
+     "destination: J0-0:E0, count: 2, start: 1, period: 8 }\nflow { origin: "
+     "N0:J0-0, destination: J0-0:S0, count: 2, start: 1, period: 8 }",
+     "flow flow1: name used by an earlier flow"),
 ], ids=["number", "nan-length", "inf-limit", "count", "inf-period",
-        "unknown-road", "seed"])
+        "unknown-road", "seed", "repeated-name", "repeated-default-name"])
 def test_scenario_parser_names_block_and_key(entry, message):
     with pytest.raises(ConfigError, match=message):
         parse_scenario_text(entry)

@@ -1,5 +1,6 @@
 """Simulator invariants on generated states: random vehicle placements on
-the 1x1 and 1x6 grids, driven by random light actions and commanded
+the 1x1 and 1x6 grids and on empty grids of 1x1 to 3x3, driven by random
+light actions and commanded
 accelerations. After every step the fleet is conserved, each road's order
 is sorted by position, speeds lie in [0, limit] and positions on the road,
 every vehicle's kinematic and energy fields are Python floats, and every
@@ -13,10 +14,11 @@ state they read, and the view `step` hands each scan equals the
 per-vehicle loop it replaced. The view `step` returns equals a fresh
 `scan_view` of the state it leaves, and is handed to the next step. On
 generated fleets with held, arriving and crossing vehicles, one step
-matches the reference step in every row. On generated states of grids from
-1x1 to 3x3, the env's one pass over the incoming roads equals the
-per-quantity reference functions bit for bit in every cooperation mode.
-The example count is set by the profile in conftest.py."""
+matches the reference step in every row. On the same generated states, in
+every cooperation mode, the env's one pass over the incoming roads yields
+the agents and observation rows of the per-agent reference forms in
+test_env.py bit for bit, and the pressures and road rewards of `tl_reward`
+and `cav_reward`. The example count is set by the profile in conftest.py."""
 import copy
 from unittest import mock
 
@@ -24,12 +26,13 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from cotraffic import kernels, simulation
-from cotraffic.env import (CooperationMode, cav_observation, cav_reward,
-                           incoming_layout, max_road_capacity, observe,
-                           select_cav_agents, tl_observation, tl_reward)
+from cotraffic.env import (CooperationMode, cav_reward, incoming_layout,
+                           max_road_capacity, observe, tl_reward)
 from cotraffic.network import ScenarioSpec, build_grid, grid_scenario
 from cotraffic.simulation import build_sim, scan_view, step
 
+from test_env import (ref_cav_observation, ref_select_cav_agents,
+                      ref_tl_observation)
 from test_kernels import ref_fuel_co2, ref_kinematics
 from test_simulation import (brute_force_collision_pairs, brute_force_ttc,
                              empty_sim, put_vehicle)
@@ -37,10 +40,14 @@ from test_simulation import (brute_force_collision_pairs, brute_force_ttc,
 
 @st.composite
 def worlds(draw):
-    """A 1x1 or 1x6 grid with vehicles placed anywhere on its roads, and
-    optionally its scheduled demand still to be inserted."""
-    grid = draw(st.sampled_from(["1x1", "1x6"]))
-    if draw(st.booleans()):
+    """The 1x1 or 1x6 grid, optionally with its scheduled demand still to be
+    inserted, or an empty `build_grid` grid of 1 to 3 rows and columns, with
+    vehicles placed anywhere on its roads."""
+    grid = draw(st.sampled_from(["1x1", "1x6", "RxC"]))
+    if grid == "RxC":
+        net = build_grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        sim = build_sim(ScenarioSpec(net, (), 1, 0.0, 0))
+    elif draw(st.booleans()):
         sim = build_sim(grid_scenario(grid, penetration=0.5,
                                       seed=draw(st.integers(0, 99))))
     else:
@@ -366,16 +373,11 @@ def test_step_loop_matches_kinematics_hold_and_energy_references(fleet, data):
 
 @st.composite
 def observed_worlds(draw):
-    """A state of a 1x1 to 3x3 `build_grid` grid or of `worlds()`, with
-    CAVs overlapping the vehicles they follow, and drawn accelerations and
-    light phases; a cooperation mode; M_COTV previous-action maps over drawn
-    roads and lights; and a drawn subset of the occupied roads to score."""
-    if draw(st.booleans()):
-        sim = draw(worlds())
-    else:
-        net = build_grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-        sim = place_vehicles(draw, build_sim(ScenarioSpec(net, (), 1, 0.0,
-                                                          0)))
+    """A state of `worlds()` with CAVs overlapping the vehicles they follow,
+    and drawn accelerations and light phases; a cooperation mode; M_COTV
+    previous-action maps over drawn roads and lights; and a drawn subset of
+    the occupied roads to score."""
+    sim = draw(worlds())
     for k in range(draw(st.integers(0, 3)) if sim.vehicles else 0):
         # a CAV up to a car length past the tail of the vehicle it follows,
         # so that some agent's gap is negative
@@ -410,12 +412,17 @@ def test_observe_matches_the_reference_forms(world):
     c = max_road_capacity(sim.network)
     got = observe(sim, incoming_layout(sim.network), mode, c, prev_commands,
                   prev_tl_action, scored)
-    agents = select_cav_agents(sim, mode)
-    assert got.agents == agents
-    assert_same_matrix(got.tl_obs,
-                       tl_observation(sim, mode, c, prev_commands))
-    assert_same_matrix(got.cav_obs,
-                       cav_observation(sim, agents, mode, prev_tl_action))
+    vids = ref_select_cav_agents(sim, mode)
+    roads = [sim.network.roads[sim.vehicles[vid].road] for vid in vids]
+    assert got.agents == [(vid, sim.road_order[road.id].index(vid))
+                          for vid, road in zip(vids, roads)]
+    assert_same_matrix(got.tl_obs, np.array([
+        ref_tl_observation(sim, light, mode, c, prev_commands)
+        for light in sim.lights.values()]))
+    assert_same_matrix(got.cav_obs, np.array([
+        ref_cav_observation(sim, vid, mode,
+                            prev_tl_action.get(road.approach_intersection, 0))
+        for vid, road in zip(vids, roads)]))
     assert [p.hex() for p in got.pressures] == [
         tl_reward(sim, light, c).hex() for light in sim.lights.values()]
     # a road off the incoming ones (an exit road) is left to `cav_reward`
