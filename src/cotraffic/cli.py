@@ -93,8 +93,21 @@ def _manifest(args, scenario, method, extra):
     return payload
 
 
-def _out_dir(args, default_name):
+def _out_path(args, default_name):
+    """The --out directory (`default_name` without one), not made yet; a
+    path that is a file or lies under one is a ConfigError."""
     out = Path(args.out or default_name)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out}: {path} is not a directory")
+            break
+    return out
+
+
+def _out_dir(args, default_name):
+    """`_out_path`, made if missing."""
+    out = _out_path(args, default_name)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -281,11 +294,13 @@ def _evaluate(args, default_out, verb, method, scenario, tl_params,
     """Run the --episodes greedy episodes of `method` (None networks for an
     agent type it does not learn), write their reports and the manifest
     with `extra` fields into --out (`default_out` without one), and print
-    the mean travel time. The --trace file is opened before --out is made,
-    so a trace path that cannot be opened leaves no output directory."""
+    the mean travel time. --out is checked before the --trace file is
+    opened, and made after it, so that either refused path leaves nothing
+    behind."""
     seeds = _eval_seeds(args)
+    out = _out_path(args, default_out)
     with _trace_file(args) as trace_fh:
-        out = _out_dir(args, default_out)
+        out.mkdir(parents=True, exist_ok=True)
         reports = rollout.evaluate_policy(
             scenario, method.env_cfg, tl_params, cav_params, seeds,
             scenario.horizon, trace_fh=trace_fh)

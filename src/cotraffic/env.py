@@ -1,19 +1,18 @@
 """Multi-agent layer over the micro-simulator.
 
-Every value the agents exchange or are scored on is a property of one
-incoming road of a signalized intersection. `observe` makes one pass over
-those roads of a state and yields the vehicle agents, the observation
-matrices (one row per agent) that stand in for the V2X state exchange,
-each light's normalized-pressure reward and the reward of each agent's
-road: the speed deficit and positive-acceleration norm of its traffic.
-`TrafficEnv` routes the sampled actions into the simulator, then observes
-the state it moved to once.
+Every value the agents exchange is a property of one incoming road of a
+signalized intersection. `observe` makes one pass over those roads of a
+state and yields the vehicle agents with their roads, the observation
+matrices (one row per agent) that stand in for the V2X state exchange, and
+each light's normalized-pressure reward. `TrafficEnv` routes the sampled
+actions into the simulator, observes the state it moved to once, and scores
+each vehicle agent with `cav_reward`: the speed deficit and
+positive-acceleration norm of the traffic on its road.
 
 `select_cav_agents`, `tl_observation` and `cav_observation` each return one
 field of `observe`: the span tracer looks them up by name, and unit tests
 read one field each. The pass's per-agent reference forms live in
-tests/test_env.py. `TrafficEnv` scores an agent that left the incoming
-roads with `cav_reward`.
+tests/test_env.py.
 
 Cooperation modes:
   COTV       state exchange, closest connected vehicle per incoming road
@@ -98,17 +97,28 @@ def cav_reward(sim, vehicle_id):
     from the limit (speeds capped at the limit), and the root of the summed
     squared positive accelerations (each over A_STAR) divided by |K| squared.
     Both terms live in [-1, 0]; negative accelerations are clipped to zero.
-    Reference form of `observe`'s road rewards, with which it shares the
-    member loop (`_road_reward`), and what `TrafficEnv` scores an agent with
-    when it has left the incoming roads.
+    `TrafficEnv` scores every vehicle agent with it, once per road.
     """
     vehicles = sim.vehicles
-    veh = vehicles[vehicle_id]
-    road = sim.network.roads[veh.road]
-    members = sim.road_order[veh.road]
+    road_id = vehicles[vehicle_id].road
+    members = sim.road_order[road_id]
     if not members:
         raise ValueError("reward undefined for an empty road")
-    return _road_reward(vehicles, members, road.speed_limit)
+    v_star = sim.network.roads[road_id].speed_limit
+    k = len(members)
+    deficit = 0.0
+    accel_sq = 0.0
+    for vid in members:
+        other = vehicles[vid]
+        # min(speed, v_star) and max(accel, 0.0), written out: the builtin
+        # calls cost as much as the rest of this per-member loop
+        speed, accel = other.speed, other.accel
+        deficit += (v_star - (v_star if v_star < speed else speed)) / v_star
+        a_pos = 0.0 if 0.0 > accel else accel
+        accel_sq += (a_pos / A_STAR) ** 2
+    r1 = -deficit / k
+    r2 = -math.sqrt(accel_sq / (k * k))
+    return r1 + r2
 
 
 class Observation(NamedTuple):
@@ -125,11 +135,10 @@ class Observation(NamedTuple):
     tail of its next route road. I_COTV pins the signal at 0; M_COTV appends
     the approached light's previous action.
     """
-    agents: list          # (vehicle id, road index) pairs, road-scan order
+    agents: list          # (vehicle id, road id) pairs, road-scan order
     tl_obs: np.ndarray    # one signal row per light, in sim.lights order
     cav_obs: np.ndarray   # one vehicle row per agent, 1-d empty if none
     pressures: list       # tl_reward of each light, in sim.lights order
-    road_rewards: dict    # road id -> cav_reward of the vehicles on it
 
 
 def incoming_layout(network):
@@ -152,42 +161,22 @@ def incoming_layout(network):
     return tuple(layout)
 
 
-def _road_reward(vehicles, members, v_star):
-    """`cav_reward` of any vehicle among a road's non-empty `members`."""
-    k = len(members)
-    deficit = 0.0
-    accel_sq = 0.0
-    for vid in members:
-        other = vehicles[vid]
-        # min(speed, v_star) and max(accel, 0.0), written out: the builtin
-        # calls cost as much as the rest of this per-member loop
-        speed, accel = other.speed, other.accel
-        deficit += (v_star - (v_star if v_star < speed else speed)) / v_star
-        a_pos = 0.0 if 0.0 > accel else accel
-        accel_sq += (a_pos / A_STAR) ** 2
-    r1 = -deficit / k
-    r2 = -math.sqrt(accel_sq / (k * k))
-    return r1 + r2
-
-
-def observe(sim, layout, mode, c, prev_commands, prev_tl_action,
-            reward_roads=()):
+def observe(sim, layout, mode, c, prev_commands, prev_tl_action):
     """One pass over the incoming roads of `sim`'s state (`layout`, from
     `incoming_layout`); returns the Observation the reference forms give,
     bit for bit, with each quantity's arithmetic written as they write it.
 
     Per intersection, each incoming road is read once for its count, its
     closest-vehicle block and, walking from the stop line back, its vehicle
-    agents and their rows. The road's reward is computed when it is in
-    `reward_roads`. `prev_commands` and `prev_tl_action` are the M_COTV
-    previous-action maps of `tl_observation` and `cav_observation`.
+    agents and their rows. `prev_commands` and `prev_tl_action` are the
+    M_COTV previous-action maps of `tl_observation` and `cav_observation`.
     """
     vehicles, road_order, lights = sim.vehicles, sim.road_order, sim.lights
     star = mode is CooperationMode.COTV_STAR
     ablated = mode is CooperationMode.I_COTV
     m_cotv = mode is CooperationMode.M_COTV
     # both matrices are filled row after row into one flat list each
-    agents, tl_flat, cav_flat, pressures, road_rewards = [], [], [], [], {}
+    agents, tl_flat, cav_flat, pressures = [], [], [], []
     for light_id, incoming, outgoing, zero_block in layout:
         light = lights[light_id]
         tl_flat.append(light.phase_index / len(light.phases))
@@ -234,11 +223,9 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action,
                              signal)
                 if m_cotv:
                     cav_flat.append(prev_action)
-                agents.append((vid, j))
+                agents.append((vid, rid))
                 if not star:
                     break
-            if rid in reward_roads:
-                road_rewards[rid] = _road_reward(vehicles, order, v_star)
         n_out = 0
         for rid in outgoing:
             k = len(road_order[rid])
@@ -253,7 +240,7 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action,
     cav_obs = np.array(cav_flat, dtype=np.float64)
     if agents:  # with none, the 1-d empty array `cav_observation` gives
         cav_obs = cav_obs.reshape(len(agents), -1)
-    return Observation(agents, tl_obs, cav_obs, pressures, road_rewards)
+    return Observation(agents, tl_obs, cav_obs, pressures)
 
 
 def select_cav_agents(sim, mode):
@@ -292,7 +279,7 @@ class TrafficEnv:
 
     `step` acts, moves the simulator, then observes the state it moved to
     once (`observe`): that one pass yields the next step's vehicle agents
-    and both observation matrices, and scores this step's agents. Each
+    and both observation matrices, and the signal agents' rewards. Each
     agent type's policy gets all its actions in one forward over its
     matrix, and `step` returns one AgentStep per acting agent. A vehicle
     agent leaving the selected set (crossed the line, displaced, removed,
@@ -335,8 +322,7 @@ class TrafficEnv:
         self._view = None
         return self.sim
 
-    def step(self, tl_policy=None, cav_policy=None, rng=None, sample=True,
-             trace=None):
+    def step(self, tl_policy=None, cav_policy=None, rng=None, sample=True):
         """Advance one second; returns the acting agents' AgentSteps.
 
         The lights follow the configured plan if there is one, else the
@@ -351,10 +337,11 @@ class TrafficEnv:
         Order: act on the current observation, move the simulator, update
         the M_COTV previous-action maps (the next observation reads them),
         then observe the new state once. The signal rewards are that
-        observation's pressures, and a vehicle agent's reward is its road's
-        (`cav_reward` when its road is not an incoming one). A step in which
-        no agent type acts observes nothing; the next step that has agents
-        observes before it acts, as the first step after `reset` does.
+        observation's pressures. A vehicle agent still in the simulation is
+        scored by `cav_reward` of the road it is on, computed once per road
+        and step. A step in which no agent type acts observes nothing; the
+        next step that has agents observes before it acts, as the first
+        step after `reset` does.
         """
         sim = self.sim
         cfg = self.cfg
@@ -384,7 +371,6 @@ class TrafficEnv:
 
         cav_actions = {}
         cav_records = {}
-        cmd_road = {}
         agents = seen.agents if selecting else ()
         if agents:
             obs = seen.cav_obs
@@ -392,8 +378,6 @@ class TrafficEnv:
             for (vid, _), row, action, logp, value in zip(
                     agents, obs, actions, logps, values):
                 cav_actions[vid] = action
-                if m_cotv:
-                    cmd_road[vid] = sim.vehicles[vid].road
                 rec = AgentStep(vid, "CAV", row, action, logp, value,
                                 t=sim.clock)
                 records.append(rec)
@@ -404,38 +388,35 @@ class TrafficEnv:
             cav_actions = self._advisory.commands(sim, self._view)
 
         completed_before = len(sim.completed)
-        self._view = step(sim, tl_actions, cav_actions, trace=trace,
-                          view=self._view)
+        self._view = step(sim, tl_actions, cav_actions, view=self._view)
         if m_cotv:
             self._prev_tl_action = {lid: tl_actions.get(lid, 0)
                                     for lid in sim.lights}
             self._prev_cmd_by_road = {road: cav_actions[vid]
-                                      for vid, road in cmd_road.items()}
+                                      for vid, road in agents}
         if not observing:
             self._seen = None
             return records
 
-        vehicles = sim.vehicles
-        reward_roads = {vehicles[vid].road for vid in cav_records
-                        if vid in vehicles}
         seen = self._seen = observe(sim, self._layout, cfg.mode, self.c,
                                     self._prev_cmd_by_road,
-                                    self._prev_tl_action, reward_roads)
+                                    self._prev_tl_action)
         for rec, pressure in zip(records[:n_tl], seen.pressures):
             rec.reward = pressure
         if cav_records:
             arrived = {t.vehicle_id for t in sim.completed[completed_before:]}
             still_selected = {vid for vid, _ in seen.agents}
-            road_rewards = seen.road_rewards
+            # star mode puts many agents on one road
+            road_rewards = {}
             for vid, rec in cav_records.items():
-                veh = vehicles.get(vid)
+                veh = sim.vehicles.get(vid)
                 if veh is None:
                     # arrived agents exit cleanly; removed ones were collided
                     rec.reward = 0.0 if vid in arrived else COLLISION_REWARD
                     rec.done = True
                     continue
-                reward = road_rewards.get(veh.road)
-                rec.reward = (reward if reward is not None
-                              else cav_reward(sim, vid))
+                if veh.road not in road_rewards:
+                    road_rewards[veh.road] = cav_reward(sim, vid)
+                rec.reward = road_rewards[veh.road]
                 rec.done = vid not in still_selected
         return records

@@ -12,7 +12,7 @@ import ctypes
 import functools
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -112,12 +112,9 @@ def explained_variance(values, returns):
 
 @dataclass
 class RolloutBuffer:
-    """Per-type trajectory segments plus their flattened training arrays."""
-    segments: list = field(default_factory=list)
-
-    def add_segment(self, steps):
-        if steps:
-            self.segments.append(steps)
+    """One agent type's trajectory segments, a list of non-empty AgentStep
+    lists in batch order, plus their flattened training arrays."""
+    segments: list
 
     def __len__(self):
         return sum(len(s) for s in self.segments)
@@ -316,7 +313,7 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
             workers=workers)
         rollout_s = time.perf_counter() - rollout_begin
 
-        buffers = {"TL": RolloutBuffer(), "CAV": RolloutBuffer()}
+        segments = {"TL": [], "CAV": []}
         reward_sums = {"TL": [], "CAV": []}
         collision_count = 0
         for ep in episodes:
@@ -324,9 +321,10 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
             for agent_type in ("TL", "CAV"):
                 total = 0.0
                 for seg in ep.segments[agent_type]:
-                    buffers[agent_type].add_segment(seg)
+                    segments[agent_type].append(seg)
                     total += sum(s.reward for s in seg)
                 reward_sums[agent_type].append(total)
+        buffers = {t: RolloutBuffer(segs) for t, segs in segments.items()}
 
         entry = {
             "iteration": iteration,

@@ -15,7 +15,7 @@ from .env import TrafficEnv
 from .methods import get_method
 from .metrics import build_episode_report
 from .policy import Policy
-from .simulation import TraceWriter
+from .simulation import write_trace
 
 
 @dataclass
@@ -36,17 +36,18 @@ def _episode_seeds(seed):
 
 
 def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
-                sample=True, collect=True, trace=None):
+                sample=True, collect=True, trace_fh=None):
     """Run one episode; returns (EpisodeResult, final sim state).
 
     `seed` replaces the scenario seed (demand draw and, when sampling, the
     action noise). Segments are closed when an agent's record carries done,
     and any still-open segment is closed at the horizon with done set on its
-    final record.
+    final record. With a trace file handle, the state after each step is
+    written to it (`write_trace`).
     """
     scen_seed, act_seed = _episode_seeds(seed)
     env = TrafficEnv(scenario.with_overrides(seed=scen_seed), env_cfg)
-    env.reset()
+    sim = env.reset()
     rng = np.random.default_rng(np.random.SeedSequence(act_seed))
 
     tl_policy = Policy(tl_params) if tl_params else None
@@ -55,8 +56,9 @@ def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
     open_segments = {}
     closed = {"TL": [], "CAV": []}
     for _ in range(horizon):
-        records = env.step(tl_policy, cav_policy, rng=rng, sample=sample,
-                           trace=trace)
+        records = env.step(tl_policy, cav_policy, rng=rng, sample=sample)
+        if trace_fh is not None:
+            write_trace(trace_fh, sim)
         if not collect:
             continue
         for rec in records:
@@ -69,7 +71,6 @@ def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
         seg[-1].done = True
         closed[agent_type].append(seg)
 
-    sim = env.sim
     result = EpisodeResult(closed, sim.collided_count, len(sim.completed),
                            sim.ttc_event_count)
     return result, sim
@@ -103,10 +104,9 @@ def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds,
     """
     reports = []
     for i, seed in enumerate(seeds):
-        trace = TraceWriter(trace_fh) if (trace_fh is not None and i == 0) else None
         _, sim = run_episode(scenario, env_cfg, tl_params, cav_params, seed,
                              horizon, sample=False, collect=False,
-                             trace=trace)
+                             trace_fh=trace_fh if i == 0 else None)
         reports.append(build_episode_report(sim))
     return reports
 
@@ -117,8 +117,7 @@ def run_baseline_episode(scenario, method, seed, horizon=None, trace_fh=None):
     spec = get_method(method)
     if spec.rl:
         raise ValueError(f"method {method!r} is learned")
-    trace = TraceWriter(trace_fh) if trace_fh is not None else None
     _, sim = run_episode(scenario, spec.env_cfg, None, None, seed,
                          horizon or scenario.horizon, sample=False,
-                         collect=False, trace=trace)
+                         collect=False, trace_fh=trace_fh)
     return build_episode_report(sim), sim

@@ -353,26 +353,21 @@ def count_ttc_events(sim, view=None):
     return events
 
 
-class TraceWriter:
-    """Line-oriented per-step trace: one `t vehicle road position speed
-    accel` line per vehicle, then one `t light id phase_index time_in_phase`
-    line per light."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def record(self, sim):
-        for road_id in sim.network.roads:
-            for vid in sim.road_order[road_id]:
-                v = sim.vehicles[vid]
-                self.fh.write(f"{sim.clock} {vid} {road_id} "
-                              f"{v.position:.3f} {v.speed:.3f} {v.accel:.3f}\n")
-        for light_id, light in sim.lights.items():
-            self.fh.write(f"{sim.clock} light {light_id} "
-                          f"{light.phase_index} {light.time_in_phase}\n")
+def write_trace(fh, sim):
+    """Write `sim`'s state to `fh` as trace lines: one `t vehicle road
+    position speed accel` line per vehicle, then one `t light id
+    phase_index time_in_phase` line per light."""
+    for road_id in sim.network.roads:
+        for vid in sim.road_order[road_id]:
+            v = sim.vehicles[vid]
+            fh.write(f"{sim.clock} {vid} {road_id} "
+                     f"{v.position:.3f} {v.speed:.3f} {v.accel:.3f}\n")
+    for light_id, light in sim.lights.items():
+        fh.write(f"{sim.clock} light {light_id} "
+                 f"{light.phase_index} {light.time_in_phase}\n")
 
 
-def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
+def step(sim, tl_actions=None, cav_accels=None, view=None):
     """Advance the world by one second; returns the ScanView of the state
     it leaves.
 
@@ -526,7 +521,4 @@ def step(sim, tl_actions=None, cav_accels=None, trace=None, view=None):
 
     for light in sim.lights.values():
         light.time_in_phase += 1
-
-    if trace is not None:
-        trace.record(sim)
     return view

@@ -16,9 +16,9 @@ from cotraffic.methods import get_method
 from cotraffic.metrics import build_episode_report
 from cotraffic.network import build_grid, grid_scenario, load_scenario
 from cotraffic.policy import init_params
-from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, TraceWriter,
-                                  Vehicle, build_sim, idm_accel, make_light,
-                                  scan_view, step)
+from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, Vehicle,
+                                  build_sim, idm_accel, make_light, scan_view,
+                                  step, write_trace)
 
 from test_simulation import empty_sim, episode_state, put_vehicle
 
@@ -52,11 +52,11 @@ def ref_baseline_episode(scenario, method, seed, horizon, trace_fh):
     sim = build_sim(scenario.with_overrides(seed=scen_seed))
     lights = make_light_controller(BASELINE_PLANS[method])
     glosa = GlosaController() if method == "glosa" else None
-    trace = TraceWriter(trace_fh)
     view = None
     for _ in range(horizon):
         commands = glosa.commands(sim, scan_view(sim)) if glosa else {}
-        view = step(sim, lights(sim), commands, trace=trace, view=view)
+        view = step(sim, lights(sim), commands, view=view)
+        write_trace(trace_fh, sim)
     return build_episode_report(sim)
 
 

@@ -412,6 +412,37 @@ def test_unopenable_trace_exits_2_before_writing(train_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "baseline", "sweep",
+                                     "report"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2(train_dir, tmp_path, capsys,
+                                                command, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "o" if under else afile
+    trace = tmp_path / "trace.txt"
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "aggregate.json").write_text(json.dumps(
+        dict.fromkeys(EpisodeReport.METRIC_KEYS, 50.0)))
+    short = ["--episodes", "1", "--horizon", "20"]
+    argv = {
+        "train": ["--method", "cotv", "--iterations", "1",
+                  "--train-episodes", "1", "--horizon", "20"],
+        "evaluate": ["--checkpoint-dir", str(train_dir), *short,
+                     "--trace", str(trace)],
+        "baseline": ["--method", "baseline-static", *short,
+                     "--trace", str(trace)],
+        "sweep": ["--checkpoint-dir", str(train_dir), "--rates", "1", *short],
+        "report": ["--baseline", f"base={run}"],
+    }[command]
+    assert run_cli(command, *argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: --out {out}: {afile} is not a directory\n")
+    assert afile.read_text() == "kept"
+    assert not trace.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")

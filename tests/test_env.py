@@ -1,12 +1,13 @@
 """Agent selection, observation layouts, rewards, and the env transition."""
 import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 
 from cotraffic import env as env_module
-from cotraffic import policy, simulation
+from cotraffic import policy, rollout, simulation
 from cotraffic.env import (ACCEL_NORM, CooperationMode, EnvConfig, AgentStep,
                            COLLISION_REWARD, TrafficEnv, cav_obs_dim,
                            cav_observation, max_road_capacity,
@@ -66,9 +67,12 @@ def test_select_star_takes_all():
         "near", "mid", "far"]
 
 
-def test_select_returns_each_agents_road_order_index():
-    assert select_cav_agents(selection_fixture(), STAR) == [
-        ("near", 2), ("mid", 1), ("far", 0)]
+def test_select_returns_each_agents_road():
+    sim = selection_fixture()
+    put_vehicle(sim, "west", "W0:J0-0", 100.0, 5.0, kind="CAV")
+    assert select_cav_agents(sim, STAR) == [
+        ("near", "N0:J0-0"), ("mid", "N0:J0-0"), ("far", "N0:J0-0"),
+        ("west", "W0:J0-0")]
 
 
 def test_select_skips_hdv_only_roads():
@@ -574,6 +578,33 @@ def test_env_episode_outputs_pinned_by_digest(mode):
                                 rec.reward, rec.done)).encode())
     assert n_cav > 0
     assert digest.hexdigest() == ENV_EPISODE_SHA256[mode]
+
+
+# SHA-256 of the `--trace` text of two 360 s 1x6 episodes, taken as
+# ENV_EPISODE_SHA256 was: the glosa baseline, and M_COTV under the rule
+# policies
+EPISODE_TRACE_SHA256 = {
+    "glosa": "0175d3f6f920b23a0cd7a1359ec63f1a5f3215c61b7c8cdf6b5ee9c9552bf8d0",
+    "m-cotv": "16803b14ad39818b7cf84296684eb946c7039b8e495b2503d3c7f495e2168999",
+}
+
+
+@pytest.mark.parametrize("method", sorted(EPISODE_TRACE_SHA256))
+def test_episode_traces_pinned_by_digest(monkeypatch, method):
+    scen = grid_scenario("1x6", horizon=360, penetration=0.5, seed=11)
+    fh = io.StringIO()
+    if method == "glosa":
+        rollout.run_baseline_episode(scen, method, 11, trace_fh=fh)
+    else:
+        # run_episode wraps each network in a Policy; the rules act as one
+        monkeypatch.setattr(rollout, "Policy", lambda rule: rule)
+        rollout.run_episode(scen, EnvConfig(MCOTV), TL_RULE, CAV_RULE, 11,
+                            scen.horizon, sample=False, collect=False,
+                            trace_fh=fh)
+    text = fh.getvalue()
+    assert len(text.splitlines()) > 360 * 6
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        EPISODE_TRACE_SHA256[method])
 
 
 # --- parity with the per-agent observations ----------------------------------

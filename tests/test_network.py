@@ -48,11 +48,25 @@ def test_grid_in_out_symmetry(length, limit):
 
 
 def test_grid_in_out_symmetry_larger_grids():
-    for rows, cols in [(2, 2), (1, 6), (3, 2)]:
+    shapes = [(r, c) for r in range(1, 4) for c in range(1, 4)] + [(1, 6)]
+    for rows, cols in shapes:
         net = build_grid(rows, cols)
         for inter in net.intersections.values():
             assert len(inter.incoming) == len(inter.outgoing) == 4
             assert not set(inter.incoming) & set(inter.outgoing)
+            assert set(inter.incoming + inter.outgoing) <= set(net.roads)
+        # the road graph, taken undirected, is connected
+        adjacent = {}
+        for road in net.roads.values():
+            adjacent.setdefault(road.from_node, set()).add(road.to_node)
+            adjacent.setdefault(road.to_node, set()).add(road.from_node)
+        reached, frontier = set(), ["J0-0"]
+        while frontier:
+            node = frontier.pop()
+            if node not in reached:
+                reached.add(node)
+                frontier += adjacent[node] - reached
+        assert reached == set(adjacent)
 
 
 def test_grid_rejects_bad_dimensions():

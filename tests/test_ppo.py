@@ -632,9 +632,7 @@ def test_build_batch_matches_per_segment_gae():
     lengths = [1, 360, 1] + list(rng.integers(1, 80, size=40)) + [1]
     for kind, obs_dim in (("TL", 37), ("CAV", 7)):
         segments = random_segments(kind, obs_dim, lengths, seed=len(kind))
-        buf = RolloutBuffer()
-        for seg in segments:
-            buf.add_segment(seg)
+        buf = RolloutBuffer(segments)
         for gamma, lam in ((0.99, 0.95), (1.0, 1.0), (0.9, 0.0)):
             got = buf.build_batch(gamma, lam)
             want = ref_build_batch(segments, gamma, lam)
@@ -647,10 +645,7 @@ def test_build_batch_matches_per_segment_gae():
 def test_ppo_update_matches_index_gather_reference(kind, obs_dim):
     segments = random_segments(kind.upper(), obs_dim,
                                [1, 90, 7, 120, 30, 52], seed=5)
-    buf = RolloutBuffer()
-    for seg in segments:
-        buf.add_segment(seg)
-    batch = buf.build_batch(0.99, 0.95)
+    batch = RolloutBuffer(segments).build_batch(0.99, 0.95)
     # 300 samples: the last minibatch of every epoch is a short one
     cfg = PpoConfig(epochs=4, minibatch_size=64)
     params = init_params(kind, obs_dim, seed=2)
@@ -682,10 +677,9 @@ def test_explained_variance_by_hand():
 
 def test_rollout_buffer_hygiene():
     from cotraffic.env import AgentStep
-    buf = RolloutBuffer()
     seg = [AgentStep("a", "TL", np.zeros(3), 1.0, -0.1, 0.0, reward=1.0,
                      done=(i == 2), t=i) for i in range(3)]
-    buf.add_segment(seg)
+    buf = RolloutBuffer([seg])
     assert len(buf) == 3
     batch = buf.build_batch(0.99, 0.95)
     assert batch["obs"].shape == (3, 3)

@@ -1,6 +1,6 @@
 """Simulator invariants on generated states: random vehicle placements on
-the 1x1 and 1x6 grids and on empty grids of 1x1 to 3x3, driven by random
-light actions and commanded
+the 1x1 and 1x6 grids and on grids of 1x1 to 3x3 with random flows still
+to be inserted, driven by random light actions and commanded
 accelerations. After every step the fleet is conserved, each road's order
 is sorted by position, speeds lie in [0, limit] and positions on the road,
 every vehicle's kinematic and energy fields are Python floats, and every
@@ -16,9 +16,9 @@ per-vehicle loop it replaced. The view `step` returns equals a fresh
 generated fleets with held, arriving and crossing vehicles, one step
 matches the reference step in every row. On the same generated states, in
 every cooperation mode, the env's one pass over the incoming roads yields
-the agents and observation rows of the per-agent reference forms in
-test_env.py bit for bit, and the pressures and road rewards of `tl_reward`
-and `cav_reward`. The example count is set by the profile in conftest.py."""
+the agents, their roads and the observation rows of the per-agent reference
+forms in test_env.py bit for bit, and the pressures of `tl_reward`. The
+example count is set by the profile in conftest.py."""
 import copy
 from unittest import mock
 
@@ -26,9 +26,10 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from cotraffic import kernels, simulation
-from cotraffic.env import (CooperationMode, cav_reward, incoming_layout,
+from cotraffic.env import (CooperationMode, incoming_layout,
                            max_road_capacity, observe, tl_reward)
-from cotraffic.network import ScenarioSpec, build_grid, grid_scenario
+from cotraffic.network import (FlowSpec, ScenarioSpec, build_grid,
+                               grid_scenario)
 from cotraffic.simulation import build_sim, scan_view, step
 
 from test_env import (ref_cav_observation, ref_select_cav_agents,
@@ -39,14 +40,33 @@ from test_simulation import (brute_force_collision_pairs, brute_force_ttc,
 
 
 @st.composite
+def random_flows(draw, net):
+    """1 to 4 go-straight flows from drawn boundary entry roads of `net`,
+    with drawn counts, start times and periods."""
+    entries = sorted(road.id for road in net.roads.values()
+                     if road.from_node not in net.intersections)
+    flows = []
+    for k in range(draw(st.integers(1, 4))):
+        origin = draw(st.sampled_from(entries))
+        flows.append(FlowSpec(f"F{k}", origin, net.straight_route(origin)[-1],
+                              draw(st.integers(0, 12)),
+                              draw(st.floats(0.0, 20.0)),
+                              draw(st.floats(0.5, 15.0))))
+    return tuple(flows)
+
+
+@st.composite
 def worlds(draw):
     """The 1x1 or 1x6 grid, optionally with its scheduled demand still to be
-    inserted, or an empty `build_grid` grid of 1 to 3 rows and columns, with
-    vehicles placed anywhere on its roads."""
+    inserted, or a `build_grid` grid of 1 to 3 rows and columns whose
+    random flows are still to be inserted, with vehicles placed anywhere on
+    its roads."""
     grid = draw(st.sampled_from(["1x1", "1x6", "RxC"]))
     if grid == "RxC":
         net = build_grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-        sim = build_sim(ScenarioSpec(net, (), 1, 0.0, 0))
+        sim = build_sim(ScenarioSpec(net, draw(random_flows(net)), 1,
+                                     draw(st.floats(0.0, 1.0)),
+                                     draw(st.integers(0, 99))))
     elif draw(st.booleans()):
         sim = build_sim(grid_scenario(grid, penetration=0.5,
                                       seed=draw(st.integers(0, 99))))
@@ -374,9 +394,8 @@ def test_step_loop_matches_kinematics_hold_and_energy_references(fleet, data):
 @st.composite
 def observed_worlds(draw):
     """A state of `worlds()` with CAVs overlapping the vehicles they follow,
-    and drawn accelerations and light phases; a cooperation mode; M_COTV
-    previous-action maps over drawn roads and lights; and a drawn subset of
-    the occupied roads to score."""
+    and drawn accelerations and light phases; a cooperation mode; and M_COTV
+    previous-action maps over drawn roads and lights."""
     sim = draw(worlds())
     for k in range(draw(st.integers(0, 3)) if sim.vehicles else 0):
         # a CAV up to a car length past the tail of the vehicle it follows,
@@ -395,10 +414,8 @@ def observed_worlds(draw):
                      for rid in roads if draw(st.booleans())}
     prev_tl_action = {lid: draw(st.integers(0, 1))
                       for lid in sim.lights if draw(st.booleans())}
-    scored = {rid for rid, order in sim.road_order.items()
-              if order and draw(st.booleans())}
     mode = draw(st.sampled_from(list(CooperationMode)))
-    return sim, mode, prev_commands, prev_tl_action, scored
+    return sim, mode, prev_commands, prev_tl_action
 
 
 def assert_same_matrix(got, want):
@@ -408,14 +425,13 @@ def assert_same_matrix(got, want):
 
 @given(observed_worlds())
 def test_observe_matches_the_reference_forms(world):
-    sim, mode, prev_commands, prev_tl_action, scored = world
+    sim, mode, prev_commands, prev_tl_action = world
     c = max_road_capacity(sim.network)
     got = observe(sim, incoming_layout(sim.network), mode, c, prev_commands,
-                  prev_tl_action, scored)
+                  prev_tl_action)
     vids = ref_select_cav_agents(sim, mode)
     roads = [sim.network.roads[sim.vehicles[vid].road] for vid in vids]
-    assert got.agents == [(vid, sim.road_order[road.id].index(vid))
-                          for vid, road in zip(vids, roads)]
+    assert got.agents == [(vid, road.id) for vid, road in zip(vids, roads)]
     assert_same_matrix(got.tl_obs, np.array([
         ref_tl_observation(sim, light, mode, c, prev_commands)
         for light in sim.lights.values()]))
@@ -425,10 +441,3 @@ def test_observe_matches_the_reference_forms(world):
         for vid, road in zip(vids, roads)]))
     assert [p.hex() for p in got.pressures] == [
         tl_reward(sim, light, c).hex() for light in sim.lights.values()]
-    # a road off the incoming ones (an exit road) is left to `cav_reward`
-    incoming = {rid for inter in sim.network.intersections.values()
-                for rid in inter.incoming}
-    assert set(got.road_rewards) == scored & incoming
-    for rid, reward in got.road_rewards.items():
-        assert {reward.hex()} == {cav_reward(sim, vid).hex()
-                                  for vid in sim.road_order[rid]}

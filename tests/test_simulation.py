@@ -10,10 +10,10 @@ from cotraffic import kernels, simulation
 from cotraffic.network import Insertion, build_grid, grid_scenario
 from cotraffic.kernels import (IDM_A_MAX, IDM_B_COMFORT, IDM_DELTA,
                                IDM_HEADWAY, IDM_S0)
-from cotraffic.simulation import (TraceWriter, Vehicle, apply_tl_action,
-                                  build_sim, count_ttc_events,
-                                  detect_collisions, idm_accel, make_light,
-                                  red_light_virtual_leader, step)
+from cotraffic.simulation import (Vehicle, apply_tl_action, build_sim,
+                                  count_ttc_events, detect_collisions,
+                                  idm_accel, make_light,
+                                  red_light_virtual_leader, step, write_trace)
 
 
 def fuel_rate(v, a):
@@ -526,7 +526,8 @@ def test_trace_writer_field_order():
     sim = empty_sim()
     put_vehicle(sim, "v0", "W0:J0-0", 10.0, 5.0)
     buf = io.StringIO()
-    step(sim, {}, {}, trace=TraceWriter(buf))
+    step(sim, {}, {})
+    write_trace(buf, sim)
     vehicle, *lights = [row.split() for row in buf.getvalue().splitlines()]
     assert vehicle[0] == "1" and vehicle[1] == "v0"
     assert vehicle[2] == "W0:J0-0"
