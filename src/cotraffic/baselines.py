@@ -51,7 +51,7 @@ class ActuatedController:
             road = sim.network.roads[rid]
             if road.approach not in phase.served:
                 continue
-            for vid in sim.road_order.get(rid, []):
+            for vid in sim.road_order[rid]:
                 if road.length - sim.vehicles[vid].position <= DETECTION_DISTANCE:
                     occupied = True
                     break
@@ -72,9 +72,9 @@ def phase_pressure(sim, light, phase):
         road = sim.network.roads[rid]
         if road.approach not in phase.served:
             continue
-        total += len(sim.road_order.get(rid, []))
+        total += len(sim.road_order[rid])
         if road.straight_to:
-            total -= len(sim.road_order.get(road.straight_to, []))
+            total -= len(sim.road_order[road.straight_to])
     return total
 
 

@@ -27,9 +27,14 @@ EVAL_SEED_OFFSET = 100_000
 
 
 def _resolve_scenario(args):
+    """The --config scenario (the --grid one without it) with --horizon,
+    --seed and --method's penetration rate for --penetration applied."""
     scenario = (load_scenario(args.config) if args.config
                 else grid_scenario(args.grid))
-    return scenario.with_overrides(horizon=args.horizon, seed=args.seed)
+    penetration = resolve_penetration(
+        get_method(args.method), args.penetration, scenario.penetration_rate)
+    return scenario.with_overrides(horizon=args.horizon,
+                                   penetration=penetration, seed=args.seed)
 
 
 def _profile_config(args):
@@ -129,9 +134,6 @@ def cmd_train(args):
         raise ConfigError(f"method {args.method} is not trainable; "
                           "use the baseline subcommand")
     scenario = _resolve_scenario(args)
-    penetration = resolve_penetration(method, args.penetration,
-                                      scenario.penetration_rate)
-    scenario = scenario.with_overrides(penetration=penetration)
     cfg = _profile_config(args)
     out = _out_dir(args, f"runs/train-{args.method}")
 
@@ -155,23 +157,21 @@ def cmd_train(args):
     ckpt_meta = {
         "method": args.method,
         "seed": args.seed,
-        "penetration": penetration,
+        "penetration": scenario.penetration_rate,
         "profile": args.profile,
         "network": scenario.network.descriptor,
         "iterations": len(result.curves),
         "ppo": dataclasses.asdict(cfg),
     }
     checkpoints = {}
-    if result.tl_params is not None:
-        save_checkpoint(out / "checkpoint_tl.npz", result.tl_params, ckpt_meta)
-        checkpoints["tl"] = "checkpoint_tl.npz"
-    if result.cav_params is not None:
-        save_checkpoint(out / "checkpoint_cav.npz", result.cav_params, ckpt_meta)
-        checkpoints["cav"] = "checkpoint_cav.npz"
+    for kind, params in (("tl", result.tl_params), ("cav", result.cav_params)):
+        if params is not None:
+            checkpoints[kind] = f"checkpoint_{kind}.npz"
+            save_checkpoint(out / checkpoints[kind], params, ckpt_meta)
 
     manifest = _manifest(args, scenario, method, {
         "profile": args.profile,
-        "penetration": penetration,
+        "penetration": scenario.penetration_rate,
         "ppo": dataclasses.asdict(cfg),
         "checkpoints": checkpoints,
         "wall_time_s": result.wall_time_s,
@@ -329,12 +329,8 @@ def cmd_baseline(args):
     method = get_method(args.method)
     if method.rl:
         raise ConfigError(f"method {args.method} is learned; use train/evaluate")
-    scenario = _resolve_scenario(args)
-    penetration = resolve_penetration(method, args.penetration,
-                                      scenario.penetration_rate)
-    scenario = scenario.with_overrides(penetration=penetration)
     return _evaluate(args, f"runs/baseline-{args.method}", "baseline", method,
-                     scenario, None, None, {})
+                     _resolve_scenario(args), None, None, {})
 
 
 def cmd_sweep(args):
@@ -424,16 +420,24 @@ _seed = _int_at_least(0, "non-negative")
 
 
 def _rates(text):
-    """argparse type of --rates: comma-separated fractions in [0, 1]."""
+    """argparse type of --rates: comma-separated fractions in [0, 1], no two
+    with the same two-decimal label, which names a rate's sweep files."""
+    entries = [entry.strip() for entry in text.split(",")]
     try:
-        rates = [float(r) for r in text.split(",")]
+        rates = [float(entry) for entry in entries]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
-    for rate in rates:
+    labels = {}
+    for entry, rate in zip(entries, rates):
         if not 0.0 <= rate <= 1.0:
             raise argparse.ArgumentTypeError(
                 f"penetration rate {rate} outside [0, 1]")
+        label = f"{rate:.2f}"
+        if label in labels:
+            raise argparse.ArgumentTypeError(
+                f"rates {labels[label]} and {entry} share the label {label}")
+        labels[label] = entry
     return rates
 
 

@@ -55,11 +55,10 @@ class EnvConfig:
 
 
 def max_road_capacity(network):
-    """Vehicles that fit on the longest road at minimum spacing."""
-    c = int(math.floor(network.max_road_length / (VEHICLE_LENGTH + MIN_GAP)))
-    if c < 1:
-        raise ValueError("road too short to hold a single vehicle")
-    return c
+    """Vehicles that fit on the longest road at minimum spacing. At least
+    one: `build_grid` refuses a road too short to hold one."""
+    longest = max(road.length for road in network.roads.values())
+    return int(math.floor(longest / (VEHICLE_LENGTH + MIN_GAP)))
 
 
 def tl_obs_dim(network, mode):
@@ -144,8 +143,8 @@ class Observation(NamedTuple):
 def incoming_layout(network):
     """The static part of `observe`'s pass, one entry per intersection in
     network order, which is `sim.lights` order: (light id, incoming roads,
-    outgoing road ids, I_COTV zero block). An incoming road is (id, Road,
-    length, speed limit, approached light, approach arm, slot one-hot)."""
+    outgoing road ids, I_COTV zero block). An incoming road of the entry's
+    light is (id, Road, length, speed limit, approach arm, slot one-hot)."""
     layout = []
     for inter in network.intersections.values():
         n_in = len(inter.incoming)
@@ -154,8 +153,7 @@ def incoming_layout(network):
             one_hot = tuple(1.0 if k == slot else 0.0 for k in range(n_in))
             road = network.roads[rid]
             incoming.append((rid, road, road.length, road.speed_limit,
-                             road.approach_intersection, road.approach,
-                             one_hot))
+                             road.approach, one_hot))
         layout.append((inter.id, tuple(incoming), inter.outgoing,
                        (0.0,) * (n_in * (3 + n_in))))
     return tuple(layout)
@@ -182,7 +180,7 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action):
         tl_flat.append(light.phase_index / len(light.phases))
         blocks = []
         n_in = 0
-        for rid, road, length, v_star, approached, arm, one_hot in incoming:
+        for rid, road, length, v_star, arm, one_hot in incoming:
             order = road_order[rid]
             k = len(order)
             n_in += k
@@ -204,9 +202,8 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action):
                 if veh.kind != "CAV":
                     continue
                 if signal is None:
-                    signal = (0.0 if ablated or approached is None
-                              else lights[approached].signal_for(arm))
-                    prev_action = float(prev_tl_action.get(approached, 0))
+                    signal = 0.0 if ablated else light.signal_for(arm)
+                    prev_action = float(prev_tl_action.get(light_id, 0))
                 if j + 1 < k:
                     lead = vehicles[order[j + 1]]
                     ahead = lead, lead.position - lead.length - veh.position

@@ -127,12 +127,6 @@ def sanitize_json(value):
     return value
 
 
-def report_to_dict(report):
-    d = asdict(report)
-    d.pop("travel_times")
-    return d
-
-
 def write_json(path, payload):
     """Write a run-directory JSON file: strict JSON (non-finite floats as
     null), sorted keys."""
@@ -142,8 +136,8 @@ def write_json(path, payload):
 
 
 def write_report_json(path, report, extra):
-    payload = report_to_dict(report)
-    payload["n_travel_times"] = len(report.travel_times)
+    payload = asdict(report)
+    payload["n_travel_times"] = len(payload.pop("travel_times"))
     payload.update(extra)
     write_json(path, payload)
 

@@ -40,8 +40,6 @@ class Road:
     straight_to: str | None = None
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ConfigError(f"road {self.id}: length must be positive")
         if self.speed_limit <= 0:
             raise ConfigError(f"road {self.id}: speed limit must be positive")
 
@@ -59,27 +57,17 @@ class RoadNetwork:
     intersections: dict
     descriptor: str = ""
 
-    def road(self, road_id):
-        try:
-            return self.roads[road_id]
-        except KeyError:
-            raise KeyError(f"unknown road {road_id!r}") from None
-
-    @property
-    def max_road_length(self):
-        return max(r.length for r in self.roads.values())
-
     def straight_route(self, origin_road_id):
         """Road chain from an entry road to the perimeter, going straight."""
         route = [origin_road_id]
-        road = self.road(origin_road_id)
+        road = self.roads[origin_road_id]
         while road.straight_to is not None:
             route.append(road.straight_to)
-            road = self.road(road.straight_to)
+            road = self.roads[road.straight_to]
         return route
 
     def route_length(self, route):
-        return sum(self.road(rid).length for rid in route)
+        return sum(self.roads[rid].length for rid in route)
 
 
 def _road_id(from_node, to_node):
@@ -122,25 +110,22 @@ def build_grid(rows, cols, road_length=DEFAULT_ROAD_LENGTH,
                 rid_out = _road_id(j, other)
                 incoming.append(rid_in)
                 outgoing.append(rid_out)
-                road_specs.setdefault(rid_in, (other, j, arm))
+                # an incoming road takes its arm here; a reassigned key
+                # keeps its place, so the road order does not change
+                road_specs[rid_in] = (other, j, arm)
                 road_specs.setdefault(rid_out, (j, other, None))
             intersections[j] = Intersection(j, tuple(incoming), tuple(outgoing))
 
     roads = {}
     for rid, (src, dst, arm) in road_specs.items():
-        approach_inter = dst if dst in intersections else None
-        # arm is known when dst is the scanning junction; recompute otherwise
-        approach = arm
-        straight_to = None
-        if approach_inter is not None:
-            if approach is None:
-                inter = intersections[approach_inter]
-                approach = APPROACHES[inter.incoming.index(rid)]
-            exit_arm = OPPOSITE[approach]
-            inter = intersections[approach_inter]
-            straight_to = inter.outgoing[APPROACHES.index(exit_arm)]
+        # only the roads that leave the grid have no arm
+        approach_inter = straight_to = None
+        if arm is not None:
+            approach_inter = dst
+            exit_arm = APPROACHES.index(OPPOSITE[arm])
+            straight_to = intersections[dst].outgoing[exit_arm]
         roads[rid] = Road(rid, src, dst, float(road_length), float(speed_limit),
-                          approach_inter, approach, straight_to)
+                          approach_inter, arm, straight_to)
 
     return RoadNetwork(roads, intersections, descriptor=f"grid:{rows}x{cols}")
 
@@ -255,8 +240,6 @@ def assign_vehicle_kinds(flows, penetration_rate, seed):
     The realized CAV count is round(rate * total), half away from zero, and
     the placement is a seeded permutation, fixed before the simulation runs.
     """
-    if not 0.0 <= penetration_rate <= 1.0:
-        raise ConfigError("penetration rate must lie in [0, 1]")
     total = sum(f.count for f in flows)
     n_cav = int(math.floor(penetration_rate * total + 0.5))
     kinds = np.array(["CAV"] * n_cav + ["HDV"] * (total - n_cav), dtype=object)
@@ -293,7 +276,7 @@ def build_insertion_schedule(scenario):
     rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 1)))
     schedule = []
     for (time, fi, k, flow, route), kind in zip(entries, kinds):
-        speed = float(rng.uniform(0.0, net.road(flow.origin).speed_limit))
+        speed = float(rng.uniform(0.0, net.roads[flow.origin].speed_limit))
         schedule.append(Insertion(time, f"{flow.name}.{k}", kind, route, speed))
     return schedule
 
@@ -352,8 +335,7 @@ def _number(block_name, entries, key, default, kind=float):
 def parse_scenario_text(text):
     """Parse scenario file text into a ScenarioSpec."""
     stripped = re.sub(r"#[^\n]*", "", text)
-    network_entries = None
-    sim_entries = {}
+    network_entries = sim_entries = None
     flow_blocks = []
     consumed = re.sub(_BLOCK_RE, "", stripped).strip()
     if consumed:
@@ -368,11 +350,14 @@ def parse_scenario_text(text):
                 raise ConfigError("duplicate network block")
             network_entries = entries
         elif name == "sim":
+            if sim_entries is not None:
+                raise ConfigError("duplicate sim block")
             sim_entries = entries
         else:
             flow_blocks.append(entries)
     if network_entries is None:
         raise ConfigError("missing network block")
+    sim_entries = sim_entries or {}
 
     grid = network_entries.get("grid", "1x1")
     m = re.fullmatch(r"(\d+)x(\d+)", grid)

@@ -213,24 +213,13 @@ def _cross_boundary_leader(sim, vehicle, road):
     return lead, (road.length - vehicle.position) + lead.position - lead.length
 
 
-def _safe_insertion_speed(drawn, road_front):
-    """Cap the scheduled entry speed so a stop behind the current tail is
-    possible at comfortable braking (the schedule's draw is kept otherwise)."""
-    if road_front is None:
-        return drawn
-    tail_veh, gap = road_front
-    if gap <= IDM_S0:
-        return 0.0
-    v_safe = math.sqrt(tail_veh.speed ** 2
-                       + 2.0 * IDM_B_COMFORT * (gap - IDM_S0))
-    return min(drawn, v_safe)
-
-
 def _attempt_insertions(sim, now):
     """Place due scheduled vehicles; origins with a busy entry zone retry.
 
     The due entries are the time-sorted `pending` list's prefix; the blocked
-    ones among them stay at its front, in schedule order.
+    ones among them stay at its front, in schedule order. An entry speed is
+    capped to stop behind the tail at comfortable braking: the tail's rear
+    is past the free zone, so its gap exceeds IDM_S0.
     """
     pending = sim.pending
     due = bisect.bisect_right(pending, now, key=operator.attrgetter("time"))
@@ -244,11 +233,12 @@ def _attempt_insertions(sim, now):
                < INSERTION_FREE_ZONE for vid in order):
             blocked.append(ins)
             continue
-        front = None
+        speed = ins.depart_speed
         if order:
             tail = sim.vehicles[order[0]]
-            front = (tail, tail.position - tail.length - 0.0)
-        speed = _safe_insertion_speed(ins.depart_speed, front)
+            gap = tail.position - tail.length
+            speed = min(speed, math.sqrt(
+                tail.speed ** 2 + 2.0 * IDM_B_COMFORT * (gap - IDM_S0)))
         veh = Vehicle(ins.vehicle_id, ins.kind, origin, 0.0, speed,
                       ins.route, depart_time=now)
         sim.vehicles[veh.id] = veh
@@ -308,15 +298,13 @@ def scan_view(sim):
                     has_lead)
 
 
-def detect_collisions(sim, view=None):
+def detect_collisions(sim, view):
     """Remove every same-road adjacent pair with bumper gap <= 0.
 
-    `view` is the current state's ScanView, built here when not given. A
-    shared vehicle in a pile-up appears in two events but is removed once;
-    the removal count keeps the conservation identity exact.
+    `view` is the current state's ScanView. A shared vehicle in a pile-up
+    appears in two events but is removed once; the removal count keeps the
+    conservation identity exact.
     """
-    if view is None:
-        view = scan_view(sim)
     if not view.ids:
         return []
     hit = kernels.collision_followers(view.gap, view.has_lead)
@@ -339,12 +327,10 @@ def detect_collisions(sim, view=None):
     return events
 
 
-def count_ttc_events(sim, view=None):
+def count_ttc_events(sim, view):
     """Count closing adjacent pairs with time-to-collision under
     TTC_THRESHOLD this instant, and add them to the cumulative counter.
-    `view` is the current state's ScanView, built here when not given."""
-    if view is None:
-        view = scan_view(sim)
+    `view` is the current state's ScanView."""
     if not view.ids:
         return 0
     events = kernels.ttc_events(view.gap, view.speed, view.lead_speed,
@@ -413,7 +399,7 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
         lead_speed, gap, has_lead = view.lead_speed, view.gap, view.has_lead
         for i in view.fronts:
             front, road = vehs[i], roads_of[i]
-            light = (sim.lights.get(road.approach_intersection)
+            light = (sim.lights[road.approach_intersection]
                      if road.approach_intersection else None)
             virtual = (red_light_virtual_leader(front, light, road)
                        if light else None)
@@ -517,7 +503,7 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
     view = scan_view(sim)
     if detect_collisions(sim, view):
         view = scan_view(sim)
-    count_ttc_events(sim, view=view)
+    count_ttc_events(sim, view)
 
     for light in sim.lights.values():
         light.time_in_phase += 1

@@ -205,7 +205,11 @@ def test_evaluate_rejects_damaged_checkpoint(train_dir, tmp_path, capsys,
      "count: 3, start: 1, period: 10 }", "origin 'nowhere'"),
     ("network { grid: 1x1, road_length: nan }",
      "network: road_length must be finite"),
-], ids=["unparseable-number", "unknown-flow-road", "nan-length"])
+    # the second block would silently replace the first one's horizon
+    ("network { grid: 1x1 }\nsim { horizon: 40 }\nsim { penetration: 0.0 }",
+     "duplicate sim block"),
+], ids=["unparseable-number", "unknown-flow-road", "nan-length",
+        "repeated-sim"])
 def test_baseline_rejects_bad_scenario_file(tmp_path, capsys, text, named):
     path = tmp_path / "scenario.txt"
     path.write_text(text)
@@ -474,10 +478,15 @@ def assert_usage_error(capsys, argv, named):
     (["sweep", "--checkpoint-dir", "nowhere", "--rates", "0,abc"], "--rates"),
     (["sweep", "--checkpoint-dir", "nowhere", "--rates", "0,1.5"], "--rates"),
     (["sweep", "--checkpoint-dir", "nowhere", "--rates", "0,,1"], "--rates"),
+    # sweep names a rate's files by its two-decimal label
+    (["sweep", "--checkpoint-dir", "nowhere", "--rates", "0.5,0.5"],
+     "--rates: rates 0.5 and 0.5 share the label 0.50"),
+    (["sweep", "--checkpoint-dir", "nowhere", "--rates", "0, 0.501,0.504"],
+     "--rates: rates 0.501 and 0.504 share the label 0.50"),
 ], ids=["iterations", "train-episodes", "train-horizon", "workers",
         "baseline-horizon", "episodes-0", "episodes-negative",
         "episodes-word", "evaluate-episodes", "rates-word", "rates-range",
-        "rates-empty"])
+        "rates-empty", "rates-same", "rates-same-label"])
 def test_bad_numbers_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
     assert_usage_error(capsys, argv + ["--out", str(tmp_path / "o")], flag)
     assert not (tmp_path / "o").exists()

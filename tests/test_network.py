@@ -1,4 +1,5 @@
 """Grid construction, demand flows, schedules, and scenario files."""
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -67,6 +68,39 @@ def test_grid_in_out_symmetry_larger_grids():
                 reached.add(node)
                 frontier += adjacent[node] - reached
         assert reached == set(adjacent)
+
+
+# SHA-256 of `grid_tables(build_grid(R, C))`, taken before `build_grid`
+# stored each incoming road's arm while scanning its own junction
+GRID_TABLES_SHA256 = {
+    "1x1": "caaa9ca824eca9cd3b8d2554936b521f94eeb1821f880fd1e1424dae2cb381ea",
+    "1x2": "2d037b2ff4af83d808aaf61a652d7282a6a78aef044074b3db5dc8fa23bf0abc",
+    "1x3": "a446feb3bb9011e7e83eea72e2c1c14f7fb166ddf0e205406ac62bc70288022d",
+    "2x1": "3952fb801d6c94bbe5c24cedbd7411c38ae93fb90cdf6cf3d3338075009898c5",
+    "2x2": "ad3d4cdb2d15f34f8e3d2b65625378277965bda8e7bf386803dda825f3bbedca",
+    "2x3": "62b8421471fc19b6f4982cd0162fac698e70d192de70d119aa46c26623d52596",
+    "3x1": "7e89a81517b39a1255193572038ce2ba440cec0efab5b22e129a31ec4605bf10",
+    "3x2": "e5faff3d9562cbd4e4bc8603dedc1fe672ed464353cab0375d476edbae31c2ac",
+    "3x3": "71c74434759de42f351f264d1b2671d940498baa95a627fc810bacb7e9b79267",
+    "1x6": "a74249532a78027b7f6b91fd417c9f461be80a9a6e8c6e1cf58e532bb3ab8481",
+}
+
+
+def grid_tables(net):
+    """Every road's and every intersection's fields, in dict order."""
+    roads = [(r.id, r.from_node, r.to_node, r.length, r.speed_limit,
+              r.approach_intersection, r.approach, r.straight_to)
+             for r in net.roads.values()]
+    inters = [(i.id, i.incoming, i.outgoing)
+              for i in net.intersections.values()]
+    return repr((roads, inters))
+
+
+@pytest.mark.parametrize("shape", sorted(GRID_TABLES_SHA256))
+def test_grid_tables_pinned_by_digest(shape):
+    rows, cols = map(int, shape.split("x"))
+    digest = hashlib.sha256(grid_tables(build_grid(rows, cols)).encode())
+    assert digest.hexdigest() == GRID_TABLES_SHA256[shape]
 
 
 def test_grid_rejects_bad_dimensions():
@@ -238,8 +272,11 @@ def test_scenario_invariants_rejected():
      "destination: J0-0:E0, count: 2, start: 1, period: 8 }\nflow { origin: "
      "N0:J0-0, destination: J0-0:S0, count: 2, start: 1, period: 8 }",
      "flow flow1: name used by an earlier flow"),
+    ("network { grid: 1x1 }\nsim { horizon: 40 }\nsim { penetration: 0 }",
+     "duplicate sim block"),
 ], ids=["number", "nan-length", "inf-limit", "count", "inf-period",
-        "unknown-road", "seed", "repeated-name", "repeated-default-name"])
+        "unknown-road", "seed", "repeated-name", "repeated-default-name",
+        "repeated-sim"])
 def test_scenario_parser_names_block_and_key(entry, message):
     with pytest.raises(ConfigError, match=message):
         parse_scenario_text(entry)

@@ -13,7 +13,8 @@ from cotraffic.kernels import (IDM_A_MAX, IDM_B_COMFORT, IDM_DELTA,
 from cotraffic.simulation import (Vehicle, apply_tl_action, build_sim,
                                   count_ttc_events, detect_collisions,
                                   idm_accel, make_light,
-                                  red_light_virtual_leader, step, write_trace)
+                                  red_light_virtual_leader, scan_view, step,
+                                  write_trace)
 
 
 def fuel_rate(v, a):
@@ -286,6 +287,24 @@ def test_vehicle_crosses_on_green():
     assert veh.position < 20.0
 
 
+def test_insertion_speed_lets_the_new_vehicle_stop_behind_the_tail():
+    # a vehicle is placed only when every rear on its road is past the free
+    # zone, so the tail's gap always exceeds the standstill gap
+    assert simulation.INSERTION_FREE_ZONE > IDM_S0
+    sim = empty_sim()
+    west, north = ("W0:J0-0", "J0-0:E0"), ("N0:J0-0", "J0-0:S0")
+    put_vehicle(sim, "tail", west[0], 17.0, 0.0)
+    sim.pending = [Insertion(1.0, "capped", "HDV", west, 15.0),
+                   Insertion(1.0, "free", "HDV", north, 15.0)]
+    step(sim)
+    tail = sim.vehicles["tail"]
+    gap = tail.position - tail.length
+    v_safe = math.sqrt(tail.speed ** 2 + 2.0 * IDM_B_COMFORT * (gap - IDM_S0))
+    assert v_safe < 15.0
+    assert sim.vehicles["capped"].speed == v_safe
+    assert sim.vehicles["free"].speed == 15.0
+
+
 def test_insertions_placed_when_due_and_blocked_ones_retry_in_order():
     sim = empty_sim()
     west, north = ("W0:J0-0", "J0-0:E0"), ("N0:J0-0", "J0-0:S0")
@@ -311,7 +330,7 @@ def test_collision_pair_removed():
     sim = empty_sim()
     put_vehicle(sim, "a", "W0:J0-0", 100.0, 0.0)
     put_vehicle(sim, "b", "W0:J0-0", 104.5, 0.0)  # gap = 104.5 - 5 - 100 < 0
-    events = detect_collisions(sim)
+    events = detect_collisions(sim, scan_view(sim))
     assert len(events) == 1
     assert not sim.vehicles
     assert sim.collided_count == 2
@@ -322,7 +341,7 @@ def test_collision_close_but_positive_gap():
     sim = empty_sim()
     put_vehicle(sim, "a", "W0:J0-0", 100.0, 0.0)
     put_vehicle(sim, "b", "W0:J0-0", 105.1, 0.0)  # gap = 0.1
-    assert detect_collisions(sim) == []
+    assert detect_collisions(sim, scan_view(sim)) == []
     assert len(sim.vehicles) == 2
 
 
@@ -331,7 +350,7 @@ def test_three_vehicle_pileup():
     put_vehicle(sim, "a", "W0:J0-0", 100.0, 0.0)
     put_vehicle(sim, "b", "W0:J0-0", 104.0, 0.0)
     put_vehicle(sim, "c", "W0:J0-0", 108.0, 0.0)
-    events = detect_collisions(sim)
+    events = detect_collisions(sim, scan_view(sim))
     assert len(events) == 2
     assert sim.collided_count == 3
     assert not sim.vehicles
@@ -358,7 +377,7 @@ def test_collision_scan_matches_bruteforce_oracle():
             put_vehicle(sim, f"v{trial}_{k}", str(road),
                         float(rng.uniform(0, 300)), 0.0)
         want = brute_force_collision_pairs(sim)
-        got = detect_collisions(sim)
+        got = detect_collisions(sim, scan_view(sim))
         assert len(got) == len(want)
         assert {(e.follower, e.leader) for e in got} == set(want)
 
@@ -367,7 +386,7 @@ def test_ttc_event_arithmetic():
     sim = empty_sim()
     put_vehicle(sim, "f", "W0:J0-0", 100.0, 15.0)
     put_vehicle(sim, "l", "W0:J0-0", 117.0, 10.0)  # gap 12, closing 5 -> 2.4 s
-    assert count_ttc_events(sim) == 1
+    assert count_ttc_events(sim, scan_view(sim)) == 1
     assert sim.ttc_event_count == 1
 
 
@@ -375,10 +394,10 @@ def test_ttc_no_event_when_not_closing():
     sim = empty_sim()
     put_vehicle(sim, "f", "W0:J0-0", 100.0, 10.0)
     put_vehicle(sim, "l", "W0:J0-0", 106.0, 10.0)  # tight but not closing
-    assert count_ttc_events(sim) == 0
+    assert count_ttc_events(sim, scan_view(sim)) == 0
     put_vehicle(sim, "f2", "N0:J0-0", 100.0, 15.0)
     put_vehicle(sim, "l2", "N0:J0-0", 135.0, 10.0)  # gap 30, ttc 6 s
-    assert count_ttc_events(sim) == 0
+    assert count_ttc_events(sim, scan_view(sim)) == 0
 
 
 def brute_force_ttc(sim, threshold=3.0):
