@@ -238,13 +238,16 @@ def _load_run(checkpoint_dir):
                 params[kind], _ = load_checkpoint(path)
             except Exception as exc:  # any unreadable file is bad input
                 raise ConfigError(f"cannot load {path}: {exc}") from exc
+            if params[kind].kind != kind:
+                raise ConfigError(f"{path} holds a {params[kind].kind} "
+                                  f"network, not a {kind} one")
     return manifest, params
 
 
 def _eval_common(args, manifest, params, penetration):
-    """The method, scenario and networks that evaluate the --checkpoint-dir
-    run (its manifest and networks) at `penetration`. A manifest entry that
-    cannot run is a ConfigError naming the manifest."""
+    """The method, scenario and learned networks (None for a type with a
+    plan) that evaluate the --checkpoint-dir run at `penetration`. A
+    manifest entry that cannot run is a ConfigError naming the manifest."""
     try:
         method = get_method(manifest["method"])
         scenario = parse_scenario_text(manifest["scenario_text"])
@@ -257,21 +260,22 @@ def _eval_common(args, manifest, params, penetration):
                                        horizon=args.horizon)
 
     env_cfg = method.env_cfg
-    tl_params = params.get("tl")
-    cav_params = params.get("cav")
-    if env_cfg.tl_plan is None and tl_params is None:
-        raise ConfigError("checkpoint directory lacks the signal-agent network")
-    if env_cfg.cav_plan is None and cav_params is None:
-        raise ConfigError("checkpoint directory lacks the vehicle-agent network")
-    if tl_params is not None:
-        want = tl_obs_dim(scenario.network, env_cfg.mode)
-        if tl_params.obs_dim != want:
+    networks = {}
+    for kind, plan, name in (("tl", env_cfg.tl_plan, "signal"),
+                             ("cav", env_cfg.cav_plan, "vehicle")):
+        if plan is not None:
+            continue
+        net = networks[kind] = params.get(kind)
+        if net is None:
             raise ConfigError(
-                f"signal checkpoint expects {tl_params.obs_dim} inputs but the "
+                f"checkpoint directory lacks the {name}-agent network")
+        want = (tl_obs_dim(scenario.network, env_cfg.mode) if kind == "tl"
+                else cav_obs_dim(env_cfg.mode))
+        if net.obs_dim != want:
+            raise ConfigError(
+                f"{name} checkpoint expects {net.obs_dim} inputs but the "
                 f"scenario/mode needs {want}")
-    if cav_params is not None and cav_params.obs_dim != cav_obs_dim(env_cfg.mode):
-        raise ConfigError("vehicle checkpoint does not match the mode")
-    return method, scenario, tl_params, cav_params
+    return method, scenario, networks.get("tl"), networks.get("cav")
 
 
 def _write_eval_outputs(out, method, scenario, reports, label=""):

@@ -274,19 +274,20 @@ class AgentStep:
 class TrafficEnv:
     """Owns one SimState and the per-step agent bookkeeping.
 
-    `step` acts, moves the simulator, then observes the state it moved to
-    once (`observe`): that one pass yields the next step's vehicle agents
-    and both observation matrices, and the signal agents' rewards. Each
-    agent type's policy gets all its actions in one forward over its
-    matrix, and `step` returns one AgentStep per acting agent. A vehicle
-    agent leaving the selected set (crossed the line, displaced, removed,
-    or arrived) has done=True on its final record; signal agents are closed
-    by the rollout loop at the horizon. Only `step` and `reset` may change
-    `sim`: a step acts on the observation that the previous step made after
-    it moved the simulator, and the simulator starts from the fleet view
-    that the previous step returned. `reset` builds the configured light
-    plan afresh, since the actuated plan keeps per-light state, and checks
-    the vehicle plan.
+    The config's plans alone decide what acts: a type with no plan is
+    agents. `step` acts, moves the simulator, then, with agents, observes
+    the state it moved to once (`observe`): that one pass yields the next
+    step's vehicle agents and both observation matrices, and the signal
+    agents' rewards. Each agent type's policy gets all its actions in one
+    forward over its matrix, and `step` returns one AgentStep per acting
+    agent. A vehicle agent leaving the selected set (crossed the line,
+    displaced, removed, or arrived) has done=True on its final record;
+    signal agents are closed by the rollout loop at the horizon. Only `step`
+    and `reset` may change `sim`: a step acts on the observation that the
+    previous step made after it moved the simulator, and the simulator
+    starts from the fleet view that the previous step returned. `reset`
+    builds the configured light plan afresh, since the actuated plan keeps
+    per-light state, and checks the vehicle plan.
     """
 
     def __init__(self, scenario, cfg):
@@ -294,16 +295,7 @@ class TrafficEnv:
         self.cfg = cfg
         self.c = max_road_capacity(scenario.network)
         self._layout = incoming_layout(scenario.network)
-        self.sim = None
-        self._light_plan = None
-        self._advisory = None
-        self._prev_tl_action = {}
-        self._prev_cmd_by_road = {}
-        # the observation and the fleet view of the state the last step
-        # left, which are this step's: nothing moves the simulator between
-        # steps
-        self._seen = None
-        self._view = None
+        self._has_agents = cfg.tl_plan is None or cfg.cav_plan is None
 
     def reset(self):
         self.sim = build_sim(self.scenario)
@@ -322,33 +314,31 @@ class TrafficEnv:
     def step(self, tl_policy=None, cav_policy=None, rng=None, sample=True):
         """Advance one second; returns the acting agents' AgentSteps.
 
-        The lights follow the configured plan if there is one, else the
-        signal policy if given, and otherwise get no switch. The vehicles
-        follow the advisory under the 'glosa' plan; vehicle agents act when
-        the configuration has them and a vehicle policy is given. Each agent
-        type makes at most one `act` call per step, on the matrix of its
-        agents' observations; row i of that matrix is the `obs` of the type's
-        i-th record. A step with no selected vehicle makes no vehicle call
-        and draws nothing from `rng`.
+        Each agent type follows its configured plan if it has one, else
+        its policy, which must then be given (ValueError otherwise). Each
+        agent type makes at most one `act` call per step, on the matrix of
+        its agents' observations; row i of that matrix is the `obs` of the
+        type's i-th record. A step with no selected vehicle makes no vehicle
+        call and draws nothing from `rng`.
 
         Order: act on the current observation, move the simulator, update
         the M_COTV previous-action maps (the next observation reads them),
         then observe the new state once. The signal rewards are that
         observation's pressures. A vehicle agent still in the simulation is
         scored by `cav_reward` of the road it is on, computed once per road
-        and step. A step in which no agent type acts observes nothing; the
-        next step that has agents observes before it acts, as the first
-        step after `reset` does.
+        and step. A config without agents never observes; with agents, the
+        first step after `reset` observes before it acts.
         """
         sim = self.sim
         cfg = self.cfg
+        if cfg.tl_plan is None and tl_policy is None:
+            raise ValueError("signal agents need a signal policy")
+        if cfg.cav_plan is None and cav_policy is None:
+            raise ValueError("vehicle agents need a vehicle policy")
         # only M_COTV observes the other agent type's previous actions
         m_cotv = cfg.mode is CooperationMode.M_COTV
-        selecting = cfg.cav_plan is None and cav_policy is not None
-        observing = selecting or (self._light_plan is None
-                                  and tl_policy is not None)
         seen = self._seen
-        if observing and seen is None:
+        if self._has_agents and seen is None:
             seen = observe(sim, self._layout, cfg.mode, self.c,
                            self._prev_cmd_by_road, self._prev_tl_action)
         records = []
@@ -356,7 +346,7 @@ class TrafficEnv:
         tl_actions = {}
         if self._light_plan is not None:
             tl_actions = self._light_plan(sim)
-        elif tl_policy is not None:
+        else:
             obs = seen.tl_obs
             actions, logps, values = tl_policy.act(obs, rng, sample)
             for lid, row, action, logp, value in zip(
@@ -368,7 +358,7 @@ class TrafficEnv:
 
         cav_actions = {}
         cav_records = {}
-        agents = seen.agents if selecting else ()
+        agents = seen.agents if cfg.cav_plan is None else ()
         if agents:
             obs = seen.cav_obs
             actions, logps, values = cav_policy.act(obs, rng, sample)
@@ -391,8 +381,7 @@ class TrafficEnv:
                                     for lid in sim.lights}
             self._prev_cmd_by_road = {road: cav_actions[vid]
                                       for vid, road in agents}
-        if not observing:
-            self._seen = None
+        if not self._has_agents:
             return records
 
         seen = self._seen = observe(sim, self._layout, cfg.mode, self.c,

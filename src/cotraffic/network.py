@@ -400,23 +400,32 @@ def load_scenario(path):
     return parse_scenario_text(text)
 
 
+def _float_text(value):
+    """`value` in `:g` form when that parses back to it, else its repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def scenario_to_text(scenario):
-    """Serialize a grid scenario back to the file format."""
+    """Serialize a grid scenario back to the file format; parsing the text
+    gives the scenario back."""
     m = re.fullmatch(r"grid:(\d+)x(\d+)", scenario.network.descriptor)
     if not m:
         raise ConfigError("only grid-backed scenarios can be serialized")
     any_road = next(iter(scenario.network.roads.values()))
     lines = [
         f"network {{ grid: {m.group(1)}x{m.group(2)}, "
-        f"road_length: {any_road.length:g}, speed_limit: {any_road.speed_limit:g} }}"
+        f"road_length: {_float_text(any_road.length)}, "
+        f"speed_limit: {_float_text(any_road.speed_limit)} }}"
     ]
     for f in scenario.flows:
         lines.append(
             f"flow {{ name: {f.name}, origin: {f.origin}, destination: "
-            f"{f.destination}, count: {f.count}, start: {f.start:g}, "
-            f"period: {f.period:g} }}")
+            f"{f.destination}, count: {f.count}, start: "
+            f"{_float_text(f.start)}, period: {_float_text(f.period)} }}")
     lines.append(
         f"sim {{ horizon: {scenario.horizon}, "
-        f"penetration: {scenario.penetration_rate:g}, seed: {scenario.seed} }}")
+        f"penetration: {_float_text(scenario.penetration_rate)}, "
+        f"seed: {scenario.seed} }}")
     return "\n".join(lines) + "\n"
 

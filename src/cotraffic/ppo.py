@@ -192,9 +192,6 @@ class TrainResult:
     halted_early: bool = False
     blas_threads: int = None  # None: no OpenBLAS thread control was found
 
-    def curve(self, key):
-        return [c[key] for c in self.curves]
-
 
 @functools.cache
 def _openblas():
@@ -279,26 +276,26 @@ def episode_seed(seed, iteration, episode):
 def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
     """Run the full training loop; returns parameters and reward curves.
 
-    The signal agents are trained when `env_cfg` has no light plan, the
-    vehicle agents when it has no vehicle plan. `workers` episode processes
-    run each iteration's rollouts; results are identical for any value. It
-    runs on one BLAS thread (`one_blas_thread`), so results are identical for
-    any BLAS thread count too; the result records the count it ran at.
+    The agent types `env_cfg` has no plan for are trained; a type's
+    `{tl,cav}_reward` (the mean over an iteration's episodes of its summed
+    rewards) is NaN when it is not trained or took no step. `workers`
+    episode processes run each iteration's rollouts; results are identical
+    for any value. It runs on one BLAS thread (`one_blas_thread`), which
+    the result records, so results are identical for any thread count.
     """
     control = _openblas_thread_control()
     blas_threads = control[0]() if control else None
-    tl_params = cav_params = None
-    optimizers = {}
-    if env_cfg.tl_plan is None:
-        tl_params = init_params("tl", tl_obs_dim(scenario.network, env_cfg.mode),
-                                cfg.hidden, seed)
-        optimizers["TL"] = Adam(tl_params, cfg.learning_rate)
-    if env_cfg.cav_plan is None:
-        cav_params = init_params("cav", cav_obs_dim(env_cfg.mode),
-                                 cfg.hidden, seed)
-        optimizers["CAV"] = Adam(cav_params, cfg.learning_rate)
-    if not optimizers:
+    learned = {}  # agent type -> (params, Adam), signals first
+    for agent_type, plan in (("TL", env_cfg.tl_plan), ("CAV", env_cfg.cav_plan)):
+        if plan is None:
+            dim = (tl_obs_dim(scenario.network, env_cfg.mode)
+                   if agent_type == "TL" else cav_obs_dim(env_cfg.mode))
+            params = init_params(agent_type.lower(), dim, cfg.hidden, seed)
+            learned[agent_type] = params, Adam(params, cfg.learning_rate)
+    if not learned:
         raise ValueError("training needs at least one agent type")
+    tl_params, cav_params = (learned[t][0] if t in learned else None
+                             for t in ("TL", "CAV"))
 
     update_rng = np.random.default_rng(np.random.SeedSequence((seed, 999)))
     curves = []
@@ -313,46 +310,35 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
             workers=workers)
         rollout_s = time.perf_counter() - rollout_begin
 
-        segments = {"TL": [], "CAV": []}
-        reward_sums = {"TL": [], "CAV": []}
-        collision_count = 0
-        for ep in episodes:
-            collision_count += ep.collisions
-            for agent_type in ("TL", "CAV"):
+        entry = {"iteration": iteration}
+        buffers = {}
+        for agent_type in ("TL", "CAV"):
+            segments, reward_sums = [], []
+            for ep in episodes:
                 total = 0.0
                 for seg in ep.segments[agent_type]:
-                    segments[agent_type].append(seg)
+                    segments.append(seg)
                     total += sum(s.reward for s in seg)
-                reward_sums[agent_type].append(total)
-        buffers = {t: RolloutBuffer(segs) for t, segs in segments.items()}
-
-        entry = {
-            "iteration": iteration,
-            "tl_reward": (float(np.mean(reward_sums["TL"]))
-                          if tl_params is not None else float("nan")),
-            "cav_reward": (float(np.mean(reward_sums["CAV"]))
-                           if cav_params is not None and len(buffers["CAV"])
-                           else float("nan")),
-            "tl_steps": len(buffers["TL"]),
-            "cav_steps": len(buffers["CAV"]),
-            "collisions": collision_count,
-        }
+                reward_sums.append(total)
+            buffer = buffers[agent_type] = RolloutBuffer(segments)
+            prefix = agent_type.lower()
+            entry[f"{prefix}_reward"] = (
+                float(np.mean(reward_sums))
+                if agent_type in learned and len(buffer) else float("nan"))
+            entry[f"{prefix}_steps"] = len(buffer)
+        entry["collisions"] = sum(ep.collisions for ep in episodes)
 
         update_begin = time.perf_counter()
         try:
-            for agent_type in ("TL", "CAV"):
-                if agent_type not in optimizers:
-                    continue
+            for agent_type, (params, optimizer) in learned.items():
                 buffer = buffers[agent_type]
                 if len(buffer) == 0:
                     continue  # e.g. zero CAV penetration: nothing to update
-                params = tl_params if agent_type == "TL" else cav_params
                 batch = buffer.build_batch(cfg.gamma, cfg.gae_lambda)
                 prefix = agent_type.lower()
                 entry[f"{prefix}_explained_variance"] = explained_variance(
                     batch["values"], batch["returns"])
-                stats = ppo_update(params, optimizers[agent_type], batch,
-                                   cfg, update_rng)
+                stats = ppo_update(params, optimizer, batch, cfg, update_rng)
                 for key in DIAGNOSTICS:
                     entry[f"{prefix}_{key}"] = stats[key]
         except NonFiniteLossError:

@@ -66,8 +66,7 @@ def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
             open_segments.setdefault(key, []).append(rec)
             if rec.done:
                 closed[rec.agent_type].append(open_segments.pop(key))
-    for (agent_type, _), seg in sorted(open_segments.items(),
-                                       key=lambda kv: (kv[0][0], kv[0][1])):
+    for (agent_type, _), seg in sorted(open_segments.items()):
         seg[-1].done = True
         closed[agent_type].append(seg)
 

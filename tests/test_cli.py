@@ -14,6 +14,7 @@ from cotraffic.cli import main
 from cotraffic.methods import METHODS
 from cotraffic.metrics import EpisodeReport
 from cotraffic.network import parse_scenario_text
+from cotraffic.policy import init_params, save_checkpoint
 
 
 def run_cli(*argv):
@@ -73,6 +74,24 @@ def test_presslight_trains_tl_checkpoint_only(presslight_dir):
         "checkpoint_tl.npz"]
 
 
+def curve_rows(run):
+    """The header and the first row of a run's reward_curves.csv, as a
+    column -> text dict."""
+    header, row = (run / "reward_curves.csv").read_text().split("\n")[:2]
+    return header, dict(zip(header.split(","), row.split(",")))
+
+
+def test_presslight_curves_have_no_vehicle_entries(presslight_dir):
+    header, row = curve_rows(presslight_dir)
+    assert header == (
+        "cav_reward,cav_steps,collisions,iteration,rollout_s,tl_approx_kl,"
+        "tl_clip_fraction,tl_entropy,tl_explained_variance,tl_loss,"
+        "tl_mean_ratio,tl_policy_loss,tl_reward,tl_steps,tl_value_loss,"
+        "update_s,wall_s")
+    assert row["cav_reward"] == "nan" and row["cav_steps"] == "0"
+    assert row["tl_steps"] == "40"
+
+
 # the learned methods; every other method runs under the baseline subcommand
 LEARNED = {"cotv", "cotv-star", "i-cotv", "m-cotv", "flowcav", "presslight"}
 
@@ -94,6 +113,14 @@ def test_flowcav_trains_vehicles_under_the_static_plan(tmp_path):
                    "--iterations", "1", "--train-episodes", "1") == 0
     assert sorted(p.name for p in run.glob("checkpoint_*")) == [
         "checkpoint_cav.npz"]
+    header, row = curve_rows(run)
+    assert header == (
+        "cav_approx_kl,cav_clip_fraction,cav_entropy,cav_explained_variance,"
+        "cav_loss,cav_mean_ratio,cav_policy_loss,cav_reward,cav_steps,"
+        "cav_value_loss,collisions,iteration,rollout_s,tl_reward,tl_steps,"
+        "update_s,wall_s")
+    assert row["tl_reward"] == "nan" and row["tl_steps"] == "0"
+    assert int(row["cav_steps"]) > 0
     trace = tmp_path / "trace.txt"
     assert run_cli("evaluate", "--checkpoint-dir", str(run), "--episodes",
                    "1", "--horizon", "200", "--trace", str(trace),
@@ -151,19 +178,53 @@ def test_presslight_penetration_forced(tmp_path):
                    "--train-episodes", "1", "--horizon", "20") == 2
 
 
+def copy_run(src, dst, method=None):
+    """A copy of the run directory `src` at `dst`, its manifest's method
+    replaced by `method` if given."""
+    dst.mkdir()
+    for path in src.iterdir():
+        (dst / path.name).write_bytes(path.read_bytes())
+    if method is not None:
+        manifest = json.loads((src / "manifest.json").read_text())
+        (dst / "manifest.json").write_text(json.dumps({**manifest,
+                                                       "method": method}))
+    return dst
+
+
 def test_evaluate_checkpoint_mismatch(train_dir, tmp_path, capsys):
-    # corrupt the manifest to claim a different grid; obs dims then disagree
-    manifest = json.loads((train_dir / "manifest.json").read_text())
-    broken = dict(manifest)
-    broken["scenario_text"] = manifest["scenario_text"]
-    bad_dir = tmp_path / "bad"
-    bad_dir.mkdir()
-    for name in ("checkpoint_tl.npz", "checkpoint_cav.npz"):
-        (bad_dir / name).write_bytes((train_dir / name).read_bytes())
-    broken["method"] = "m-cotv"  # larger observation vector than trained
-    (bad_dir / "manifest.json").write_text(json.dumps(broken))
-    assert run_cli("evaluate", "--checkpoint-dir", str(bad_dir),
-                   "--episodes", "1", "--out", str(tmp_path / "o")) == 2
+    cases = [
+        # m-cotv observes one more entry per incoming road, and its
+        # vehicles the light's previous action: the cotv networks are short
+        ("m-cotv", None,
+         "signal checkpoint expects 37 inputs but the scenario/mode needs 41"),
+        # a cotv run holding an m-cotv vehicle network
+        (None, "cav",
+         "vehicle checkpoint expects 8 inputs but the scenario/mode needs 7"),
+    ]
+    for i, (method, replaced, message) in enumerate(cases):
+        run = copy_run(train_dir, tmp_path / f"bad{i}", method)
+        if replaced is not None:
+            save_checkpoint(run / f"checkpoint_{replaced}.npz",
+                            init_params(replaced, 8, (64, 64), seed=0))
+        out = tmp_path / f"out{i}"
+        assert run_cli("evaluate", "--checkpoint-dir", str(run),
+                       "--episodes", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
+
+def test_evaluate_refuses_a_network_of_the_other_kind(train_dir, tmp_path,
+                                                      capsys):
+    # a signal network with the vehicle input count, saved under the
+    # vehicle file name, would have its 0/1 switches drive the vehicles
+    run = copy_run(train_dir, tmp_path / "run")
+    save_checkpoint(run / "checkpoint_cav.npz",
+                    init_params("tl", 7, (64, 64), seed=0))
+    assert run_cli("evaluate", "--checkpoint-dir", str(run), "--episodes",
+                   "1", "--horizon", "20", "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: {run / 'checkpoint_cav.npz'} holds a tl network, "
+        "not a cav one\n")
 
 
 def _truncate(path):

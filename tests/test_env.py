@@ -435,7 +435,7 @@ def test_env_step_one_forward_per_agent_type(monkeypatch):
 
 def test_env_step_without_cav_draws_nothing(monkeypatch):
     scen = grid_scenario("1x1", penetration=0.0, seed=2)
-    env = TrafficEnv(scen, EnvConfig(COTV))
+    env = TrafficEnv(scen, EnvConfig(COTV, tl_plan="static"))
     env.reset()
     _, cav_p = make_policies(scen.network, COTV)
     rows = counting_forward(monkeypatch)
@@ -470,18 +470,19 @@ def test_env_step_selects_vehicle_agents_once_per_step(monkeypatch):
         assert n_cav > 0
         # a reset step observes before it moves; every step observes after
         assert calls == [0] + list(range(1, 61))
-    # a step with no vehicle policy still observes for its light agents,
-    # and the next step with one acts on that observation
+    # the config makes both types agents: a step missing either policy
+    # is refused before it observes or moves
     del calls[:]
-    env.step(tl_p, None, rng=rng)
-    env.step(tl_p, cav_p, rng=rng)
-    assert calls == [61, 62]
-    # a step with no acting agent observes nothing, and the next step with
-    # agents observes afresh before it moves
-    del calls[:]
-    env.step(None, None, rng=rng)
-    env.step(tl_p, cav_p, rng=rng)
-    assert calls == [63, 64]
+    for policies in ((tl_p, None), (None, cav_p), (None, None)):
+        with pytest.raises(ValueError, match="agents need a"):
+            env.step(*policies, rng=rng)
+    assert calls == [] and env.sim.clock == 60
+    # a config without agents never observes
+    env = TrafficEnv(scen, EnvConfig(COTV, tl_plan="static", cav_plan="idm"))
+    env.reset()
+    for _ in range(5):
+        assert env.step() == []
+    assert calls == []
 
 
 def test_env_builds_one_fleet_view_per_step(monkeypatch):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cotraffic.network import (ConfigError, ScenarioSpec, build_grid,
-                               build_insertion_schedule,
+from cotraffic.network import (ConfigError, FlowSpec, ScenarioSpec,
+                               build_grid, build_insertion_schedule,
                                assign_vehicle_kinds, grid_scenario,
                                load_scenario, parse_scenario_text,
                                scenario_to_text, standard_flows_1x1,
@@ -183,6 +183,25 @@ def test_scenario_text_round_trip():
     assert parsed.seed == 11
     assert sum(f.count for f in parsed.flows) == 70
     assert scenario_to_text(parsed) == text
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(road_length=st.floats(10.0, 1e6), speed_limit=st.floats(0.1, 1e3),
+       start=_finite, period=st.floats(min_value=1e-6, allow_infinity=False),
+       penetration=st.floats(0.0, 1.0))
+def test_scenario_text_parses_back_to_the_scenario(road_length, speed_limit,
+                                                   start, period,
+                                                   penetration):
+    # a run's manifest stores its scenario as this text, and evaluate and
+    # sweep rebuild the scenario from it: 13.8888889 m/s (50 km/h) written
+    # as 13.8889 would evaluate on another network than the trained one
+    scen = ScenarioSpec(
+        build_grid(1, 1, road_length, speed_limit),
+        (FlowSpec("SN", "S0:J0-0", "J0-0:N0", 10, start, period),),
+        horizon=720, penetration_rate=penetration, seed=3)
+    assert parse_scenario_text(scenario_to_text(scen)) == scen
 
 
 @pytest.mark.parametrize("grid", ["1x1", "1x6"])
