@@ -26,13 +26,13 @@ from .policy import load_checkpoint, save_checkpoint
 EVAL_SEED_OFFSET = 100_000
 
 
-def _resolve_scenario(args):
+def _resolve_scenario(args, method):
     """The --config scenario (the --grid one without it) with --horizon,
-    --seed and --method's penetration rate for --penetration applied."""
+    --seed and `method`'s penetration rate for --penetration applied."""
     scenario = (load_scenario(args.config) if args.config
                 else grid_scenario(args.grid))
     penetration = resolve_penetration(
-        get_method(args.method), args.penetration, scenario.penetration_rate)
+        method, args.penetration, scenario.penetration_rate)
     return scenario.with_overrides(horizon=args.horizon,
                                    penetration=penetration, seed=args.seed)
 
@@ -133,16 +133,15 @@ def cmd_train(args):
     if not method.rl:
         raise ConfigError(f"method {args.method} is not trainable; "
                           "use the baseline subcommand")
-    scenario = _resolve_scenario(args)
+    scenario = _resolve_scenario(args, method)
     cfg = _profile_config(args)
     out = _out_dir(args, f"runs/train-{args.method}")
 
     def progress(entry):
-        msg = (f"iter {entry['iteration'] + 1}/{cfg.iterations} "
-               f"tl_reward={entry['tl_reward']:.3f}")
-        if np.isfinite(entry["cav_reward"]):
-            msg += f" cav_reward={entry['cav_reward']:.3f}"
-        print(msg, flush=True)
+        rewards = " ".join(f"{kind}_reward={entry[kind + '_reward']:.3f}"
+                           for kind in method.env_cfg.learned)
+        print(f"iter {entry['iteration'] + 1}/{cfg.iterations} {rewards}",
+              flush=True)
 
     result = ppo.train(scenario, method.env_cfg, cfg, seed=args.seed,
                        workers=args.workers,
@@ -222,11 +221,16 @@ def _read_json_object(path, fields):
     return data
 
 
-def _load_run(checkpoint_dir):
-    ckpt_dir = Path(checkpoint_dir)
+def _load_run(args, rates):
+    """The --checkpoint-dir run, read once: its method, its scenario with
+    --seed and --horizon, that scenario at each of `rates` (None: the
+    manifest's rate) and its networks (None for a type with a plan). A bad
+    manifest, an unreadable or mislabelled network file (whatever the
+    method) and a missing or unfit learned network are ConfigErrors."""
+    ckpt_dir = Path(args.checkpoint_dir)
     manifest_path = ckpt_dir / "manifest.json"
     if not manifest_path.exists():
-        raise ConfigError(f"{checkpoint_dir} has no manifest.json")
+        raise ConfigError(f"{args.checkpoint_dir} has no manifest.json")
     manifest = _read_json_object(
         manifest_path,
         {"method": _TEXT, "scenario_text": _TEXT, "penetration": _NUMBER})
@@ -241,30 +245,20 @@ def _load_run(checkpoint_dir):
             if params[kind].kind != kind:
                 raise ConfigError(f"{path} holds a {params[kind].kind} "
                                   f"network, not a {kind} one")
-    return manifest, params
-
-
-def _eval_common(args, manifest, params, penetration):
-    """The method, scenario and learned networks (None for a type with a
-    plan) that evaluate the --checkpoint-dir run at `penetration`. A
-    manifest entry that cannot run is a ConfigError naming the manifest."""
     try:
         method = get_method(manifest["method"])
         scenario = parse_scenario_text(manifest["scenario_text"])
-        penetration = resolve_penetration(method, penetration,
-                                          manifest["penetration"])
+        penetrations = [resolve_penetration(method, rate,
+                                            manifest["penetration"])
+                        for rate in rates]
     except ConfigError as exc:
-        raise ConfigError(
-            f"{Path(args.checkpoint_dir) / 'manifest.json'}: {exc}") from None
-    scenario = scenario.with_overrides(penetration=penetration, seed=args.seed,
-                                       horizon=args.horizon)
+        raise ConfigError(f"{manifest_path}: {exc}") from None
+    scenario = scenario.with_overrides(seed=args.seed, horizon=args.horizon)
 
     env_cfg = method.env_cfg
-    networks = {}
-    for kind, plan, name in (("tl", env_cfg.tl_plan, "signal"),
-                             ("cav", env_cfg.cav_plan, "vehicle")):
-        if plan is not None:
-            continue
+    networks = dict.fromkeys(("tl", "cav"))
+    for kind in env_cfg.learned:
+        name = "signal" if kind == "tl" else "vehicle"
         net = networks[kind] = params.get(kind)
         if net is None:
             raise ConfigError(
@@ -275,7 +269,9 @@ def _eval_common(args, manifest, params, penetration):
             raise ConfigError(
                 f"{name} checkpoint expects {net.obs_dim} inputs but the "
                 f"scenario/mode needs {want}")
-    return method, scenario, networks.get("tl"), networks.get("cav")
+    return (method, scenario,
+            [scenario.with_overrides(penetration=p) for p in penetrations],
+            networks["tl"], networks["cav"])
 
 
 def _write_eval_outputs(out, method, scenario, reports, label=""):
@@ -320,9 +316,8 @@ def _evaluate(args, default_out, verb, method, scenario, tl_params,
 
 
 def cmd_evaluate(args):
-    manifest, params = _load_run(args.checkpoint_dir)
-    method, scenario, tl_params, cav_params = _eval_common(
-        args, manifest, params, args.penetration)
+    method, _, (scenario,), tl_params, cav_params = _load_run(
+        args, [args.penetration])
     return _evaluate(args, f"runs/eval-{method.name}", "evaluated", method,
                      scenario, tl_params, cav_params,
                      {"checkpoint_dir": str(args.checkpoint_dir),
@@ -334,17 +329,16 @@ def cmd_baseline(args):
     if method.rl:
         raise ConfigError(f"method {args.method} is learned; use train/evaluate")
     return _evaluate(args, f"runs/baseline-{args.method}", "baseline", method,
-                     _resolve_scenario(args), None, None, {})
+                     _resolve_scenario(args, method), None, None, {})
 
 
 def cmd_sweep(args):
-    manifest, params = _load_run(args.checkpoint_dir)
-    runs = [(rate, *_eval_common(args, manifest, params, rate))
-            for rate in args.rates]
+    method, run_scenario, scenarios, tl_params, cav_params = _load_run(
+        args, args.rates)
     out = _out_dir(args, "runs/sweep")
     seeds = _eval_seeds(args)
     rows = []
-    for rate, method, scenario, tl_params, cav_params in runs:
+    for rate, scenario in zip(args.rates, scenarios):
         reports = rollout.evaluate_policy(
             scenario, method.env_cfg, tl_params, cav_params, seeds,
             scenario.horizon)
@@ -359,11 +353,9 @@ def cmd_sweep(args):
             vals = agg.metrics()
             fh.write(f"{rate:.2f}," + ",".join(
                 _fmt(vals[k]) for k in metrics.EpisodeReport.METRIC_KEYS) + "\n")
-    # the scenario that ran, as `_eval_common` builds it; the penetration
-    # rates are listed on their own
+    # the penetration rates are listed on their own
     metrics.write_json(out / "manifest.json", _manifest(
-        args, parse_scenario_text(manifest["scenario_text"]).with_overrides(
-            seed=args.seed, horizon=args.horizon), method,
+        args, run_scenario, method,
         {"rates": args.rates, "episodes": args.episodes,
          "checkpoint_dir": str(args.checkpoint_dir), "eval_seeds": seeds}))
     print(f"sweep outputs in {out}")

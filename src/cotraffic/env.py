@@ -53,6 +53,12 @@ class EnvConfig:
     tl_plan: str = None
     cav_plan: str = None
 
+    @property
+    def learned(self):
+        """The agent types whose plan is None, "tl" before "cav"."""
+        return tuple(kind for kind, plan in (("tl", self.tl_plan),
+                     ("cav", self.cav_plan)) if plan is None)
+
 
 def max_road_capacity(network):
     """Vehicles that fit on the longest road at minimum spacing. At least
@@ -271,6 +277,19 @@ class AgentStep:
     t: int = 0
 
 
+def _act(policy, obs, ids, agent_type, rng, sample, t, records):
+    """One `policy.act` over `obs`, whose row i is agent ids[i]'s; appends
+    each agent's AgentStep to `records` and returns {id: action}."""
+    actions, logps, values = policy.act(obs, rng, sample)
+    chosen = {}
+    for agent_id, row, action, logp, value in zip(ids, obs, actions, logps,
+                                                  values):
+        chosen[agent_id] = action
+        records.append(AgentStep(agent_id, agent_type, row, float(action),
+                                 logp, value, t=t))
+    return chosen
+
+
 class TrafficEnv:
     """Owns one SimState and the per-step agent bookkeeping.
 
@@ -295,7 +314,7 @@ class TrafficEnv:
         self.cfg = cfg
         self.c = max_road_capacity(scenario.network)
         self._layout = incoming_layout(scenario.network)
-        self._has_agents = cfg.tl_plan is None or cfg.cav_plan is None
+        self._has_agents = bool(cfg.learned)
 
     def reset(self):
         self.sim = build_sim(self.scenario)
@@ -315,15 +334,14 @@ class TrafficEnv:
         """Advance one second; returns the acting agents' AgentSteps.
 
         Each agent type follows its configured plan if it has one, else
-        its policy, which must then be given (ValueError otherwise). Each
-        agent type makes at most one `act` call per step, on the matrix of
-        its agents' observations; row i of that matrix is the `obs` of the
-        type's i-th record. A step with no selected vehicle makes no vehicle
-        call and draws nothing from `rng`.
+        its policy, which must then be given (ValueError otherwise). A
+        learned type makes one `_act` call per step, on its agents'
+        observation matrix; vehicle records follow the signal ones. A step
+        with no selected vehicle makes no vehicle call and draws nothing.
 
-        Order: act on the current observation, move the simulator, update
-        the M_COTV previous-action maps (the next observation reads them),
-        then observe the new state once. The signal rewards are that
+        Order: act on the current observation, move the simulator, keep the
+        M_COTV previous actions (the next observation reads them), then
+        observe the new state once. The signal rewards are that
         observation's pressures. A vehicle agent still in the simulation is
         scored by `cav_reward` of the road it is on, computed once per road
         and step. A config without agents never observes; with agents, the
@@ -335,40 +353,23 @@ class TrafficEnv:
             raise ValueError("signal agents need a signal policy")
         if cfg.cav_plan is None and cav_policy is None:
             raise ValueError("vehicle agents need a vehicle policy")
-        # only M_COTV observes the other agent type's previous actions
-        m_cotv = cfg.mode is CooperationMode.M_COTV
         seen = self._seen
         if self._has_agents and seen is None:
             seen = observe(sim, self._layout, cfg.mode, self.c,
                            self._prev_cmd_by_road, self._prev_tl_action)
         records = []
-
-        tl_actions = {}
         if self._light_plan is not None:
             tl_actions = self._light_plan(sim)
         else:
-            obs = seen.tl_obs
-            actions, logps, values = tl_policy.act(obs, rng, sample)
-            for lid, row, action, logp, value in zip(
-                    sim.lights, obs, actions, logps, values):
-                tl_actions[lid] = action
-                records.append(AgentStep(lid, "TL", row, float(action),
-                                         logp, value, t=sim.clock))
+            tl_actions = _act(tl_policy, seen.tl_obs, sim.lights, "TL", rng,
+                              sample, sim.clock, records)
         n_tl = len(records)
-
-        cav_actions = {}
-        cav_records = {}
         agents = seen.agents if cfg.cav_plan is None else ()
+        cav_actions = {}
         if agents:
-            obs = seen.cav_obs
-            actions, logps, values = cav_policy.act(obs, rng, sample)
-            for (vid, _), row, action, logp, value in zip(
-                    agents, obs, actions, logps, values):
-                cav_actions[vid] = action
-                rec = AgentStep(vid, "CAV", row, action, logp, value,
-                                t=sim.clock)
-                records.append(rec)
-                cav_records[vid] = rec
+            cav_actions = _act(cav_policy, seen.cav_obs,
+                               [vid for vid, _ in agents], "CAV", rng, sample,
+                               sim.clock, records)
         if self._advisory is not None:
             if self._view is None:
                 self._view = scan_view(sim)
@@ -376,9 +377,9 @@ class TrafficEnv:
 
         completed_before = len(sim.completed)
         self._view = step(sim, tl_actions, cav_actions, view=self._view)
-        if m_cotv:
-            self._prev_tl_action = {lid: tl_actions.get(lid, 0)
-                                    for lid in sim.lights}
+        # only M_COTV observes the other agent type's previous actions
+        if cfg.mode is CooperationMode.M_COTV:
+            self._prev_tl_action = tl_actions
             self._prev_cmd_by_road = {road: cav_actions[vid]
                                       for vid, road in agents}
         if not self._has_agents:
@@ -389,12 +390,13 @@ class TrafficEnv:
                                     self._prev_tl_action)
         for rec, pressure in zip(records[:n_tl], seen.pressures):
             rec.reward = pressure
-        if cav_records:
+        if agents:
             arrived = {t.vehicle_id for t in sim.completed[completed_before:]}
             still_selected = {vid for vid, _ in seen.agents}
             # star mode puts many agents on one road
             road_rewards = {}
-            for vid, rec in cav_records.items():
+            for rec in records[n_tl:]:
+                vid = rec.agent_id
                 veh = sim.vehicles.get(vid)
                 if veh is None:
                     # arrived agents exit cleanly; removed ones were collided

@@ -15,9 +15,9 @@ class MethodSpec:
 
     @property
     def rl(self):
-        """Whether the method is learned: agents drive the lights or the
-        connected vehicles."""
-        return self.env_cfg.tl_plan is None or self.env_cfg.cav_plan is None
+        """Whether the method is learned: its `EnvConfig` has a learned
+        agent type."""
+        return bool(self.env_cfg.learned)
 
 
 METHODS = {

@@ -335,7 +335,7 @@ def _number(block_name, entries, key, default, kind=float):
 def parse_scenario_text(text):
     """Parse scenario file text into a ScenarioSpec."""
     stripped = re.sub(r"#[^\n]*", "", text)
-    network_entries = sim_entries = None
+    single = {}  # the network and sim blocks, each at most once
     flow_blocks = []
     consumed = re.sub(_BLOCK_RE, "", stripped).strip()
     if consumed:
@@ -345,19 +345,15 @@ def parse_scenario_text(text):
         if name not in _BLOCK_KEYS:
             raise ConfigError(f"unknown block {name!r}")
         entries = _parse_entries(name, body)
-        if name == "network":
-            if network_entries is not None:
-                raise ConfigError("duplicate network block")
-            network_entries = entries
-        elif name == "sim":
-            if sim_entries is not None:
-                raise ConfigError("duplicate sim block")
-            sim_entries = entries
-        else:
+        if name == "flow":
             flow_blocks.append(entries)
-    if network_entries is None:
+        elif name in single:
+            raise ConfigError(f"duplicate {name} block")
+        else:
+            single[name] = entries
+    if "network" not in single:
         raise ConfigError("missing network block")
-    sim_entries = sim_entries or {}
+    network_entries, sim_entries = single["network"], single.get("sim", {})
 
     grid = network_entries.get("grid", "1x1")
     m = re.fullmatch(r"(\d+)x(\d+)", grid)

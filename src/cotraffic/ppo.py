@@ -187,8 +187,6 @@ class TrainResult:
     cav_params: object
     curves: list              # one dict per iteration
     wall_time_s: float
-    config: PpoConfig
-    seed: int
     halted_early: bool = False
     blas_threads: int = None  # None: no OpenBLAS thread control was found
 
@@ -216,18 +214,6 @@ def _openblas_function(name, restype, *argtypes):
     return fn
 
 
-def _openblas_thread_control():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None when the library or its symbols are not found."""
-    get_threads = _openblas_function("scipy_openblas_get_num_threads64_",
-                                     ctypes.c_int)
-    set_threads = _openblas_function("scipy_openblas_set_num_threads64_",
-                                     None, ctypes.c_int)
-    if get_threads is None or set_threads is None:
-        return None
-    return get_threads, set_threads
-
-
 def openblas_core():
     """The kernel family numpy's bundled OpenBLAS runs on this CPU (such as
     'SkylakeX'; `OPENBLAS_CORETYPE` overrides its choice), or None when the
@@ -239,30 +225,32 @@ def openblas_core():
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the block with numpy's bundled OpenBLAS on one thread, then
-    restore the previous thread count.
+    """Run the block with numpy's bundled OpenBLAS on one thread, yielding
+    that count, 1, then restore the previous thread count.
 
     With two or more threads OpenBLAS splits the inner axis of a product
     such as the (64 x K) @ (K x 64) hidden-weight gradient and sums the
     parts, so for some minibatch sizes K (the first is 385) the result
     differs in the last bit from the one-thread result. One thread makes
     training independent of the host's core count. Without the bundled
-    library's thread control the block runs at the BLAS's own count, and a
-    note on stderr says so.
+    library's thread control the block runs at the BLAS's own count and
+    yields None, and a note on stderr says so.
     """
-    control = _openblas_thread_control()
-    if control is None:
+    get_threads = _openblas_function("scipy_openblas_get_num_threads64_",
+                                     ctypes.c_int)
+    set_threads = _openblas_function("scipy_openblas_set_num_threads64_",
+                                     None, ctypes.c_int)
+    if get_threads is None or set_threads is None:
         print("note: numpy's OpenBLAS thread control "
               "(scipy_openblas_set_num_threads64_) was not found; training "
               "runs at the BLAS's own thread count, and its result may "
               "depend on that count", file=sys.stderr)
-        yield
+        yield None
         return
-    get_threads, set_threads = control
     before = get_threads()
     set_threads(1)
     try:
-        yield
+        yield 1
     finally:
         set_threads(before)
 
@@ -272,7 +260,6 @@ def episode_seed(seed, iteration, episode):
     return np.random.SeedSequence((seed, iteration, episode))
 
 
-@one_blas_thread()
 def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
     """Run the full training loop; returns parameters and reward curves.
 
@@ -280,79 +267,77 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
     `{tl,cav}_reward` (the mean over an iteration's episodes of its summed
     rewards) is NaN when it is not trained or took no step. `workers`
     episode processes run each iteration's rollouts; results are identical
-    for any value. It runs on one BLAS thread (`one_blas_thread`), which
-    the result records, so results are identical for any thread count.
+    for any value. It runs on one BLAS thread (`one_blas_thread`), whose
+    count the result records, so results are identical for any thread
+    count.
     """
-    control = _openblas_thread_control()
-    blas_threads = control[0]() if control else None
-    learned = {}  # agent type -> (params, Adam), signals first
-    for agent_type, plan in (("TL", env_cfg.tl_plan), ("CAV", env_cfg.cav_plan)):
-        if plan is None:
-            dim = (tl_obs_dim(scenario.network, env_cfg.mode)
-                   if agent_type == "TL" else cav_obs_dim(env_cfg.mode))
-            params = init_params(agent_type.lower(), dim, cfg.hidden, seed)
-            learned[agent_type] = params, Adam(params, cfg.learning_rate)
-    if not learned:
-        raise ValueError("training needs at least one agent type")
-    tl_params, cav_params = (learned[t][0] if t in learned else None
-                             for t in ("TL", "CAV"))
+    with one_blas_thread() as blas_threads:
+        learned = {}  # agent type -> (params, Adam), signals first
+        for kind in env_cfg.learned:
+            dim = (tl_obs_dim(scenario.network, env_cfg.mode) if kind == "tl"
+                   else cav_obs_dim(env_cfg.mode))
+            params = init_params(kind, dim, cfg.hidden, seed)
+            learned[kind.upper()] = params, Adam(params, cfg.learning_rate)
+        if not learned:
+            raise ValueError("training needs at least one agent type")
+        tl_params, cav_params = (learned[t][0] if t in learned else None
+                                 for t in ("TL", "CAV"))
 
-    update_rng = np.random.default_rng(np.random.SeedSequence((seed, 999)))
-    curves = []
-    halted = False
-    t0 = time.perf_counter()
-    for iteration in range(cfg.iterations):
-        seeds = [episode_seed(seed, iteration, ep)
-                 for ep in range(cfg.episodes_per_iter)]
-        rollout_begin = time.perf_counter()
-        episodes = rollout.collect_episodes(
-            scenario, env_cfg, tl_params, cav_params, seeds, cfg.horizon,
-            workers=workers)
-        rollout_s = time.perf_counter() - rollout_begin
+        update_rng = np.random.default_rng(np.random.SeedSequence((seed, 999)))
+        curves = []
+        halted = False
+        t0 = time.perf_counter()
+        for iteration in range(cfg.iterations):
+            seeds = [episode_seed(seed, iteration, ep)
+                     for ep in range(cfg.episodes_per_iter)]
+            rollout_begin = time.perf_counter()
+            episodes = rollout.collect_episodes(
+                scenario, env_cfg, tl_params, cav_params, seeds, cfg.horizon,
+                workers=workers)
+            rollout_s = time.perf_counter() - rollout_begin
 
-        entry = {"iteration": iteration}
-        buffers = {}
-        for agent_type in ("TL", "CAV"):
-            segments, reward_sums = [], []
-            for ep in episodes:
-                total = 0.0
-                for seg in ep.segments[agent_type]:
-                    segments.append(seg)
-                    total += sum(s.reward for s in seg)
-                reward_sums.append(total)
-            buffer = buffers[agent_type] = RolloutBuffer(segments)
-            prefix = agent_type.lower()
-            entry[f"{prefix}_reward"] = (
-                float(np.mean(reward_sums))
-                if agent_type in learned and len(buffer) else float("nan"))
-            entry[f"{prefix}_steps"] = len(buffer)
-        entry["collisions"] = sum(ep.collisions for ep in episodes)
-
-        update_begin = time.perf_counter()
-        try:
-            for agent_type, (params, optimizer) in learned.items():
-                buffer = buffers[agent_type]
-                if len(buffer) == 0:
-                    continue  # e.g. zero CAV penetration: nothing to update
-                batch = buffer.build_batch(cfg.gamma, cfg.gae_lambda)
+            entry = {"iteration": iteration}
+            buffers = {}
+            for agent_type in ("TL", "CAV"):
+                segments, reward_sums = [], []
+                for ep in episodes:
+                    total = 0.0
+                    for seg in ep.segments[agent_type]:
+                        segments.append(seg)
+                        total += sum(s.reward for s in seg)
+                    reward_sums.append(total)
+                buffer = buffers[agent_type] = RolloutBuffer(segments)
                 prefix = agent_type.lower()
-                entry[f"{prefix}_explained_variance"] = explained_variance(
-                    batch["values"], batch["returns"])
-                stats = ppo_update(params, optimizer, batch, cfg, update_rng)
-                for key in DIAGNOSTICS:
-                    entry[f"{prefix}_{key}"] = stats[key]
-        except NonFiniteLossError:
-            halted = True
+                entry[f"{prefix}_reward"] = (
+                    float(np.mean(reward_sums))
+                    if agent_type in learned and len(buffer) else float("nan"))
+                entry[f"{prefix}_steps"] = len(buffer)
+            entry["collisions"] = sum(ep.collisions for ep in episodes)
 
-        entry["rollout_s"] = rollout_s
-        entry["update_s"] = time.perf_counter() - update_begin
-        entry["wall_s"] = time.perf_counter() - t0
-        curves.append(entry)
-        if progress is not None:
-            progress(entry)
-        if halted:
-            break
+            update_begin = time.perf_counter()
+            try:
+                for agent_type, (params, optimizer) in learned.items():
+                    buffer = buffers[agent_type]
+                    if len(buffer) == 0:
+                        continue  # e.g. zero CAV penetration: nothing to update
+                    batch = buffer.build_batch(cfg.gamma, cfg.gae_lambda)
+                    prefix = agent_type.lower()
+                    entry[f"{prefix}_explained_variance"] = explained_variance(
+                        batch["values"], batch["returns"])
+                    stats = ppo_update(params, optimizer, batch, cfg, update_rng)
+                    for key in DIAGNOSTICS:
+                        entry[f"{prefix}_{key}"] = stats[key]
+            except NonFiniteLossError:
+                halted = True
 
-    return TrainResult(tl_params, cav_params, curves,
-                       time.perf_counter() - t0, cfg, seed, halted,
-                       blas_threads)
+            entry["rollout_s"] = rollout_s
+            entry["update_s"] = time.perf_counter() - update_begin
+            entry["wall_s"] = time.perf_counter() - t0
+            curves.append(entry)
+            if progress is not None:
+                progress(entry)
+            if halted:
+                break
+
+        return TrainResult(tl_params, cav_params, curves,
+                           time.perf_counter() - t0, halted, blas_threads)

@@ -217,9 +217,10 @@ def _attempt_insertions(sim, now):
     """Place due scheduled vehicles; origins with a busy entry zone retry.
 
     The due entries are the time-sorted `pending` list's prefix; the blocked
-    ones among them stay at its front, in schedule order. An entry speed is
-    capped to stop behind the tail at comfortable braking: the tail's rear
-    is past the free zone, so its gap exceeds IDM_S0.
+    ones among them stay at its front, in schedule order. The origin road's
+    tail, `road_order[0]`, decides: an entry waits while the tail's rear is
+    inside the free zone, else its speed is capped to stop behind the tail
+    at comfortable braking (the tail's gap then exceeds IDM_S0).
     """
     pending = sim.pending
     due = bisect.bisect_right(pending, now, key=operator.attrgetter("time"))
@@ -229,14 +230,13 @@ def _attempt_insertions(sim, now):
     for ins in pending[:due]:
         origin = ins.route[0]
         order = sim.road_order[origin]
-        if any(sim.vehicles[vid].position - sim.vehicles[vid].length
-               < INSERTION_FREE_ZONE for vid in order):
-            blocked.append(ins)
-            continue
         speed = ins.depart_speed
         if order:
             tail = sim.vehicles[order[0]]
             gap = tail.position - tail.length
+            if gap < INSERTION_FREE_ZONE:
+                blocked.append(ins)
+                continue
             speed = min(speed, math.sqrt(
                 tail.speed ** 2 + 2.0 * IDM_B_COMFORT * (gap - IDM_S0)))
         veh = Vehicle(ins.vehicle_id, ins.kind, origin, 0.0, speed,

@@ -92,18 +92,42 @@ def test_presslight_curves_have_no_vehicle_entries(presslight_dir):
     assert row["tl_steps"] == "40"
 
 
-# the learned methods; every other method runs under the baseline subcommand
-LEARNED = {"cotv", "cotv-star", "i-cotv", "m-cotv", "flowcav", "presslight"}
+# the agent types each method learns, read off README's method table (a
+# type learns when its plan is None); a method without any runs under the
+# baseline subcommand
+LEARNED = {"baseline-static": (), "actuated": (), "max-pressure": (),
+           "glosa": (), "flowcav": ("cav",), "presslight": ("tl",),
+           **dict.fromkeys(("cotv", "cotv-star", "i-cotv", "m-cotv"),
+                           ("tl", "cav"))}
 
 
 def test_method_roster_splits_learned_from_baselines(tmp_path, capsys):
-    assert {name for name, spec in METHODS.items() if spec.rl} == LEARNED
+    assert {name: spec.env_cfg.learned
+            for name, spec in METHODS.items()} == LEARNED
+    assert {name: spec.rl for name, spec in METHODS.items()} == {
+        name: bool(kinds) for name, kinds in LEARNED.items()}
     for name, spec in METHODS.items():
         command = "baseline" if spec.rl else "train"
         out = tmp_path / name
         assert run_cli(command, "--method", name, "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: config: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["cotv", "flowcav", "presslight"])
+def test_verbose_training_prints_the_learned_rewards(tmp_path, capsys,
+                                                     method):
+    run = tmp_path / method
+    assert run_cli("train", "--method", method, "--grid", "1x1", "--seed",
+                   "3", "--out", str(run), "--horizon", "30", "--iterations",
+                   "1", "--train-episodes", "1", "--verbose") == 0
+    progress = capsys.readouterr().out.splitlines()[0].split()
+    assert progress[:2] == ["iter", "1/1"]
+    printed = dict(entry.split("=") for entry in progress[2:])
+    assert list(printed) == [f"{kind}_reward" for kind in LEARNED[method]]
+    _, row = curve_rows(run)
+    for key, text in printed.items():
+        assert float(text) == pytest.approx(float(row[key]), abs=5e-4)
 
 
 def test_flowcav_trains_vehicles_under_the_static_plan(tmp_path):
@@ -328,6 +352,21 @@ def test_sweep_and_report(train_dir, tmp_path):
     pct = table["cotv"]["mean_travel_time"]["pct_change"]
     assert pct == pytest.approx(100 * (cotv_tt - base_tt) / base_tt, rel=1e-9)
     assert (report_out / "comparison.csv").exists()
+
+
+def test_sweep_parses_its_run_scenario_once(train_dir, tmp_path,
+                                           monkeypatch):
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_scenario_text(text)
+
+    monkeypatch.setattr(cli, "parse_scenario_text", counted)
+    assert run_cli("sweep", "--checkpoint-dir", str(train_dir), "--rates",
+                   "0,0.5,1", "--episodes", "1", "--horizon", "10",
+                   "--out", str(tmp_path / "sweep")) == 0
+    assert len(parsed) == 1
 
 
 @pytest.mark.parametrize("command,name,text,named", [

@@ -211,8 +211,7 @@ def test_committed_config_reproduces_the_built_in_grid(grid):
     assert parsed.network == built_in.network
     assert parsed.flows == built_in.flows
     # the files carry their own demand seed; everything else is the default
-    assert parsed.seed == 7
-    assert parsed.with_overrides(seed=built_in.seed) == built_in
+    assert parsed == grid_scenario(grid, seed=7)
 
 
 def test_committed_3x3_config_feeds_every_boundary_arm():
