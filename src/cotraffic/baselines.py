@@ -31,7 +31,9 @@ class ActuatedController:
     """Gap-out actuation: switch once the served approaches have shown no
     vehicle within DETECTION_DISTANCE of the stop line for ACTUATED_GAP_S
     consecutive seconds, or at ACTUATED_MAX_GREEN. Holds one empty-run
-    counter per light."""
+    counter per light. A served road's front vehicle, the last of its
+    position-sorted `road_order`, is its closest to the line, so it alone
+    decides whether the road is occupied."""
 
     def __init__(self):
         self._empty_run = {}
@@ -45,17 +47,16 @@ class ActuatedController:
         phase = light.phase
         if phase.kind != "green":
             return 0
-        inter = sim.network.intersections[lid]
+        roads, road_order = sim.network.roads, sim.road_order
         occupied = False
-        for rid in inter.incoming:
-            road = sim.network.roads[rid]
+        for rid in sim.network.intersections[lid].incoming:
+            road = roads[rid]
             if road.approach not in phase.served:
                 continue
-            for vid in sim.road_order[rid]:
-                if road.length - sim.vehicles[vid].position <= DETECTION_DISTANCE:
-                    occupied = True
-                    break
-            if occupied:
+            order = road_order[rid]
+            if order and (road.length - sim.vehicles[order[-1]].position
+                          <= DETECTION_DISTANCE):
+                occupied = True
                 break
         self._empty_run[lid] = 0 if occupied else self._empty_run[lid] + 1
         if light.time_in_phase >= ACTUATED_MAX_GREEN:
@@ -136,7 +137,8 @@ def _advise(v, dist_to_stop, v_star, windows, follow):
     the car-following law; otherwise it aims a constant speed
     dist/time-to-next-green, clamped to [0, v*], as accel = clip(v_t - v,
     -3, 3). A real leader always caps the advice at the car-following
-    acceleration.
+    acceleration. Reference form of the rule in
+    `GlosaController.commands`' final loop, which does not call this.
     """
     now_window, next_window = windows
     limit = GLOSA_ACCEL_LIMIT
@@ -159,9 +161,11 @@ class GlosaController:
     length, since its gap-outs are not knowable ahead of time. Each step
     reads the advised CAVs' rows, in-road leaders and gaps from the step's
     fleet view (`simulation.ScanView`), computes their car-following
-    accelerations in one `kernels.vehicle_accels` call and applies `_advise`
-    per vehicle, with the green windows projected once per occupied approach
-    road. The view is only read: `step` patches its front rows afterwards.
+    accelerations in one `kernels.vehicle_accels` call and applies the rule
+    of `_advise` per vehicle in its own loop, with each light's projected
+    durations built once and the green windows projected once per occupied
+    approach road. The view is only read: `step` patches its front rows
+    afterwards.
     """
 
     def commands(self, sim, view):
@@ -170,6 +174,9 @@ class GlosaController:
         vehs, roads, view_speed = view.vehs, view.roads, view.speed
         view_lead_speed, view_gap, view_has_lead = (
             view.lead_speed, view.gap, view.has_lead)
+        durations = {lid: [ACTUATED_MAX_GREEN if p.kind == "green"
+                           else YELLOW_DURATION for p in light.phases]
+                     for lid, light in sim.lights.items()}
         start = 0
         # each road's rows run from the row after the last road's front to
         # its own front
@@ -179,10 +186,9 @@ class GlosaController:
             road = roads[front]
             if road.approach_intersection is None:
                 continue
-            light = sim.lights[road.approach_intersection]
-            durations = [ACTUATED_MAX_GREEN if p.kind == "green"
-                         else YELLOW_DURATION for p in light.phases]
-            road_windows = _green_windows(light, durations, road.approach)
+            lid = road.approach_intersection
+            road_windows = _green_windows(sim.lights[lid], durations[lid],
+                                          road.approach)
             for i in rows:
                 veh = vehs[i]
                 if veh.kind != "CAV":
@@ -202,9 +208,25 @@ class GlosaController:
         n = len(ids)
         follow = kernels.vehicle_accels(
             speed, lead_speed, gap, has_lead, v_limit, [False] * n, [0.0] * n)
-        return {vid: _advise(speed[i], dist[i], v_limit[i], windows[i],
-                             follow[i])
-                for i, vid in enumerate(ids)}
+        # the rule of `_advise`, vehicle by vehicle; the final clamp's upper
+        # bound only binds where the vehicle follows the car-following law
+        lo, hi = -GLOSA_ACCEL_LIMIT, GLOSA_ACCEL_LIMIT
+        advice = {}
+        for vid, v, d, v_star, (now_window, next_window), a in zip(
+                ids, speed, dist, v_limit, windows, follow):
+            if now_window[0] == 0.0 and (_earliest_arrival(v, d, v_star)
+                                         <= now_window[1]):
+                aim = a
+            else:
+                v_target = d / (now_window[0] if now_window[0] > 0.0
+                                 else next_window[0])
+                v_target = 0.0 if v_target < 0.0 else v_target
+                v_target = v_star if v_target > v_star else v_target
+                aim = v_target - v
+                aim = lo if aim < lo else hi if aim > hi else aim
+                aim = a if a < aim else aim
+            advice[vid] = lo if aim < lo else hi if aim > hi else aim
+        return advice
 
 
 def make_light_controller(plan):

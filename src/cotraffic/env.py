@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import GlosaController, make_light_controller
-from .simulation import (MIN_GAP, VEHICLE_LENGTH, _cross_boundary_leader,
-                         build_sim, scan_view, step)
+from .simulation import MIN_GAP, VEHICLE_LENGTH, build_sim, scan_view, step
 
 ACCEL_NORM = 3.0       # commanded-acceleration scale used for normalization
 A_STAR = 9.0          # acceleration normalizer in the vehicle reward
@@ -150,7 +149,7 @@ def incoming_layout(network):
     """The static part of `observe`'s pass, one entry per intersection in
     network order, which is `sim.lights` order: (light id, incoming roads,
     outgoing road ids, I_COTV zero block). An incoming road of the entry's
-    light is (id, Road, length, speed limit, approach arm, slot one-hot)."""
+    light is (id, length, speed limit, approach arm, slot one-hot)."""
     layout = []
     for inter in network.intersections.values():
         n_in = len(inter.incoming)
@@ -158,7 +157,7 @@ def incoming_layout(network):
         for slot, rid in enumerate(inter.incoming):
             one_hot = tuple(1.0 if k == slot else 0.0 for k in range(n_in))
             road = network.roads[rid]
-            incoming.append((rid, road, road.length, road.speed_limit,
+            incoming.append((rid, road.length, road.speed_limit,
                              road.approach, one_hot))
         layout.append((inter.id, tuple(incoming), inter.outgoing,
                        (0.0,) * (n_in * (3 + n_in))))
@@ -172,7 +171,10 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action):
 
     Per intersection, each incoming road is read once for its count, its
     closest-vehicle block and, walking from the stop line back, its vehicle
-    agents and their rows. `prev_commands` and `prev_tl_action` are the
+    agents and their rows. The approach signal and a front agent's leader
+    across the stop line are resolved in this loop, by the rules of
+    `TrafficLight.signal_for` and `simulation._cross_boundary_leader`,
+    which it does not call. `prev_commands` and `prev_tl_action` are the
     M_COTV previous-action maps of `tl_observation` and `cav_observation`.
     """
     vehicles, road_order, lights = sim.vehicles, sim.road_order, sim.lights
@@ -183,10 +185,11 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action):
     agents, tl_flat, cav_flat, pressures = [], [], [], []
     for light_id, incoming, outgoing, zero_block in layout:
         light = lights[light_id]
+        phase = light.phases[light.phase_index]
         tl_flat.append(light.phase_index / len(light.phases))
         blocks = []
         n_in = 0
-        for rid, road, length, v_star, arm, one_hot in incoming:
+        for rid, length, v_star, arm, one_hot in incoming:
             order = road_order[rid]
             k = len(order)
             n_in += k
@@ -208,19 +211,28 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action):
                 if veh.kind != "CAV":
                     continue
                 if signal is None:
-                    signal = 0.0 if ablated else light.signal_for(arm)
+                    signal = (0.0 if ablated or arm not in phase.served
+                              else 1.0 if phase.kind == "green" else 0.5)
                     prev_action = float(prev_tl_action.get(light_id, 0))
                 if j + 1 < k:
                     lead = vehicles[order[j + 1]]
-                    ahead = lead, lead.position - lead.length - veh.position
+                    gap = lead.position - lead.length - veh.position
                 else:
-                    ahead = _cross_boundary_leader(sim, veh, road)
-                if ahead is None:
+                    # the front vehicle follows the tail of its route's next
+                    # road, across the stop line
+                    lead = None
+                    route, nxt = veh.route, veh.route_index + 1
+                    if nxt < len(route):
+                        next_order = road_order[route[nxt]]
+                        if next_order:
+                            lead = vehicles[next_order[0]]
+                            gap = ((length - veh.position) + lead.position
+                                   - lead.length)
+                if lead is None:
                     lead_block = (0.0, 0.0, 1.0)
                 else:
-                    lead, gap = ahead
                     lead_block = (lead.speed / v_star, lead.accel / ACCEL_NORM,
-                                  max(gap, 0.0) / length)
+                                  (0.0 if gap < 0.0 else gap) / length)
                 cav_flat += (veh.speed / v_star, veh.accel / ACCEL_NORM,
                              *lead_block, (length - veh.position) / length,
                              signal)

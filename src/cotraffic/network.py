@@ -19,6 +19,9 @@ DEFAULT_ROAD_LENGTH = 300.0
 VEHICLE_LENGTH = 5.0
 MIN_GAP = 2.5
 DEFAULT_SPEED_LIMIT = 15.0
+# the simulation step, s; a vehicle moves onto the next road at most once
+# per step, so a road must not be crossable within one step at its limit
+DT = 1.0
 
 
 class ConfigError(ValueError):
@@ -84,6 +87,11 @@ def build_grid(rows, cols, road_length=DEFAULT_ROAD_LENGTH,
             f"road_length {road_length:g} m cannot hold one vehicle; the "
             f"minimum is {VEHICLE_LENGTH + MIN_GAP:g} m (vehicle length "
             f"{VEHICLE_LENGTH:g} m plus minimum gap {MIN_GAP:g} m)")
+    if road_length < speed_limit * DT:
+        raise ConfigError(
+            f"road_length {road_length:g} m is shorter than one {DT:g} s "
+            f"step at speed_limit {speed_limit:g} m/s; the minimum is "
+            f"{speed_limit * DT:g} m")
 
     def junction(r, c):
         return f"J{r}-{c}"

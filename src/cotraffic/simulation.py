@@ -20,9 +20,8 @@ from typing import NamedTuple
 
 from . import kernels
 from .kernels import IDM_B_COMFORT, IDM_S0
-from .network import MIN_GAP, VEHICLE_LENGTH, build_insertion_schedule
+from .network import DT, MIN_GAP, VEHICLE_LENGTH, build_insertion_schedule
 
-DT = 1.0
 YELLOW_DURATION = 3
 MIN_GREEN = 5
 TTC_THRESHOLD = 3.0
@@ -67,10 +66,15 @@ class TrafficLight:
         return self.phases[self.phase_index]
 
     def serves(self, approach):
+        """Whether the current phase lets the approach arm cross. Reference
+        form of the transfer test in `step`'s vehicle loop, which reads the
+        phase's `served` set itself and does not call this."""
         return approach in self.phases[self.phase_index].served
 
     def signal_for(self, approach):
-        """1.0 green, 0.5 yellow, 0.0 red for the given approach arm."""
+        """1.0 green, 0.5 yellow, 0.0 red for the given approach arm.
+        Reference form of the approach signal in `env.observe`'s agent
+        rows, which reads the phase itself and does not call this."""
         phase = self.phases[self.phase_index]
         if approach not in phase.served:
             return 0.0
@@ -167,7 +171,8 @@ def red_light_virtual_leader(vehicle, light, road):
 
     Green for the vehicle's approach: None. Yellow: stop unless the braking
     needed to reach the line exceeds the comfortable rate (the committed
-    vehicle proceeds). Red: always stop.
+    vehicle proceeds). Red: always stop. Reference form of the stop-line
+    rule in `step`'s front-row loop, which does not call this.
     """
     approach = road.approach
     if approach is None:
@@ -187,6 +192,7 @@ def apply_tl_action(light, action):
     time_in_phase counts fully displayed seconds and is advanced by the step
     loop after the movement update, so thresholds read literally: a yellow
     showing 3 s auto-advances, a green showing at least MIN_GREEN may switch.
+    Reference form of `step`'s light loop, which does not call this.
     """
     if action not in (0, 1):
         raise ValueError(f"traffic light action must be 0 or 1, got {action!r}")
@@ -203,7 +209,9 @@ def apply_tl_action(light, action):
 
 def _cross_boundary_leader(sim, vehicle, road):
     """(rearmost vehicle on the route's next road, bumper gap across the stop
-    line), or None at the route's end or when that road is empty."""
+    line), or None at the route's end or when that road is empty. Reference
+    form of the crossing leader in `step`'s front-row loop and in
+    `env.observe`'s agent rows, which do not call this."""
     if vehicle.route_index + 1 >= len(vehicle.route):
         return None
     next_order = sim.road_order[vehicle.route[vehicle.route_index + 1]]
@@ -365,11 +373,14 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
     it, and charges its fuel and CO2 (a vehicle held at the line for its
     held speed and acceleration); then insertion of the transferred
     vehicles into their new roads, arrivals, insertions, clock, collision
-    and conflict scans, phase timers. The acceleration inputs come from
-    `view`, the ScanView of the pre-move state, with the front rows patched
-    in place, so a caller that also reads it (the speed advisory does)
-    reads it first; it is built here when not given. A caller that writes
-    to `sim` between two steps passes none. The two
+    and conflict scans, phase timers. The lights and leaders are resolved
+    in this function's own loops, by the rules of `apply_tl_action`,
+    `red_light_virtual_leader`, `_cross_boundary_leader` and
+    `TrafficLight.serves`, which it does not call. The acceleration inputs
+    come from `view`, the ScanView of the pre-move state, with the front
+    rows patched in place, so a caller that also reads it (the speed
+    advisory does) reads it first; it is built here when not given. A
+    caller that writes to `sim` between two steps passes none. The two
     scans share one ScanView of the settled state, which is built again
     when a collision removed vehicles and is the one returned: it holds
     until the next write to `sim`.
@@ -385,32 +396,62 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
 
     now = sim.clock + 1
 
+    # the phase machine of `apply_tl_action`; each light's phase after its
+    # decision serves the rest of the step
+    phase_of = {}
     for light_id, light in sim.lights.items():
-        apply_tl_action(light, tl_actions.get(light_id, 0))
+        action = tl_actions.get(light_id, 0)
+        if action not in (0, 1):
+            raise ValueError(
+                f"traffic light action must be 0 or 1, got {action!r}")
+        phases = light.phases
+        if phases[light.phase_index].kind == "yellow":
+            if light.time_in_phase >= YELLOW_DURATION:
+                light.phase_index = (light.phase_index + 1) % len(phases)
+                light.time_in_phase = 0
+        elif action == 1 and light.time_in_phase >= MIN_GREEN:
+            light.phase_index = (light.phase_index + 1) % len(phases)
+            light.time_in_phase = 0
+        phase_of[light_id] = phases[light.phase_index]
 
     # acceleration inputs from the pre-move view: row i + 1 leads row i,
     # except that a road's front row faces a standing virtual leader at the
-    # stop line, the tail of its continuation road, or nothing (the view's
+    # stop line (the rule of `red_light_virtual_leader`), the tail of its
+    # continuation road (`_cross_boundary_leader`), or nothing (the view's
     # leaderless row as it stands)
     if view is None:
         view = scan_view(sim)
     vehs, roads_of = view.vehs, view.roads
+    vehicles, road_order = sim.vehicles, sim.road_order
     if vehs:
         lead_speed, gap, has_lead = view.lead_speed, view.gap, view.has_lead
         for i in view.fronts:
-            front, road = vehs[i], roads_of[i]
-            light = (sim.lights[road.approach_intersection]
-                     if road.approach_intersection else None)
-            virtual = (red_light_virtual_leader(front, light, road)
-                       if light else None)
-            if virtual is None and light is not None:
+            road = roads_of[i]
+            arm = road.approach
+            if arm is None:  # an exit road: no line to stop at or cross
+                continue
+            front = vehs[i]
+            phase = phase_of[road.approach_intersection]
+            dist = road.length - front.position
+            if arm in phase.served and (
+                    phase.kind == "green" or dist <= 0
+                    or front.speed ** 2 / (2.0 * dist) > IDM_B_COMFORT):
                 # free to cross: follow the tail of the continuation road so
                 # a discharging queue stays a platoon over the boundary
-                tail = _cross_boundary_leader(sim, front, road)
-                if tail is not None:
-                    virtual = tail[0].speed, max(tail[1], 1e-9)
-            if virtual is not None:
-                (lead_speed[i], gap[i]), has_lead[i] = virtual, True
+                route, nxt = front.route, front.route_index + 1
+                if nxt < len(route):
+                    next_order = road_order[route[nxt]]
+                    if next_order:
+                        tail = vehicles[next_order[0]]
+                        g = dist + tail.position - tail.length
+                        lead_speed[i] = tail.speed
+                        gap[i] = 1e-9 if g < 1e-9 else g
+                        has_lead[i] = True
+            else:
+                lead_speed[i] = 0.0
+                gap[i] = (STOPLINE_GAP_FLOOR if dist < STOPLINE_GAP_FLOOR
+                          else dist)
+                has_lead[i] = True
 
         # one pass over the rows: the acceleration (the arithmetic of
         # kernels.vehicle_accels), then clamp the speed, move, transfer,
@@ -420,7 +461,6 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
         # (post-move) occupants only
         arrivals = []
         transfers = []
-        vehicles, lights, road_order = sim.vehicles, sim.lights, sim.road_order
         a_max, delta, headway, s0 = (kernels.IDM_A_MAX, kernels.IDM_DELTA,
                                      kernels.IDM_HEADWAY, IDM_S0)
         two_sqrt_ab = kernels.IDM_TWO_SQRT_AB
@@ -455,8 +495,8 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
                     moved = length - veh.position
                     veh.position = length
                     arrivals.append(veh)
-                elif (road.approach is None or lights[
-                        road.approach_intersection].serves(road.approach)):
+                elif (road.approach is None or road.approach in phase_of[
+                        road.approach_intersection].served):
                     road_order[road.id].remove(veh.id)
                     veh.route_index += 1
                     veh.road = veh.route[veh.route_index]

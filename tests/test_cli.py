@@ -324,6 +324,26 @@ def test_roads_too_short_for_one_vehicle_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+def test_roads_crossable_within_one_step_exit_2(tmp_path, capsys):
+    # at 30 m/s a vehicle covers 30 m in one 1 s step; a transfer puts it
+    # `x_new - length` into the next road without checking that road's
+    # length, so on 8 m roads it would stand past the road's end
+    path = tmp_path / "scenario.txt"
+    path.write_text(
+        "network { grid: 1x3, road_length: 8, speed_limit: 30 }\n"
+        "flow { name: WE, origin: W0:J0-0, destination: J0-2:E0, count: 5, "
+        "start: 1, period: 3 }\n"
+        "flow { name: NS, origin: N0:J0-0, destination: J0-0:S0, count: 5, "
+        "start: 1, period: 3 }")
+    assert run_cli("baseline", "--method", "baseline-static", "--config",
+                   str(path), "--episodes", "1", "--horizon", "20",
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: road_length 8 m")
+    assert "speed_limit 30 m/s" in err and "minimum is 30 m" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_and_report(train_dir, tmp_path):
     sweep_out = tmp_path / "sweep"
     code = run_cli("sweep", "--checkpoint-dir", str(train_dir),

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from cotraffic.network import (ConfigError, FlowSpec, ScenarioSpec,
+from cotraffic.network import (DT, ConfigError, FlowSpec, ScenarioSpec,
                                build_grid, build_insertion_schedule,
                                assign_vehicle_kinds, grid_scenario,
                                load_scenario, parse_scenario_text,
@@ -39,6 +39,15 @@ def test_grid_1x6_shares_interior_edges():
     assert rid in net.intersections["J0-1"].incoming
     # 5 interior edges + 2 horizontal boundary + 12 vertical boundary, two roads each
     assert len(net.roads) == 2 * (5 + 2 + 12)
+
+
+def test_grid_refuses_a_road_crossable_within_one_step():
+    # a road exactly one step long at its limit is the shortest accepted
+    assert build_grid(1, 2, 30.0 * DT, 30.0).roads
+    with pytest.raises(ConfigError, match=(
+            r"road_length 29\.9 m is shorter than one 1 s step at "
+            r"speed_limit 30 m/s; the minimum is 30 m")):
+        build_grid(1, 2, 29.9, 30.0)
 
 
 @pytest.mark.parametrize("length,limit", [(100.0, 10.0), (300.0, 15.0), (47.5, 31.0)])
@@ -197,6 +206,7 @@ def test_scenario_text_parses_back_to_the_scenario(road_length, speed_limit,
     # a run's manifest stores its scenario as this text, and evaluate and
     # sweep rebuild the scenario from it: 13.8888889 m/s (50 km/h) written
     # as 13.8889 would evaluate on another network than the trained one
+    assume(road_length >= speed_limit * DT)  # else build_grid refuses it
     scen = ScenarioSpec(
         build_grid(1, 1, road_length, speed_limit),
         (FlowSpec("SN", "S0:J0-0", "J0-0:N0", 10, start, period),),

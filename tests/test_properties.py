@@ -1,6 +1,7 @@
 """Simulator invariants on generated states: random vehicle placements on
-the 1x1 and 1x6 grids and on grids of 1x1 to 3x3 with random flows still
-to be inserted, driven by random light actions and commanded
+the 1x1 and 1x6 grids and on grids of 1x1 to 3x3, with drawn road lengths
+and speed limits, with random flows still to be inserted, driven by random
+light actions and commanded
 accelerations. After every step the fleet is conserved, each road's order
 is sorted by position, speeds lie in [0, limit] and positions on the road,
 every vehicle's kinematic and energy fields are Python floats, and every
@@ -17,7 +18,9 @@ generated fleets with held, arriving and crossing vehicles, one step
 matches the reference step in every row. On the same generated states, in
 every cooperation mode, the env's one pass over the incoming roads yields
 the agents, their roads and the observation rows of the per-agent reference
-forms in test_env.py bit for bit, and the pressures of `tl_reward`. The
+forms in test_env.py bit for bit, and the pressures of `tl_reward`. Over
+steps of the same states, the actuated plan's actions and empty-run
+counters equal those of a scan of every vehicle on the served roads. The
 example count is set by the profile in conftest.py."""
 import copy
 from unittest import mock
@@ -26,10 +29,12 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from cotraffic import kernels, simulation
+from cotraffic.baselines import (ACTUATED_GAP_S, ACTUATED_MAX_GREEN,
+                                 DETECTION_DISTANCE, ActuatedController)
 from cotraffic.env import (CooperationMode, incoming_layout,
                            max_road_capacity, observe, tl_reward)
-from cotraffic.network import (FlowSpec, ScenarioSpec, build_grid,
-                               grid_scenario)
+from cotraffic.network import (DT, MIN_GAP, VEHICLE_LENGTH, FlowSpec,
+                               ScenarioSpec, build_grid, grid_scenario)
 from cotraffic.simulation import build_sim, scan_view, step
 
 from test_env import (ref_cav_observation, ref_select_cav_agents,
@@ -58,12 +63,16 @@ def random_flows(draw, net):
 @st.composite
 def worlds(draw):
     """The 1x1 or 1x6 grid, optionally with its scheduled demand still to be
-    inserted, or a `build_grid` grid of 1 to 3 rows and columns whose
-    random flows are still to be inserted, with vehicles placed anywhere on
-    its roads."""
+    inserted, or a `build_grid` grid of 1 to 3 rows and columns, with a
+    speed limit of 1 to 40 m/s and any accepted road length up to 400 m,
+    whose random flows are still to be inserted, with vehicles placed
+    anywhere on its roads."""
     grid = draw(st.sampled_from(["1x1", "1x6", "RxC"]))
     if grid == "RxC":
-        net = build_grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        limit = draw(st.floats(1.0, 40.0))
+        shortest = max(limit * DT, VEHICLE_LENGTH + MIN_GAP)
+        net = build_grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                         draw(st.floats(shortest, 400.0)), limit)
         sim = build_sim(ScenarioSpec(net, draw(random_flows(net)), 1,
                                      draw(st.floats(0.0, 1.0)),
                                      draw(st.integers(0, 99))))
@@ -441,3 +450,57 @@ def test_observe_matches_the_reference_forms(world):
         for vid, road in zip(vids, roads)]))
     assert [p.hex() for p in got.pressures] == [
         tl_reward(sim, light, c).hex() for light in sim.lights.values()]
+
+
+# --- the actuated plan's front-vehicle test against a whole-road scan -------
+
+class ScanningActuated:
+    """Reference for `ActuatedController`: the same gap-out plan, but a
+    served road counts as occupied when any of its vehicles, scanned from
+    the rear, is within DETECTION_DISTANCE of the line."""
+
+    def __init__(self):
+        self.empty_run = {}
+        self.last_phase = {}
+
+    def tick(self, light, sim):
+        lid = light.intersection
+        if self.last_phase.get(lid) != light.phase_index:
+            self.last_phase[lid] = light.phase_index
+            self.empty_run[lid] = 0
+        phase = light.phase
+        if phase.kind != "green":
+            return 0
+        occupied = False
+        for rid in sim.network.intersections[lid].incoming:
+            road = sim.network.roads[rid]
+            if road.approach not in phase.served:
+                continue
+            for vid in sim.road_order[rid]:
+                if (road.length - sim.vehicles[vid].position
+                        <= DETECTION_DISTANCE):
+                    occupied = True
+                    break
+            if occupied:
+                break
+        self.empty_run[lid] = 0 if occupied else self.empty_run[lid] + 1
+        if light.time_in_phase >= ACTUATED_MAX_GREEN:
+            return 1
+        return int(self.empty_run[lid] >= ACTUATED_GAP_S)
+
+
+@given(worlds(), st.integers(1, 30), st.data())
+def test_actuated_tick_matches_the_whole_road_scan(sim, steps, data):
+    for light in sim.lights.values():
+        light.phase_index = data.draw(st.integers(0, len(light.phases) - 1))
+        light.time_in_phase = data.draw(st.integers(0, 50))
+    actuated, scanning = ActuatedController(), ScanningActuated()
+    view = None
+    for _ in range(steps):
+        want = {lid: scanning.tick(light, sim)
+                for lid, light in sim.lights.items()}
+        got = {lid: actuated.tick(light, sim)
+               for lid, light in sim.lights.items()}
+        assert got == want
+        assert actuated._empty_run == scanning.empty_run
+        view = step(sim, got, {}, view=view)
