@@ -1,27 +1,26 @@
-"""Simulator invariants on generated states: random vehicle placements on
-the 1x1 and 1x6 grids and on grids of 1x1 to 3x3, with drawn road lengths
-and speed limits, with random flows still to be inserted, driven by random
-light actions and commanded
-accelerations. After every step the fleet is conserved, each road's order
-is sorted by position, speeds lie in [0, limit] and positions on the road,
-every vehicle's kinematic and energy fields are Python floats, and every
-vehicle the step moved holds, bit for bit, the speed, acceleration,
-position, distance, fuel and CO2 of the reference step: the per-road
-acceleration inputs of the state after the lights acted, the
-`kernels.vehicle_accels` law, then the numpy references of the kinematics
-and energy kernels composed with the stop-line hold. During the step, the
-collision scan and the TTC counter agree with brute-force rescans of the
-state they read, and the view `step` hands each scan equals the
-per-vehicle loop it replaced. The view `step` returns equals a fresh
-`scan_view` of the state it leaves, and is handed to the next step. On
-generated fleets with held, arriving and crossing vehicles, one step
-matches the reference step in every row. On the same generated states, in
-every cooperation mode, the env's one pass over the incoming roads yields
-the agents, their roads and the observation rows of the per-agent reference
-forms in test_env.py bit for bit, and the pressures of `tl_reward`. Over
-steps of the same states, the actuated plan's actions and empty-run
-counters equal those of a scan of every vehicle on the served roads. The
-example count is set by the profile in conftest.py."""
+"""Simulator invariants on generated states: random vehicle placements on the
+1x1 and 1x6 grids and on grids of 1x1 to 3x3 with drawn road lengths and
+speed limits and random flows still to be inserted, driven by random light
+actions and commanded accelerations. After every step the fleet is
+conserved, each road's order is sorted by position, speeds lie in [0,
+limit] and positions on the road, every vehicle's kinematic and energy
+fields are Python floats, and every vehicle the step moved holds, bit for
+bit, the speed, acceleration, position, distance, fuel and CO2 of the
+reference step: the per-road acceleration inputs of the state after the
+lights acted, the `kernels.vehicle_accels` law, then the numpy references
+of the kinematics and energy kernels composed with the stop-line hold.
+During the step, the collision scan and the TTC counter agree with
+brute-force rescans of the state they read, and the view `step` hands each
+scan equals the per-vehicle loop it replaced. The view `step` returns
+equals a fresh `scan_view` of the state it leaves, and is handed to the
+next step. On generated fleets with held, arriving and crossing vehicles,
+one step matches the reference step in every row. On the same generated
+states, in every cooperation mode, the env's one pass over the incoming
+roads yields the agents, their roads and the observation rows of the
+per-agent reference forms in test_env.py bit for bit, and the pressures of
+`tl_reward`. Over steps of the same states, the actuated plan's actions and
+empty-run counters equal those of a scan of every vehicle on the served
+roads. The example count is set by the profile in conftest.py."""
 import copy
 from unittest import mock
 
@@ -410,9 +409,10 @@ def observed_worlds(draw):
         # a CAV up to a car length past the tail of the vehicle it follows,
         # so that some agent's gap is negative
         lead = sim.vehicles[draw(st.sampled_from(sorted(sim.vehicles)))]
+        limit = sim.network.roads[lead.road].speed_limit
         put_vehicle(sim, f"t{k}", lead.road,
                     max(lead.position - draw(st.floats(0.0, 8.0)), 0.0),
-                    draw(st.floats(0.0, 10.0)), route=lead.route[
+                    draw(st.floats(0.0, min(10.0, limit))), route=lead.route[
                         lead.route_index:], kind="CAV")
     for veh in sim.vehicles.values():
         veh.accel = draw(st.floats(-4.5, 3.0))
