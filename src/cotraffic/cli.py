@@ -148,10 +148,9 @@ def cmd_train(args):
                        progress=progress if args.verbose else None)
 
     curve_keys = sorted({k for c in result.curves for k in c})
-    with open(out / "reward_curves.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(curve_keys) + "\n")
-        for entry in result.curves:
-            fh.write(",".join(_fmt(entry.get(k)) for k in curve_keys) + "\n")
+    metrics.write_csv(out / "reward_curves.csv", curve_keys,
+                      ([entry.get(k) for k in curve_keys]
+                       for entry in result.curves))
 
     ckpt_meta = {
         "method": args.method,
@@ -184,14 +183,6 @@ def cmd_train(args):
         print("warning: training halted early on a non-finite loss",
               file=sys.stderr)
     return 0
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 # value kinds of run-directory JSON fields: (accepted types, description)
@@ -285,7 +276,8 @@ def _write_eval_outputs(out, method, scenario, reports, label=""):
                                      "method": method.name,
                                      "method_notes": method.notes,
                                      "penetration": scenario.penetration_rate})
-    metrics.write_travel_times_csv(out / f"{prefix}travel_times.csv", aggregate)
+    metrics.write_csv(out / f"{prefix}travel_times.csv", ["travel_time_s"],
+                      ([t] for t in aggregate.travel_times))
     return aggregate
 
 
@@ -347,12 +339,10 @@ def cmd_sweep(args):
         rows.append((rate, aggregate))
         print(f"penetration {rate:.2f}: mean travel time "
               f"{aggregate.mean_travel_time:.2f}s")
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write("penetration," + ",".join(metrics.EpisodeReport.METRIC_KEYS) + "\n")
-        for rate, agg in rows:
-            vals = agg.metrics()
-            fh.write(f"{rate:.2f}," + ",".join(
-                _fmt(vals[k]) for k in metrics.EpisodeReport.METRIC_KEYS) + "\n")
+    keys = metrics.EpisodeReport.METRIC_KEYS
+    metrics.write_csv(out / "sweep.csv", ["penetration", *keys],
+                      ([f"{rate:.2f}", *(getattr(agg, k) for k in keys)]
+                       for rate, agg in rows))
     # the penetration rates are listed on their own
     metrics.write_json(out / "manifest.json", _manifest(
         args, run_scenario, method,

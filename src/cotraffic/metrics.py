@@ -1,8 +1,10 @@
 """Evaluation metrics and report files.
 
-All trip means cover completed trips only. Fuel and CO2 are fleet-aggregate
-ratios (total fuel over total distance), which stays stable when individual
-trips are very short; the convention is stamped into every report.
+`build_episode_report` takes an episode's trip metrics in one pass over its
+completed trips: mean travel time, mean delay (actual minus ideal time), and
+fuel and CO2 as fleet-aggregate ratios (total over total distance), which
+stay stable when individual trips are very short; the convention is stamped
+into every report. `write_csv` writes every run-directory table.
 """
 import csv
 import json
@@ -11,38 +13,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 FUEL_AGGREGATION = "fleet-aggregate"
-
-
-def travel_time_stats(trips):
-    """Mean and per-vehicle travel times over completed trips."""
-    if not trips:
-        raise ValueError("no completed trips")
-    times = [float(t.travel_time) for t in trips]
-    return float(np.mean(times)), times
-
-
-def delay_stats(trips):
-    """Mean and per-vehicle (actual - ideal) travel time."""
-    if not trips:
-        raise ValueError("no completed trips")
-    delays = [float(t.travel_time - t.ideal_time) for t in trips]
-    return float(np.mean(delays)), delays
-
-
-def fuel_per_100km(trips):
-    """Fleet fuel economy: 100,000 x total liters / total meters."""
-    total_m = sum(t.distance_m for t in trips)
-    if total_m <= 0:
-        raise ValueError("no distance traveled")
-    return 100_000.0 * sum(t.fuel_l for t in trips) / total_m
-
-
-def co2_per_km(trips):
-    """Fleet emission rate: 1,000 x total grams / total meters."""
-    total_m = sum(t.distance_m for t in trips)
-    if total_m <= 0:
-        raise ValueError("no distance traveled")
-    return 1_000.0 * sum(t.co2_g for t in trips) / total_m
 
 
 @dataclass
@@ -67,19 +37,26 @@ class EpisodeReport:
 
 
 def build_episode_report(sim):
-    """Report for one finished episode; collided vehicles' partial fuel and
-    distance are excluded from the efficiency ratios."""
+    """Report for one finished episode. Fuel is 100,000 x total liters over
+    total meters (l/100 km), CO2 1,000 x total grams over total meters
+    (g/km); collided vehicles' partial fuel and distance are excluded."""
     trips = sim.completed
-    tt_mean, tt_all = travel_time_stats(trips) if trips else (float("nan"), [])
-    delay_mean, _ = delay_stats(trips) if trips else (float("nan"), [])
-    fuel = fuel_per_100km(trips) if trips else float("nan")
-    co2 = co2_per_km(trips) if trips else float("nan")
+    times = [float(t.travel_time) for t in trips]
+    # np.mean warns on an empty list, so no trips leave all four nan
+    tt_mean = delay_mean = fuel = co2 = float("nan")
+    if trips:
+        delays = [float(t.travel_time - t.ideal_time) for t in trips]
+        total_m = sum(t.distance_m for t in trips)
+        tt_mean = float(np.mean(times))
+        delay_mean = float(np.mean(delays))
+        fuel = 100_000.0 * sum(t.fuel_l for t in trips) / total_m
+        co2 = 1_000.0 * sum(t.co2_g for t in trips) / total_m
     return EpisodeReport(
         mean_travel_time=tt_mean, mean_delay=delay_mean,
         fuel_l_per_100km=fuel, co2_g_per_km=co2,
         ttc_events=float(sim.ttc_event_count),
         completed=float(len(trips)), inserted=float(sim.inserted_count),
-        collided=float(sim.collided_count), travel_times=tt_all)
+        collided=float(sim.collided_count), travel_times=times)
 
 
 def aggregate_reports(reports):
@@ -87,7 +64,7 @@ def aggregate_reports(reports):
     concatenated for distribution export."""
     if not reports:
         raise ValueError("no reports to aggregate")
-    agg = {k: float(np.mean([r.metrics()[k] for r in reports]))
+    agg = {k: float(np.mean([getattr(r, k) for r in reports]))
            for k in EpisodeReport.METRIC_KEYS}
     times = [t for r in reports for t in r.travel_times]
     return EpisodeReport(travel_times=times, **agg)
@@ -142,20 +119,28 @@ def write_report_json(path, report, extra):
     write_json(path, payload)
 
 
-def write_travel_times_csv(path, report):
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    """Write a run-directory table: comma-separated, LF line endings, a None
+    cell empty and a float cell in six significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["travel_time_s"])
-        for t in report.travel_times:
-            writer.writerow([f"{t:.6g}"])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def write_compare_csv(path, table, baseline_key):
-    """Flat CSV: one row per method x metric with value and pct change."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "metric", "value", "pct_change_vs_baseline"])
-        for method in sorted(table):
-            for metric, (value, pct) in table[method].items():
-                writer.writerow([method, metric, f"{value:.6g}",
-                                 "" if method == baseline_key else f"{pct:.4f}"])
+    """Flat CSV: one row per method x metric with value and pct change; an
+    integer value (a hand-edited aggregate.json) prints as a float."""
+    write_csv(path, ["method", "metric", "value", "pct_change_vs_baseline"],
+              ([method, metric, float(value),
+                "" if method == baseline_key else f"{pct:.4f}"]
+               for method in sorted(table)
+               for metric, (value, pct) in table[method].items()))

@@ -202,6 +202,8 @@ class ScenarioSpec:
             raise ConfigError("horizon must be positive")
         if not 0.0 <= self.penetration_rate <= 1.0:
             raise ConfigError("penetration rate must lie in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         names = set()
         for flow in self.flows:
             # a flow's vehicles are named `<flow name>.<k>`

@@ -1,4 +1,5 @@
 """Command-line workflows: manifests, constraint checks, reproducibility."""
+import csv
 import itertools
 import json
 import os
@@ -372,6 +373,52 @@ def test_sweep_and_report(train_dir, tmp_path):
     pct = table["cotv"]["mean_travel_time"]["pct_change"]
     assert pct == pytest.approx(100 * (cotv_tt - base_tt) / base_tt, rel=1e-9)
     assert (report_out / "comparison.csv").exists()
+
+
+def test_run_tables_are_lf_comma_separated(tmp_path):
+    """Every table a run writes ends its lines in LF alone and reads back
+    through csv.reader, a report NAME holding a comma as one cell."""
+    train = tmp_path / "train"
+    assert run_cli("train", "--method", "cotv", "--grid", "1x1",
+                   "--profile", "ci", "--seed", "3", "--out", str(train),
+                   "--horizon", "40", "--iterations", "1",
+                   "--train-episodes", "1") == 0
+    base = tmp_path / "base"
+    assert run_cli("baseline", "--method", "baseline-static", "--episodes",
+                   "1", "--horizon", "120", "--out", str(base)) == 0
+    assert run_cli("sweep", "--checkpoint-dir", str(train), "--rates",
+                   "0,1.0", "--episodes", "1", "--horizon", "120",
+                   "--out", str(tmp_path / "sweep")) == 0
+    assert run_cli("report", "--baseline", f"static={base}", "--run",
+                   f"static, again={base}",
+                   "--out", str(tmp_path / "rep")) == 0
+    tables = sorted(tmp_path.rglob("*.csv"))
+    assert {t.name for t in tables} == {
+        "reward_curves.csv", "travel_times.csv", "rate0.00_travel_times.csv",
+        "rate1.00_travel_times.csv", "sweep.csv", "comparison.csv"}
+    for table in tables:
+        data = table.read_bytes()
+        assert b"\r" not in data, table.name
+        with open(table, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1 and {len(r) for r in rows} == {len(rows[0])}
+    with open(tmp_path / "rep" / "comparison.csv", newline="",
+              encoding="utf-8") as fh:
+        methods = {row[0] for row in csv.reader(fh)}
+    assert methods == {"method", "static", "static, again"}
+
+
+def test_negative_scenario_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.txt"
+    path.write_text("network { grid: 1x1 }\n"
+                    "flow { name: WE, origin: W0:J0-0, destination: J0-0:E0, "
+                    "count: 2, start: 1, period: 8 }\n"
+                    "sim { horizon: 40, seed: -1 }")
+    assert run_cli("baseline", "--method", "baseline-static", "--config",
+                   str(path), "--episodes", "1",
+                   "--out", str(tmp_path / "o")) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_parses_its_run_scenario_once(train_dir, tmp_path,

@@ -1,11 +1,12 @@
 """Metric arithmetic and report aggregation."""
+import math
+
 import numpy as np
 import pytest
 
-from cotraffic.metrics import (EpisodeReport, aggregate_reports, co2_per_km,
-                               compare_table, delay_stats, fuel_per_100km,
-                               travel_time_stats)
-from cotraffic.simulation import TripRecord
+from cotraffic.metrics import (EpisodeReport, aggregate_reports,
+                               build_episode_report, compare_table)
+from cotraffic.simulation import SimState, TripRecord
 
 
 def trip(vid="v", depart=0, arrival=50, route_len=600.0, ideal=40.0,
@@ -14,51 +15,54 @@ def trip(vid="v", depart=0, arrival=50, route_len=600.0, ideal=40.0,
                       fuel, co2, dist)
 
 
+def episode(*trips):
+    """The report of an episode that completed `trips`."""
+    return build_episode_report(SimState(network=None, completed=list(trips)))
+
+
 def test_travel_time_mean():
-    mean, times = travel_time_stats([trip(arrival=50)])
-    assert mean == 50 and times == [50]
-    mean, _ = travel_time_stats([trip(arrival=40), trip(vid="w", arrival=60)])
-    assert mean == 50
+    rep = episode(trip(arrival=50))
+    assert rep.mean_travel_time == 50 and rep.travel_times == [50]
+    rep = episode(trip(arrival=40), trip(vid="w", arrival=60))
+    assert rep.mean_travel_time == 50
 
 
-def test_travel_time_requires_trips():
-    with pytest.raises(ValueError):
-        travel_time_stats([])
+def test_no_trips_report_nan():
+    rep = episode()
+    assert all(math.isnan(getattr(rep, k)) for k in (
+        "mean_travel_time", "mean_delay", "fuel_l_per_100km", "co2_g_per_km"))
+    assert rep.travel_times == [] and rep.completed == 0.0
 
 
 def test_delay_definition():
-    mean, delays = delay_stats([trip(arrival=55, ideal=40.0)])
-    assert mean == pytest.approx(15.0)
-    mean, _ = delay_stats([trip(arrival=40, ideal=40.0)])
-    assert mean == pytest.approx(0.0)
+    rep = episode(trip(arrival=55, ideal=40.0))
+    assert rep.mean_delay == pytest.approx(15.0)
+    rep = episode(trip(arrival=40, ideal=40.0))
+    assert rep.mean_delay == pytest.approx(0.0)
 
 
 def test_fuel_unit_arithmetic():
-    t = trip(fuel=1.0, dist=10_000.0)
-    assert fuel_per_100km([t]) == pytest.approx(10.0)
-    t2 = trip(fuel=1.0, co2=2392.0, dist=1_000.0)
-    assert co2_per_km([t2]) == pytest.approx(2392.0)
-    assert fuel_per_100km([t2]) == pytest.approx(100.0)
+    rep = episode(trip(fuel=1.0, dist=10_000.0))
+    assert rep.fuel_l_per_100km == pytest.approx(10.0)
+    rep = episode(trip(fuel=1.0, co2=2392.0, dist=1_000.0))
+    assert rep.co2_g_per_km == pytest.approx(2392.0)
+    assert rep.fuel_l_per_100km == pytest.approx(100.0)
 
 
 def test_fuel_scale_invariance():
     trips = [trip(fuel=0.02, dist=500.0), trip(vid="w", fuel=0.08, dist=1500.0)]
     doubled = [trip(fuel=0.04, dist=1000.0), trip(vid="w", fuel=0.16, dist=3000.0)]
-    assert fuel_per_100km(trips) == pytest.approx(fuel_per_100km(doubled))
-
-
-def test_fuel_requires_distance():
-    with pytest.raises(ValueError):
-        fuel_per_100km([trip(dist=0.0)])
+    assert episode(*trips).fuel_l_per_100km == pytest.approx(
+        episode(*doubled).fuel_l_per_100km)
 
 
 def test_aggregation_permutation_invariant():
     trips = [trip(vid=f"v{i}", arrival=40 + i, fuel=0.01 * (i + 1),
                   dist=600.0 - i) for i in range(6)]
-    rev = list(reversed(trips))
-    assert travel_time_stats(trips)[0] == travel_time_stats(rev)[0]
-    assert delay_stats(trips)[0] == delay_stats(rev)[0]
-    assert fuel_per_100km(trips) == pytest.approx(fuel_per_100km(rev))
+    fwd, rev = episode(*trips), episode(*reversed(trips))
+    assert fwd.mean_travel_time == rev.mean_travel_time
+    assert fwd.mean_delay == rev.mean_delay
+    assert fwd.fuel_l_per_100km == pytest.approx(rev.fuel_l_per_100km)
 
 
 def report(tt, ttc, **kw):
@@ -121,5 +125,5 @@ def test_delay_floor_over_random_runs():
         rep, sim = run_baseline_episode(grid_scenario("1x1", seed=seed),
                                         "baseline-static", seed=seed,
                                         horizon=720)
-        _, delays = delay_stats(sim.completed)
+        delays = [t.travel_time - t.ideal_time for t in sim.completed]
         assert all(d >= -1.0 for d in delays)

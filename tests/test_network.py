@@ -292,6 +292,8 @@ def test_scenario_invariants_rejected():
      "flow A: origin 'nowhere' is not a road"),
     ("network { grid: 1x1 }\nsim { seed: x1 }",
      "sim: seed 'x1' is not an integer"),
+    ("network { grid: 1x1 }\nsim { seed: -1 }",
+     "seed must be non-negative"),
     ("network { grid: 1x1 }\nflow { name: A, origin: W0:J0-0, destination: "
      "J0-0:E0, count: 2, start: 1, period: 8 }\nflow { name: A, origin: "
      "N0:J0-0, destination: J0-0:S0, count: 2, start: 1, period: 8 }",
@@ -303,7 +305,7 @@ def test_scenario_invariants_rejected():
     ("network { grid: 1x1 }\nsim { horizon: 40 }\nsim { penetration: 0 }",
      "duplicate sim block"),
 ], ids=["number", "nan-length", "inf-limit", "count", "inf-period",
-        "unknown-road", "seed", "repeated-name", "repeated-default-name",
+        "unknown-road", "seed", "negative-seed", "repeated-name", "repeated-default-name",
         "repeated-sim"])
 def test_scenario_parser_names_block_and_key(entry, message):
     with pytest.raises(ConfigError, match=message):
