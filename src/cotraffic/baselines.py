@@ -86,12 +86,10 @@ def max_pressure_tick(light, sim):
     pressure strictly exceeds the current one's; ties keep the phase.
     """
     current = light.phase
-    if current.kind != "green":
+    if current.kind != "green" or light.time_in_phase < MIN_GREEN:
         return 0
-    if light.time_in_phase < MIN_GREEN:
-        return 0
-    greens = [p for p in light.phases if p.kind == "green"]
-    alternative = next(p for p in greens if p is not current)
+    alternative = next(p for p in light.phases
+                       if p.kind == "green" and p is not current)
     return int(phase_pressure(sim, light, alternative)
                > phase_pressure(sim, light, current))
 
@@ -137,8 +135,8 @@ def _advise(v, dist_to_stop, v_star, windows, follow):
     the car-following law; otherwise it aims a constant speed
     dist/time-to-next-green, clamped to [0, v*], as accel = clip(v_t - v,
     -3, 3). A real leader always caps the advice at the car-following
-    acceleration. Reference form of the rule in
-    `GlosaController.commands`' final loop, which does not call this.
+    acceleration. `GlosaController.commands` applies this rule to each
+    CAV on an approach road.
     """
     now_window, next_window = windows
     limit = GLOSA_ACCEL_LIMIT
@@ -159,24 +157,26 @@ class GlosaController:
 
     Runs on top of the actuated plan and projects its greens at max-green
     length, since its gap-outs are not knowable ahead of time. Each step
-    reads the advised CAVs' rows, in-road leaders and gaps from the step's
-    fleet view (`simulation.ScanView`), computes their car-following
-    accelerations in one `kernels.vehicle_accels` call and applies the rule
-    of `_advise` per vehicle in its own loop, with each light's projected
-    durations built once and the green windows projected once per occupied
-    approach road. The view is only read: `step` patches its front rows
-    afterwards.
+    makes one `kernels.vehicle_accels` call over every row of the step's
+    fleet view (`simulation.ScanView`), with each in-road gap floored at
+    1e-6, then walks the view's roads once: each light's projected
+    durations are built once, each occupied approach road's green windows
+    once, and `_advise` gives each CAV row on it its advice. The view is
+    only read: `step` patches its front rows afterwards.
     """
 
     def commands(self, sim, view):
-        ids, speed, lead_speed, gap, has_lead, v_limit = [], [], [], [], [], []
-        dist, windows = [], []   # to the stop line; the road's green windows
-        vehs, roads, view_speed = view.vehs, view.roads, view.speed
-        view_lead_speed, view_gap, view_has_lead = (
-            view.lead_speed, view.gap, view.has_lead)
+        n = len(view.ids)
+        # a front row's zero gap is never read: it has no leader
+        follow = kernels.vehicle_accels(
+            view.speed, view.lead_speed,
+            [1e-6 if g < 1e-6 else g for g in view.gap], view.has_lead,
+            [road.speed_limit for road in view.roads], [False] * n, [0.0] * n)
+        vehs, roads, speed = view.vehs, view.roads, view.speed
         durations = {lid: [ACTUATED_MAX_GREEN if p.kind == "green"
                            else YELLOW_DURATION for p in light.phases]
                      for lid, light in sim.lights.items()}
+        advice = {}
         start = 0
         # each road's rows run from the row after the last road's front to
         # its own front
@@ -184,48 +184,17 @@ class GlosaController:
             rows = range(start, front + 1)
             start = front + 1
             road = roads[front]
-            if road.approach_intersection is None:
-                continue
             lid = road.approach_intersection
-            road_windows = _green_windows(sim.lights[lid], durations[lid],
-                                          road.approach)
+            if lid is None:
+                continue
+            windows = _green_windows(sim.lights[lid], durations[lid],
+                                     road.approach)
             for i in rows:
                 veh = vehs[i]
-                if veh.kind != "CAV":
-                    continue
-                ids.append(veh.id)
-                speed.append(view_speed[i])
-                v_limit.append(road.speed_limit)
-                dist.append(road.length - veh.position)
-                windows.append(road_windows)
-                # a front row's zero gap is never read: it has no leader
-                g = view_gap[i]
-                lead_speed.append(view_lead_speed[i])
-                gap.append(1e-6 if g < 1e-6 else g)
-                has_lead.append(view_has_lead[i])
-        if not ids:
-            return {}
-        n = len(ids)
-        follow = kernels.vehicle_accels(
-            speed, lead_speed, gap, has_lead, v_limit, [False] * n, [0.0] * n)
-        # the rule of `_advise`, vehicle by vehicle; the final clamp's upper
-        # bound only binds where the vehicle follows the car-following law
-        lo, hi = -GLOSA_ACCEL_LIMIT, GLOSA_ACCEL_LIMIT
-        advice = {}
-        for vid, v, d, v_star, (now_window, next_window), a in zip(
-                ids, speed, dist, v_limit, windows, follow):
-            if now_window[0] == 0.0 and (_earliest_arrival(v, d, v_star)
-                                         <= now_window[1]):
-                aim = a
-            else:
-                v_target = d / (now_window[0] if now_window[0] > 0.0
-                                 else next_window[0])
-                v_target = 0.0 if v_target < 0.0 else v_target
-                v_target = v_star if v_target > v_star else v_target
-                aim = v_target - v
-                aim = lo if aim < lo else hi if aim > hi else aim
-                aim = a if a < aim else aim
-            advice[vid] = lo if aim < lo else hi if aim > hi else aim
+                if veh.kind == "CAV":
+                    advice[veh.id] = _advise(
+                        speed[i], road.length - veh.position,
+                        road.speed_limit, windows, follow[i])
         return advice
 
 

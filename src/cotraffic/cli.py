@@ -265,6 +265,12 @@ def _load_run(args, rates):
             networks["tl"], networks["cav"])
 
 
+def _shown(value, template):
+    """`value` put into the format string `template`, or n/a when it is not
+    finite: the rule of every metric value the subcommands print."""
+    return template.format(value) if np.isfinite(value) else "n/a"
+
+
 def _write_eval_outputs(out, method, scenario, reports, label=""):
     prefix = f"{label}_" if label else ""
     aggregate = metrics.aggregate_reports(reports)
@@ -302,7 +308,8 @@ def _evaluate(args, default_out, verb, method, scenario, tl_params,
         {"episodes": args.episodes, "penetration": scenario.penetration_rate,
          "eval_seeds": seeds, **extra}))
     print(f"{verb} {method.name}: mean travel time "
-          f"{aggregate.mean_travel_time:.2f}s over {args.episodes} episodes; "
+          f"{_shown(aggregate.mean_travel_time, '{:.2f}s')} over "
+          f"{args.episodes} episodes; "
           f"outputs in {out}")
     return 0
 
@@ -338,7 +345,7 @@ def cmd_sweep(args):
                                         label=f"rate{rate:0.2f}")
         rows.append((rate, aggregate))
         print(f"penetration {rate:.2f}: mean travel time "
-              f"{aggregate.mean_travel_time:.2f}s")
+              f"{_shown(aggregate.mean_travel_time, '{:.2f}s')}")
     keys = metrics.EpisodeReport.METRIC_KEYS
     metrics.write_csv(out / "sweep.csv", ["penetration", *keys],
                       ([f"{rate:.2f}", *(getattr(agg, k) for k in keys)]
@@ -380,8 +387,9 @@ def cmd_report(args):
          for m, row in table.items()})
     for method in sorted(table):
         tt, pct = table[method]["mean_travel_time"]
-        suffix = "" if method == baseline_name else f" ({pct:+.2f}%)"
-        print(f"{method}: travel time {tt:.2f}s{suffix}")
+        suffix = ("" if method == baseline_name
+                  else f" ({_shown(pct, '{:+.2f}%')})")
+        print(f"{method}: travel time {_shown(tt, '{:.2f}s')}{suffix}")
     print(f"report outputs in {out}")
     return 0
 

@@ -10,8 +10,9 @@ so a numpy call would cost more in fixed overhead than in arithmetic.
 `vehicle_accels`, `kinematics` and `fuel_co2` inside its one loop over the
 vehicles, which also moves them, because building their columns cost more
 than the arithmetic. Those three stay here as the reference forms of that
-loop and as names the benchmark's tracer wraps; the speed advisory calls
-`vehicle_accels` for its vehicles' car-following accelerations.
+loop and as names the benchmark's tracer wraps; the speed advisory makes
+one `vehicle_accels` call per step over every row of the fleet view for the
+car-following accelerations of the vehicles it advises.
 
 The loops do the operations of a row in the order the vectorized form did.
 Their clamps are conditional expressions, which pick the operand that

@@ -60,12 +60,17 @@ def build_episode_report(sim):
 
 
 def aggregate_reports(reports):
-    """Mean of each metric across evaluation episodes; travel-time lists are
-    concatenated for distribution export."""
+    """Mean of each metric over the evaluation episodes where it is finite,
+    so an episode that completed no trip leaves its nan travel time, delay,
+    fuel and CO2 out of theirs; a metric finite in no episode stays nan.
+    Travel-time lists are concatenated for distribution export."""
     if not reports:
         raise ValueError("no reports to aggregate")
-    agg = {k: float(np.mean([getattr(r, k) for r in reports]))
-           for k in EpisodeReport.METRIC_KEYS}
+    agg = {}
+    for k in EpisodeReport.METRIC_KEYS:
+        values = [v for r in reports if np.isfinite(v := getattr(r, k))]
+        # np.mean warns on an empty list
+        agg[k] = float(np.mean(values)) if values else float("nan")
     times = [t for r in reports for t in r.travel_times]
     return EpisodeReport(travel_times=times, **agg)
 

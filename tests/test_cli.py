@@ -375,6 +375,22 @@ def test_sweep_and_report(train_dir, tmp_path):
     assert (report_out / "comparison.csv").exists()
 
 
+def test_travel_time_without_trips_prints_n_a(tmp_path, capsys):
+    # no trip completes within 30 s, so no travel time is finite
+    run = tmp_path / "run"
+    assert run_cli("baseline", "--method", "actuated", "--horizon", "30",
+                   "--episodes", "2", "--out", str(run)) == 0
+    agg = json.loads((run / "aggregate.json").read_text())
+    assert agg["mean_travel_time"] is None and agg["completed"] == 0.0
+    assert run_cli("report", "--baseline", f"a={run}", "--run", f"b={run}",
+                   "--out", str(tmp_path / "rep")) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert "mean travel time n/a over 2 episodes" in out
+    assert "a: travel time n/a\n" in out
+    assert "b: travel time n/a (n/a)\n" in out
+
+
 def test_run_tables_are_lf_comma_separated(tmp_path):
     """Every table a run writes ends its lines in LF alone and reads back
     through csv.reader, a report NAME holding a comma as one cell."""

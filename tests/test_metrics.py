@@ -117,6 +117,20 @@ def test_aggregate_reports_mean_of_episodes():
         aggregate_reports([])
 
 
+def test_aggregate_leaves_out_episodes_without_trips():
+    # an episode that completed no trip has nan trip metrics; it is left out
+    # of their means and still counts for the others
+    nan = float("nan")
+    empty = report(nan, 4.0, delay=nan, fuel=nan, co2=nan)
+    agg = aggregate_reports([report(40.0, 10.0), empty, report(60.0, 30.0)])
+    assert agg.mean_travel_time == 50.0 and agg.mean_delay == 10.0
+    assert agg.fuel_l_per_100km == 9.0 and agg.co2_g_per_km == 210.0
+    assert agg.ttc_events == pytest.approx(44.0 / 3)
+    agg = aggregate_reports([empty, empty])
+    assert math.isnan(agg.mean_travel_time) and math.isnan(agg.co2_g_per_km)
+    assert agg.ttc_events == 4.0
+
+
 def test_delay_floor_over_random_runs():
     """Discretization can make a trip at most 1 s faster than ideal."""
     from cotraffic.network import grid_scenario

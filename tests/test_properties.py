@@ -20,7 +20,9 @@ roads yields the agents, their roads and the observation rows of the
 per-agent reference forms in test_env.py bit for bit, and the pressures of
 `tl_reward`. Over steps of the same states, the actuated plan's actions and
 empty-run counters equal those of a scan of every vehicle on the served
-roads. The example count is set by the profile in conftest.py."""
+roads, and the speed advisory's commands equal, bit for bit and in row
+order, the per-vehicle rule of test_baselines.py on each CAV of an approach
+road. The example count is set by the profile in conftest.py."""
 import copy
 from unittest import mock
 
@@ -29,13 +31,15 @@ from hypothesis import given, strategies as st
 
 from cotraffic import kernels, simulation
 from cotraffic.baselines import (ACTUATED_GAP_S, ACTUATED_MAX_GREEN,
-                                 DETECTION_DISTANCE, ActuatedController)
+                                 DETECTION_DISTANCE, ActuatedController,
+                                 GlosaController, make_light_controller)
 from cotraffic.env import (CooperationMode, incoming_layout,
                            max_road_capacity, observe, tl_reward)
 from cotraffic.network import (DT, MIN_GAP, VEHICLE_LENGTH, FlowSpec,
                                ScenarioSpec, build_grid, grid_scenario)
-from cotraffic.simulation import build_sim, scan_view, step
+from cotraffic.simulation import YELLOW_DURATION, build_sim, scan_view, step
 
+from test_baselines import glosa_advice
 from test_env import (ref_cav_observation, ref_select_cav_agents,
                       ref_tl_observation)
 from test_kernels import ref_fuel_co2, ref_kinematics
@@ -504,3 +508,48 @@ def test_actuated_tick_matches_the_whole_road_scan(sim, steps, data):
         assert got == want
         assert actuated._empty_run == scanning.empty_run
         view = step(sim, got, {}, view=view)
+
+
+# --- the speed advisory against its per-vehicle rule -----------------------
+
+def ref_advice(sim):
+    """Reference for `GlosaController.commands`: `glosa_advice` for each CAV
+    of each approach road, rear to front, with the in-road leader's gap
+    floored at 1e-6."""
+    want = {}
+    for road_id, road in sim.network.roads.items():
+        if road.approach_intersection is None:
+            continue
+        light = sim.lights[road.approach_intersection]
+        durations = [ACTUATED_MAX_GREEN if p.kind == "green"
+                     else YELLOW_DURATION for p in light.phases]
+        order = sim.road_order[road_id]
+        for i, vid in enumerate(order):
+            veh = sim.vehicles[vid]
+            if veh.kind != "CAV":
+                continue
+            leader = None
+            if i + 1 < len(order):
+                lead = sim.vehicles[order[i + 1]]
+                leader = (lead.speed, max(lead.position - lead.length
+                                          - veh.position, 1e-6))
+            want[vid] = glosa_advice(veh, light, road.length - veh.position,
+                                     road, durations, leader)
+    return want
+
+
+@given(worlds(), st.integers(1, 30), st.data())
+def test_advisory_matches_the_per_vehicle_rule(sim, steps, data):
+    for light in sim.lights.values():
+        light.phase_index = data.draw(st.integers(0, len(light.phases) - 1))
+        light.time_in_phase = data.draw(st.integers(0, 50))
+    glosa, lights = GlosaController(), make_light_controller("actuated")
+    # the episode loop's order: the advisory reads the view that the next
+    # step consumes
+    view = scan_view(sim)
+    for _ in range(steps):
+        want = ref_advice(sim)
+        got = glosa.commands(sim, view)
+        assert list(got) == list(want)
+        assert bitwise(got.values()) == bitwise(want.values())
+        view = step(sim, lights(sim), got, view=view)
