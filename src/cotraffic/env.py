@@ -276,7 +276,7 @@ def cav_observation(sim, mode, prev_tl_action):
                    max_road_capacity(sim.network), {}, prev_tl_action).cav_obs
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentStep:
     agent_id: str
     agent_type: str        # "TL" | "CAV"

@@ -9,7 +9,9 @@ vectors in the same layout, so an update is a few whole-vector operations.
 Forward and backward passes are written out by hand in numpy so the training
 step can be checked against central finite differences parameter by
 parameter. `Policy.act` serves a step's agents of one type with one forward,
-then samples and scores each row on Python floats.
+then samples and scores each row on Python floats. At a few rows per call
+numpy's per-call overhead outweighs the arithmetic, so each product is an
+`ndarray.dot`: cheaper per call than `@`, with the same bits (tests pin both).
 """
 import hashlib
 import json
@@ -101,21 +103,25 @@ def forward(params, obs, out=None):
     head_pre is the raw policy-head output (logit for "tl", pre-squash mean
     for "cav"); cache holds the activations the backward pass needs. `out`,
     if given, holds one (rows, width) array per hidden layer to write the
-    activations into.
+    activations into. One loop serves `Policy.act` and the update. A 64x64
+    `dot` at 1-2 rows costs 0.8 us against 1.1 us for `np.matmul`; the heads
+    stay two (width, 1) products, as one (width, 2) product rounds otherwise.
     """
-    x = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    x = np.asarray(obs, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
     if x.shape[1] != params.obs_dim:
         raise ValueError(f"observation length {x.shape[1]} does not match "
                          f"network input {params.obs_dim}")
     hs = [x]
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = hs[-1] @ w if out is None else np.matmul(hs[-1], w, out=out[k])
+        z = hs[-1].dot(w) if out is None else hs[-1].dot(w, out[k])
         z += b
         hs.append(np.tanh(z, out=z))
     h = hs[-1]
-    head_pre = h @ params.w_policy
+    head_pre = h.dot(params.w_policy)
     head_pre += params.b_policy
-    values = h @ params.w_value
+    values = h.dot(params.w_value)
     values += params.b_value
     return head_pre[:, 0], values[:, 0], hs
 
@@ -156,7 +162,9 @@ class Policy:
         floats, which round as numpy does. Only `tanh`, `logaddexp` and `exp`
         stay in numpy: numpy computes them with its own code (SIMD `tanh` and
         `exp`), which can differ from Python's `math` in the last bit, and
-        training output keeps numpy's bits.
+        training output keeps numpy's bits. Greedy, a signal's log-prob is
+        -softplus(-|z|), the sampled form's bits; a vehicle's z-score is 0,
+        so its log-prob is the constant -log_std - log(2 pi)/2.
         """
         if sample and rng is None:
             raise ValueError("sampling actions needs an rng; pass one, "
@@ -165,31 +173,32 @@ class Policy:
         head_pre, values, _ = forward(self.params, obs)
         n = len(head_pre)
         if self.params.kind == "tl":
-            heads = head_pre.tolist()
+            # log-prob = -softplus(-z) for a switch, -softplus(z) for a keep
             if sample:
-                halves = np.tanh([0.5 * z for z in heads]).tolist()
+                halves = np.tanh(0.5 * head_pre).tolist()
                 actions = [1 if u < 0.5 * (1.0 + t) else 0 for u, t in
                            zip(rng.random(n).tolist(), halves)]
+                softplus = np.logaddexp(0.0, [-z if a else z for z, a in
+                                              zip(head_pre.tolist(), actions)])
             else:
-                actions = [1 if z > 0.0 else 0 for z in heads]
-            # log-prob = -softplus(-z) for a switch, -softplus(z) for a keep
-            softplus = np.logaddexp(
-                0.0, [-z if a else z for z, a in zip(heads, actions)]).tolist()
-            log_probs = [-s for s in softplus]
+                actions = [1 if z > 0.0 else 0 for z in head_pre.tolist()]
+                softplus = np.logaddexp(0.0, -np.abs(head_pre))
+            log_probs = [-s for s in softplus.tolist()]
         else:
             log_std = float(self.params.log_std[0])
-            std = float(np.exp(log_std))
             means = [ACTION_SCALE * t for t in np.tanh(head_pre).tolist()]
             if sample:
+                std = float(np.exp(log_std))
                 actions = [min(max(m + std * e, -ACTION_SCALE), ACTION_SCALE)
                            for m, e in zip(
                                means, rng.standard_normal(n).tolist())]
+                log_probs = []
+                for a, m in zip(actions, means):
+                    z = (a - m) / std
+                    log_probs.append(-0.5 * z * z - log_std - 0.5 * LOG_2PI)
             else:
                 actions = means
-            log_probs = []
-            for a, m in zip(actions, means):
-                z = (a - m) / std
-                log_probs.append(-0.5 * z * z - log_std - 0.5 * LOG_2PI)
+                log_probs = [-log_std - 0.5 * LOG_2PI] * n
         values = values.tolist()
         if obs.ndim == 1:
             return actions[0], log_probs[0], values[0]
@@ -240,19 +249,21 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     if params.kind == "tl":
         z = head_pre
         sig = _sigmoid(z)
-        logp = np.where(actions > 0.5, -_softplus(-z), -_softplus(z))
+        sp_neg, sp_pos = _softplus(-z), _softplus(z)
+        logp = np.where(actions > 0.5, -sp_neg, -sp_pos)
         dlogp_dpre = actions - sig
-        entropy = sig * _softplus(-z) + (1.0 - sig) * _softplus(z)
+        entropy = sig * sp_neg + (1.0 - sig) * sp_pos
         dent_dpre = -z * sig * (1.0 - sig)
     else:
         t = np.tanh(head_pre)
         mean = ACTION_SCALE * t
         std = np.exp(params.log_std[0])
         zscore = (actions - mean) / std
-        logp = -0.5 * zscore ** 2 - params.log_std[0] - 0.5 * LOG_2PI
+        zsq = zscore ** 2
+        logp = -0.5 * zsq - params.log_std[0] - 0.5 * LOG_2PI
         dlogp_dmean = zscore / std
         dlogp_dpre = dlogp_dmean * ACTION_SCALE * (1.0 - t ** 2)
-        dlogp_dlogstd = zscore ** 2 - 1.0
+        dlogp_dlogstd = zsq - 1.0
         entropy = np.full(n, 0.5 + 0.5 * LOG_2PI + params.log_std[0])
 
     log_ratio = logp - old_logp
@@ -261,8 +272,8 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv
     pg_loss = -np.minimum(unclipped, clipped)
     v_err = values - ret
-    loss = float(np.mean(pg_loss + value_coef * v_err ** 2
-                         - entropy_coef * entropy))
+    v_sq = v_err ** 2
+    loss = float(np.mean(pg_loss + value_coef * v_sq - entropy_coef * entropy))
     if not np.isfinite(loss):
         return loss, None, {"loss": loss}
 
@@ -283,10 +294,12 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     np.sum(gp, axis=0, out=grads.b_policy)
     np.matmul(h.T, gv, out=grads.w_value)
     np.sum(gv, axis=0, out=grads.b_value)
-    # the heads are rank one: broadcast products equal the K=1 matmuls bit
-    # for bit and skip the BLAS call
-    g_h = np.multiply(gp, params.w_policy.T, out=work.grad_hidden[-1][:n])
-    g_h += np.multiply(gv, params.w_value.T, out=work.head[:n])
+    # the heads are rank one: einsum's outer product is one multiply per
+    # element, as a broadcast multiply, and writes 512 rows in 2/3 the time
+    g_h = np.einsum("i,j->ij", g_pre, params.w_policy[:, 0],
+                    out=work.grad_hidden[-1][:n])
+    g_h += np.einsum("i,j->ij", g_value, params.w_value[:, 0],
+                     out=work.head[:n])
     for i in range(len(params.weights) - 1, -1, -1):
         # g_z = g_h * (1 - h^2), overwriting the cached activation h, which
         # no later step reads
@@ -303,7 +316,7 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     stats = {
         "loss": loss,
         "policy_loss": float(np.mean(pg_loss)),
-        "value_loss": float(np.mean(v_err ** 2)),
+        "value_loss": float(np.mean(v_sq)),
         "entropy": float(np.mean(entropy)),
         "mean_ratio": float(np.mean(ratio)),
         # the (r - 1) - log r estimator of KL(old || new): unbiased, >= 0

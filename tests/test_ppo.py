@@ -1,6 +1,8 @@
 """Networks, GAE, the clipped update, and training-loop bookkeeping."""
+import contextlib
 import copy
 import ctypes
+import itertools
 import json
 import os
 import pickle
@@ -113,6 +115,52 @@ def policy_forward(params, obs):
     batched `forward` that `Policy.act` runs."""
     head_pre, values, _ = forward(params, np.asarray(obs)[None, :])
     return _distribution(params, float(head_pre[0])), float(values[0])
+
+
+def matmul_forward(params, obs, out=None):
+    """`forward` as it was on `@` and `np.matmul`, kept verbatim as the
+    reference that the `dot` forward must match bit for bit."""
+    x = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    hs = [x]
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = hs[-1] @ w if out is None else np.matmul(hs[-1], w, out=out[k])
+        z += b
+        hs.append(np.tanh(z, out=z))
+    h = hs[-1]
+    head_pre = h @ params.w_policy
+    head_pre += params.b_policy
+    values = h @ params.w_value
+    values += params.b_value
+    return head_pre[:, 0], values[:, 0], hs
+
+
+def forward_bytes(result):
+    head_pre, values, hs = result
+    return [head_pre.tobytes(), values.tobytes()] + [h.tobytes() for h in hs]
+
+
+CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoint"
+
+
+@pytest.mark.parametrize("one_thread", [False, True])
+@pytest.mark.parametrize("kind, dim", [("tl", 37), ("cav", 12)])
+def test_forward_matches_matmul_reference_bit_for_bit(kind, dim, one_thread):
+    checkpoint, _ = load_checkpoint(CHECKPOINT / f"checkpoint_{kind}.npz")
+    nets = [init_params(kind, dim, seed=3), wide_head_params(kind, dim, 4),
+            checkpoint]
+    data = np.random.default_rng(11)
+    blas = ppo.one_blas_thread if one_thread else contextlib.nullcontext
+    with blas():
+        for params in nets:
+            work = GradWorkspace(params, 64)
+            for n in list(range(1, 65)) + [None]:
+                obs = data.normal(size=params.obs_dim if n is None
+                                  else (n, params.obs_dim))
+                rows = 1 if n is None else n
+                want = forward_bytes(matmul_forward(params, obs))
+                assert forward_bytes(forward(params, obs)) == want
+                out = [a[:rows] for a in work.hidden]
+                assert forward_bytes(forward(params, obs, out=out)) == want
 
 
 def test_policy_forward_zero_weights():
@@ -615,16 +663,23 @@ def test_loss_and_grads_match_allocating_reference(kind, obs_dim):
     params = init_params(kind, obs_dim, seed=13)
     # one workspace for every size: smaller minibatches use its leading rows
     work = GradWorkspace(params, 512)
-    for n in (1, 7, 416, 512):
+    # 385 is the first size at which two OpenBLAS threads split the inner
+    # axis of the hidden-weight gradient
+    for n, blas in itertools.product(
+            (1, 7, 385, 416, 512),
+            (contextlib.nullcontext, ppo.one_blas_thread)):
         batch = sample_batch(params, n=n, seed=n)
         old = batch["old_logp"] + np.random.default_rng(n).normal(0, 0.3, n)
         args = (params, batch["obs"], batch["actions"], old,
                 batch["advantages"], batch["returns"], 0.2, 0.5, 0.01)
-        want_loss, want_grad, want_stats = ref_loss_and_grads(*args)
-        for kwargs in ({}, {"work": work}):
-            loss, grad, stats = ppo_loss_and_grads(*args, **kwargs)
-            assert loss == want_loss and stats == want_stats
-            assert grad.tobytes() == want_grad.tobytes()
+        with blas():
+            want_loss, want_grad, want_stats = ref_loss_and_grads(*args)
+            for kwargs in ({}, {"work": work}):
+                loss, grad, stats = ppo_loss_and_grads(*args, **kwargs)
+                assert float(loss).hex() == float(want_loss).hex()
+                assert ({k: float(v).hex() for k, v in stats.items()}
+                        == {k: float(v).hex() for k, v in want_stats.items()})
+                assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_build_batch_matches_per_segment_gae():
