@@ -12,7 +12,7 @@ positive-acceleration norm of the traffic on its road.
 `select_cav_agents`, `tl_observation` and `cav_observation` each return one
 field of `observe`: the span tracer looks them up by name, and unit tests
 read one field each. The pass's per-agent reference forms live in
-tests/test_env.py.
+tests/reference.py.
 
 Cooperation modes:
   COTV       state exchange, closest connected vehicle per incoming road
@@ -172,10 +172,10 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action):
     Per intersection, each incoming road is read once for its count, its
     closest-vehicle block and, walking from the stop line back, its vehicle
     agents and their rows. The approach signal and a front agent's leader
-    across the stop line are resolved in this loop, by the rules of
-    `TrafficLight.signal_for` and `simulation._cross_boundary_leader`,
-    which it does not call. `prev_commands` and `prev_tl_action` are the
-    M_COTV previous-action maps of `tl_observation` and `cav_observation`.
+    across the stop line are resolved in this loop; the callable forms of
+    their rules are in tests/reference.py.
+    `prev_commands` and `prev_tl_action` are the M_COTV previous-action maps
+    of `tl_observation` and `cav_observation`.
     """
     vehicles, road_order, lights = sim.vehicles, sim.road_order, sim.lights
     star = mode is CooperationMode.COTV_STAR

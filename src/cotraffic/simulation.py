@@ -65,20 +65,6 @@ class TrafficLight:
     def phase(self):
         return self.phases[self.phase_index]
 
-    def serves(self, approach):
-        """Whether the current phase lets the approach arm cross. Reference
-        form of the transfer test in `step`'s vehicle loop, which reads the
-        phase's `served` set itself and does not call this."""
-        return approach in self.phases[self.phase_index].served
-
-    def signal_for(self, approach):
-        """1.0 green, 0.5 yellow, 0.0 red for the given approach arm.
-        Reference form of the approach signal in `env.observe`'s agent
-        rows, which reads the phase itself and does not call this."""
-        phase = self.phases[self.phase_index]
-        if approach not in phase.served:
-            return 0.0
-        return 1.0 if phase.kind == "green" else 0.5
 
 
 def make_light(intersection_id):
@@ -164,61 +150,6 @@ def idm_accel(v, v_leader, gap, v_limit):
         [float(gap) if has_lead else 1.0], [has_lead], [float(v_limit)],
         [False], [0.0])
     return out[0]
-
-
-def red_light_virtual_leader(vehicle, light, road):
-    """Standing virtual leader at the stop line, or None if free to proceed.
-
-    Green for the vehicle's approach: None. Yellow: stop unless the braking
-    needed to reach the line exceeds the comfortable rate (the committed
-    vehicle proceeds). Red: always stop. Reference form of the stop-line
-    rule in `step`'s front-row loop, which does not call this.
-    """
-    approach = road.approach
-    if approach is None:
-        return None
-    phase = light.phases[light.phase_index]
-    dist = road.length - vehicle.position
-    if approach in phase.served and (
-            phase.kind == "green" or dist <= 0
-            or vehicle.speed ** 2 / (2.0 * dist) > IDM_B_COMFORT):
-        return None
-    return 0.0, max(dist, STOPLINE_GAP_FLOOR)
-
-
-def apply_tl_action(light, action):
-    """Advance the phase machine one decision.
-
-    time_in_phase counts fully displayed seconds and is advanced by the step
-    loop after the movement update, so thresholds read literally: a yellow
-    showing 3 s auto-advances, a green showing at least MIN_GREEN may switch.
-    Reference form of `step`'s light loop, which does not call this.
-    """
-    if action not in (0, 1):
-        raise ValueError(f"traffic light action must be 0 or 1, got {action!r}")
-    phase = light.phase
-    if phase.kind == "yellow":
-        if light.time_in_phase >= YELLOW_DURATION:
-            light.phase_index = (light.phase_index + 1) % len(light.phases)
-            light.time_in_phase = 0
-    elif action == 1 and light.time_in_phase >= MIN_GREEN:
-        light.phase_index = (light.phase_index + 1) % len(light.phases)
-        light.time_in_phase = 0
-    return light
-
-
-def _cross_boundary_leader(sim, vehicle, road):
-    """(rearmost vehicle on the route's next road, bumper gap across the stop
-    line), or None at the route's end or when that road is empty. Reference
-    form of the crossing leader in `step`'s front-row loop and in
-    `env.observe`'s agent rows, which do not call this."""
-    if vehicle.route_index + 1 >= len(vehicle.route):
-        return None
-    next_order = sim.road_order[vehicle.route[vehicle.route_index + 1]]
-    if not next_order:
-        return None
-    lead = sim.vehicles[next_order[0]]
-    return lead, (road.length - vehicle.position) + lead.position - lead.length
 
 
 def _attempt_insertions(sim, now):
@@ -373,10 +304,9 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
     it, and charges its fuel and CO2 (a vehicle held at the line for its
     held speed and acceleration); then insertion of the transferred
     vehicles into their new roads, arrivals, insertions, clock, collision
-    and conflict scans, phase timers. The lights and leaders are resolved
-    in this function's own loops, by the rules of `apply_tl_action`,
-    `red_light_virtual_leader`, `_cross_boundary_leader` and
-    `TrafficLight.serves`, which it does not call. The acceleration inputs
+    and conflict scans, phase timers. The lights, the leaders and the
+    transfer test are resolved in this function's own loops; the callable
+    forms of their rules are in tests/reference.py. The acceleration inputs
     come from `view`, the ScanView of the pre-move state, with the front
     rows patched in place, so a caller that also reads it (the speed
     advisory does) reads it first; it is built here when not given. A
@@ -396,8 +326,8 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
 
     now = sim.clock + 1
 
-    # the phase machine of `apply_tl_action`; each light's phase after its
-    # decision serves the rest of the step
+    # the phase machine, whose callable form is in tests/reference.py; each
+    # light's phase after its decision serves the rest of the step
     phase_of = {}
     for light_id, light in sim.lights.items():
         action = tl_actions.get(light_id, 0)
@@ -416,9 +346,9 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
 
     # acceleration inputs from the pre-move view: row i + 1 leads row i,
     # except that a road's front row faces a standing virtual leader at the
-    # stop line (the rule of `red_light_virtual_leader`), the tail of its
-    # continuation road (`_cross_boundary_leader`), or nothing (the view's
-    # leaderless row as it stands)
+    # stop line, the tail of its continuation road, or nothing (the view's
+    # leaderless row as it stands); the two leader rules' callable forms are
+    # in tests/reference.py
     if view is None:
         view = scan_view(sim)
     vehs, roads_of = view.vehs, view.roads

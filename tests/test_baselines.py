@@ -5,11 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cotraffic import baselines, rollout, simulation
-from cotraffic.baselines import (ACTUATED_MAX_GREEN, STATIC_GREEN_S,
-                                 ActuatedController, GlosaController,
-                                 make_light_controller, max_pressure_tick,
-                                 static_tick)
+from cotraffic import rollout, simulation
+from cotraffic.baselines import (STATIC_GREEN_S, ActuatedController,
+                                 GlosaController, make_light_controller,
+                                 max_pressure_tick, static_tick)
 from cotraffic.env import (CooperationMode, EnvConfig, TrafficEnv, cav_obs_dim,
                            tl_obs_dim)
 from cotraffic.methods import get_method
@@ -20,22 +19,8 @@ from cotraffic.simulation import (MIN_GREEN, YELLOW_DURATION, Vehicle,
                                   build_sim, idm_accel, make_light, scan_view,
                                   step, write_trace)
 
-from test_simulation import empty_sim, episode_state, put_vehicle
-
-
-def glosa_advice(vehicle, light, dist_to_stop, road, durations, leader=None):
-    """Reference for `GlosaController.commands`: the advisory for one
-    vehicle, with its car-following acceleration from the scalar
-    `idm_accel`. `leader` is (speed, gap) or None."""
-    v = vehicle.speed
-    v_star = road.speed_limit
-    if leader is not None:
-        follow = idm_accel(v, leader[0], leader[1], v_star)
-    else:
-        follow = idm_accel(v, None, None, v_star)
-    return baselines._advise(
-        v, dist_to_stop, v_star,
-        baselines._green_windows(light, durations, road.approach), follow)
+from reference import (empty_sim, episode_state, glosa_advice, put_vehicle,
+                       ref_advice)
 
 
 # the light plan each non-learned method runs; glosa advises on top of the
@@ -269,36 +254,21 @@ def test_glosa_controller_commands_all_cavs_on_approaches():
 
 
 def test_glosa_commands_match_scalar_rule_bitwise():
-    # the batched controller against glosa_advice called per vehicle, on a
-    # mixed fleet: HDV leaders, empty roads and road-front CAVs all occur
+    # the batched controller against glosa_advice per vehicle (ref_advice),
+    # on a mixed fleet: HDV leaders, empty roads and road-front CAVs occur
     scen = grid_scenario("1x6", penetration=0.5, seed=4)
     sim = build_sim(scen)
     glosa, lights = GlosaController(), make_light_controller("actuated")
     seen = {"hdv_leader": 0, "empty_road": 0, "front_cav": 0}
     for _ in range(200):
-        want = {}
-        for road_id, road in sim.network.roads.items():
+        for road in sim.network.roads.values():
             if road.approach_intersection is None:
                 continue
-            light = sim.lights[road.approach_intersection]
-            durations = [ACTUATED_MAX_GREEN if p.kind == "green"
-                         else YELLOW_DURATION for p in light.phases]
-            order = sim.road_order[road_id]
-            seen["empty_road"] += not order
-            for i, vid in enumerate(order):
-                veh = sim.vehicles[vid]
-                if veh.kind != "CAV":
-                    continue
-                leader = None
-                if i + 1 < len(order):
-                    lead = sim.vehicles[order[i + 1]]
-                    seen["hdv_leader"] += lead.kind == "HDV"
-                    leader = (lead.speed, max(lead.position - lead.length
-                                              - veh.position, 1e-6))
-                else:
-                    seen["front_cav"] += 1
-                want[vid] = glosa_advice(veh, light, road.length - veh.position,
-                                         road, durations, leader)
+            kinds = [sim.vehicles[vid].kind for vid in sim.road_order[road.id]]
+            seen["empty_road"] += not kinds
+            seen["front_cav"] += kinds[-1:] == ["CAV"]
+            seen["hdv_leader"] += ("CAV", "HDV") in zip(kinds, kinds[1:])
+        want = ref_advice(sim)
         got = glosa.commands(sim, scan_view(sim))
         assert got.keys() == want.keys()
         assert all(got[vid] == want[vid] for vid in want)

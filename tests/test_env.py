@@ -8,16 +8,15 @@ import pytest
 
 from cotraffic import env as env_module
 from cotraffic import policy, rollout, simulation
-from cotraffic.env import (ACCEL_NORM, CooperationMode, EnvConfig, AgentStep,
-                           COLLISION_REWARD, TrafficEnv, cav_obs_dim,
+from cotraffic.env import (CooperationMode, EnvConfig, TrafficEnv, cav_obs_dim,
                            cav_observation, max_road_capacity,
                            select_cav_agents, tl_obs_dim, tl_observation,
                            tl_reward, cav_reward)
 from cotraffic.network import build_grid, grid_scenario
 from cotraffic.policy import Policy, init_params
-from cotraffic.simulation import _cross_boundary_leader, step
+from cotraffic.simulation import step
 
-from test_simulation import empty_sim, episode_state, put_vehicle
+from reference import empty_sim, episode_state, put_vehicle, ref_env_step
 
 COTV = CooperationMode.COTV
 STAR = CooperationMode.COTV_STAR
@@ -609,144 +608,6 @@ def test_episode_traces_pinned_by_digest(monkeypatch, method):
 
 
 # --- parity with the per-agent observations ----------------------------------
-#
-# The functions below are the per-agent forms that the all-agents matrix forms
-# replaced, kept verbatim as the reference: one signal row per call, one
-# vehicle row per call with its leader found by `order.index`, and the agent
-# list as bare ids. `reference_step` is the environment transition over them.
-
-def ref_select_cav_agents(sim, mode):
-    selected = []
-    for inter in sim.network.intersections.values():
-        for road_id in inter.incoming:
-            order = sim.road_order.get(road_id, [])
-            cavs = [vid for vid in reversed(order)
-                    if sim.vehicles[vid].kind == "CAV"]
-            if not cavs:
-                continue
-            if mode is STAR:
-                selected.extend(cavs)
-            else:
-                selected.append(cavs[0])
-    return selected
-
-
-def ref_leader_of(sim, vehicle_id):
-    veh = sim.vehicles[vehicle_id]
-    order = sim.road_order[veh.road]
-    idx = order.index(vehicle_id)
-    if idx + 1 >= len(order):
-        return _cross_boundary_leader(sim, veh, sim.network.roads[veh.road])
-    lead = sim.vehicles[order[idx + 1]]
-    return lead, lead.position - lead.length - veh.position
-
-
-def ref_tl_observation(sim, light, mode, c, prev_commands=None):
-    inter = sim.network.intersections[light.intersection]
-    n_in = len(inter.incoming)
-    obs = [light.phase_index / len(light.phases)]
-    for rid in inter.incoming:
-        obs.append(len(sim.road_order.get(rid, [])) / c)
-    for rid in inter.outgoing:
-        obs.append(len(sim.road_order.get(rid, [])) / c)
-    for slot, rid in enumerate(inter.incoming):
-        one_hot = [0.0] * n_in
-        one_hot[slot] = 1.0
-        if mode is ICOTV:
-            obs.extend([0.0, 0.0, 0.0] + [0.0] * n_in)
-            continue
-        road = sim.network.roads[rid]
-        order = sim.road_order.get(rid, [])
-        if order:
-            veh = sim.vehicles[order[-1]]
-            obs.extend([veh.speed / road.speed_limit,
-                        veh.accel / ACCEL_NORM,
-                        (road.length - veh.position) / road.length])
-        else:
-            obs.extend([0.0, 0.0, 1.0])
-        obs.extend(one_hot)
-    if mode is MCOTV:
-        prev_commands = prev_commands or {}
-        for rid in inter.incoming:
-            obs.append(prev_commands.get(rid, 0.0) / ACCEL_NORM)
-    return np.asarray(obs, dtype=np.float64)
-
-
-def ref_cav_observation(sim, vehicle_id, mode, prev_tl_action=None):
-    veh = sim.vehicles[vehicle_id]
-    road = sim.network.roads[veh.road]
-    v_star = road.speed_limit
-    lead = ref_leader_of(sim, vehicle_id)
-    if lead is not None:
-        lead_veh, gap = lead
-        lead_block = [lead_veh.speed / v_star, lead_veh.accel / ACCEL_NORM,
-                      max(gap, 0.0) / road.length]
-    else:
-        lead_block = [0.0, 0.0, 1.0]
-    dist = (road.length - veh.position) / road.length
-    if mode is ICOTV or road.approach_intersection is None:
-        signal = 0.0
-    else:
-        light = sim.lights[road.approach_intersection]
-        signal = light.signal_for(road.approach)
-    obs = ([veh.speed / v_star, veh.accel / ACCEL_NORM] + lead_block
-           + [dist, signal])
-    if mode is MCOTV:
-        obs.append(float(prev_tl_action or 0))
-    return np.asarray(obs, dtype=np.float64)
-
-
-def reference_step(env, tl_policy, cav_policy, rng):
-    """`TrafficEnv.step` with sampled actions, over the per-agent forms."""
-    sim, cfg = env.sim, env.cfg
-    records = []
-    lids = list(sim.lights)
-    obs = np.array([ref_tl_observation(sim, sim.lights[lid], cfg.mode, env.c,
-                                       env._prev_cmd_by_road)
-                    for lid in lids])
-    actions, logps, values = tl_policy.act(obs, rng, True)
-    tl_actions = {}
-    for lid, row, action, logp, value in zip(
-            lids, obs, actions, logps, values):
-        tl_actions[lid] = action
-        records.append(AgentStep(lid, "TL", row, float(action), logp, value,
-                                 t=sim.clock))
-    cav_actions, cav_records, cmd_road = {}, {}, {}
-    vids = ref_select_cav_agents(sim, cfg.mode)
-    if vids:
-        roads = [sim.vehicles[vid].road for vid in vids]
-        obs = np.array([
-            ref_cav_observation(sim, vid, cfg.mode, env._prev_tl_action.get(
-                sim.network.roads[road].approach_intersection, 0))
-            for vid, road in zip(vids, roads)])
-        actions, logps, values = cav_policy.act(obs, rng, True)
-        for vid, road, row, action, logp, value in zip(
-                vids, roads, obs, actions, logps, values):
-            cav_actions[vid] = action
-            cmd_road[vid] = road
-            rec = AgentStep(vid, "CAV", row, action, logp, value, t=sim.clock)
-            records.append(rec)
-            cav_records[vid] = rec
-    completed_before = len(sim.completed)
-    step(sim, tl_actions, cav_actions)
-    for rec in records:
-        if rec.agent_type == "TL":
-            rec.reward = tl_reward(sim, sim.lights[rec.agent_id], env.c)
-    if cav_records:
-        arrived = {t.vehicle_id for t in sim.completed[completed_before:]}
-        still_selected = set(ref_select_cav_agents(sim, cfg.mode))
-        for vid, rec in cav_records.items():
-            if vid not in sim.vehicles:
-                rec.reward = 0.0 if vid in arrived else COLLISION_REWARD
-                rec.done = True
-                continue
-            rec.reward = cav_reward(sim, vid)
-            rec.done = vid not in still_selected
-    env._prev_tl_action = {lid: tl_actions.get(lid, 0) for lid in sim.lights}
-    env._prev_cmd_by_road = {cmd_road[vid]: cmd
-                             for vid, cmd in cav_actions.items()}
-    return records
-
 
 def record_key(rec):
     """Every AgentStep field, floats by repr and the observation by bytes."""
@@ -770,7 +631,7 @@ def test_matrix_observations_match_per_agent_reference(mode, grid, penetration):
     n_cav = 0
     for _ in range(300):
         got = env.step(tl_p, cav_p, rng=rng)
-        want = reference_step(ref, tl_p, cav_p, ref_rng)
+        want = ref_env_step(ref, tl_p, cav_p, ref_rng)
         assert [record_key(r) for r in got] == [record_key(r) for r in want]
         n_cav += sum(r.agent_type == "CAV" for r in got)
     assert n_cav > 0

@@ -1,10 +1,6 @@
-"""The per-step kernels against their vectorized numpy forms, the
-simulator's independence from numpy's CPU dispatch, and its output pinned
-by digest.
-
-The references below are the numpy bodies the list kernels replaced, with
-the one power evaluated per element in Python: an array `**` dispatches to a
-SIMD `pow` that can differ from the C library's in the last bit."""
+"""The per-step kernels against their vectorized numpy forms (in
+reference.py), the simulator's independence from numpy's CPU dispatch, and
+its output pinned by digest."""
 import ast
 import hashlib
 import os
@@ -16,54 +12,14 @@ import numpy as np
 import pytest
 
 from cotraffic import kernels
-from cotraffic.kernels import (AIR_DENSITY, CMD_ACCEL_MAX, CO2_G_PER_L,
-                               DRAG_COEF, EMERGENCY_DECEL, ENGINE_EFFICIENCY,
-                               FRONTAL_AREA_M2, FUEL_ENERGY_J_L, GRAVITY,
-                               IDLE_FUEL_L_S, IDM_A_MAX, IDM_B_COMFORT,
-                               IDM_DELTA, IDM_HEADWAY, IDM_S0, ROLLING_COEF,
-                               VEHICLE_MASS_KG)
+from cotraffic.kernels import (CMD_ACCEL_MAX, IDLE_FUEL_L_S, IDM_A_MAX,
+                               IDM_B_COMFORT, IDM_DELTA, IDM_HEADWAY, IDM_S0)
+
+from reference import (ref_collision_followers, ref_fuel_co2, ref_kinematics,
+                       ref_ttc_events, ref_vehicle_accels)
 
 ROWS = 4000
 GRID_3X3 = Path(__file__).resolve().parent.parent / "configs" / "grid3x3.cfg"
-
-
-def ref_vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
-                       a_max, b_comfort, delta, headway, s0):
-    two_sqrt_ab = 2.0 * np.sqrt(a_max * b_comfort)
-    free = np.array([x ** delta for x in (speed / v_limit).tolist()])
-    a = a_max * (1.0 - free)
-    safe_gap = np.where(has_lead, gap, 1.0)
-    s_star = s0 + speed * headway + speed * (speed - lead_speed) / two_sqrt_ab
-    ratio = s_star / safe_gap
-    a = a - np.where(has_lead, a_max * (ratio * ratio), 0.0)
-    a = np.clip(a, -EMERGENCY_DECEL, a_max)
-    return np.where(is_cmd, np.clip(cmd, -CMD_ACCEL_MAX, CMD_ACCEL_MAX), a)
-
-
-def ref_kinematics(speed, accel, v_limit, dt=1.0):
-    new_speed = np.clip(speed + accel * dt, 0.0, v_limit)
-    return new_speed, new_speed * dt, (new_speed - speed) / dt
-
-
-def ref_ttc_events(gap, speed, lead_speed, has_lead, threshold):
-    closing = speed - lead_speed
-    ok = has_lead & (closing > 0.0) & (gap > 0.0)
-    safe = np.where(closing > 0.0, closing, 1.0)
-    return int(np.count_nonzero(ok & (gap / safe < threshold)))
-
-
-def ref_collision_followers(gap, has_lead):
-    return has_lead & (gap <= 0.0)
-
-
-def ref_fuel_co2(speed, accel):
-    drag = 0.5 * AIR_DENSITY * DRAG_COEF * FRONTAL_AREA_M2
-    roll = VEHICLE_MASS_KG * GRAVITY * ROLLING_COEF
-    power = (VEHICLE_MASS_KG * accel * speed + roll * speed
-             + drag * (speed * speed * speed))
-    fuel = (IDLE_FUEL_L_S
-            + np.maximum(power, 0.0) / (ENGINE_EFFICIENCY * FUEL_ENERGY_J_L))
-    return fuel, fuel * CO2_G_PER_L
 
 
 def random_rows(seed):

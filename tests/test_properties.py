@@ -4,7 +4,8 @@ speed limits and random flows still to be inserted, driven by random light
 actions and commanded accelerations. After every step the fleet is
 conserved, each road's order is sorted by position, speeds lie in [0,
 limit] and positions on the road, every vehicle's kinematic and energy
-fields are Python floats, and every vehicle the step moved holds, bit for
+fields are Python floats, every light shows the phase and timer of the
+reference phase machine, and every vehicle the step moved holds, bit for
 bit, the speed, acceleration, position, distance, fuel and CO2 of the
 reference step: the per-road acceleration inputs of the state after the
 lights acted, the `kernels.vehicle_accels` law, then the numpy references
@@ -17,34 +18,30 @@ next step. On generated fleets with held, arriving and crossing vehicles,
 one step matches the reference step in every row. On the same generated
 states, in every cooperation mode, the env's one pass over the incoming
 roads yields the agents, their roads and the observation rows of the
-per-agent reference forms in test_env.py bit for bit, and the pressures of
-`tl_reward`. Over steps of the same states, the actuated plan's actions and
-empty-run counters equal those of a scan of every vehicle on the served
-roads, and the speed advisory's commands equal, bit for bit and in row
-order, the per-vehicle rule of test_baselines.py on each CAV of an approach
-road. The example count is set by the profile in conftest.py."""
-import copy
+per-agent reference forms bit for bit, and the pressures of `tl_reward`.
+Over steps of the same states, the actuated plan's actions and empty-run
+counters equal those of a scan of every vehicle on the served roads, and
+the speed advisory's commands equal, bit for bit and in row order, the
+per-vehicle rule on each CAV of an approach road. Every reference form is
+in reference.py. The example count is set by the profile in conftest.py."""
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from cotraffic import kernels, simulation
-from cotraffic.baselines import (ACTUATED_GAP_S, ACTUATED_MAX_GREEN,
-                                 DETECTION_DISTANCE, ActuatedController,
-                                 GlosaController, make_light_controller)
+from cotraffic import simulation
+from cotraffic.baselines import (ActuatedController, GlosaController,
+                                 make_light_controller)
 from cotraffic.env import (CooperationMode, incoming_layout,
                            max_road_capacity, observe, tl_reward)
 from cotraffic.network import (DT, MIN_GAP, VEHICLE_LENGTH, FlowSpec,
                                ScenarioSpec, build_grid, grid_scenario)
-from cotraffic.simulation import YELLOW_DURATION, build_sim, scan_view, step
+from cotraffic.simulation import build_sim, scan_view, step
 
-from test_baselines import glosa_advice
-from test_env import (ref_cav_observation, ref_select_cav_agents,
-                      ref_tl_observation)
-from test_kernels import ref_fuel_co2, ref_kinematics
-from test_simulation import (brute_force_collision_pairs, brute_force_ttc,
-                             empty_sim, put_vehicle)
+from reference import (ScanningActuated, brute_force_collision_pairs,
+                       brute_force_ttc, empty_sim, loop_view, put_vehicle,
+                       ref_advice, ref_cav_observation, ref_select_cav_agents,
+                       ref_sim_step, ref_tl_observation, serves)
 
 
 @st.composite
@@ -101,28 +98,6 @@ def place_vehicles(draw, sim):
     return sim
 
 
-def loop_view(sim):
-    """Reference for `simulation.scan_view`: the per-vehicle loop it
-    replaced, as (ids, speed, lead_speed, gap, has_lead) lists."""
-    ids, speed, lead_speed, gap, has_lead = [], [], [], [], []
-    for road_id in sim.network.roads:
-        order = sim.road_order[road_id]
-        for i, vid in enumerate(order):
-            veh = sim.vehicles[vid]
-            ids.append(vid)
-            speed.append(veh.speed)
-            if i + 1 < len(order):
-                lead = sim.vehicles[order[i + 1]]
-                lead_speed.append(lead.speed)
-                gap.append(lead.position - lead.length - veh.position)
-                has_lead.append(True)
-            else:
-                lead_speed.append(0.0)
-                gap.append(0.0)
-                has_lead.append(False)
-    return ids, speed, lead_speed, gap, has_lead
-
-
 def bitwise(col):
     """A column as comparable bit patterns: a float by its hex form, so that
     -0.0 differs from 0.0 and a non-float never equals a float."""
@@ -141,94 +116,8 @@ def assert_view_is_current(sim, view):
                            if not lead]
 
 
-def ref_accel_inputs(sim, commands):
-    """The `kernels.vehicle_accels` inputs of the rows `step` moves, built
-    road by road as (speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd)
-    lists. Gaps are floored at 1e-9 by `max`; a road's front row faces its
-    stop-line virtual leader, else the tail of its continuation road, else
-    nothing (zero gap and leader speed)."""
-    vehs, roads_of, fronts = [], [], []
-    for road_id, road in sim.network.roads.items():
-        order = sim.road_order[road_id]
-        if order:
-            vehs += [sim.vehicles[vid] for vid in order]
-            roads_of += [road] * len(order)
-            fronts.append(len(vehs) - 1)
-    speed = [veh.speed for veh in vehs]
-    lead_speed = speed[1:] + [0.0]
-    gap = [max(lead.position - lead.length - veh.position, 1e-9)
-           for veh, lead in zip(vehs, vehs[1:])] + [0.0]
-    has_lead = [True] * len(vehs)
-    for i in fronts:
-        front, road = vehs[i], roads_of[i]
-        light = (sim.lights.get(road.approach_intersection)
-                 if road.approach_intersection else None)
-        virtual = (simulation.red_light_virtual_leader(front, light, road)
-                   if light else None)
-        if virtual is None and light is not None:
-            tail = simulation._cross_boundary_leader(sim, front, road)
-            if tail is not None:
-                virtual = tail[0].speed, max(tail[1], 1e-9)
-        if virtual is None:
-            lead_speed[i], gap[i], has_lead[i] = 0.0, 0.0, False
-        else:
-            lead_speed[i], gap[i] = virtual
-    return (speed, lead_speed, gap, has_lead,
-            [road.speed_limit for road in roads_of],
-            [veh.id in commands for veh in vehs],
-            [commands.get(veh.id, 0.0) for veh in vehs])
-
-
-def reference_step(sim, tl_actions, commands):
-    """What `step(sim, tl_actions, commands)` must leave in the vehicles it
-    moves: `ref_accel_inputs` of a copy of `sim` whose lights took the
-    actions, then `kernels.vehicle_accels`, `ref_kinematics`, the stop-line
-    hold and `ref_fuel_co2`. Returns the rows' Vehicles of `sim` and their
-    Roads, the expected field columns by name, and the masks of the rows
-    that arrive, are held at the line and cross onto their next road."""
-    ref = copy.deepcopy(sim, {id(sim.network): sim.network})
-    for light_id, light in ref.lights.items():
-        simulation.apply_tl_action(light, tl_actions.get(light_id, 0))
-    ids = [vid for road_id in ref.network.roads
-           for vid in ref.road_order[road_id]]
-    rows = [ref.vehicles[vid] for vid in ids]
-    roads = [ref.network.roads[veh.road] for veh in rows]
-    inputs = ref_accel_inputs(ref, commands)
-    accel = np.array(kernels.vehicle_accels(*inputs), dtype=float)
-    speed, v_limit = (np.array(col, dtype=float)
-                      for col in (inputs[0], inputs[4]))
-    position, fuel_l, co2_g, distance_m = (
-        np.array([getattr(veh, name) for veh in rows], dtype=float)
-        for name in ("position", "fuel_l", "co2_g", "distance_m"))
-    length = np.array([road.length for road in roads], dtype=float)
-    route_end = np.array([veh.route_index + 1 >= len(veh.route)
-                          for veh in rows], dtype=bool)
-    served = np.array([road.approach is None or ref.lights[
-        road.approach_intersection].serves(road.approach) for road in roads],
-        dtype=bool)
-
-    dt = simulation.DT
-    new_speed, dx, eff_accel = ref_kinematics(speed, accel, v_limit, dt)
-    x_new = position + dx
-    crossing = x_new >= length
-    arrive = crossing & route_end
-    held = crossing & ~arrive & ~served
-    moves = crossing & ~arrive & ~held
-    new_speed[held] = 0.0
-    eff_accel[held] = -speed[held] / dt
-    moved = np.where(arrive | held, length - position, dx)
-    want_position = np.where(arrive | held, length,
-                             np.where(moves, x_new - length, x_new))
-    fuel, co2 = ref_fuel_co2(new_speed, eff_accel)
-    want = {"speed": new_speed, "accel": eff_accel,
-            "position": want_position, "distance_m": distance_m + moved,
-            "fuel_l": fuel_l + fuel * dt, "co2_g": co2_g + co2 * dt}
-    return ([sim.vehicles[vid] for vid in ids], roads, want, arrive, held,
-            moves)
-
-
 def assert_moved_as_referenced(vehs, want):
-    """Each of `reference_step`'s expected columns equals the field of the
+    """Each of `ref_sim_step`'s expected columns equals the field of the
     vehicles `step` moved, bit for bit."""
     for name, column in want.items():
         got = [getattr(veh, name) for veh in vehs]
@@ -318,10 +207,11 @@ def test_step_invariants_on_random_placements(sim, steps, data):
             commanded = data.draw(st.lists(st.sampled_from(cavs), unique=True)
                                   if cavs else st.just([]))
             commands = {vid: data.draw(accel) for vid in commanded}
-            vehs, _, want, *_ = reference_step(sim, lights, commands)
+            vehs, _, want, *_, ref_lights = ref_sim_step(sim, lights, commands)
             # the next step reads its acceleration inputs from this view
             view = step(sim, lights, commands, view=view)
             assert_moved_as_referenced(vehs, want)
+            assert sim.lights == ref_lights  # phase, then the timer tick
             assert_invariants(sim)
             assert_view_equals_fresh(sim, view)
 
@@ -344,7 +234,7 @@ def moving_fleets(draw):
     approaches = [r for r in roads if r.approach_intersection is not None]
 
     def red(road):
-        return not sim.lights[road.approach_intersection].serves(road.approach)
+        return not serves(sim.lights[road.approach_intersection], road.approach)
 
     roles = ["held", "arrive", "cross"] + draw(st.lists(
         st.sampled_from(["held", "arrive", "cross", "free"]), max_size=20))
@@ -383,8 +273,8 @@ def moving_fleets(draw):
 def test_step_loop_matches_kinematics_hold_and_energy_references(fleet, data):
     sim, commands = fleet
     lights = {lid: data.draw(st.integers(0, 1)) for lid in sim.lights}
-    vehs, roads, want, arrive, held, moves = reference_step(sim, lights,
-                                                            commands)
+    vehs, roads, want, arrive, held, moves, _ = ref_sim_step(sim, lights,
+                                                             commands)
     commanded = [veh.id in commands for veh in vehs]
     assert any(commanded) and not all(commanded)
     assert arrive.any() and held.any() and moves.any()
@@ -458,41 +348,6 @@ def test_observe_matches_the_reference_forms(world):
 
 # --- the actuated plan's front-vehicle test against a whole-road scan -------
 
-class ScanningActuated:
-    """Reference for `ActuatedController`: the same gap-out plan, but a
-    served road counts as occupied when any of its vehicles, scanned from
-    the rear, is within DETECTION_DISTANCE of the line."""
-
-    def __init__(self):
-        self.empty_run = {}
-        self.last_phase = {}
-
-    def tick(self, light, sim):
-        lid = light.intersection
-        if self.last_phase.get(lid) != light.phase_index:
-            self.last_phase[lid] = light.phase_index
-            self.empty_run[lid] = 0
-        phase = light.phase
-        if phase.kind != "green":
-            return 0
-        occupied = False
-        for rid in sim.network.intersections[lid].incoming:
-            road = sim.network.roads[rid]
-            if road.approach not in phase.served:
-                continue
-            for vid in sim.road_order[rid]:
-                if (road.length - sim.vehicles[vid].position
-                        <= DETECTION_DISTANCE):
-                    occupied = True
-                    break
-            if occupied:
-                break
-        self.empty_run[lid] = 0 if occupied else self.empty_run[lid] + 1
-        if light.time_in_phase >= ACTUATED_MAX_GREEN:
-            return 1
-        return int(self.empty_run[lid] >= ACTUATED_GAP_S)
-
-
 @given(worlds(), st.integers(1, 30), st.data())
 def test_actuated_tick_matches_the_whole_road_scan(sim, steps, data):
     for light in sim.lights.values():
@@ -511,32 +366,6 @@ def test_actuated_tick_matches_the_whole_road_scan(sim, steps, data):
 
 
 # --- the speed advisory against its per-vehicle rule -----------------------
-
-def ref_advice(sim):
-    """Reference for `GlosaController.commands`: `glosa_advice` for each CAV
-    of each approach road, rear to front, with the in-road leader's gap
-    floored at 1e-6."""
-    want = {}
-    for road_id, road in sim.network.roads.items():
-        if road.approach_intersection is None:
-            continue
-        light = sim.lights[road.approach_intersection]
-        durations = [ACTUATED_MAX_GREEN if p.kind == "green"
-                     else YELLOW_DURATION for p in light.phases]
-        order = sim.road_order[road_id]
-        for i, vid in enumerate(order):
-            veh = sim.vehicles[vid]
-            if veh.kind != "CAV":
-                continue
-            leader = None
-            if i + 1 < len(order):
-                lead = sim.vehicles[order[i + 1]]
-                leader = (lead.speed, max(lead.position - lead.length
-                                          - veh.position, 1e-6))
-            want[vid] = glosa_advice(veh, light, road.length - veh.position,
-                                     road, durations, leader)
-    return want
-
 
 @given(worlds(), st.integers(1, 30), st.data())
 def test_advisory_matches_the_per_vehicle_rule(sim, steps, data):

@@ -1,5 +1,4 @@
 """Micro-simulation dynamics: car following, signals, collisions, energy."""
-import dataclasses
 import io
 import math
 
@@ -10,11 +9,13 @@ from cotraffic import kernels, simulation
 from cotraffic.network import Insertion, build_grid, grid_scenario
 from cotraffic.kernels import (IDM_A_MAX, IDM_B_COMFORT, IDM_DELTA,
                                IDM_HEADWAY, IDM_S0)
-from cotraffic.simulation import (Vehicle, apply_tl_action, build_sim,
-                                  count_ttc_events, detect_collisions,
-                                  idm_accel, make_light,
-                                  red_light_virtual_leader, scan_view, step,
-                                  write_trace)
+from cotraffic.simulation import (Vehicle, build_sim, count_ttc_events,
+                                  detect_collisions, idm_accel, make_light,
+                                  scan_view, step, write_trace)
+
+from reference import (apply_tl_action, brute_force_collision_pairs,
+                       brute_force_ttc, empty_sim, put_vehicle,
+                       red_light_virtual_leader, serves, signal_for)
 
 
 def fuel_rate(v, a):
@@ -25,33 +26,6 @@ def fuel_rate(v, a):
 def co2_rate(v, a):
     """CO2 in g/s of one vehicle, through the `fuel_co2` kernel."""
     return kernels.fuel_co2([float(v)], [float(a)])[1][0]
-
-
-def put_vehicle(sim, vid, road, position, speed, route=None, kind="HDV"):
-    """Drop a vehicle into the state keeping the per-road order sorted."""
-    veh = Vehicle(vid, kind, road, position, speed,
-                  tuple(route or [road]), route_index=(route or [road]).index(road))
-    sim.vehicles[vid] = veh
-    order = sim.road_order[road]
-    keys = [sim.vehicles[o].position for o in order]
-    idx = int(np.searchsorted(keys, position))
-    order.insert(idx, vid)
-    sim.inserted_count += 1
-    return veh
-
-
-def episode_state(sim):
-    """Every vehicle field, counter and trip record of a state."""
-    return (sim.clock, [dataclasses.astuple(v) for v in sim.vehicles.values()],
-            sim.road_order, sim.completed, sim.collisions, sim.inserted_count,
-            sim.collided_count, sim.ttc_event_count)
-
-
-def empty_sim(grid="1x1"):
-    scen = grid_scenario(grid, penetration=0.0, seed=1)
-    sim = build_sim(scen)
-    sim.pending = []  # no scheduled demand; tests place vehicles directly
-    return sim
 
 
 # --- car following -----------------------------------------------------------
@@ -132,9 +106,9 @@ def test_virtual_leader_and_signal_on_every_phase_and_approach(phase_index,
     light = make_light("J0-0")
     light.phase_index = phase_index
     shown = SIGNALS[phase_index][arm]
-    assert light.serves(arm) == (shown != "red")
-    assert light.signal_for(arm) == {"green": 1.0, "yellow": 0.5,
-                                     "red": 0.0}[shown]
+    assert serves(light, arm) == (shown != "red")
+    assert signal_for(light, arm) == {"green": 1.0, "yellow": 0.5,
+                                      "red": 0.0}[shown]
 
     def leader(position, speed, on=road):
         return red_light_virtual_leader(
@@ -356,18 +330,6 @@ def test_three_vehicle_pileup():
     assert not sim.vehicles
 
 
-def brute_force_collision_pairs(sim):
-    """Oracle: sort every road by position, overlap test on each neighbor pair."""
-    pairs = []
-    for road_id in sim.network.roads:
-        vehs = sorted((sim.vehicles[v] for v in sim.road_order[road_id]),
-                      key=lambda v: v.position)
-        for f, l in zip(vehs, vehs[1:]):
-            if l.position - l.length - f.position <= 0:
-                pairs.append((f.id, l.id))
-    return pairs
-
-
 def test_collision_scan_matches_bruteforce_oracle():
     rng = np.random.default_rng(42)
     for trial in range(30):
@@ -398,18 +360,6 @@ def test_ttc_no_event_when_not_closing():
     put_vehicle(sim, "f2", "N0:J0-0", 100.0, 15.0)
     put_vehicle(sim, "l2", "N0:J0-0", 135.0, 10.0)  # gap 30, ttc 6 s
     assert count_ttc_events(sim, scan_view(sim)) == 0
-
-
-def brute_force_ttc(sim, threshold=3.0):
-    count = 0
-    for road_id in sim.network.roads:
-        vehs = sorted((sim.vehicles[v] for v in sim.road_order[road_id]),
-                      key=lambda v: v.position)
-        for f, l in zip(vehs, vehs[1:]):
-            gap = l.position - l.length - f.position
-            if gap > 0 and f.speed > l.speed and gap / (f.speed - l.speed) < threshold:
-                count += 1
-    return count
 
 
 def test_ttc_counter_matches_bruteforce_over_random_run():
