@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import GlosaController, make_light_controller
-from .simulation import MIN_GAP, VEHICLE_LENGTH, build_sim, scan_view, step
+from .network import MIN_GAP, VEHICLE_LENGTH
+from .simulation import build_sim, scan_view, step
 
 ACCEL_NORM = 3.0       # commanded-acceleration scale used for normalization
 A_STAR = 9.0          # acceleration normalizer in the vehicle reward

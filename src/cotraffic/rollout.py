@@ -6,7 +6,6 @@ scheduling. Collection groups agent records into time-contiguous trajectory
 segments (one agent's tenure between selection and retirement) for the
 advantage estimator.
 """
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +87,8 @@ def collect_episodes(scenario, env_cfg, tl_params, cav_params, seeds, horizon,
              for seed in seeds]
     if workers <= 1 or len(tasks) == 1:
         return [_episode_task(t) for t in tasks]
+    # imported here so that a serial run never loads the pool stack
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(_episode_task, tasks))
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import kernels
 from .kernels import IDM_B_COMFORT, IDM_S0
-from .network import DT, MIN_GAP, VEHICLE_LENGTH, build_insertion_schedule
+from .network import DT, VEHICLE_LENGTH, build_insertion_schedule
 
 YELLOW_DURATION = 3
 MIN_GREEN = 5

@@ -17,8 +17,7 @@ import pytest
 
 from cotraffic.cli import main as cli_main
 from cotraffic.env import (CooperationMode, EnvConfig, TrafficEnv,
-                           cav_obs_dim, cav_reward, max_road_capacity,
-                           tl_obs_dim, tl_reward)
+                           cav_reward, max_road_capacity, tl_reward)
 from cotraffic.methods import get_method
 from cotraffic.metrics import aggregate_reports, compare_table, write_compare_csv
 from cotraffic.network import build_grid, build_insertion_schedule, grid_scenario
@@ -26,8 +25,7 @@ from cotraffic.policy import (Policy, init_params, load_checkpoint,
                               ppo_loss_and_grads)
 from cotraffic.ppo import ci_profile, compute_gae, one_blas_thread, train
 from cotraffic.rollout import evaluate_policy
-from cotraffic.simulation import (Vehicle, build_sim, idm_accel, make_light,
-                                  step)
+from cotraffic.simulation import Vehicle, build_sim, idm_accel, step
 
 SEED = 7
 EVAL_SEEDS = [SEED + 100_000 + i for i in range(18)]

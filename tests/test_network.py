@@ -4,7 +4,6 @@ import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 

@@ -65,30 +65,6 @@ def test_idm_rejects_nonpositive_gap_with_leader():
 
 # --- signal interaction ------------------------------------------------------
 
-def test_virtual_leader_red_and_green():
-    net = build_grid(1, 1, 300, 15)
-    road = net.roads["N0:J0-0"]
-    light = make_light("J0-0")
-    veh = Vehicle("x", "HDV", road.id, 250.0, 10.0, (road.id,))
-    light.phase_index = 2  # green WE, so the N approach faces red
-    assert red_light_virtual_leader(veh, light, road) == (0.0, 50.0)
-    light.phase_index = 0  # green NS
-    assert red_light_virtual_leader(veh, light, road) is None
-
-
-def test_virtual_leader_yellow_dilemma():
-    net = build_grid(1, 1, 300, 15)
-    road = net.roads["N0:J0-0"]
-    light = make_light("J0-0")
-    light.phase_index = 1  # yellow NS
-    committed = Vehicle("a", "HDV", road.id, 295.0, 15.0, (road.id,))
-    # needed deceleration 15^2 / (2*5) = 22.5 > comfortable 1.5: proceeds
-    assert red_light_virtual_leader(committed, light, road) is None
-    far = Vehicle("b", "HDV", road.id, 100.0, 15.0, (road.id,))
-    # 15^2 / (2*200) = 0.5625 < 1.5: stops at the line
-    assert red_light_virtual_leader(far, light, road) == (0.0, 200.0)
-
-
 # what each approach arm shows in each phase of `make_light`'s cycle
 SIGNALS = {0: {"N": "green", "S": "green", "E": "red", "W": "red"},
            1: {"N": "yellow", "S": "yellow", "E": "red", "W": "red"},
@@ -114,13 +90,15 @@ def test_virtual_leader_and_signal_on_every_phase_and_approach(phase_index,
         return red_light_virtual_leader(
             Vehicle("x", "HDV", on.id, position, speed, (on.id,)), light, on)
 
-    # far from the line (15^2 / (2*200) < 1.5), committed to it
-    # (15^2 / (2*5) > 1.5), at it, and stopped within the gap floor of it
-    want = {"green": [None, None, None, None],
-            "yellow": [(0.0, 200.0), None, None, (0.0, 0.1)],
-            "red": [(0.0, 200.0), (0.0, 5.0), (0.0, 0.1), (0.0, 0.1)]}[shown]
-    assert [leader(100.0, 15.0), leader(295.0, 15.0), leader(300.0, 15.0),
-            leader(299.95, 0.0)] == want
+    # far from the line (15^2 / (2*200) < 1.5, and 10^2 / (2*50) < 1.5),
+    # committed to it (15^2 / (2*5) > 1.5), at it, and stopped within the
+    # gap floor of it
+    want = {"green": [None, None, None, None, None],
+            "yellow": [(0.0, 200.0), (0.0, 50.0), None, None, (0.0, 0.1)],
+            "red": [(0.0, 200.0), (0.0, 50.0), (0.0, 5.0), (0.0, 0.1),
+                    (0.0, 0.1)]}[shown]
+    assert [leader(100.0, 15.0), leader(250.0, 10.0), leader(295.0, 15.0),
+            leader(300.0, 15.0), leader(299.95, 0.0)] == want
     # a road that approaches no light never faces a stop line
     assert leader(100.0, 15.0, exit_road) is None
 
