@@ -6,12 +6,13 @@ Usage, from any directory:
 
     python3 tools/line_audit.py
 
-The runs, TRAFFIC below, go in this process under `sys.settrace`: every CLI
-subcommand and method at small budgets on the 1x1, 1x6 and 3x3 scenarios,
-then one pass of each perfbench workload through perfbench/workloads.py,
-imported and not edited, pool probe included. The package is imported under
-the trace, so its module-level statements count too. Pool worker processes
-are not traced: a statement that runs only in a worker counts as never run.
+The runs, TRAFFIC below, go in this process under `sys.settrace`, and
+under `threading.settrace` in the threads they start: every CLI subcommand
+and method at small budgets on the 1x1, 1x6 and 3x3 scenarios, then one pass
+of each perfbench workload through perfbench/workloads.py, imported and not
+edited, pool probe included. The package is imported under the trace, so
+its module-level statements count too. Pool worker processes are not
+traced: a statement that runs only in a worker counts as never run.
 
 The audit prints `module:line: statement` for every statement of the package
 that no traced frame executed, then the count. A statement is an executable
@@ -24,6 +25,7 @@ import contextlib
 import os
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,6 +162,9 @@ def audit(traffic):
     files = sorted(PACKAGE.glob("*.py"))
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     trace = LineTrace(files)
+    # threads cover the pool's feeder and result threads, which pickle the
+    # tasks and unpickle the results in this process
+    threading.settrace(trace)
     sys.settrace(trace)
     try:
         with (tempfile.TemporaryDirectory() as out,
@@ -168,6 +173,7 @@ def audit(traffic):
             run_traffic(traffic, out)
     finally:
         sys.settrace(None)
+        threading.settrace(None)
     never, total = [], 0
     for path in files:
         lines = path.read_text().splitlines()
