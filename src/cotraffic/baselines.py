@@ -166,12 +166,11 @@ class GlosaController:
     """
 
     def commands(self, sim, view):
-        n = len(view.ids)
         # a front row's zero gap is never read: it has no leader
         follow = kernels.vehicle_accels(
             view.speed, view.lead_speed,
             [1e-6 if g < 1e-6 else g for g in view.gap], view.has_lead,
-            [road.speed_limit for road in view.roads], [False] * n, [0.0] * n)
+            [road.speed_limit for road in view.roads])
         vehs, roads, speed = view.vehs, view.roads, view.speed
         durations = {lid: [ACTUATED_MAX_GREEN if p.kind == "green"
                            else YELLOW_DURATION for p in light.phases]

@@ -9,10 +9,11 @@ so a numpy call would cost more in fixed overhead than in arithmetic.
 `simulation.step` calls the two scans. It does the arithmetic of
 `vehicle_accels`, `kinematics` and `fuel_co2` inside its one loop over the
 vehicles, which also moves them, because building their columns cost more
-than the arithmetic. The speed advisory makes one `vehicle_accels` call per
-step over the fleet view. `kinematics` and `fuel_co2` remain only as names
-the benchmark's tracer wraps and as the reference forms of `step`'s loop;
-the numpy forms of all five kernels are in tests/reference.py.
+than the arithmetic; that loop also clamps commanded accelerations. The
+speed advisory makes one `vehicle_accels` call per step over the fleet
+view. `kinematics` and `fuel_co2` remain only as names the benchmark's
+tracer wraps and as the reference forms of `step`'s loop; the numpy forms
+of all five kernels are in tests/reference.py.
 
 The loops do the operations of a row in the order the vectorized form did.
 Their clamps are conditional expressions, which pick the operand that
@@ -73,20 +74,17 @@ def active_backend():
     return _BACKEND
 
 
-def vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd):
-    """Acceleration for every vehicle: commanded if flagged (clamped to
-    +-CMD_ACCEL_MAX), else IDM. The reference form of the acceleration lines
-    of `simulation.step`'s per-vehicle loop, which are these lines row by
-    row; the speed advisory calls it."""
+def vehicle_accels(speed, lead_speed, gap, has_lead, v_limit):
+    """Car-following (IDM) acceleration for every vehicle, clamped to
+    [-EMERGENCY_DECEL, IDM_A_MAX]. The reference form of the uncommanded
+    acceleration lines of `simulation.step`'s per-vehicle loop, which are
+    these lines row by row; the speed advisory calls it."""
     a_max, delta, headway, s0 = IDM_A_MAX, IDM_DELTA, IDM_HEADWAY, IDM_S0
     two_sqrt_ab = IDM_TWO_SQRT_AB
-    floor, box = -EMERGENCY_DECEL, CMD_ACCEL_MAX
+    floor = -EMERGENCY_DECEL
     out = []
-    for v, v_lead, s, lead, v_lim, commanded, c in zip(
-            speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd):
-        if commanded:
-            out.append(-box if c < -box else box if c > box else c)
-            continue
+    for v, v_lead, s, lead, v_lim in zip(
+            speed, lead_speed, gap, has_lead, v_limit):
         a = a_max * (1.0 - (v / v_lim) ** delta)
         if lead:
             ratio = (s0 + v * headway + v * (v - v_lead) / two_sqrt_ab) / s

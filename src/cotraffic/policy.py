@@ -98,7 +98,8 @@ def init_params(kind, obs_dim, hidden=(64, 64), seed=0):
 
 
 def forward(params, obs, out=None):
-    """Batched forward pass; returns (head_pre, values, cache).
+    """Batched forward pass over an (n, obs_dim) matrix; returns
+    (head_pre, values, cache).
 
     head_pre is the raw policy-head output (logit for "tl", pre-squash mean
     for "cav"); cache holds the activations the backward pass needs. `out`,
@@ -108,8 +109,6 @@ def forward(params, obs, out=None):
     stay two (width, 1) products, as one (width, 2) product rounds otherwise.
     """
     x = np.asarray(obs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.shape[1] != params.obs_dim:
         raise ValueError(f"observation length {x.shape[1]} does not match "
                          f"network input {params.obs_dim}")
@@ -148,11 +147,10 @@ class Policy:
         """Actions, log-probs and values for an (n, obs_dim) matrix.
 
         Returns three lists of n Python numbers (int actions for signals,
-        float accelerations for vehicles); a 1-D `obs` is one row and returns
-        an (action, log_prob, value) of scalars. One forward serves all n
-        rows. Sampling draws n numbers from `rng` in row order:
-        `rng.random(n)` for signals, `rng.standard_normal(n)` for vehicles,
-        which are the numbers n scalar draws would give.
+        float accelerations for vehicles). One forward serves all n rows.
+        Sampling draws n numbers from `rng` in row order: `rng.random(n)`
+        for signals, `rng.standard_normal(n)` for vehicles, which are the
+        numbers n one-row calls would draw.
 
         A signal switches with probability sigmoid(z) of its logit z and has
         log-prob -softplus(-z) or -softplus(z); a vehicle's acceleration is
@@ -169,7 +167,6 @@ class Policy:
         if sample and rng is None:
             raise ValueError("sampling actions needs an rng; pass one, "
                              "or sample=False for greedy actions")
-        obs = np.asarray(obs, dtype=np.float64)
         head_pre, values, _ = forward(self.params, obs)
         n = len(head_pre)
         if self.params.kind == "tl":
@@ -199,10 +196,7 @@ class Policy:
             else:
                 actions = means
                 log_probs = [-log_std - 0.5 * LOG_2PI] * n
-        values = values.tolist()
-        if obs.ndim == 1:
-            return actions[0], log_probs[0], values[0]
-        return actions, log_probs, values
+        return actions, log_probs, values.tolist()
 
 
 class GradWorkspace:
@@ -223,7 +217,7 @@ class GradWorkspace:
 
 
 def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
-                       clip_eps, value_coef, entropy_coef, work=None):
+                       clip_eps, value_coef, entropy_coef, work):
     """Clipped-surrogate loss with exact gradients for every parameter.
 
     Loss per sample: -min(rho*A, clip(rho, 1-eps, 1+eps)*A)
@@ -231,7 +225,7 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     averaged over the batch; rho = exp(logp_new - logp_old).
     Returns (loss, gradient laid out like params.flat, stats); the gradient
     is None when the loss is not finite. `work` is a `GradWorkspace` of at
-    least as many rows as `obs`; without one, the call makes its own.
+    least as many rows as `obs`.
     """
     x = np.asarray(obs, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -239,8 +233,6 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
     adv = np.asarray(advantages, dtype=np.float64)
     ret = np.asarray(returns, dtype=np.float64)
     n = x.shape[0]
-    if work is None:
-        work = GradWorkspace(params, n)
 
     head_pre, values, hs = forward(params, x,
                                    out=[a[:n] for a in work.hidden])
@@ -329,7 +321,7 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
 class Adam:
     """Adaptive-moment optimizer over a network's flat parameter vector."""
 
-    def __init__(self, params, lr=3e-4):
+    def __init__(self, params, lr):
         self.lr = lr
         self.t = 0
         self.m = np.zeros_like(params.flat)
@@ -338,8 +330,9 @@ class Adam:
         self._s1 = np.empty_like(params.flat)
         self._s2 = np.empty_like(params.flat)
 
-    def step(self, params, grad, max_grad_norm=None):
-        """Update `params.flat`, first clipping `grad` to one global norm.
+    def step(self, params, grad, max_grad_norm):
+        """Update `params.flat`, first scaling `grad` down to a global norm
+        of at most `max_grad_norm`.
 
         The operations are those of
         `m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
@@ -347,11 +340,9 @@ class Adam:
         into the two scratch vectors.
         """
         s1, s2 = self._s1, self._s2
-        if max_grad_norm is not None:
-            total = np.sqrt(np.sum(np.square(grad, out=s1)))
-            if total > max_grad_norm:
-                grad = np.multiply(grad, max_grad_norm / (total + 1e-12),
-                                   out=s2)
+        total = np.sqrt(np.sum(np.square(grad, out=s1)))
+        if total > max_grad_norm:
+            grad = np.multiply(grad, max_grad_norm / (total + 1e-12), out=s2)
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
@@ -387,7 +378,8 @@ def save_checkpoint(path, params, meta=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a saved network; raises ValueError naming a bad array."""
+    """Rebuild a saved network; raises ValueError naming a missing,
+    misshaped or non-finite array."""
     with np.load(path) as data:
         header = json.loads(bytes(data["header_json"].tobytes()).decode())
         if header.get("format_version") != 1:
@@ -404,4 +396,6 @@ def load_checkpoint(path):
                 raise ValueError(f"array {key} has shape {stored.shape}, but "
                                  f"the header's network needs {arr.shape}")
             arr[...] = stored
+            if not np.isfinite(arr).all():
+                raise ValueError(f"array {key} holds a non-finite value")
     return params, header["meta"]

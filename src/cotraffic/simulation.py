@@ -147,8 +147,7 @@ def idm_accel(v, v_leader, gap, v_limit):
         raise ValueError("gap must be positive when a leader is present")
     out = kernels.vehicle_accels(
         [float(v)], [float(v_leader) if has_lead else 0.0],
-        [float(gap) if has_lead else 1.0], [has_lead], [float(v_limit)],
-        [False], [0.0])
+        [float(gap) if has_lead else 1.0], [has_lead], [float(v_limit)])
     return out[0]
 
 

@@ -145,8 +145,8 @@ def brute_force_ttc(sim, threshold=3.0):
     return count
 
 
-def ref_vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
-                       a_max, b_comfort, delta, headway, s0):
+def ref_vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, a_max,
+                       b_comfort, delta, headway, s0):
     two_sqrt_ab = 2.0 * np.sqrt(a_max * b_comfort)
     free = np.array([x ** delta for x in (speed / v_limit).tolist()])
     a = a_max * (1.0 - free)
@@ -154,8 +154,7 @@ def ref_vehicle_accels(speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd,
     s_star = s0 + speed * headway + speed * (speed - lead_speed) / two_sqrt_ab
     ratio = s_star / safe_gap
     a = a - np.where(has_lead, a_max * (ratio * ratio), 0.0)
-    a = np.clip(a, -EMERGENCY_DECEL, a_max)
-    return np.where(is_cmd, np.clip(cmd, -CMD_ACCEL_MAX, CMD_ACCEL_MAX), a)
+    return np.clip(a, -EMERGENCY_DECEL, a_max)
 
 
 def ref_kinematics(speed, accel, v_limit, dt=1.0):
@@ -206,10 +205,10 @@ def loop_view(sim):
     return ids, speed, lead_speed, gap, has_lead
 
 
-def ref_accel_inputs(sim, commands):
+def ref_accel_inputs(sim):
     """The `kernels.vehicle_accels` inputs of the rows `step` moves, built
-    road by road as (speed, lead_speed, gap, has_lead, v_limit, is_cmd, cmd)
-    lists. Gaps are floored at 1e-9 by `max`; a road's front row faces its
+    road by road as (speed, lead_speed, gap, has_lead, v_limit) lists.
+    Gaps are floored at 1e-9 by `max`; a road's front row faces its
     stop-line virtual leader, else the tail of its continuation road, else
     nothing (zero gap and leader speed)."""
     vehs, roads_of, fronts = [], [], []
@@ -239,19 +238,19 @@ def ref_accel_inputs(sim, commands):
         else:
             lead_speed[i], gap[i] = virtual
     return (speed, lead_speed, gap, has_lead,
-            [road.speed_limit for road in roads_of],
-            [veh.id in commands for veh in vehs],
-            [commands.get(veh.id, 0.0) for veh in vehs])
+            [road.speed_limit for road in roads_of])
 
 
 def ref_sim_step(sim, tl_actions, commands):
     """What `step(sim, tl_actions, commands)` must leave in the vehicles it
     moves: `ref_accel_inputs` of a copy of `sim` whose lights took the
-    actions, then `kernels.vehicle_accels`, `ref_kinematics`, the stop-line
-    hold and `ref_fuel_co2`. Returns the rows' Vehicles of `sim` and their
-    Roads, the expected field columns by name, the masks of the rows that
-    arrive, are held at the line and cross onto their next road, and the
-    copy's lights after the actions and the step's closing timer tick."""
+    actions, then `kernels.vehicle_accels` (a commanded row takes its
+    command, clamped to +-CMD_ACCEL_MAX, instead), `ref_kinematics`, the
+    stop-line hold and `ref_fuel_co2`. Returns the rows' Vehicles of `sim`
+    and their Roads, the expected field columns by name, the masks of the
+    rows that arrive, are held at the line and cross onto their next road,
+    and the copy's lights after the actions and the step's closing timer
+    tick."""
     ref = copy.deepcopy(sim, {id(sim.network): sim.network})
     for light_id, light in ref.lights.items():
         apply_tl_action(light, tl_actions.get(light_id, 0))
@@ -259,8 +258,11 @@ def ref_sim_step(sim, tl_actions, commands):
            for vid in ref.road_order[road_id]]
     rows = [ref.vehicles[vid] for vid in ids]
     roads = [ref.network.roads[veh.road] for veh in rows]
-    inputs = ref_accel_inputs(ref, commands)
+    inputs = ref_accel_inputs(ref)
     accel = np.array(kernels.vehicle_accels(*inputs), dtype=float)
+    for i, vid in enumerate(ids):
+        if vid in commands:
+            accel[i] = np.clip(commands[vid], -CMD_ACCEL_MAX, CMD_ACCEL_MAX)
     speed, v_limit = (np.array(col, dtype=float)
                       for col in (inputs[0], inputs[4]))
     position, fuel_l, co2_g, distance_m = (

@@ -21,8 +21,8 @@ from cotraffic.env import (CooperationMode, EnvConfig, TrafficEnv,
 from cotraffic.methods import get_method
 from cotraffic.metrics import aggregate_reports, compare_table, write_compare_csv
 from cotraffic.network import build_grid, build_insertion_schedule, grid_scenario
-from cotraffic.policy import (Policy, init_params, load_checkpoint,
-                              ppo_loss_and_grads)
+from cotraffic.policy import (GradWorkspace, Policy, init_params,
+                              load_checkpoint, ppo_loss_and_grads)
 from cotraffic.ppo import ci_profile, compute_gae, one_blas_thread, train
 from cotraffic.rollout import evaluate_policy
 from cotraffic.simulation import Vehicle, build_sim, idm_accel, step
@@ -289,21 +289,23 @@ def test_criterion_06_gae_and_gradients():
         policy = Policy(params)
         actions, logps = [], []
         for o in obs:
-            a, lp, _ = policy.act(o, rng)
+            (a,), (lp,), _ = policy.act(o[None, :], rng)
             actions.append(a)
             logps.append(lp)
         actions = np.array(actions, dtype=float)
         old = np.array(logps) + rng.normal(0, 0.1, 10)
         adv, ret = rng.normal(size=10), rng.normal(size=10)
+        work = GradWorkspace(params, 10)
 
         def loss_at(flat):
             params.flat[...] = flat
             return ppo_loss_and_grads(params, obs, actions, old, adv, ret,
-                                      0.2, 0.5, 0.01)[0]
+                                      0.2, 0.5, 0.01, work)[0]
 
         flat0 = params.flat.copy()
-        _, analytic, _ = ppo_loss_and_grads(params, obs, actions, old, adv,
-                                            ret, 0.2, 0.5, 0.01)
+        # a copy: the next call overwrites the workspace's gradient
+        analytic = ppo_loss_and_grads(params, obs, actions, old, adv, ret,
+                                      0.2, 0.5, 0.01, work)[1].copy()
         h = 1e-5
         for i in range(flat0.size):
             up, down = flat0.copy(), flat0.copy()

@@ -269,7 +269,9 @@ def _edit_arrays(path, edit):
      "param_b_value"),
     (lambda p: _edit_arrays(
         p, lambda a: a.update(param_w1=a["param_w1"][:, 1:])), "param_w1"),
-], ids=["truncated", "missing-array", "misshaped-array"])
+    (lambda p: _edit_arrays(p, lambda a: a.update(
+        param_w0=np.full_like(a["param_w0"], np.nan))), "param_w0"),
+], ids=["truncated", "missing-array", "misshaped-array", "non-finite-array"])
 def test_evaluate_rejects_damaged_checkpoint(train_dir, tmp_path, capsys,
                                              damage, named):
     run = tmp_path / "run"

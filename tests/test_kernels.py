@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from cotraffic import kernels
-from cotraffic.kernels import (CMD_ACCEL_MAX, IDLE_FUEL_L_S, IDM_A_MAX,
-                               IDM_B_COMFORT, IDM_DELTA, IDM_HEADWAY, IDM_S0)
+from cotraffic.kernels import (IDLE_FUEL_L_S, IDM_A_MAX, IDM_B_COMFORT,
+                               IDM_DELTA, IDM_HEADWAY, IDM_S0)
 
 from reference import (ref_collision_followers, ref_fuel_co2, ref_kinematics,
                        ref_ttc_events, ref_vehicle_accels)
@@ -24,9 +24,9 @@ GRID_3X3 = Path(__file__).resolve().parent.parent / "configs" / "grid3x3.cfg"
 
 def random_rows(seed):
     """Speeds from standstill to 20% over the limit (some exactly at it),
-    leaderless rows, commands outside the +-3 box, accelerations of both
-    signs (so negative tractive power), closing and opening pairs, and
-    bumper gaps at, below and above zero."""
+    leaderless rows, accelerations of both signs (so negative tractive
+    power), closing and opening pairs, and bumper gaps at, below and above
+    zero."""
     rng = np.random.default_rng(seed)
     v_limit = rng.choice([10.0, 13.89, 15.0, 22.2], ROWS)
     speed = rng.uniform(0.0, 1.2, ROWS) * v_limit
@@ -39,12 +39,9 @@ def random_rows(seed):
     has_lead = rng.random(ROWS) < 0.8
     gap = rng.uniform(-5.0, 60.0, ROWS)
     gap[rng.random(ROWS) < 0.05] = 0.0
-    is_cmd = rng.random(ROWS) < 0.3
-    cmd = rng.uniform(-6.0, 6.0, ROWS)
     accel = rng.uniform(-6.0, 6.0, ROWS)
     return dict(speed=speed, lead_speed=lead_speed, gap=gap,
-                has_lead=has_lead, v_limit=v_limit, is_cmd=is_cmd, cmd=cmd,
-                accel=accel)
+                has_lead=has_lead, v_limit=v_limit, accel=accel)
 
 
 def as_lists(*arrays):
@@ -63,12 +60,11 @@ def test_vehicle_accels_match_numpy_form():
         # at 1e-9); leaderless rows carry a zero gap, as in the step
         gap = np.where(r["has_lead"], np.abs(r["gap"]) + 1e-9, 0.0)
         cols = (r["speed"], r["lead_speed"], gap, r["has_lead"],
-                r["v_limit"], r["is_cmd"], r["cmd"])
+                r["v_limit"])
         want = ref_vehicle_accels(*cols, IDM_A_MAX, IDM_B_COMFORT, IDM_DELTA,
                                   IDM_HEADWAY, IDM_S0)
         got = kernels.vehicle_accels(*as_lists(*cols))
         assert_floats_equal(got, want)
-        assert np.any(np.abs(r["cmd"][r["is_cmd"]]) > CMD_ACCEL_MAX)
 
 
 def test_kinematics_match_numpy_form():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cotraffic"
+LEDGER = ROOT / "tools" / "line_audit.txt"
 
 # the audit in a fresh interpreter, so that the package is imported under
 # the trace, with its traffic cut to one short baseline episode
@@ -45,3 +46,23 @@ def test_line_audit_lists_what_the_traffic_never_runs():
     assert f"cotraffic.ppo:{paper_return.lineno}: return PpoConfig()" in listed
     assert not [line for line in listed if line.startswith(
         f"cotraffic.simulation:{step_first.lineno}:")]
+
+
+def test_ledger_names_the_statements_at_its_lines():
+    """tools/line_audit.txt is the audit's committed output; a `src/` edit
+    that moves or removes a statement it lists must rerun the audit."""
+    *listed, summary = LEDGER.read_text().splitlines()
+    count = re.fullmatch(r"(\d+) of (\d+) statements never ran", summary)
+    assert count and int(count[1]) == len(listed)
+    modules = {}
+    for line in listed:
+        module, lineno, text = re.fullmatch(
+            r"cotraffic\.(\w+):(\d+): (.+)", line).groups()
+        if module not in modules:
+            source = (PACKAGE / f"{module}.py").read_text()
+            modules[module] = (source.splitlines(), {
+                node.lineno for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.stmt)})
+        lines, first_lines = modules[module]
+        assert int(lineno) in first_lines, line
+        assert lines[int(lineno) - 1].strip() == text, line

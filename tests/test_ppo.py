@@ -98,13 +98,10 @@ def _distribution(params, head_pre):
 
 def reference_act(params, obs, rng, sample):
     """`Policy.act` through the whole-array distributions."""
-    obs = np.asarray(obs, dtype=np.float64)
     head_pre, values, _ = forward(params, obs)
     dist = _distribution(params, head_pre)
     actions = dist.sample(rng) if sample else dist.greedy()
     log_probs = dist.log_prob(actions)
-    if obs.ndim == 1:
-        return actions.item(), log_probs.item(), values.item()
     return actions.tolist(), log_probs.tolist(), values.tolist()
 
 
@@ -153,13 +150,11 @@ def test_forward_matches_matmul_reference_bit_for_bit(kind, dim, one_thread):
     with blas():
         for params in nets:
             work = GradWorkspace(params, 64)
-            for n in list(range(1, 65)) + [None]:
-                obs = data.normal(size=params.obs_dim if n is None
-                                  else (n, params.obs_dim))
-                rows = 1 if n is None else n
+            for n in range(1, 65):
+                obs = data.normal(size=(n, params.obs_dim))
                 want = forward_bytes(matmul_forward(params, obs))
                 assert forward_bytes(forward(params, obs)) == want
-                out = [a[:rows] for a in work.hidden]
+                out = [a[:n] for a in work.hidden]
                 assert forward_bytes(forward(params, obs, out=out)) == want
 
 
@@ -217,10 +212,15 @@ def test_batched_act_matches_row_by_row(kind, dim, sample):
     policy = Policy(init_params(kind, dim, seed=4))
     obs = np.random.default_rng(5).normal(size=(23, dim))
     rng_rows, rng_batch = np.random.default_rng(6), np.random.default_rng(6)
-    rows = [policy.act(o, rng_rows, sample) for o in obs]
+    rows = [policy.act(o[None, :], rng_rows, sample) for o in obs]
     actions, logps, values = policy.act(obs, rng_batch, sample)
     assert len(actions) == len(logps) == len(values) == 23
-    row_actions, row_logps, row_values = (np.array(col) for col in zip(*rows))
+    for result in rows + [(actions, logps, values)]:
+        assert all(type(a) is (int if kind == "tl" else float)
+                   for a in result[0])
+        assert all(type(x) is float for x in result[1] + result[2])
+    row_actions, row_logps, row_values = (
+        np.array([row[k][0] for row in rows]) for k in range(3))
     if kind == "tl":
         np.testing.assert_array_equal(actions, row_actions)
     else:  # a batched matmul rounds differently from a 1-row one
@@ -242,9 +242,7 @@ def wide_head_params(kind, dim, seed):
 def act_key(result):
     """Each number of an `act` result by type and repr, so that equal keys
     mean equal bits."""
-    if isinstance(result[0], list):
-        return [[(type(x), repr(x)) for x in col] for col in result]
-    return [(type(x), repr(x)) for x in result]
+    return [[(type(x), repr(x)) for x in col] for col in result]
 
 
 @pytest.mark.parametrize("kind, dim", [("tl", 9), ("cav", 7)])
@@ -255,27 +253,18 @@ def test_act_matches_reference_distributions_bit_for_bit(kind, dim, sample):
     data = np.random.default_rng(9)
     rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
     heads, clipped = [], 0
-    for n in list(range(1, 65)) + [None]:
-        obs = data.normal(size=dim if n is None else (n, dim))
+    for n in range(1, 65):
+        obs = data.normal(size=(n, dim))
         got = policy.act(obs, rng, sample)
         want = reference_act(params, obs, ref_rng, sample)
         assert act_key(got) == act_key(want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         heads += forward(params, obs)[0].tolist()
-        if kind == "cav" and sample and n is not None:
+        if kind == "cav" and sample:
             clipped += sum(abs(a) == ACTION_SCALE for a in got[0])
     assert max(heads) > 700.0 and min(heads) < -700.0
     if kind == "cav" and sample:
         assert clipped > 0
-
-
-def test_act_returns_scalars_for_one_row():
-    for kind, dim, action_type in (("tl", 9, int), ("cav", 7, float)):
-        policy = Policy(init_params(kind, dim, seed=4))
-        action, logp, value = policy.act(np.zeros(dim),
-                                         np.random.default_rng(0))
-        assert type(action) is action_type
-        assert type(logp) is float and type(value) is float
 
 
 def test_sampling_without_rng_is_rejected():
@@ -345,7 +334,7 @@ def sample_batch(params, n=12, seed=0):
     policy = Policy(params)
     actions, logps = [], []
     for o in obs:
-        a, lp, _ = policy.act(o, rng)
+        (a,), (lp,), _ = policy.act(o[None, :], rng)
         actions.append(a)
         logps.append(lp)
     return {
@@ -363,7 +352,8 @@ def test_ratio_one_gives_unclipped_surrogate():
     loss, _, stats = ppo_loss_and_grads(
         params, batch["obs"], batch["actions"], batch["old_logp"],
         batch["advantages"], batch["returns"],
-        clip_eps=0.2, value_coef=0.0, entropy_coef=0.0)
+        clip_eps=0.2, value_coef=0.0, entropy_coef=0.0,
+        work=GradWorkspace(params, 64))
     assert stats["mean_ratio"] == pytest.approx(1.0)
     assert stats["approx_kl"] == pytest.approx(0.0, abs=1e-12)
     assert stats["clip_fraction"] == 0.0
@@ -377,7 +367,8 @@ def test_clip_engages_at_ratio_limits():
     old = batch["old_logp"] - np.log(1.5)    # makes every ratio 1.5
     loss, _, stats = ppo_loss_and_grads(
         params, batch["obs"], batch["actions"], old, adv, batch["returns"],
-        clip_eps=0.2, value_coef=0.0, entropy_coef=0.0)
+        clip_eps=0.2, value_coef=0.0, entropy_coef=0.0,
+        work=GradWorkspace(params, 16))
     assert stats["clip_fraction"] == 1.0
     assert stats["approx_kl"] == pytest.approx(0.5 - np.log(1.5))
     assert loss == pytest.approx(-np.mean(1.2 * adv))
@@ -389,18 +380,21 @@ def test_gradients_match_finite_differences(kind, obs_dim):
     batch = sample_batch(params, n=10, seed=3)
     # move away from ratio == 1 so the clip mask is exercised
     old = batch["old_logp"] + np.random.default_rng(4).normal(0, 0.1, 10)
+    work = GradWorkspace(params, 10)
 
     def loss_at(flat):
         params.flat[...] = flat
         loss, _, _ = ppo_loss_and_grads(
             params, batch["obs"], batch["actions"], old,
-            batch["advantages"], batch["returns"], 0.2, 0.5, 0.01)
+            batch["advantages"], batch["returns"], 0.2, 0.5, 0.01, work)
         return loss
 
     flat0 = params.flat.copy()
+    # a copy: the next call overwrites the workspace's gradient
     _, analytic, _ = ppo_loss_and_grads(
         params, batch["obs"], batch["actions"], old,
-        batch["advantages"], batch["returns"], 0.2, 0.5, 0.01)
+        batch["advantages"], batch["returns"], 0.2, 0.5, 0.01, work)
+    analytic = analytic.copy()
 
     h = 1e-5
     fd = np.empty_like(flat0)
@@ -423,25 +417,25 @@ def test_nonfinite_loss_aborts_update():
     cfg = PpoConfig(iterations=1, episodes_per_iter=1, horizon=1,
                     epochs=1, minibatch_size=8)
     with pytest.raises(NonFiniteLossError):
-        ppo_update(params, Adam(params), batch, cfg, np.random.default_rng(0))
+        ppo_update(params, Adam(params, cfg.learning_rate), batch, cfg,
+                   np.random.default_rng(0))
 
 
 class PerArrayAdam:
     """Reference: Adam with one moment pair per named array and the clip norm
     summed array by array, as the optimizer was before the flat layout."""
 
-    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(a) for name, a in params.arrays()}
         self.v = {name: np.zeros_like(a) for name, a in params.arrays()}
 
-    def step(self, params, grads, max_grad_norm=None):
-        if max_grad_norm is not None:
-            total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
-            if total > max_grad_norm:
-                scale = max_grad_norm / (total + 1e-12)
-                grads = {k: g * scale for k, g in grads.items()}
+    def step(self, params, grads, max_grad_norm):
+        total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
+        if total > max_grad_norm:
+            scale = max_grad_norm / (total + 1e-12)
+            grads = {k: g * scale for k, g in grads.items()}
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
@@ -454,8 +448,7 @@ class PerArrayAdam:
 
 
 @pytest.mark.parametrize("kind,obs_dim", [("tl", 5), ("cav", 7)])
-@pytest.mark.parametrize("max_grad_norm,clips", [(None, False), (1e6, False),
-                                                 (0.5, True)])
+@pytest.mark.parametrize("max_grad_norm,clips", [(1e6, False), (0.5, True)])
 def test_adam_matches_per_array_reference(kind, obs_dim, max_grad_norm, clips):
     params = init_params(kind, obs_dim, (6, 5), seed=3)
     ref_params = copy.deepcopy(params)
@@ -572,11 +565,10 @@ def ref_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
 class TemporariesAdam(Adam):
     """Reference: `Adam.step` with a new temporary per operation."""
 
-    def step(self, params, grad, max_grad_norm=None):
-        if max_grad_norm is not None:
-            total = np.sqrt(np.sum(grad ** 2))
-            if total > max_grad_norm:
-                grad = grad * (max_grad_norm / (total + 1e-12))
+    def step(self, params, grad, max_grad_norm):
+        total = np.sqrt(np.sum(grad ** 2))
+        if total > max_grad_norm:
+            grad = grad * (max_grad_norm / (total + 1e-12))
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
@@ -674,12 +666,11 @@ def test_loss_and_grads_match_allocating_reference(kind, obs_dim):
                 batch["advantages"], batch["returns"], 0.2, 0.5, 0.01)
         with blas():
             want_loss, want_grad, want_stats = ref_loss_and_grads(*args)
-            for kwargs in ({}, {"work": work}):
-                loss, grad, stats = ppo_loss_and_grads(*args, **kwargs)
-                assert float(loss).hex() == float(want_loss).hex()
-                assert ({k: float(v).hex() for k, v in stats.items()}
-                        == {k: float(v).hex() for k, v in want_stats.items()})
-                assert grad.tobytes() == want_grad.tobytes()
+            loss, grad, stats = ppo_loss_and_grads(*args, work)
+            assert float(loss).hex() == float(want_loss).hex()
+            assert ({k: float(v).hex() for k, v in stats.items()}
+                    == {k: float(v).hex() for k, v in want_stats.items()})
+            assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_build_batch_matches_per_segment_gae():
@@ -705,7 +696,8 @@ def test_ppo_update_matches_index_gather_reference(kind, obs_dim):
     cfg = PpoConfig(epochs=4, minibatch_size=64)
     params = init_params(kind, obs_dim, seed=2)
     ref_params = copy.deepcopy(params)
-    opt, ref_opt = Adam(params), TemporariesAdam(ref_params)
+    opt, ref_opt = (Adam(params, cfg.learning_rate),
+                    TemporariesAdam(ref_params, cfg.learning_rate))
     stats = ppo_update(params, opt, batch, cfg, np.random.default_rng(4))
     want = ref_ppo_update(ref_params, ref_opt, batch, cfg,
                           np.random.default_rng(4))
@@ -760,6 +752,14 @@ def test_train_smoke_bookkeeping():
                         "mean_ratio", "approx_kl", "clip_fraction"):
                 assert np.isfinite(c[f"{prefix}_{key}"])
             assert c[f"{prefix}_approx_kl"] >= 0.0
+    # an iteration's rollout and update fit in its share of the wall time,
+    # which runs from the previous iteration's end
+    previous = 0.0
+    for c in res.curves:
+        assert c["rollout_s"] >= 0.0 and c["update_s"] >= 0.0
+        assert c["wall_s"] > previous
+        assert c["rollout_s"] + c["update_s"] <= c["wall_s"] - previous
+        previous = c["wall_s"]
 
 
 def test_train_zero_penetration_skips_cav_update():
