@@ -10,7 +10,6 @@ from . import kernels
 # wraps them at these names
 from .simulation import MIN_GREEN, YELLOW_DURATION, build_sim, idm_accel, step
 
-GLOSA_ACCEL_LIMIT = 3.0
 # the fixed plan's green; its yellows last YELLOW_DURATION
 STATIC_GREEN_S = 40
 # gap-out actuation: the longest green, the empty run that ends a green, and
@@ -116,11 +115,11 @@ def _green_windows(light, durations, approach):
 
 
 def _earliest_arrival(v, dist, v_max):
-    """Time to cover dist starting at v, accelerating at GLOSA_ACCEL_LIMIT up
-    to v_max."""
+    """Time to cover dist starting at v, accelerating at the command box's
+    bound `kernels.CMD_ACCEL_MAX` up to v_max."""
     if dist <= 0:
         return 0.0
-    a = GLOSA_ACCEL_LIMIT
+    a = kernels.CMD_ACCEL_MAX
     d_acc = (v_max ** 2 - v ** 2) / (2.0 * a)
     if d_acc >= dist:
         return (-v + (v * v + 2.0 * a * dist) ** 0.5) / a
@@ -134,12 +133,12 @@ def _advise(v, dist_to_stop, v_star, windows, follow):
     If the vehicle can reach the line within the current green it follows
     the car-following law; otherwise it aims a constant speed
     dist/time-to-next-green, clamped to [0, v*], as accel = clip(v_t - v,
-    -3, 3). A real leader always caps the advice at the car-following
-    acceleration. `GlosaController.commands` applies this rule to each
-    CAV on an approach road.
+    -CMD_ACCEL_MAX, CMD_ACCEL_MAX). A real leader always caps the advice at
+    the car-following acceleration. `GlosaController.commands` applies this
+    rule to each CAV on an approach road.
     """
     now_window, next_window = windows
-    limit = GLOSA_ACCEL_LIMIT
+    limit = kernels.CMD_ACCEL_MAX
     if now_window[0] == 0.0 and _earliest_arrival(v, dist_to_stop, v_star) <= now_window[1]:
         return -limit if follow < -limit else limit if follow > limit else follow
     start = now_window[0] if now_window[0] > 0.0 else next_window[0]

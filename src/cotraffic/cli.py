@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__, metrics, ppo, rollout
 from .env import cav_obs_dim, tl_obs_dim
 from .methods import get_method, resolve_penetration
-from .network import (ConfigError, grid_scenario, load_scenario,
-                      parse_scenario_text, scenario_to_text)
+from .network import (STANDARD_GRIDS, ConfigError, grid_scenario,
+                      load_scenario, parse_scenario_text, scenario_to_text)
 from .policy import load_checkpoint, save_checkpoint
 
 EVAL_SEED_OFFSET = 100_000
@@ -51,10 +51,9 @@ def _eval_seeds(args):
     return [args.seed + EVAL_SEED_OFFSET + i for i in range(args.episodes)]
 
 
-# manifest fields that describe one run or its host rather than its
-# configuration
+# manifest fields that describe one run rather than its configuration; the
+# host record of `_host` is merged in after the hash
 _UNHASHED = ("created_unix", "command", "wall_time_s", "halted_early",
-             "numpy", "numpy_cpu_features", "blas", "blas_core",
              "blas_threads")
 
 
@@ -88,12 +87,12 @@ def _manifest(args, scenario, method, extra):
         "method_notes": method.notes,
         "seed": args.seed,
         "scenario_text": scenario_to_text(scenario),
-        **_host(),
+        **extra,
     }
-    payload.update(extra)
     digest_src = json.dumps(
         {k: v for k, v in payload.items() if k not in _UNHASHED},
         sort_keys=True)
+    payload.update(_host())
     payload["config_sha256"] = hashlib.sha256(digest_src.encode()).hexdigest()
     return payload
 
@@ -438,7 +437,7 @@ def _rates(text):
 # the flags that only some subcommands take, by name
 _FLAGS = {
     "--config": dict(help="scenario file path"),
-    "--grid": dict(choices=["1x1", "1x6"], default="1x1",
+    "--grid": dict(choices=list(STANDARD_GRIDS), default="1x1",
                    help="built-in scenario (default 1x1)"),
     "--penetration": dict(type=float, help="CAV fraction in [0, 1]"),
     "--episodes": dict(type=_positive_int, default=18,

@@ -217,7 +217,7 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action):
                     prev_action = float(prev_tl_action.get(light_id, 0))
                 if j + 1 < k:
                     lead = vehicles[order[j + 1]]
-                    gap = lead.position - lead.length - veh.position
+                    gap = lead.position - VEHICLE_LENGTH - veh.position
                 else:
                     # the front vehicle follows the tail of its route's next
                     # road, across the stop line
@@ -228,7 +228,7 @@ def observe(sim, layout, mode, c, prev_commands, prev_tl_action):
                         if next_order:
                             lead = vehicles[next_order[0]]
                             gap = ((length - veh.position) + lead.position
-                                   - lead.length)
+                                   - VEHICLE_LENGTH)
                 if lead is None:
                     lead_block = (0.0, 0.0, 1.0)
                 else:

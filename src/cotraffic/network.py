@@ -15,6 +15,10 @@ APPROACHES = ("N", "E", "S", "W")
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 
 DEFAULT_ROAD_LENGTH = 300.0
+# a scenario's `sim` settings when neither its file nor its caller sets them
+DEFAULT_HORIZON = 720
+DEFAULT_PENETRATION = 1.0
+DEFAULT_SEED = 0
 # vehicle geometry; a road shorter than one vehicle plus its gap holds none
 VEHICLE_LENGTH = 5.0
 MIN_GAP = 2.5
@@ -230,18 +234,20 @@ class ScenarioSpec:
             seed=self.seed if seed is None else int(seed))
 
 
-def grid_scenario(grid, horizon=720, penetration=1.0, seed=0):
-    """Scenario for a named standard grid, '1x1' or '1x6'."""
-    if grid == "1x1":
-        net = build_grid(1, 1)
-        flows = standard_flows_1x1()
-    elif grid == "1x6":
-        net = build_grid(1, 6)
-        flows = standard_flows_1x6()
-    else:
-        raise ConfigError(f"unknown standard grid {grid!r} (expected 1x1 or 1x6)")
-    return ScenarioSpec(net, tuple(flows), int(horizon), float(penetration),
-                        int(seed))
+# the built-in grids by name: their rows, columns and demand
+STANDARD_GRIDS = {"1x1": (1, 1, standard_flows_1x1),
+                  "1x6": (1, 6, standard_flows_1x6)}
+
+
+def grid_scenario(grid, horizon=DEFAULT_HORIZON,
+                  penetration=DEFAULT_PENETRATION, seed=DEFAULT_SEED):
+    """Scenario for a named standard grid, a key of STANDARD_GRIDS."""
+    if grid not in STANDARD_GRIDS:
+        raise ConfigError(f"unknown standard grid {grid!r} "
+                          f"(expected {' or '.join(STANDARD_GRIDS)})")
+    rows, cols, flows = STANDARD_GRIDS[grid]
+    return ScenarioSpec(build_grid(rows, cols), tuple(flows()), int(horizon),
+                        float(penetration), int(seed))
 
 
 def assign_vehicle_kinds(flows, penetration_rate, seed):
@@ -392,9 +398,10 @@ def parse_scenario_text(text):
 
     return ScenarioSpec(
         net, tuple(flows),
-        horizon=_number("sim", sim_entries, "horizon", 720, int),
-        penetration_rate=_number("sim", sim_entries, "penetration", 1.0),
-        seed=_number("sim", sim_entries, "seed", 0, int))
+        horizon=_number("sim", sim_entries, "horizon", DEFAULT_HORIZON, int),
+        penetration_rate=_number("sim", sim_entries, "penetration",
+                                 DEFAULT_PENETRATION),
+        seed=_number("sim", sim_entries, "seed", DEFAULT_SEED, int))
 
 
 def load_scenario(path):

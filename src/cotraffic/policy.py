@@ -1,11 +1,12 @@
 """Shared-parameter policy/value networks and their exact gradients.
 
-One parameter set per agent type: a tanh MLP trunk (64x64 by default) with a
-policy head and a value head. The signal head is a Bernoulli logit over
-{keep, switch}; the vehicle head is a Gaussian whose mean is tanh-squashed to
-[-3, 3] m/s^2 with a learned state-independent log-std. Each network keeps
-all its parameters in one flat vector, and its gradient and Adam moments are
-vectors in the same layout, so an update is a few whole-vector operations.
+One parameter set per agent type: a tanh MLP trunk (training takes its
+widths from `PpoConfig.hidden`) with a policy head and a value head. The
+signal head is a Bernoulli logit over {keep, switch}; the vehicle head is a
+Gaussian whose mean is tanh-squashed to the command box +-CMD_ACCEL_MAX m/s^2
+with a learned state-independent log-std. Each network keeps all its
+parameters in one flat vector, and its gradient and Adam moments are vectors
+in the same layout, so an update is a few whole-vector operations.
 Forward and backward passes are written out by hand in numpy so the training
 step can be checked against central finite differences parameter by
 parameter. `Policy.act` serves a step's agents of one type with one forward,
@@ -19,8 +20,9 @@ import math
 
 import numpy as np
 
-ACTION_SCALE = 3.0
-LOG_STD_INIT = float(np.log(0.5 * ACTION_SCALE))
+from .kernels import CMD_ACCEL_MAX
+
+LOG_STD_INIT = float(np.log(0.5 * CMD_ACCEL_MAX))
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1 = 0.9
@@ -81,7 +83,7 @@ class MlpParams:
         return h.hexdigest()[:16]
 
 
-def init_params(kind, obs_dim, hidden=(64, 64), seed=0):
+def init_params(kind, obs_dim, hidden, seed):
     params = MlpParams(kind, obs_dim, hidden)
     rng = np.random.default_rng(
         np.random.SeedSequence((seed, 0 if kind == "tl" else 1)))
@@ -154,15 +156,16 @@ class Policy:
 
         A signal switches with probability sigmoid(z) of its logit z and has
         log-prob -softplus(-z) or -softplus(z); a vehicle's acceleration is
-        3 tanh(z) plus exp(log_std) times its draw, clipped to +-3 m/s^2, with
-        the Gaussian log-prob. At a few rows per call numpy's per-call cost
-        outweighs the arithmetic, so each row's arithmetic runs on Python
-        floats, which round as numpy does. Only `tanh`, `logaddexp` and `exp`
-        stay in numpy: numpy computes them with its own code (SIMD `tanh` and
-        `exp`), which can differ from Python's `math` in the last bit, and
-        training output keeps numpy's bits. Greedy, a signal's log-prob is
-        -softplus(-|z|), the sampled form's bits; a vehicle's z-score is 0,
-        so its log-prob is the constant -log_std - log(2 pi)/2.
+        CMD_ACCEL_MAX tanh(z) plus exp(log_std) times its draw, clipped to
+        the command box, with the Gaussian log-prob. At a few rows per call
+        numpy's per-call cost outweighs the arithmetic, so each row's
+        arithmetic runs on Python floats, which round as numpy does. Only
+        `tanh`, `logaddexp` and `exp` stay in numpy: numpy computes them with
+        its own code (SIMD `tanh` and `exp`), which can differ from Python's
+        `math` in the last bit, and training output keeps numpy's bits.
+        Greedy, a signal's log-prob is -softplus(-|z|), the sampled form's
+        bits; a vehicle's z-score is 0, so its log-prob is the constant
+        -log_std - log(2 pi)/2.
         """
         if sample and rng is None:
             raise ValueError("sampling actions needs an rng; pass one, "
@@ -183,10 +186,10 @@ class Policy:
             log_probs = [-s for s in softplus.tolist()]
         else:
             log_std = float(self.params.log_std[0])
-            means = [ACTION_SCALE * t for t in np.tanh(head_pre).tolist()]
+            means = [CMD_ACCEL_MAX * t for t in np.tanh(head_pre).tolist()]
             if sample:
                 std = float(np.exp(log_std))
-                actions = [min(max(m + std * e, -ACTION_SCALE), ACTION_SCALE)
+                actions = [min(max(m + std * e, -CMD_ACCEL_MAX), CMD_ACCEL_MAX)
                            for m, e in zip(
                                means, rng.standard_normal(n).tolist())]
                 log_probs = []
@@ -248,13 +251,13 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
         dent_dpre = -z * sig * (1.0 - sig)
     else:
         t = np.tanh(head_pre)
-        mean = ACTION_SCALE * t
+        mean = CMD_ACCEL_MAX * t
         std = np.exp(params.log_std[0])
         zscore = (actions - mean) / std
         zsq = zscore ** 2
         logp = -0.5 * zsq - params.log_std[0] - 0.5 * LOG_2PI
         dlogp_dmean = zscore / std
-        dlogp_dpre = dlogp_dmean * ACTION_SCALE * (1.0 - t ** 2)
+        dlogp_dpre = dlogp_dmean * CMD_ACCEL_MAX * (1.0 - t ** 2)
         dlogp_dlogstd = zsq - 1.0
         entropy = np.full(n, 0.5 + 0.5 * LOG_2PI + params.log_std[0])
 

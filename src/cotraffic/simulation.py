@@ -41,7 +41,6 @@ class Vehicle:
     route: tuple
     route_index: int = 0
     accel: float = 0.0         # last realized acceleration
-    length: float = VEHICLE_LENGTH
     depart_time: int = 0
     fuel_l: float = 0.0
     co2_g: float = 0.0
@@ -171,7 +170,7 @@ def _attempt_insertions(sim, now):
         speed = ins.depart_speed
         if order:
             tail = sim.vehicles[order[0]]
-            gap = tail.position - tail.length
+            gap = tail.position - VEHICLE_LENGTH
             if gap < INSERTION_FREE_ZONE:
                 blocked.append(ins)
                 continue
@@ -226,7 +225,7 @@ def scan_view(sim):
     # the last row is a road front, so its placeholder is always patched
     last = [0.0] if ids else []
     lead_speed = speed[1:] + last
-    gap = [lead.position - lead.length - veh.position
+    gap = [lead.position - VEHICLE_LENGTH - veh.position
            for veh, lead in zip(vehs, vehs[1:])] + last
     has_lead = [True] * len(ids)
     for i in fronts:
@@ -319,9 +318,12 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
     for light_id in tl_actions:
         if light_id not in sim.lights:
             raise KeyError(f"unknown traffic light {light_id!r}")
-    for vid in cav_accels:
+    for vid, command in cav_accels.items():
         if vid not in sim.vehicles:
             raise KeyError(f"unknown vehicle {vid!r} in command map")
+        if not math.isfinite(command):
+            raise ValueError(f"vehicle {vid!r} has a non-finite command "
+                             f"{command!r}")
 
     now = sim.clock + 1
 
@@ -372,7 +374,7 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
                     next_order = road_order[route[nxt]]
                     if next_order:
                         tail = vehicles[next_order[0]]
-                        g = dist + tail.position - tail.length
+                        g = dist + tail.position - VEHICLE_LENGTH
                         lead_speed[i] = tail.speed
                         gap[i] = 1e-9 if g < 1e-9 else g
                         has_lead[i] = True

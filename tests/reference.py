@@ -18,7 +18,7 @@ from cotraffic.kernels import (AIR_DENSITY, CMD_ACCEL_MAX, CO2_G_PER_L,
                                FRONTAL_AREA_M2, FUEL_ENERGY_J_L, GRAVITY,
                                IDLE_FUEL_L_S, IDM_B_COMFORT, ROLLING_COEF,
                                VEHICLE_MASS_KG)
-from cotraffic.network import grid_scenario
+from cotraffic.network import VEHICLE_LENGTH, grid_scenario
 from cotraffic.simulation import (MIN_GREEN, STOPLINE_GAP_FLOOR,
                                   YELLOW_DURATION, Vehicle, build_sim,
                                   idm_accel, step)
@@ -118,7 +118,8 @@ def cross_boundary_leader(sim, vehicle, road):
     if not next_order:
         return None
     lead = sim.vehicles[next_order[0]]
-    return lead, (road.length - vehicle.position) + lead.position - lead.length
+    return lead, ((road.length - vehicle.position) + lead.position
+                  - VEHICLE_LENGTH)
 
 
 def brute_force_collision_pairs(sim):
@@ -128,7 +129,7 @@ def brute_force_collision_pairs(sim):
         vehs = sorted((sim.vehicles[v] for v in sim.road_order[road_id]),
                       key=lambda v: v.position)
         for f, l in zip(vehs, vehs[1:]):
-            if l.position - l.length - f.position <= 0:
+            if l.position - VEHICLE_LENGTH - f.position <= 0:
                 pairs.append((f.id, l.id))
     return pairs
 
@@ -139,7 +140,7 @@ def brute_force_ttc(sim, threshold=3.0):
         vehs = sorted((sim.vehicles[v] for v in sim.road_order[road_id]),
                       key=lambda v: v.position)
         for f, l in zip(vehs, vehs[1:]):
-            gap = l.position - l.length - f.position
+            gap = l.position - VEHICLE_LENGTH - f.position
             if gap > 0 and f.speed > l.speed and gap / (f.speed - l.speed) < threshold:
                 count += 1
     return count
@@ -196,7 +197,7 @@ def loop_view(sim):
             if i + 1 < len(order):
                 lead = sim.vehicles[order[i + 1]]
                 lead_speed.append(lead.speed)
-                gap.append(lead.position - lead.length - veh.position)
+                gap.append(lead.position - VEHICLE_LENGTH - veh.position)
                 has_lead.append(True)
             else:
                 lead_speed.append(0.0)
@@ -220,7 +221,7 @@ def ref_accel_inputs(sim):
             fronts.append(len(vehs) - 1)
     speed = [veh.speed for veh in vehs]
     lead_speed = speed[1:] + [0.0]
-    gap = [max(lead.position - lead.length - veh.position, 1e-9)
+    gap = [max(lead.position - VEHICLE_LENGTH - veh.position, 1e-9)
            for veh, lead in zip(vehs, vehs[1:])] + [0.0]
     has_lead = [True] * len(vehs)
     for i in fronts:
@@ -320,7 +321,7 @@ def ref_leader_of(sim, vehicle_id):
     if idx + 1 >= len(order):
         return cross_boundary_leader(sim, veh, sim.network.roads[veh.road])
     lead = sim.vehicles[order[idx + 1]]
-    return lead, lead.position - lead.length - veh.position
+    return lead, lead.position - VEHICLE_LENGTH - veh.position
 
 
 def ref_tl_observation(sim, light, mode, c, prev_commands=None):
@@ -499,7 +500,7 @@ def ref_advice(sim):
             leader = None
             if i + 1 < len(order):
                 lead = sim.vehicles[order[i + 1]]
-                leader = (lead.speed, max(lead.position - lead.length
+                leader = (lead.speed, max(lead.position - VEHICLE_LENGTH
                                           - veh.position, 1e-6))
             want[vid] = glosa_advice(veh, light, road.length - veh.position,
                                      road, durations, leader)

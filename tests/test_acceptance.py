@@ -20,7 +20,8 @@ from cotraffic.env import (CooperationMode, EnvConfig, TrafficEnv,
                            cav_reward, max_road_capacity, tl_reward)
 from cotraffic.methods import get_method
 from cotraffic.metrics import aggregate_reports, compare_table, write_compare_csv
-from cotraffic.network import build_grid, build_insertion_schedule, grid_scenario
+from cotraffic.network import (VEHICLE_LENGTH, build_grid,
+                               build_insertion_schedule, grid_scenario)
 from cotraffic.policy import (GradWorkspace, Policy, init_params,
                               load_checkpoint, ppo_loss_and_grads)
 from cotraffic.ppo import ci_profile, compute_gae, one_blas_thread, train
@@ -240,7 +241,7 @@ def _ttc_rescan(sim, threshold=3.0):
         vehs = sorted((sim.vehicles[v] for v in sim.road_order[road_id]),
                       key=lambda v: v.position)
         for f, l in zip(vehs, vehs[1:]):
-            gap = l.position - l.length - f.position
+            gap = l.position - VEHICLE_LENGTH - f.position
             if gap > 0 and f.speed > l.speed and gap / (f.speed - l.speed) < threshold:
                 count += 1
     return count

@@ -368,8 +368,9 @@ def test_baseline_and_policy_episodes_of_a_seed_share_their_demand(
     # ids, times, kinds, routes and depart speeds
     scen = grid_scenario("1x1", penetration=0.5, seed=0)
     env_cfg = EnvConfig(CooperationMode.COTV)
-    tl = init_params("tl", tl_obs_dim(scen.network, env_cfg.mode), seed=1)
-    cav = init_params("cav", cav_obs_dim(env_cfg.mode), seed=1)
+    tl = init_params("tl", tl_obs_dim(scen.network, env_cfg.mode), (64, 64),
+                     seed=1)
+    cav = init_params("cav", cav_obs_dim(env_cfg.mode), (64, 64), seed=1)
     schedules = []
     real = simulation.build_insertion_schedule
 

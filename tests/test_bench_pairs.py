@@ -38,6 +38,14 @@ def test_head_against_head_record_shape(tmp_path):
     # the same code on both sides computes the same trips
     travel = entry["metrics"]["mean_travel_time_s"]
     assert travel["parent"] == travel["change"]
+    hidden = entry["uncalibrated"]
+    assert set(hidden) == {"wall_iter_s.p50", "reference_s.p50",
+                           "cpu_s_per_op"}
+    for m in hidden.values():
+        assert m["unit"] == "s" and m["better"] == "lower"
+        assert len(m["parent"]) == len(m["change"]) == 1
+        assert m["median_change"] == m["change"][0] > 0.0
+        assert m["parent_iqr"] == 0.0
 
 
 def test_pairs_alternate_and_wins_follow_the_direction(monkeypatch):
@@ -50,8 +58,10 @@ def test_pairs_alternate_and_wins_follow_the_direction(monkeypatch):
         metrics = {"env_steps_per_s": {"value": 2.0 if fast else 1.0,
                                        "unit": "1/s"},
                    "setup_s": {"value": 1.0 if fast else 2.0, "unit": "s"}}
+        hidden = {"wall_iter_s.p50": 0.5 if fast else 0.75,
+                  "reference_s.p50": 0.04, "cpu_s_per_op": seed - 39.0}
         return ({"correct": True, "attempted": 3, "failed": 0,
-                 "metrics": metrics}, {"nproc": 1})
+                 "metrics": metrics, "uncalibrated": hidden}, {"nproc": 1})
 
     monkeypatch.setattr(tool, "run_once", fake_run)
     # the parent checkout's BENCHMARK.json gives each metric's direction
@@ -63,4 +73,15 @@ def test_pairs_alternate_and_wins_follow_the_direction(monkeypatch):
     for name in ("env_steps_per_s", "setup_s"):
         assert entry["metrics"][name]["change_wins"] == 3
     assert entry["metrics"]["setup_s"]["median_rel_change"] == -0.5
+    # the uncalibrated values sit apart from the benchmark's names, lower
+    # being better
+    hidden = entry["uncalibrated"]
+    assert not set(hidden) & set(entry["metrics"])
+    wall = hidden["wall_iter_s.p50"]
+    assert (wall["parent"], wall["change"]) == ([0.75] * 3, [0.5] * 3)
+    assert wall["change_wins"] == 3 and wall["median_rel_change"] == -0.3333
+    assert hidden["reference_s.p50"]["change_wins"] == 0
+    cpu = hidden["cpu_s_per_op"]
+    assert cpu["parent"] == cpu["change"] == [1.0, 2.0, 3.0]
+    assert cpu["median_parent"] == 2.0 and cpu["parent_iqr"] == 1.0
     assert envs == {"parent": {"nproc": 1}, "change": {"nproc": 1}}

@@ -65,8 +65,9 @@ def test_pool_probe_reads_every_result_field(monkeypatch):
 
     scen = grid_scenario("1x1", penetration=1.0, seed=3)
     tl = init_params("tl", tl_obs_dim(scen.network, workloads.COTV.mode),
-                     seed=1)
-    cav = init_params("cav", cav_obs_dim(workloads.COTV.mode), seed=1)
+                     (64, 64), seed=1)
+    cav = init_params("cav", cav_obs_dim(workloads.COTV.mode), (64, 64),
+                      seed=1)
     a, b = (rollout.collect_episodes(scen, workloads.COTV, tl, cav, [1, 2],
                                      60, workers=1) for _ in range(2))
     assert workloads.segments_equal(a, b)

@@ -760,11 +760,13 @@ def test_manifest_records_the_host_outside_the_hash(train_dir, tmp_path,
 
     here = baseline_manifest(tmp_path / "here")
     assert "blas_threads" not in here
+    # a host field the real `_host` lacks stays out of the hash too
     monkeypatch.setattr(cli, "_host", lambda: {
         "numpy": "0.0", "numpy_cpu_features": [], "blas": "other 0",
-        "blas_core": "Other"})
+        "blas_core": "Other", "cpu_model": "Other CPU"})
     elsewhere = baseline_manifest(tmp_path / "elsewhere")
     assert elsewhere["numpy"] == "0.0" != here["numpy"]
+    assert elsewhere["cpu_model"] == "Other CPU"
     assert elsewhere["config_sha256"] == here["config_sha256"]
 
 

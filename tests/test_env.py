@@ -217,8 +217,9 @@ def test_observation_length_constant_during_run():
     scen = grid_scenario("1x1", penetration=0.5, seed=4)
     env = TrafficEnv(scen, EnvConfig(COTV))
     env.reset()
-    tl_p = Policy(init_params("tl", tl_obs_dim(scen.network, COTV), seed=0))
-    cav_p = Policy(init_params("cav", cav_obs_dim(COTV), seed=0))
+    tl_p = Policy(init_params("tl", tl_obs_dim(scen.network, COTV), (64, 64),
+                              seed=0))
+    cav_p = Policy(init_params("cav", cav_obs_dim(COTV), (64, 64), seed=0))
     rng = np.random.default_rng(0)
     lengths_tl, lengths_cav = set(), set()
     for _ in range(120):
@@ -324,8 +325,9 @@ def test_reward_oracle_equivalence_randomized():
 # --- environment transition --------------------------------------------------
 
 def make_policies(network, mode, seed=0):
-    return (Policy(init_params("tl", tl_obs_dim(network, mode), seed=seed)),
-            Policy(init_params("cav", cav_obs_dim(mode), seed=seed)))
+    return (Policy(init_params("tl", tl_obs_dim(network, mode), (64, 64),
+                               seed=seed)),
+            Policy(init_params("cav", cav_obs_dim(mode), (64, 64), seed=seed)))
 
 
 def test_env_step_tl_only_at_zero_penetration():

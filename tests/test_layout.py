@@ -89,8 +89,9 @@ from cotraffic.rollout import collect_episodes
 
 cotv = EnvConfig(CooperationMode.COTV)
 scen = grid_scenario("1x1", penetration=1.0, seed=3)
-tl = init_params("tl", tl_obs_dim(scen.network, cotv.mode), seed=1)
-cav = init_params("cav", cav_obs_dim(cotv.mode), seed=1)
+tl = init_params("tl", tl_obs_dim(scen.network, cotv.mode), (64, 64),
+                 seed=1)
+cav = init_params("cav", cav_obs_dim(cotv.mode), (64, 64), seed=1)
 results = collect_episodes(scen, cotv, tl, cav, [1, 2], 30, workers=1)
 assert len(results) == 2
 print(sorted(m for m in sys.modules

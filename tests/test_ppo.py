@@ -16,10 +16,11 @@ import pytest
 
 from cotraffic import ppo
 from cotraffic.env import AgentStep, CooperationMode, EnvConfig
+from cotraffic.kernels import CMD_ACCEL_MAX
 from cotraffic.network import grid_scenario
-from cotraffic.policy import (ACTION_SCALE, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                              LOG_2PI, Adam, GradWorkspace, MlpParams, Policy,
-                              _sigmoid, _softplus, forward, init_params,
+from cotraffic.policy import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_2PI, Adam,
+                              GradWorkspace, MlpParams, Policy, _sigmoid,
+                              _softplus, forward, init_params,
                               load_checkpoint, ppo_loss_and_grads,
                               save_checkpoint)
 from cotraffic.ppo import (NonFiniteLossError, PpoConfig, RolloutBuffer,
@@ -75,7 +76,7 @@ class GaussianAction:
     def sample(self, rng):
         noise = rng.standard_normal(np.shape(self.mean))
         raw = self.mean + np.exp(self.log_std) * noise
-        return np.clip(raw, -ACTION_SCALE, ACTION_SCALE)
+        return np.clip(raw, -CMD_ACCEL_MAX, CMD_ACCEL_MAX)
 
     def greedy(self):
         return self.mean
@@ -92,7 +93,7 @@ def _distribution(params, head_pre):
     """Action distribution over one head output or an array of them."""
     if params.kind == "tl":
         return BernoulliAction(head_pre)
-    return GaussianAction(ACTION_SCALE * np.tanh(head_pre),
+    return GaussianAction(CMD_ACCEL_MAX * np.tanh(head_pre),
                           float(params.log_std[0]))
 
 
@@ -143,8 +144,8 @@ CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoint"
 @pytest.mark.parametrize("kind, dim", [("tl", 37), ("cav", 12)])
 def test_forward_matches_matmul_reference_bit_for_bit(kind, dim, one_thread):
     checkpoint, _ = load_checkpoint(CHECKPOINT / f"checkpoint_{kind}.npz")
-    nets = [init_params(kind, dim, seed=3), wide_head_params(kind, dim, 4),
-            checkpoint]
+    nets = [init_params(kind, dim, (64, 64), seed=3),
+            wide_head_params(kind, dim, 4), checkpoint]
     data = np.random.default_rng(11)
     blas = ppo.one_blas_thread if one_thread else contextlib.nullcontext
     with blas():
@@ -170,7 +171,7 @@ def test_policy_forward_zero_weights():
 
 
 def test_policy_forward_deterministic():
-    params = init_params("tl", 9, seed=3)
+    params = init_params("tl", 9, (64, 64), seed=3)
     obs = np.random.default_rng(0).normal(size=9)
     a = policy_forward(params, obs)
     b = policy_forward(params, obs)
@@ -178,7 +179,7 @@ def test_policy_forward_deterministic():
 
 
 def test_dead_input_does_not_change_output():
-    params = init_params("tl", 6, seed=1)
+    params = init_params("tl", 6, (64, 64), seed=1)
     params.weights[0][4, :] = 0.0  # kill input slot 4
     obs = np.random.default_rng(1).normal(size=6)
     base = policy_forward(params, obs)
@@ -188,7 +189,7 @@ def test_dead_input_does_not_change_output():
 
 def test_forward_shape_mismatch():
     with pytest.raises(ValueError):
-        policy_forward(init_params("tl", 6, seed=1), np.zeros(7))
+        policy_forward(init_params("tl", 6, (64, 64), seed=1), np.zeros(7))
 
 
 def test_action_distributions():
@@ -209,7 +210,7 @@ def test_action_distributions():
 @pytest.mark.parametrize("kind, dim", [("tl", 9), ("cav", 7)])
 @pytest.mark.parametrize("sample", [True, False])
 def test_batched_act_matches_row_by_row(kind, dim, sample):
-    policy = Policy(init_params(kind, dim, seed=4))
+    policy = Policy(init_params(kind, dim, (64, 64), seed=4))
     obs = np.random.default_rng(5).normal(size=(23, dim))
     rng_rows, rng_batch = np.random.default_rng(6), np.random.default_rng(6)
     rows = [policy.act(o[None, :], rng_rows, sample) for o in obs]
@@ -233,7 +234,7 @@ def test_batched_act_matches_row_by_row(kind, dim, sample):
 def wide_head_params(kind, dim, seed):
     """A network whose head outputs reach past +-700: signal logits that
     saturate softplus and tanh, and vehicle means at the +-3 bounds."""
-    params = init_params(kind, dim, seed=seed)
+    params = init_params(kind, dim, (64, 64), seed=seed)
     params.w_policy[...] = np.random.default_rng(seed).normal(
         0.0, 150.0, size=params.w_policy.shape)
     return params
@@ -261,14 +262,14 @@ def test_act_matches_reference_distributions_bit_for_bit(kind, dim, sample):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         heads += forward(params, obs)[0].tolist()
         if kind == "cav" and sample:
-            clipped += sum(abs(a) == ACTION_SCALE for a in got[0])
+            clipped += sum(abs(a) == CMD_ACCEL_MAX for a in got[0])
     assert max(heads) > 700.0 and min(heads) < -700.0
     if kind == "cav" and sample:
         assert clipped > 0
 
 
 def test_sampling_without_rng_is_rejected():
-    policy = Policy(init_params("cav", 7, seed=4))
+    policy = Policy(init_params("cav", 7, (64, 64), seed=4))
     with pytest.raises(ValueError, match="rng"):
         policy.act(np.zeros((3, 7)))
     actions, _, _ = policy.act(np.zeros((3, 7)), sample=False)
@@ -506,12 +507,12 @@ def ref_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
         dent_dpre = -z * sig * (1.0 - sig)
     else:
         t = np.tanh(head_pre)
-        mean = ACTION_SCALE * t
+        mean = CMD_ACCEL_MAX * t
         std = np.exp(params.log_std[0])
         zscore = (actions - mean) / std
         logp = -0.5 * zscore ** 2 - params.log_std[0] - 0.5 * LOG_2PI
         dlogp_dmean = zscore / std
-        dlogp_dpre = dlogp_dmean * ACTION_SCALE * (1.0 - t ** 2)
+        dlogp_dpre = dlogp_dmean * CMD_ACCEL_MAX * (1.0 - t ** 2)
         dlogp_dlogstd = zscore ** 2 - 1.0
         entropy = np.full(n, 0.5 + 0.5 * LOG_2PI + params.log_std[0])
 
@@ -652,7 +653,7 @@ def random_segments(kind, obs_dim, lengths, seed):
 
 @pytest.mark.parametrize("kind,obs_dim", [("tl", 37), ("cav", 7)])
 def test_loss_and_grads_match_allocating_reference(kind, obs_dim):
-    params = init_params(kind, obs_dim, seed=13)
+    params = init_params(kind, obs_dim, (64, 64), seed=13)
     # one workspace for every size: smaller minibatches use its leading rows
     work = GradWorkspace(params, 512)
     # 385 is the first size at which two OpenBLAS threads split the inner
@@ -694,7 +695,7 @@ def test_ppo_update_matches_index_gather_reference(kind, obs_dim):
     batch = RolloutBuffer(segments).build_batch(0.99, 0.95)
     # 300 samples: the last minibatch of every epoch is a short one
     cfg = PpoConfig(epochs=4, minibatch_size=64)
-    params = init_params(kind, obs_dim, seed=2)
+    params = init_params(kind, obs_dim, (64, 64), seed=2)
     ref_params = copy.deepcopy(params)
     opt, ref_opt = (Adam(params, cfg.learning_rate),
                     TemporariesAdam(ref_params, cfg.learning_rate))
@@ -913,7 +914,7 @@ def test_parameter_sharing_single_set_per_type():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    params = init_params("cav", 7, seed=9)
+    params = init_params("cav", 7, (64, 64), seed=9)
     save_checkpoint(tmp_path / "c.npz", params, meta={"method": "cotv", "seed": 9})
     loaded, meta = load_checkpoint(tmp_path / "c.npz")
     assert meta["method"] == "cotv"

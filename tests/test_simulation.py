@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cotraffic import kernels, simulation
-from cotraffic.network import Insertion, build_grid, grid_scenario
+from cotraffic.network import (VEHICLE_LENGTH, Insertion, build_grid,
+                               grid_scenario)
 from cotraffic.kernels import (IDM_A_MAX, IDM_B_COMFORT, IDM_DELTA,
                                IDM_HEADWAY, IDM_S0)
 from cotraffic.simulation import (Vehicle, build_sim, count_ttc_events,
@@ -187,6 +188,16 @@ def test_step_rejects_unknown_ids():
         step(sim, {}, {"ghost": 1.0})
 
 
+@pytest.mark.parametrize("command", [math.nan, math.inf, -math.inf])
+def test_step_rejects_a_non_finite_command(command):
+    sim = empty_sim()
+    veh = put_vehicle(sim, "v0", "W0:J0-0", 100.0, 10.0, kind="CAV")
+    with pytest.raises(ValueError, match="vehicle 'v0'"):
+        step(sim, {}, {"v0": command})
+    assert sim.clock == 0
+    assert (veh.position, veh.speed, veh.accel) == (100.0, 10.0, 0.0)
+
+
 def test_trip_completion_records_travel_time():
     sim = empty_sim()
     route = ["W0:J0-0", "J0-0:E0"]
@@ -250,7 +261,7 @@ def test_insertion_speed_lets_the_new_vehicle_stop_behind_the_tail():
                    Insertion(1.0, "free", "HDV", north, 15.0)]
     step(sim)
     tail = sim.vehicles["tail"]
-    gap = tail.position - tail.length
+    gap = tail.position - VEHICLE_LENGTH
     v_safe = math.sqrt(tail.speed ** 2 + 2.0 * IDM_B_COMFORT * (gap - IDM_S0))
     assert v_safe < 15.0
     assert sim.vehicles["capped"].speed == v_safe
@@ -431,7 +442,7 @@ def run_random_episode(seed, steps=200, penetration=0.3):
         for road_id in sim.network.roads:
             order = sim.road_order[road_id]
             for f, l in zip(order, order[1:]):
-                gap = (sim.vehicles[l].position - sim.vehicles[l].length
+                gap = (sim.vehicles[l].position - VEHICLE_LENGTH
                        - sim.vehicles[f].position)
                 assert gap > 0.0
         history.append([(v.id, v.position, v.speed)

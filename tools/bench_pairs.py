@@ -17,28 +17,54 @@ direction in the parent's BENCHMARK.json) goes under "end_to_end" (or
 place, together with perfbench's environment record of each side. Without
 --out the record is printed. Standard library only; a failed run stops the
 comparison with its output.
+
+The entry's "uncalibrated" key holds, in the same per-metric form and lower
+being better, what perfbench's calibration hides: each run's median wall
+time per iteration before calibration and median reference-loop time (both
+from the run's file in `<checkout>/.perfbench_out/`), and the run's user
+plus system CPU seconds per attempted operation.
 """
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+def child_cpu_s():
+    """User plus system CPU seconds of the waited-for child processes."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(checkout, workload, seed, seconds, trace):
-    """One perfbench run in `checkout`; returns (result, environment)."""
+    """One perfbench run in `checkout`; returns (result, environment), the
+    result carrying the run's "uncalibrated" values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
+    cpu_s = child_cpu_s()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    cpu_s = child_cpu_s() - cpu_s
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited "
                          f"{proc.returncode}\n{proc.stdout}{proc.stderr}")
     env = next((json.loads(line.split(" ", 1)[1]) for line in lines
                 if line.startswith("environment ")), None)
-    return json.loads(lines[-1]), env
+    result = json.loads(lines[-1])
+    detail = json.loads((Path(checkout) / ".perfbench_out"
+                         / f"{workload}-seed{seed}-trace{trace}.json")
+                        .read_text())
+    result["uncalibrated"] = {
+        "wall_iter_s.p50": statistics.median(
+            row[1] for row in detail["iterations"]),
+        "reference_s.p50": statistics.median(detail["reference_s"]),
+        "cpu_s_per_op": cpu_s / result["attempted"],
+    }
+    return result, env
 
 
 def iqr(values):
@@ -46,6 +72,24 @@ def iqr(values):
         return 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q3 - q1
+
+
+def summarize(p, c, unit, better):
+    """One metric's entry from the parent's and the change's values."""
+    sign = 1.0 if better == "higher" else -1.0
+    med_p, med_c = statistics.median(p), statistics.median(c)
+    return {
+        "unit": unit,
+        "better": better,
+        "parent": p,
+        "change": c,
+        "median_parent": med_p,
+        "median_change": med_c,
+        "parent_iqr": iqr(p),
+        "median_rel_change": (round((med_c - med_p) / med_p, 4)
+                              if med_p else None),
+        "change_wins": sum(sign * (y - x) > 0 for x, y in zip(p, c)),
+    }
 
 
 def compare(parent, change, workload, pairs, seconds, seed_base, trace):
@@ -63,24 +107,16 @@ def compare(parent, change, workload, pairs, seconds, seed_base, trace):
             result, envs[side] = run_once(checkout, workload, seed, seconds,
                                           trace)
             runs[side].append(result)
-    metrics = {}
-    for name, first in runs["parent"][0]["metrics"].items():
-        p = [r["metrics"][name]["value"] for r in runs["parent"]]
-        c = [r["metrics"][name]["value"] for r in runs["change"]]
-        sign = 1.0 if better[name] == "higher" else -1.0
-        med_p, med_c = statistics.median(p), statistics.median(c)
-        metrics[name] = {
-            "unit": first["unit"],
-            "better": better[name],
-            "parent": p,
-            "change": c,
-            "median_parent": med_p,
-            "median_change": med_c,
-            "parent_iqr": iqr(p),
-            "median_rel_change": (round((med_c - med_p) / med_p, 4)
-                                  if med_p else None),
-            "change_wins": sum(sign * (y - x) > 0 for x, y in zip(p, c)),
-        }
+    metrics = {
+        name: summarize([r["metrics"][name]["value"] for r in runs["parent"]],
+                        [r["metrics"][name]["value"] for r in runs["change"]],
+                        first["unit"], better[name])
+        for name, first in runs["parent"][0]["metrics"].items()}
+    uncalibrated = {
+        name: summarize([r["uncalibrated"][name] for r in runs["parent"]],
+                        [r["uncalibrated"][name] for r in runs["change"]],
+                        "s", "lower")
+        for name in runs["parent"][0]["uncalibrated"]}
     entry = {
         "seeds": seeds,
         "pairs": pairs,
@@ -92,6 +128,7 @@ def compare(parent, change, workload, pairs, seconds, seed_base, trace):
                               for side, rs in runs.items()},
         "correct": all(r["correct"] for rs in runs.values() for r in rs),
         "metrics": metrics,
+        "uncalibrated": uncalibrated,
     }
     return entry, envs
 
