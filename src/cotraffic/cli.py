@@ -151,20 +151,11 @@ def cmd_train(args):
                       ([entry.get(k) for k in curve_keys]
                        for entry in result.curves))
 
-    ckpt_meta = {
-        "method": args.method,
-        "seed": args.seed,
-        "penetration": scenario.penetration_rate,
-        "profile": args.profile,
-        "network": scenario.network.descriptor,
-        "iterations": len(result.curves),
-        "ppo": dataclasses.asdict(cfg),
-    }
     checkpoints = {}
     for kind, params in (("tl", result.tl_params), ("cav", result.cav_params)):
         if params is not None:
             checkpoints[kind] = f"checkpoint_{kind}.npz"
-            save_checkpoint(out / checkpoints[kind], params, ckpt_meta)
+            save_checkpoint(out / checkpoints[kind], params)
 
     manifest = _manifest(args, scenario, method, {
         "profile": args.profile,
@@ -300,7 +291,7 @@ def _evaluate(args, default_out, verb, method, scenario, tl_params,
         out.mkdir(parents=True, exist_ok=True)
         reports = rollout.evaluate_policy(
             scenario, method.env_cfg, tl_params, cav_params, seeds,
-            scenario.horizon, trace_fh=trace_fh)
+            trace_fh=trace_fh)
     aggregate = _write_eval_outputs(out, method, scenario, reports)
     metrics.write_json(out / "manifest.json", _manifest(
         args, scenario, method,
@@ -338,8 +329,7 @@ def cmd_sweep(args):
     rows = []
     for rate, scenario in zip(args.rates, scenarios):
         reports = rollout.evaluate_policy(
-            scenario, method.env_cfg, tl_params, cav_params, seeds,
-            scenario.horizon)
+            scenario, method.env_cfg, tl_params, cav_params, seeds)
         aggregate = _write_eval_outputs(out, method, scenario, reports,
                                         label=f"rate{rate:0.2f}")
         rows.append((rate, aggregate))

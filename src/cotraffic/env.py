@@ -290,10 +290,10 @@ class AgentStep:
     t: int = 0
 
 
-def _act(policy, obs, ids, agent_type, rng, sample, t, records):
-    """One `policy.act` over `obs`, whose row i is agent ids[i]'s; appends
-    each agent's AgentStep to `records` and returns {id: action}."""
-    actions, logps, values = policy.act(obs, rng, sample)
+def _act(policy, obs, ids, agent_type, rng, t, records):
+    """One `policy.act(obs, rng)`, where row i of `obs` is agent ids[i]'s;
+    appends each agent's AgentStep to `records` and returns {id: action}."""
+    actions, logps, values = policy.act(obs, rng)
     chosen = {}
     for agent_id, row, action, logp, value in zip(ids, obs, actions, logps,
                                                   values):
@@ -343,13 +343,14 @@ class TrafficEnv:
         self._view = None
         return self.sim
 
-    def step(self, tl_policy=None, cav_policy=None, rng=None, sample=True):
+    def step(self, tl_policy=None, cav_policy=None, rng=None):
         """Advance one second; returns the acting agents' AgentSteps.
 
         Each agent type follows its configured plan if it has one, else
         its policy, which must then be given (ValueError otherwise). A
         learned type makes one `_act` call per step, on its agents'
-        observation matrix; vehicle records follow the signal ones. A step
+        observation matrix; vehicle records follow the signal ones. The
+        policies sample from `rng`, or act greedily without one. A step
         with no selected vehicle makes no vehicle call and draws nothing.
 
         Order: act on the current observation, move the simulator, keep the
@@ -375,13 +376,13 @@ class TrafficEnv:
             tl_actions = self._light_plan(sim)
         else:
             tl_actions = _act(tl_policy, seen.tl_obs, sim.lights, "TL", rng,
-                              sample, sim.clock, records)
+                              sim.clock, records)
         n_tl = len(records)
         agents = seen.agents if cfg.cav_plan is None else ()
         cav_actions = {}
         if agents:
             cav_actions = _act(cav_policy, seen.cav_obs,
-                               [vid for vid, _ in agents], "CAV", rng, sample,
+                               [vid for vid, _ in agents], "CAV", rng,
                                sim.clock, records)
         if self._advisory is not None:
             if self._view is None:

@@ -145,14 +145,15 @@ class Policy:
     def __init__(self, params):
         self.params = params
 
-    def act(self, obs, rng=None, sample=True):
+    def act(self, obs, rng=None):
         """Actions, log-probs and values for an (n, obs_dim) matrix.
 
         Returns three lists of n Python numbers (int actions for signals,
         float accelerations for vehicles). One forward serves all n rows.
-        Sampling draws n numbers from `rng` in row order: `rng.random(n)`
-        for signals, `rng.standard_normal(n)` for vehicles, which are the
-        numbers n one-row calls would draw.
+        Given a generator `rng`, the actions are sampled: n numbers drawn in
+        row order, `rng.random(n)` for signals and `rng.standard_normal(n)`
+        for vehicles, which are the numbers n one-row calls would draw.
+        Without one they are greedy, and nothing is drawn.
 
         A signal switches with probability sigmoid(z) of its logit z and has
         log-prob -softplus(-z) or -softplus(z); a vehicle's acceleration is
@@ -167,14 +168,11 @@ class Policy:
         bits; a vehicle's z-score is 0, so its log-prob is the constant
         -log_std - log(2 pi)/2.
         """
-        if sample and rng is None:
-            raise ValueError("sampling actions needs an rng; pass one, "
-                             "or sample=False for greedy actions")
         head_pre, values, _ = forward(self.params, obs)
         n = len(head_pre)
         if self.params.kind == "tl":
             # log-prob = -softplus(-z) for a switch, -softplus(z) for a keep
-            if sample:
+            if rng is not None:
                 halves = np.tanh(0.5 * head_pre).tolist()
                 actions = [1 if u < 0.5 * (1.0 + t) else 0 for u, t in
                            zip(rng.random(n).tolist(), halves)]
@@ -187,7 +185,7 @@ class Policy:
         else:
             log_std = float(self.params.log_std[0])
             means = [CMD_ACCEL_MAX * t for t in np.tanh(head_pre).tolist()]
-            if sample:
+            if rng is not None:
                 std = float(np.exp(log_std))
                 actions = [min(max(m + std * e, -CMD_ACCEL_MAX), CMD_ACCEL_MAX)
                            for m, e in zip(
@@ -322,9 +320,10 @@ def ppo_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
 
 
 class Adam:
-    """Adaptive-moment optimizer over a network's flat parameter vector."""
+    """Adaptive-moment optimizer of the network it owns, `params`."""
 
     def __init__(self, params, lr):
+        self.params = params
         self.lr = lr
         self.t = 0
         self.m = np.zeros_like(params.flat)
@@ -333,9 +332,9 @@ class Adam:
         self._s1 = np.empty_like(params.flat)
         self._s2 = np.empty_like(params.flat)
 
-    def step(self, params, grad, max_grad_norm):
-        """Update `params.flat`, first scaling `grad` down to a global norm
-        of at most `max_grad_norm`.
+    def step(self, grad, max_grad_norm):
+        """Update the owned network's `flat` in place, first scaling `grad`
+        down to a global norm of at most `max_grad_norm`.
 
         The operations are those of
         `m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
@@ -361,19 +360,18 @@ class Adam:
         np.sqrt(s2, out=s2)
         s2 += ADAM_EPS
         s1 /= s2
-        params.flat -= s1
-        return params
+        self.params.flat -= s1
 
 
-def save_checkpoint(path, params, meta=None):
-    """Versioned npz dump; reload reproduces identical forward outputs."""
+def save_checkpoint(path, params):
+    """Versioned npz dump of a network's arrays and a header of its format
+    and shape; reload reproduces identical forward outputs."""
     payload = {f"param_{name}": arr for name, arr in params.arrays()}
     header = {
         "format_version": 1,
         "kind": params.kind,
         "obs_dim": params.obs_dim,
         "hidden": list(params.hidden),
-        "meta": meta or {},
     }
     payload["header_json"] = np.frombuffer(
         json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)
@@ -381,8 +379,9 @@ def save_checkpoint(path, params, meta=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a saved network; raises ValueError naming a missing,
-    misshaped or non-finite array."""
+    """Rebuild a saved network; returns it and the file's header (older
+    files' headers also hold an unread `meta`). Raises ValueError naming a
+    missing, misshaped or non-finite array."""
     with np.load(path) as data:
         header = json.loads(bytes(data["header_json"].tobytes()).decode())
         if header.get("format_version") != 1:
@@ -401,4 +400,4 @@ def load_checkpoint(path):
             arr[...] = stored
             if not np.isfinite(arr).all():
                 raise ValueError(f"array {key} holds a non-finite value")
-    return params, header["meta"]
+    return params, header

@@ -142,13 +142,14 @@ class RolloutBuffer:
         }
 
 
-def ppo_update(params, optimizer, batch, cfg, rng):
+def ppo_update(optimizer, batch, cfg, rng):
     """K epochs of shuffled minibatch updates on one agent type's batch.
 
     Advantages are normalized to zero mean and unit variance over the whole
-    batch before the epochs. Mutates params/optimizer in place and returns
-    aggregate diagnostics.
+    batch before the epochs. Mutates the optimizer and the network it owns
+    in place and returns aggregate diagnostics.
     """
+    params = optimizer.params
     n = batch["obs"].shape[0]
     if n == 0:
         raise ValueError("empty batch")
@@ -172,7 +173,7 @@ def ppo_update(params, optimizer, batch, cfg, rng):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss!r} on a {params.kind} minibatch "
                     f"of {min(end, n) - start} samples")
-            optimizer.step(params, grad, cfg.max_grad_norm)
+            optimizer.step(grad, cfg.max_grad_norm)
             stats_acc.append(stats)
     keys = stats_acc[0].keys()
     out = {k: float(np.mean([s[k] for s in stats_acc])) for k in keys}
@@ -272,15 +273,15 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
     count.
     """
     with one_blas_thread() as blas_threads:
-        learned = {}  # agent type -> (params, Adam), signals first
+        learned = {}  # agent type -> Adam owning its network, signals first
         for kind in env_cfg.learned:
             dim = (tl_obs_dim(scenario.network, env_cfg.mode) if kind == "tl"
                    else cav_obs_dim(env_cfg.mode))
-            params = init_params(kind, dim, cfg.hidden, seed)
-            learned[kind.upper()] = params, Adam(params, cfg.learning_rate)
+            learned[kind.upper()] = Adam(
+                init_params(kind, dim, cfg.hidden, seed), cfg.learning_rate)
         if not learned:
             raise ValueError("training needs at least one agent type")
-        tl_params, cav_params = (learned[t][0] if t in learned else None
+        tl_params, cav_params = (learned[t].params if t in learned else None
                                  for t in ("TL", "CAV"))
 
         update_rng = np.random.default_rng(np.random.SeedSequence((seed, 999)))
@@ -316,7 +317,7 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
 
             update_begin = time.perf_counter()
             try:
-                for agent_type, (params, optimizer) in learned.items():
+                for agent_type, optimizer in learned.items():
                     buffer = buffers[agent_type]
                     if len(buffer) == 0:
                         continue  # e.g. zero CAV penetration: nothing to update
@@ -324,7 +325,7 @@ def train(scenario, env_cfg, cfg, seed=0, workers=1, progress=None):
                     prefix = agent_type.lower()
                     entry[f"{prefix}_explained_variance"] = explained_variance(
                         batch["values"], batch["returns"])
-                    stats = ppo_update(params, optimizer, batch, cfg, update_rng)
+                    stats = ppo_update(optimizer, batch, cfg, update_rng)
                     for key in DIAGNOSTICS:
                         entry[f"{prefix}_{key}"] = stats[key]
             except NonFiniteLossError:

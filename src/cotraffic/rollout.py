@@ -39,15 +39,17 @@ def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
     """Run one episode; returns (EpisodeResult, final sim state).
 
     `seed` replaces the scenario seed (demand draw and, when sampling, the
-    action noise). Segments are closed when an agent's record carries done,
-    and any still-open segment is closed at the horizon with done set on its
+    action noise); without `sample` the policies act greedily and draw
+    nothing. Segments are closed when an agent's record carries done, and
+    any still-open segment is closed at the horizon with done set on its
     final record. With a trace file handle, the state after each step is
     written to it (`write_trace`).
     """
     scen_seed, act_seed = _episode_seeds(seed)
     env = TrafficEnv(scenario.with_overrides(seed=scen_seed), env_cfg)
     sim = env.reset()
-    rng = np.random.default_rng(np.random.SeedSequence(act_seed))
+    rng = (np.random.default_rng(np.random.SeedSequence(act_seed))
+           if sample else None)
 
     tl_policy = Policy(tl_params) if tl_params else None
     cav_policy = Policy(cav_params) if cav_params else None
@@ -55,7 +57,7 @@ def run_episode(scenario, env_cfg, tl_params, cav_params, seed, horizon,
     open_segments = {}
     closed = {"TL": [], "CAV": []}
     for _ in range(horizon):
-        records = env.step(tl_policy, cav_policy, rng=rng, sample=sample)
+        records = env.step(tl_policy, cav_policy, rng=rng)
         if trace_fh is not None:
             write_trace(trace_fh, sim)
         if not collect:
@@ -93,9 +95,9 @@ def collect_episodes(scenario, env_cfg, tl_params, cav_params, seeds, horizon,
         return list(pool.map(_episode_task, tasks))
 
 
-def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds,
-                    horizon, trace_fh=None):
-    """Greedy-action evaluation episodes; returns one report per seed.
+def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds, *,
+                    trace_fh=None):
+    """Greedy episodes of `scenario.horizon` steps; one report per seed.
 
     An agent type the configuration does not learn takes None for its
     network.
@@ -105,19 +107,19 @@ def evaluate_policy(scenario, env_cfg, tl_params, cav_params, seeds,
     reports = []
     for i, seed in enumerate(seeds):
         _, sim = run_episode(scenario, env_cfg, tl_params, cav_params, seed,
-                             horizon, sample=False, collect=False,
+                             scenario.horizon, sample=False, collect=False,
                              trace_fh=trace_fh if i == 0 else None)
         reports.append(build_episode_report(sim))
     return reports
 
 
-def run_baseline_episode(scenario, method, seed, horizon=None, trace_fh=None):
-    """One episode of a non-learned method (baseline-static, actuated,
-    max-pressure or glosa); returns (report, final sim state)."""
+def run_baseline_episode(scenario, method, seed, *, trace_fh=None):
+    """A `scenario.horizon` episode of a non-learned method (baseline-static,
+    actuated, max-pressure or glosa); returns (report, final sim state)."""
     spec = get_method(method)
     if spec.rl:
         raise ValueError(f"method {method!r} is learned")
     _, sim = run_episode(scenario, spec.env_cfg, None, None, seed,
-                         horizon or scenario.horizon, sample=False,
-                         collect=False, trace_fh=trace_fh)
+                         scenario.horizon, sample=False, collect=False,
+                         trace_fh=trace_fh)
     return build_episode_report(sim), sim

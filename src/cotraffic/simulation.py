@@ -315,9 +315,12 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
     """
     tl_actions = tl_actions or {}
     cav_accels = cav_accels or {}
-    for light_id in tl_actions:
+    for light_id, action in tl_actions.items():
         if light_id not in sim.lights:
             raise KeyError(f"unknown traffic light {light_id!r}")
+        if action not in (0, 1):
+            raise ValueError(
+                f"traffic light action must be 0 or 1, got {action!r}")
     for vid, command in cav_accels.items():
         if vid not in sim.vehicles:
             raise KeyError(f"unknown vehicle {vid!r} in command map")
@@ -332,9 +335,6 @@ def step(sim, tl_actions=None, cav_accels=None, view=None):
     phase_of = {}
     for light_id, light in sim.lights.items():
         action = tl_actions.get(light_id, 0)
-        if action not in (0, 1):
-            raise ValueError(
-                f"traffic light action must be 0 or 1, got {action!r}")
         phases = light.phases
         if phases[light.phase_index].kind == "yellow":
             if light.time_in_phase >= YELLOW_DURATION:

@@ -387,7 +387,7 @@ def ref_env_step(env, tl_policy, cav_policy, rng):
     obs = np.array([ref_tl_observation(sim, sim.lights[lid], cfg.mode, env.c,
                                        env._prev_cmd_by_road)
                     for lid in lids])
-    actions, logps, values = tl_policy.act(obs, rng, True)
+    actions, logps, values = tl_policy.act(obs, rng)
     tl_actions = {}
     for lid, row, action, logp, value in zip(
             lids, obs, actions, logps, values):
@@ -402,7 +402,7 @@ def ref_env_step(env, tl_policy, cav_policy, rng):
             ref_cav_observation(sim, vid, cfg.mode, env._prev_tl_action.get(
                 sim.network.roads[road].approach_intersection, 0))
             for vid, road in zip(vids, roads)])
-        actions, logps, values = cav_policy.act(obs, rng, True)
+        actions, logps, values = cav_policy.act(obs, rng)
         for vid, road, row, action, logp, value in zip(
                 vids, roads, obs, actions, logps, values):
             cav_actions[vid] = action

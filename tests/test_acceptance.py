@@ -110,16 +110,17 @@ def icotv_result():
 
 @pytest.fixture(scope="module")
 def static_agg():
-    scen = grid_scenario("1x1", penetration=0.0, seed=SEED)
+    scen = grid_scenario("1x1", horizon=EVAL_HORIZON, penetration=0.0,
+                         seed=SEED)
     return aggregate_reports(evaluate_policy(
-        scen, get_method("baseline-static").env_cfg, None, None, EVAL_SEEDS,
-        EVAL_HORIZON))
+        scen, get_method("baseline-static").env_cfg, None, None, EVAL_SEEDS))
 
 
 def _eval_cotv(params, penetration):
-    scen = grid_scenario("1x1", penetration=penetration, seed=SEED)
+    scen = grid_scenario("1x1", horizon=EVAL_HORIZON, penetration=penetration,
+                         seed=SEED)
     reports = evaluate_policy(scen, EnvConfig(CooperationMode.COTV),
-                              params[0], params[1], EVAL_SEEDS, EVAL_HORIZON)
+                              params[0], params[1], EVAL_SEEDS)
     return aggregate_reports(reports)
 
 
@@ -397,10 +398,9 @@ def test_criterion_10_scalability(cotv_dirs, cotv_params, cotv_agg, star_result)
     env = TrafficEnv(scen, EnvConfig(CooperationMode.COTV))
     env.reset()
     tl_pol, cav_pol = Policy(cotv_params[0]), Policy(cotv_params[1])
-    rng = np.random.default_rng(0)
     max_agents = 0
     for _ in range(EVAL_HORIZON):
-        records = env.step(tl_pol, cav_pol, rng=rng, sample=False)
+        records = env.step(tl_pol, cav_pol)
         max_agents = max(max_agents,
                          sum(r.agent_type == "CAV" for r in records))
 
@@ -418,10 +418,11 @@ def test_criterion_10_scalability(cotv_dirs, cotv_params, cotv_agg, star_result)
 
 
 def _eval_cotv_star(star_result):
-    scen = grid_scenario("1x1", penetration=1.0, seed=SEED)
+    scen = grid_scenario("1x1", horizon=EVAL_HORIZON, penetration=1.0,
+                         seed=SEED)
     reports = evaluate_policy(scen, EnvConfig(CooperationMode.COTV_STAR),
                               star_result.tl_params, star_result.cav_params,
-                              EVAL_SEEDS, EVAL_HORIZON)
+                              EVAL_SEEDS)
     return aggregate_reports(reports)
 
 
@@ -429,10 +430,11 @@ def _eval_cotv_star(star_result):
 
 def test_criterion_11_ablation_separability(cotv_agg, icotv_result, static_agg,
                                             tmp_path):
-    scen = grid_scenario("1x1", penetration=1.0, seed=SEED)
+    scen = grid_scenario("1x1", horizon=EVAL_HORIZON, penetration=1.0,
+                         seed=SEED)
     icotv_agg = aggregate_reports(evaluate_policy(
         scen, EnvConfig(CooperationMode.I_COTV), icotv_result.tl_params,
-        icotv_result.cav_params, EVAL_SEEDS, EVAL_HORIZON))
+        icotv_result.cav_params, EVAL_SEEDS))
     table = compare_table({"baseline-static": static_agg, "cotv": cotv_agg,
                            "i-cotv": icotv_agg}, "baseline-static")
     out = tmp_path / "ablation.csv"

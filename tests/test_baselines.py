@@ -68,10 +68,10 @@ def test_baseline_episode_matches_the_direct_loop(grid, method):
 
 
 def test_run_baseline_episode_refuses_learned_methods():
-    scen = grid_scenario("1x1", penetration=1.0)
+    scen = grid_scenario("1x1", horizon=1, penetration=1.0)
     for method in ("cotv", "flowcav", "presslight"):
         with pytest.raises(ValueError, match="learned"):
-            rollout.run_baseline_episode(scen, method, 1, horizon=1)
+            rollout.run_baseline_episode(scen, method, 1)
 
 
 def test_unknown_vehicle_plan_raises_at_reset():
@@ -289,11 +289,10 @@ def test_baseline_episode_builds_one_fleet_view_per_step(monkeypatch):
     monkeypatch.setattr(simulation, "scan_view", counted)
     # the env builds the first view of a glosa episode for the advisory
     monkeypatch.setattr("cotraffic.env.scan_view", counted)
-    scen = grid_scenario("1x6", penetration=1.0, seed=11)
+    scen = grid_scenario("1x6", horizon=120, penetration=1.0, seed=11)
     for method in ("actuated", "glosa"):
         del calls[:]
-        _, sim = rollout.run_baseline_episode(scen, method, seed=11,
-                                              horizon=120)
+        _, sim = rollout.run_baseline_episode(scen, method, seed=11)
         crash_steps = len({event.time for event in sim.collisions})
         assert len(calls) == 120 + 1 + crash_steps
 
@@ -379,9 +378,11 @@ def test_baseline_and_policy_episodes_of_a_seed_share_their_demand(
         return schedules[-1]
 
     monkeypatch.setattr(simulation, "build_insertion_schedule", recorded)
+    # the schedule covers every flow whatever the horizon; one step builds it
+    one_step = scen.with_overrides(horizon=1)
     for seed in (100_007, 100_008):
-        rollout.run_baseline_episode(scen, "actuated", seed, horizon=1)
-        rollout.evaluate_policy(scen, env_cfg, tl, cav, [seed], 1)
+        rollout.run_baseline_episode(one_step, "actuated", seed)
+        rollout.evaluate_policy(one_step, env_cfg, tl, cav, [seed])
     first, first_rl, second, second_rl = schedules
     assert first == first_rl and second == second_rl
     assert first != second

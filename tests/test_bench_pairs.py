@@ -32,6 +32,11 @@ def test_head_against_head_record_shape(tmp_path):
     assert set(entry["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
     for name, m in entry["metrics"].items():
         assert len(m["parent"]) == len(m["change"]) == 1
+        moved = m["median_change"] != m["median_parent"]
+        if m["unit"] in ("s", "1/s") and moved:
+            assert type(m["raw_agrees"]) is bool
+        else:
+            assert m["raw_agrees"] is None
         assert m["median_parent"] == m["parent"][0]
         assert m["parent_iqr"] == 0.0
         assert m["change_wins"] in (0, 1)
@@ -57,7 +62,12 @@ def test_pairs_alternate_and_wins_follow_the_direction(monkeypatch):
         fast = checkout == "change"
         metrics = {"env_steps_per_s": {"value": 2.0 if fast else 1.0,
                                        "unit": "1/s"},
-                   "setup_s": {"value": 1.0 if fast else 2.0, "unit": "s"}}
+                   "setup_s": {"value": 1.0 if fast else 2.0, "unit": "s"},
+                   # slower while the raw wall time falls: disagrees
+                   "iter_s.p50": {"value": 0.3 if fast else 0.2, "unit": "s"},
+                   "mean_travel_time_s": {"value": 60.0, "unit": "s"},
+                   "peak_rss_mb": {"value": 2.0 if fast else 1.0,
+                                   "unit": "MB"}}
         hidden = {"wall_iter_s.p50": 0.5 if fast else 0.75,
                   "reference_s.p50": 0.04, "cpu_s_per_op": seed - 39.0}
         return ({"correct": True, "attempted": 3, "failed": 0,
@@ -73,6 +83,12 @@ def test_pairs_alternate_and_wins_follow_the_direction(monkeypatch):
     for name in ("env_steps_per_s", "setup_s"):
         assert entry["metrics"][name]["change_wins"] == 3
     assert entry["metrics"]["setup_s"]["median_rel_change"] == -0.5
+    # the raw wall time fell in every pair: it agrees with a faster rate
+    # and a shorter time, not with a longer time; equal medians and a
+    # memory figure get no verdict
+    assert {name: m["raw_agrees"] for name, m in entry["metrics"].items()} == {
+        "env_steps_per_s": True, "setup_s": True, "iter_s.p50": False,
+        "mean_travel_time_s": None, "peak_rss_mb": None}
     # the uncalibrated values sit apart from the benchmark's names, lower
     # being better
     hidden = entry["uncalibrated"]

@@ -390,7 +390,7 @@ def test_retirement_closes_segment_with_done():
     tl_p, cav_p = make_policies(scen.network, COTV)
 
     class KeepPolicy:
-        def act(self, obs, rng, sample):
+        def act(self, obs, rng):
             n = len(obs)
             return np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n)
 
@@ -545,7 +545,7 @@ class RulePolicy:
     def __init__(self, rule):
         self.rule = rule
 
-    def act(self, obs, rng, sample):
+    def act(self, obs, rng):
         actions = [self.rule(row.tolist()) for row in obs]
         zeros = [0.0] * len(actions)
         return actions, zeros, zeros

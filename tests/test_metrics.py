@@ -136,8 +136,8 @@ def test_delay_floor_over_random_runs():
     from cotraffic.network import grid_scenario
     from cotraffic.rollout import run_baseline_episode
     for seed in (1, 2, 3):
-        rep, sim = run_baseline_episode(grid_scenario("1x1", seed=seed),
-                                        "baseline-static", seed=seed,
-                                        horizon=720)
+        rep, sim = run_baseline_episode(
+            grid_scenario("1x1", horizon=720, seed=seed), "baseline-static",
+            seed=seed)
         delays = [t.travel_time - t.ideal_time for t in sim.completed]
         assert all(d >= -1.0 for d in delays)

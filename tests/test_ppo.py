@@ -213,8 +213,9 @@ def test_batched_act_matches_row_by_row(kind, dim, sample):
     policy = Policy(init_params(kind, dim, (64, 64), seed=4))
     obs = np.random.default_rng(5).normal(size=(23, dim))
     rng_rows, rng_batch = np.random.default_rng(6), np.random.default_rng(6)
-    rows = [policy.act(o[None, :], rng_rows, sample) for o in obs]
-    actions, logps, values = policy.act(obs, rng_batch, sample)
+    rows = [policy.act(o[None, :], rng_rows if sample else None)
+            for o in obs]
+    actions, logps, values = policy.act(obs, rng_batch if sample else None)
     assert len(actions) == len(logps) == len(values) == 23
     for result in rows + [(actions, logps, values)]:
         assert all(type(a) is (int if kind == "tl" else float)
@@ -256,7 +257,7 @@ def test_act_matches_reference_distributions_bit_for_bit(kind, dim, sample):
     heads, clipped = [], 0
     for n in range(1, 65):
         obs = data.normal(size=(n, dim))
-        got = policy.act(obs, rng, sample)
+        got = policy.act(obs, rng if sample else None)
         want = reference_act(params, obs, ref_rng, sample)
         assert act_key(got) == act_key(want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -268,12 +269,13 @@ def test_act_matches_reference_distributions_bit_for_bit(kind, dim, sample):
         assert clipped > 0
 
 
-def test_sampling_without_rng_is_rejected():
-    policy = Policy(init_params("cav", 7, (64, 64), seed=4))
-    with pytest.raises(ValueError, match="rng"):
-        policy.act(np.zeros((3, 7)))
-    actions, _, _ = policy.act(np.zeros((3, 7)), sample=False)
-    assert actions == [0.0, 0.0, 0.0]
+def test_act_without_rng_is_greedy():
+    for kind, dim in (("tl", 9), ("cav", 7)):
+        params = wide_head_params(kind, dim, seed=4)
+        obs = np.random.default_rng(5).normal(size=(16, dim))
+        got = Policy(params).act(obs)
+        assert act_key(got) == act_key(reference_act(params, obs, None, False))
+        assert len(set(got[0])) > 1  # not one constant action
 
 
 # --- generalized advantage estimation ----------------------------------------
@@ -418,7 +420,7 @@ def test_nonfinite_loss_aborts_update():
     cfg = PpoConfig(iterations=1, episodes_per_iter=1, horizon=1,
                     epochs=1, minibatch_size=8)
     with pytest.raises(NonFiniteLossError):
-        ppo_update(params, Adam(params, cfg.learning_rate), batch, cfg,
+        ppo_update(Adam(params, cfg.learning_rate), batch, cfg,
                    np.random.default_rng(0))
 
 
@@ -427,12 +429,13 @@ class PerArrayAdam:
     summed array by array, as the optimizer was before the flat layout."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(a) for name, a in params.arrays()}
         self.v = {name: np.zeros_like(a) for name, a in params.arrays()}
 
-    def step(self, params, grads, max_grad_norm):
+    def step(self, grads, max_grad_norm):
         total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
         if total > max_grad_norm:
             scale = max_grad_norm / (total + 1e-12)
@@ -440,7 +443,7 @@ class PerArrayAdam:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, arr in params.arrays():
+        for name, arr in self.params.arrays():
             g = grads[name]
             self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g ** 2
@@ -460,8 +463,8 @@ def test_adam_matches_per_array_reference(kind, obs_dim, max_grad_norm, clips):
         layout = MlpParams(kind, obs_dim, (6, 5))
         layout.flat[...] = grad
         named = layout.arrays()
-        opt.step(params, grad, max_grad_norm)
-        ref.step(ref_params, dict(named), max_grad_norm)
+        opt.step(grad, max_grad_norm)
+        ref.step(dict(named), max_grad_norm)
     ref_m = np.concatenate([ref.m[name].ravel() for name, _ in named])
     ref_v = np.concatenate([ref.v[name].ravel() for name, _ in named])
     if clips:
@@ -566,7 +569,7 @@ def ref_loss_and_grads(params, obs, actions, old_logp, advantages, returns,
 class TemporariesAdam(Adam):
     """Reference: `Adam.step` with a new temporary per operation."""
 
-    def step(self, params, grad, max_grad_norm):
+    def step(self, grad, max_grad_norm):
         total = np.sqrt(np.sum(grad ** 2))
         if total > max_grad_norm:
             grad = grad * (max_grad_norm / (total + 1e-12))
@@ -577,9 +580,8 @@ class TemporariesAdam(Adam):
         self.m += (1 - ADAM_BETA1) * grad
         self.v *= ADAM_BETA2
         self.v += (1 - ADAM_BETA2) * grad ** 2
-        params.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c)
-                                                   + ADAM_EPS)
-        return params
+        self.params.flat -= self.lr * (self.m / b1c) / (
+            np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
 def ref_compute_gae(rewards, values, last_value, gamma, lam):
@@ -618,7 +620,8 @@ def ref_build_batch(segments, gamma, lam):
     }
 
 
-def ref_ppo_update(params, optimizer, batch, cfg, rng):
+def ref_ppo_update(optimizer, batch, cfg, rng):
+    params = optimizer.params
     n = batch["obs"].shape[0]
     adv = batch["advantages"]
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -631,7 +634,7 @@ def ref_ppo_update(params, optimizer, batch, cfg, rng):
                 params, batch["obs"][idx], batch["actions"][idx],
                 batch["old_logp"][idx], adv[idx], batch["returns"][idx],
                 cfg.clip_eps, cfg.value_coef, cfg.entropy_coef)
-            optimizer.step(params, grad, cfg.max_grad_norm)
+            optimizer.step(grad, cfg.max_grad_norm)
             stats_acc.append(stats)
     return {k: float(np.mean([s[k] for s in stats_acc]))
             for k in stats_acc[0]}
@@ -699,9 +702,8 @@ def test_ppo_update_matches_index_gather_reference(kind, obs_dim):
     ref_params = copy.deepcopy(params)
     opt, ref_opt = (Adam(params, cfg.learning_rate),
                     TemporariesAdam(ref_params, cfg.learning_rate))
-    stats = ppo_update(params, opt, batch, cfg, np.random.default_rng(4))
-    want = ref_ppo_update(ref_params, ref_opt, batch, cfg,
-                          np.random.default_rng(4))
+    stats = ppo_update(opt, batch, cfg, np.random.default_rng(4))
+    want = ref_ppo_update(ref_opt, batch, cfg, np.random.default_rng(4))
     assert stats["updates"] == 4 * 5
     assert {k: stats[k] for k in want} == want
     for got, ref in ((params.flat, ref_params.flat), (opt.m, ref_opt.m),
@@ -915,9 +917,10 @@ def test_parameter_sharing_single_set_per_type():
 
 def test_checkpoint_round_trip(tmp_path):
     params = init_params("cav", 7, (64, 64), seed=9)
-    save_checkpoint(tmp_path / "c.npz", params, meta={"method": "cotv", "seed": 9})
-    loaded, meta = load_checkpoint(tmp_path / "c.npz")
-    assert meta["method"] == "cotv"
+    save_checkpoint(tmp_path / "c.npz", params)
+    loaded, header = load_checkpoint(tmp_path / "c.npz")
+    assert header == {"format_version": 1, "kind": "cav", "obs_dim": 7,
+                      "hidden": [64, 64]}
     obs = np.random.default_rng(1).normal(size=7)
     assert policy_forward(loaded, obs) == policy_forward(params, obs)
     assert loaded.fingerprint() == params.fingerprint()

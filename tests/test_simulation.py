@@ -188,13 +188,28 @@ def test_step_rejects_unknown_ids():
         step(sim, {}, {"ghost": 1.0})
 
 
-@pytest.mark.parametrize("command", [math.nan, math.inf, -math.inf])
-def test_step_rejects_a_non_finite_command(command):
-    sim = empty_sim()
+@pytest.mark.parametrize("tl_actions, cav_accels, message", [
+    pytest.param({}, {"v0": math.nan}, "vehicle 'v0'", id="nan"),
+    pytest.param({}, {"v0": math.inf}, "vehicle 'v0'", id="inf"),
+    pytest.param({}, {"v0": -math.inf}, "vehicle 'v0'", id="-inf"),
+    # J0-0 may switch (10 s green) and comes before the bad action's light
+    pytest.param({"J0-0": 1, "J0-1": 2}, {}, "0 or 1, got 2",
+                 id="light-action-2"),
+])
+def test_step_rejects_a_non_finite_command(tl_actions, cav_accels, message):
+    """A bad command, a vehicle's or a light's, is refused before `step`
+    writes any state."""
+    sim = empty_sim("1x6")
+    for _ in range(10):
+        step(sim)
     veh = put_vehicle(sim, "v0", "W0:J0-0", 100.0, 10.0, kind="CAV")
-    with pytest.raises(ValueError, match="vehicle 'v0'"):
-        step(sim, {}, {"v0": command})
-    assert sim.clock == 0
+    lights = [(t.phase_index, t.time_in_phase) for t in sim.lights.values()]
+    assert lights[0] == (0, 10)
+    with pytest.raises(ValueError, match=message):
+        step(sim, tl_actions, cav_accels)
+    assert sim.clock == 10
+    assert [(t.phase_index, t.time_in_phase)
+            for t in sim.lights.values()] == lights
     assert (veh.position, veh.speed, veh.accel) == (100.0, 10.0, 0.0)
 
 

@@ -22,7 +22,11 @@ The entry's "uncalibrated" key holds, in the same per-metric form and lower
 being better, what perfbench's calibration hides: each run's median wall
 time per iteration before calibration and median reference-loop time (both
 from the run's file in `<checkout>/.perfbench_out/`), and the run's user
-plus system CPU seconds per attempted operation.
+plus system CPU seconds per attempted operation. Each metric in `s` or
+`1/s` also gets "raw_agrees": whether the uncalibrated wall time per
+iteration moved the way of the metric's median change (down for a faster
+median) in more than half of the pairs; null for other units and for equal
+medians. A speed claim counts only when it is true.
 """
 import argparse
 import json
@@ -92,6 +96,20 @@ def summarize(p, c, unit, better):
     }
 
 
+def raw_agrees(metric, wall):
+    """The "raw_agrees" value of a summarized `metric` against the
+    summarized uncalibrated wall time per iteration `wall`."""
+    if (metric["unit"] not in ("s", "1/s")
+            or metric["median_change"] == metric["median_parent"]):
+        return None
+    # a time rises with the wall time, a rate falls
+    wall_up = ((metric["median_change"] > metric["median_parent"])
+               == (metric["unit"] == "s"))
+    moved = sum((c > p) if wall_up else (c < p)
+                for p, c in zip(wall["parent"], wall["change"]))
+    return moved > len(wall["parent"]) / 2
+
+
 def compare(parent, change, workload, pairs, seconds, seed_base, trace):
     """Run the pairs; returns (the workload's entry, environment records)."""
     spec = json.loads((Path(parent) / "BENCHMARK.json").read_text())
@@ -117,6 +135,9 @@ def compare(parent, change, workload, pairs, seconds, seed_base, trace):
                         [r["uncalibrated"][name] for r in runs["change"]],
                         "s", "lower")
         for name in runs["parent"][0]["uncalibrated"]}
+    for metric in metrics.values():
+        metric["raw_agrees"] = raw_agrees(metric,
+                                          uncalibrated["wall_iter_s.p50"])
     entry = {
         "seeds": seeds,
         "pairs": pairs,
